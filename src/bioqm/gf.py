@@ -13,12 +13,16 @@ Two maps convert field values into ordinary real numbers:
   p = 3 (mod 4), phi_map(-1) = -1.
 * ``abs_map``: 0 for the zero element, 1 for everything else.
 
-All arithmetic is exact integer arithmetic; floats never appear.
+All arithmetic is exact integer arithmetic; floats never appear.  Each
+``FieldConfig`` interns its elements: ``element(re, im)`` reduces both parts
+mod p and returns the one shared ``FieldElement`` for that residue pair, so
+construction and validation run once per element, not once per operation.
+Operations compute on the integer residues and look the result up there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -74,10 +78,16 @@ def _even_power_residues(p: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """A field GF(p^degree) with p prime, p = 3 (mod 4), degree 1 or 2."""
+    """A field GF(p^degree) with p prime, p = 3 (mod 4), degree 1 or 2.
+
+    Each config interns its elements: ``element`` returns one shared instance
+    per residue pair, created on first use, so the store holds only the
+    elements a computation actually produced.
+    """
 
     p: int
     degree: int = 1
+    _interned: _InternStore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -88,6 +98,7 @@ class FieldConfig:
             )
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
+        object.__setattr__(self, "_interned", _InternStore(self))
 
     @property
     def order(self) -> int:
@@ -103,7 +114,9 @@ class FieldConfig:
         return find_generator(self.p)
 
     def element(self, re: int, im: int = 0) -> FieldElement:
-        return FieldElement(re % self.p, im % self.p, self)
+        """The interned element (re mod p) + (im mod p)*i."""
+        p = self.p
+        return self._interned[re % p, im % p]
 
     def zero(self) -> FieldElement:
         return self.element(0)
@@ -131,28 +144,80 @@ class FieldConfig:
         return f"GF({self.order})"
 
 
+class _InternStore(dict):
+    """Canonical residue pair -> the config's one element with those residues."""
+
+    __slots__ = ("config",)
+
+    def __init__(self, config: FieldConfig):
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, key: tuple[int, int]) -> FieldElement:
+        # validation runs here, once per element; a rejected pair is not stored
+        x = self[key] = FieldElement(key[0], key[1], self.config)
+        return x
+
+
 def _signed(r: int, p: int) -> int:
     # balanced representative; in particular p-1 prints as -1
     return r if r <= p // 2 else r - p
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element re + im*i of GF(p^2), or re in GF(p) when im = 0."""
+    """An element re + im*i of GF(p^2), or re in GF(p) when im = 0.
+
+    Immutable.  Equality and hash go by value, so elements of two equal but
+    distinct configs compare equal and combine; the result lives in the left
+    operand's config.  ``FieldConfig.element`` hands out interned instances,
+    which makes identity a fast path for the field checks, never a
+    requirement.
+    """
+
+    __slots__ = ("re", "im", "config", "is_zero", "is_real", "_hash")
 
     re: int
     im: int
     config: FieldConfig
+    is_zero: bool
+    is_real: bool
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.re < self.config.p and 0 <= self.im < self.config.p):
+    def __init__(self, re: int, im: int, config: FieldConfig):
+        if not (0 <= re < config.p and 0 <= im < config.p):
             raise ValueError("components must be canonical residues in [0, p)")
-        if self.im != 0 and not self.config.is_extension:
+        if im != 0 and not config.is_extension:
             raise ValueError("imaginary part requires a degree-2 field")
+        init = object.__setattr__
+        init(self, "re", re)
+        init(self, "im", im)
+        init(self, "config", config)
+        init(self, "is_zero", re == 0 and im == 0)
+        init(self, "is_real", im == 0)
+        init(self, "_hash", hash((re, im, config)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: FieldElement is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: FieldElement is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (
+            self.re == other.re and self.im == other.im and self.config == other.config
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- helpers ---------------------------------------------------------
 
     def _coerce(self, other: FieldElement | int) -> FieldElement:
+        if other.__class__ is FieldElement and other.config is self.config:
+            return other
         if isinstance(other, int):
             return self.config.element(other)
         if not isinstance(other, FieldElement):
@@ -160,14 +225,6 @@ class FieldElement:
         if other.config != self.config:
             raise ValueError(f"field mismatch: {self.config} vs {other.config}")
         return other
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def sort_key(self) -> tuple[int, int]:
         return (self.re, self.im)

@@ -5,6 +5,12 @@ conjugation to the left argument componentwise.  A vector may be orthogonal
 to itself (dot(v, v) = 0 with v nonzero); such vectors admit no conjugate
 dual and are excluded from the physical state space.
 
+The kernels below (``dot``, pairings, ``mat_vec``, duals, scaling, tensor
+and Kronecker products, ``det2``) accumulate each output component over the
+integer residues of their inputs and reduce mod p once, so each output costs
+one interned ``FieldConfig.element`` lookup rather than one per field
+operation.
+
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1, and enumeration is
 lexicographic over components, each component ordered by (re, im).
@@ -24,9 +30,20 @@ ENUMERATION_GUARD = 10**8
 EntryLike = FieldElement | int | tuple[int, int]
 
 
+def _same_field(a: FieldConfig, b: FieldConfig) -> bool:
+    return a is b or a == b
+
+
+def _require_field(config: FieldConfig, entries: Iterable[FieldElement]) -> None:
+    """The field check each per-element operation made, done once per entry."""
+    for x in entries:
+        if x.config is not config and x.config != config:
+            raise ValueError(f"field mismatch: {x.config} vs {config}")
+
+
 def _as_element(config: FieldConfig, entry: EntryLike) -> FieldElement:
     if isinstance(entry, FieldElement):
-        if entry.config != config:
+        if not _same_field(entry.config, config):
             raise ValueError(f"field mismatch: {entry.config} vs {config}")
         return entry
     if isinstance(entry, tuple):
@@ -45,7 +62,7 @@ class StateVector:
         if not self.components:
             raise ValueError("a state vector needs at least one component")
         for c in self.components:
-            if c.config != self.config:
+            if c.config is not self.config and c.config != self.config:
                 raise ValueError("all components must live in the same field")
 
     @staticmethod
@@ -64,7 +81,13 @@ class StateVector:
         return all(c.is_zero for c in self.components)
 
     def scale(self, factor: FieldElement) -> StateVector:
-        return StateVector(tuple(c * factor for c in self.components), self.config)
+        config = self.config
+        factor = _as_element(config, factor)
+        element, fr, fi = config.element, factor.re, factor.im
+        return StateVector(
+            tuple(element(c.re * fr - c.im * fi, c.re * fi + c.im * fr) for c in self.components),
+            config,
+        )
 
     def add(self, other: StateVector) -> StateVector:
         if other.config != self.config or other.dim != self.dim:
@@ -76,12 +99,9 @@ class StateVector:
 
     def tensor(self, other: StateVector) -> StateVector:
         """Row-major Kronecker product (left index varies slowest)."""
-        if other.config != self.config:
+        if not _same_field(other.config, self.config):
             raise ValueError("tensor factors must share a field")
-        return StateVector(
-            tuple(a * b for a in self.components for b in other.components),
-            self.config,
-        )
+        return StateVector(_outer(self.config, self.components, other.components), self.config)
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(c.sort_key() for c in self.components)
@@ -90,14 +110,37 @@ class StateVector:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
+def _outer(config: FieldConfig, xs, ys) -> tuple[FieldElement, ...]:
+    """All products x * y, x slowest: the Kronecker product of two rows."""
+    element = config.element
+    return tuple(
+        element(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+        for x in xs
+        for y in ys
+    )
+
+
+def _contract(config: FieldConfig, xs, ys) -> FieldElement:
+    """sum of x_k * y_k, reduced once."""
+    re = im = 0
+    for x, y in zip(xs, ys):
+        xr, xi, yr, yi = x.re, x.im, y.re, y.im
+        re += xr * yr - xi * yi
+        im += xr * yi + xi * yr
+    return config.element(re, im)
+
+
 def dot(a: StateVector, b: StateVector) -> FieldElement:
     """Sesquilinear inner product: sum of frobenius(a_k) * b_k."""
-    if a.config != b.config or a.dim != b.dim:
+    if not _same_field(a.config, b.config) or a.dim != b.dim:
         raise ValueError("dot requires matching shape and field")
-    total = a.config.zero()
+    # frobenius(x) * y = (xr - xi i)(yr + yi i)
+    re = im = 0
     for x, y in zip(a.components, b.components):
-        total = total + x.frobenius() * y
-    return total
+        xr, xi, yr, yi = x.re, x.im, y.re, y.im
+        re += xr * yr + xi * yi
+        im += xr * yi - xi * yr
+    return a.config.element(re, im)
 
 
 def is_self_orthogonal(v: StateVector) -> bool:
@@ -114,6 +157,9 @@ class DualVector:
     components: tuple[FieldElement, ...]
     config: FieldConfig
 
+    def __post_init__(self) -> None:
+        _require_field(self.config, self.components)
+
     @property
     def dim(self) -> int:
         return len(self.components)
@@ -122,12 +168,9 @@ class DualVector:
         return self.components[k]
 
     def pairing(self, v: StateVector) -> FieldElement:
-        if v.config != self.config or v.dim != self.dim:
+        if not _same_field(v.config, self.config) or v.dim != self.dim:
             raise ValueError("pairing requires matching shape and field")
-        total = self.config.zero()
-        for d, c in zip(self.components, v.components):
-            total = total + d * c
-        return total
+        return _contract(self.config, self.components, v.components)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
@@ -142,8 +185,12 @@ def conjugate_dual(v: StateVector) -> DualVector:
     norm = dot(v, v)
     if norm.is_zero:
         raise ValueError(f"self-orthogonal vector {v} has no conjugate dual")
-    inv = norm.inverse()
-    return DualVector(tuple(c.frobenius() * inv for c in v.components), v.config)
+    # the norm lies in GF(p), so frobenius(c) * inv = (cr - ci i) * inv
+    inv = norm.inverse().re
+    element = v.config.element
+    return DualVector(
+        tuple(element(c.re * inv, -c.im * inv) for c in v.components), v.config
+    )
 
 
 @dataclass(frozen=True)
@@ -234,26 +281,20 @@ def identity_matrix(config: FieldConfig, n: int) -> Matrix:
 def mat_vec(m: Matrix, v: StateVector) -> StateVector:
     if len(m[0]) != v.dim:
         raise ValueError("matrix and vector shapes do not match")
-    zero = v.config.zero()
-    out = []
+    config, comps = v.config, v.components
     for row in m:
-        acc = zero
-        for entry, comp in zip(row, v.components):
-            acc = acc + entry * comp
-        out.append(acc)
-    return StateVector(tuple(out), v.config)
+        _require_field(config, row)
+    return StateVector(tuple(_contract(config, row, comps) for row in m), config)
+
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix shapes do not match")
-    zero = a[0][0].config.zero()
-    return tuple(
-        tuple(
-            sum((a[r][k] * b[k][c] for k in range(len(b))), zero)
-            for c in range(len(b[0]))
-        )
-        for r in range(len(a))
-    )
+    config = a[0][0].config
+    for row in a + b:
+        _require_field(config, row)
+    columns = tuple(zip(*b))
+    return tuple(tuple(_contract(config, row, col) for col in columns) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -277,17 +318,22 @@ def dagger(m: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Row-major Kronecker product, so kron(A, B)(x tensor y) = Ax tensor By."""
-    return tuple(
-        tuple(a[ra][ca] * b[rb][cb] for ca in range(len(a[0])) for cb in range(len(b[0])))
-        for ra in range(len(a))
-        for rb in range(len(b))
-    )
+    config = a[0][0].config
+    for row in a + b:
+        _require_field(config, row)
+    return tuple(_outer(config, row_a, row_b) for row_a in a for row_b in b)
 
 
 def det2(m: Matrix) -> FieldElement:
     if len(m) != 2 or len(m[0]) != 2:
         raise ValueError("det2 expects a 2x2 matrix")
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b), (c, d) = m
+    _require_field(a.config, (b, c, d))
+    # ad - bc over the residues
+    return a.config.element(
+        a.re * d.re - a.im * d.im - b.re * c.re + b.im * c.im,
+        a.re * d.im + a.im * d.re - b.re * c.im - b.im * c.re,
+    )
 
 
 def inverse2(m: Matrix) -> Matrix:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from bioqm import FieldConfig
 from bioqm.cli import run
 
 try:
@@ -249,3 +250,23 @@ def test_seed_check_subprocess_passes_everything():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13/13 criteria passed" in proc.stdout
     assert proc.stdout.count("PASS") == 13
+
+
+@pytest.mark.parametrize(
+    "argv", [["tables"], ["census"], ["chsh", "--bound"]], ids=lambda a: " ".join(a)
+)
+def test_huge_field_is_refused_before_any_table_is_built(capsys, monkeypatch, argv):
+    built = []
+
+    def recording_config(p, degree):
+        config = FieldConfig(p, degree)
+        built.append(config)
+        return config
+
+    monkeypatch.setattr("bioqm.cli.FieldConfig", recording_config)
+    code, out, err = invoke(capsys, argv + ["--p", "100003", "--degree", "2"])
+    assert code == 2 and out == ""
+    assert "exceeds guard" in err
+    # the field interns only the elements it produced, never all p^2 of them
+    assert len(built) == 1
+    assert len(built[0]._interned) <= 16

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from bioqm import FieldConfig, FieldElement, find_generator, phi_map, abs_map
+from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map, abs_map
 from bioqm.gf import is_prime, verify_phi_uniqueness
 
 
@@ -63,7 +63,7 @@ def _poly_mul(a, b, p):
     return re, im
 
 
-@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("p", [3, 7, 11])
 def test_extension_product_matches_polynomial_reference(p):
     config = FieldConfig(p, 2)
     for a in product(range(p), repeat=2):
@@ -72,7 +72,7 @@ def test_extension_product_matches_polynomial_reference(p):
             assert (x.re, x.im) == _poly_mul(a, b, p)
 
 
-@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("p", [3, 7, 11])
 def test_extension_division(p):
     config = FieldConfig(p, 2)
     one = config.one()
@@ -240,3 +240,31 @@ def test_field_element_hash_and_equality():
     b = config.element(1, 2)
     assert a == b and hash(a) == hash(b)
     assert a != config.element(2, 1)
+
+
+def test_elements_are_interned_per_config_and_compare_by_value():
+    gf9 = FieldConfig(3, 2)
+    assert gf9.element(4, 5) is gf9.element(1, 2)
+    assert gf9.element(1, 2) * gf9.one() is gf9.element(1, 2)
+
+    # a second, separately built GF(9): its elements are other objects that
+    # still compare, hash and combine as the same values
+    other = FieldConfig(3, 2)
+    assert other is not gf9 and other == gf9
+    for x in gf9.elements():
+        twin = other.element(x.re, x.im)
+        assert twin is not x
+        assert twin == x and hash(twin) == hash(x)
+        for y in other.elements():
+            a, b = (x.re, x.im), (y.re, y.im)
+            assert x + y == gf9.element(a[0] + b[0], a[1] + b[1])
+            assert (x * y).sort_key() == _poly_mul(a, b, 3)
+            if not y.is_zero:
+                assert (x / y) * y == x
+    mixed = StateVector((gf9.element(1), other.element(0, 1)), gf9)
+    assert str(mixed) == "[1, i]"
+
+    with pytest.raises(ValueError):
+        FieldConfig(3, 1).element(1, 1)
+    with pytest.raises(ValueError):
+        FieldElement(3, 0, gf9)  # not a canonical residue

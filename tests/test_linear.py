@@ -1,5 +1,6 @@
 """State vectors, the sesquilinear pairing, duals, and matrix helpers."""
 
+import random
 from itertools import product
 
 import pytest
@@ -13,7 +14,10 @@ from bioqm import (
     enumerate_projective,
     is_self_orthogonal,
 )
+from bioqm.biortho import spin_axes, spin_observable
+from bioqm.entangle import product_spin
 from bioqm.linear import (
+    DualVector,
     det2,
     field_rank,
     identity_matrix,
@@ -241,3 +245,128 @@ def test_field_rank_cases():
     assert field_rank([vec(GF3, [0, 0])]) == 0
     rows = [vec(GF9, [1, (0, 1)]), vec(GF9, [(0, 1), -1])]
     assert field_rank(rows) == 1  # second row is i times the first
+
+
+# -- the fused integer kernels against element-by-element references -------------
+#
+# The references are the per-element loops the kernels replaced: every step is
+# one FieldElement operation, reduced and checked on its own.
+
+
+def _ref_dot(a, b):
+    total = a.config.zero()
+    for x, y in zip(a.components, b.components):
+        total = total + x.frobenius() * y
+    return total
+
+
+def _ref_pairing(dual, v):
+    total = dual.config.zero()
+    for d, c in zip(dual.components, v.components):
+        total = total + d * c
+    return total
+
+
+def _ref_conjugate_dual(v):
+    inv = _ref_dot(v, v).inverse()
+    return DualVector(tuple(c.frobenius() * inv for c in v.components), v.config)
+
+
+def _ref_mat_vec(m, v):
+    out = []
+    for row in m:
+        acc = v.config.zero()
+        for entry, comp in zip(row, v.components):
+            acc = acc + entry * comp
+        out.append(acc)
+    return StateVector(tuple(out), v.config)
+
+
+def _ref_mat_mul(a, b):
+    zero = a[0][0].config.zero()
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), zero) for c in range(len(b[0])))
+        for r in range(len(a))
+    )
+
+
+def _ref_kron(a, b):
+    return tuple(
+        tuple(a[ra][ca] * b[rb][cb] for ca in range(len(a[0])) for cb in range(len(b[0])))
+        for ra in range(len(a))
+        for rb in range(len(b))
+    )
+
+
+def _ref_det2(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _check_kernels(vectors, matrices):
+    config = vectors[0].config
+    for u in vectors:
+        dual = None if _ref_dot(u, u).is_zero else _ref_conjugate_dual(u)
+        if dual is not None:
+            assert conjugate_dual(u).components == dual.components
+        for v in vectors:
+            assert dot(u, v) == _ref_dot(u, v)
+            if dual is not None:
+                assert dual.pairing(v) == _ref_pairing(dual, v)
+        for scalar in config.elements():
+            assert u.scale(scalar).components == tuple(c * scalar for c in u.components)
+    for m in matrices:
+        for v in vectors:
+            assert mat_vec(m, v).components == _ref_mat_vec(m, v).components
+        for n in matrices:
+            assert mat_mul(m, n) == _ref_mat_mul(m, n)
+            assert kron(m, n) == _ref_kron(m, n)
+
+
+@pytest.mark.parametrize("config", [GF3, GF9], ids=str)
+def test_fused_kernels_match_references_exhaustively(config):
+    vectors = [vec(config, [x, y]) for x, y in product(config.elements(), repeat=2)]
+    spins = [spin_observable(config, axis).matrix for axis in spin_axes(config)]
+    _check_kernels(vectors, spins)
+    for u in vectors:
+        for v in vectors:
+            assert u.tensor(v).components == tuple(
+                a * b for a in u.components for b in v.components
+            )
+    for quad in product(config.elements(), repeat=4):
+        m = ((quad[0], quad[1]), (quad[2], quad[3]))
+        assert det2(m) == _ref_det2(m)
+
+
+def test_fused_kernels_match_references_on_gf49_sample():
+    gf49 = FieldConfig(7, 2)
+    rnd = random.Random(49)
+    elements = gf49.elements()
+    vectors = [
+        vec(gf49, [rnd.choice(elements) for _ in range(4)]) for _ in range(60)
+    ]
+    axes = spin_axes(gf49)
+    products = [product_spin(gf49, i, j).matrix for i in axes for j in axes]
+    _check_kernels(vectors, products)
+
+
+def test_kernels_refuse_mixed_fields():
+    m3 = identity_matrix(GF3, 2)
+    m9 = identity_matrix(GF9, 2)
+    v9 = vec(GF9, [1, (0, 1)])
+    dual3 = conjugate_dual(vec(GF3, [1, 1]))
+    for call in (
+        lambda: mat_vec(m3, v9),
+        lambda: _ref_mat_vec(m3, v9),
+        lambda: mat_mul(m3, m9),
+        lambda: _ref_mat_mul(m3, m9),
+        lambda: kron(m9, m3),
+        lambda: _ref_kron(m9, m3),
+        lambda: det2(((m3[0][0], m9[0][1]), m9[1])),
+        lambda: _ref_det2(((m3[0][0], m9[0][1]), m9[1])),
+        lambda: dual3.pairing(v9),
+        lambda: dot(vec(GF3, [1, 1]), v9),
+        lambda: v9.scale(GF3.one()),
+        lambda: DualVector((GF3.one(), GF9.one()), GF9),
+    ):
+        with pytest.raises(ValueError):
+            call()
