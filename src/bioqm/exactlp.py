@@ -9,13 +9,22 @@ Feasibility problems have the standard form  A x = b, x >= 0.  When no
 solution exists the solver produces a Farkas certificate: a row-combination
 vector y with  y.A <= 0 componentwise and y.b > 0, which contradicts any
 nonnegative solution on contraction.
+
+Phase 1 (finding a feasible basis, or the certificate) depends only on the
+system, so ``solve_lps`` runs it once per system and gives each objective
+its own copy of the resulting tableau for phase 2; ``solve_lp`` is the
+one-objective case.  The tableau carries the reduced-cost row and updates it
+on every pivot instead of re-summing a column's reduced cost at each scan.
+Bland's rule decides from exact values, so each objective takes the same
+pivots as a solve of its own would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Row = tuple[Fraction, ...]
 
@@ -81,9 +90,15 @@ class LPResult:
 def verify_farkas(
     rows: Sequence[Sequence], rhs: Sequence, y: Sequence[Fraction]
 ) -> bool:
-    """Replay a Farkas certificate: y.A <= 0 componentwise and y.b > 0."""
+    """Replay a Farkas certificate: y.A <= 0 componentwise and y.b > 0.
+
+    A certificate needs exactly one multiplier per row; any other length
+    fails the replay.
+    """
     work = _as_fraction_rows(rows)
     b = [Fraction(x) for x in rhs]
+    if len(y) != len(work):
+        return False
     n = len(work[0]) if work else 0
     combo = [sum(y[i] * work[i][j] for i in range(len(work))) for j in range(n)]
     value = sum(y[i] * b[i] for i in range(len(b)))
@@ -91,7 +106,12 @@ def verify_farkas(
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's anticycling rule."""
+    """Dense simplex tableau over Fractions with Bland's anticycling rule.
+
+    ``z`` is the reduced-cost row of the objective being run, computed once
+    when ``run`` starts and then updated by every pivot like a constraint
+    row; its last entry is minus the objective value.
+    """
 
     def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n_real: int):
         self.m = len(rows)
@@ -102,26 +122,35 @@ class _Tableau:
             for i in range(self.m)
         ]
         self.basis = [n_real + i for i in range(self.m)]
+        self.z = [Fraction(0)] * (n_real + self.m + 1)
+
+    def copy(self) -> _Tableau:
+        twin = copy.copy(self)
+        twin.t = [row[:] for row in self.t]
+        twin.basis = self.basis[:]
+        return twin
 
     def pivot(self, row: int, col: int) -> None:
         inv = 1 / self.t[row][col]
-        self.t[row] = [x * inv for x in self.t[row]]
+        pivot_row = self.t[row] = [x * inv for x in self.t[row]]
         for r in range(self.m):
             if r != row and self.t[r][col] != 0:
                 f = self.t[r][col]
-                self.t[r] = [a - f * p for a, p in zip(self.t[r], self.t[row])]
+                self.t[r] = [a - f * p for a, p in zip(self.t[r], pivot_row)]
+        if self.z[col] != 0:
+            f = self.z[col]
+            self.z = [a - f * p for a, p in zip(self.z, pivot_row)]
         self.basis[row] = col
 
-    def reduced_cost(self, costs: list[Fraction], j: int) -> Fraction:
-        return costs[j] - sum(
-            costs[self.basis[i]] * self.t[i][j] for i in range(self.m)
-        )
-
     def run(self, costs: list[Fraction], columns: list[int]) -> str:
+        z = list(costs)
+        for i in range(self.m):
+            cb = costs[self.basis[i]]
+            if cb != 0:
+                z = [a - cb * p for a, p in zip(z, self.t[i])]
+        self.z = z
         while True:
-            entering = next(
-                (j for j in columns if self.reduced_cost(costs, j) < 0), None
-            )
+            entering = next((j for j in columns if self.z[j] < 0), None)
             if entering is None:
                 return "optimal"
             leaving, best = None, None
@@ -139,9 +168,6 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leaving, entering)
 
-    def objective_value(self, costs: list[Fraction]) -> Fraction:
-        return sum(costs[self.basis[i]] * self.t[i][-1] for i in range(self.m))
-
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_real
         for i in range(self.m):
@@ -150,44 +176,49 @@ class _Tableau:
         return x
 
 
-def solve_lp(
-    objective: Sequence, rows: Sequence[Sequence], rhs: Sequence, maximize: bool = False
-) -> LPResult:
-    """Optimize objective . x subject to rows . x = rhs, x >= 0, exactly."""
+def solve_lps(
+    objectives: Sequence[Sequence], rows: Sequence[Sequence], rhs: Sequence
+) -> Iterator[LPResult]:
+    """Minimize each objective . x subject to rows . x = rhs, x >= 0, exactly.
+
+    Phase 1 depends only on the system, so it runs once, in this call: an
+    infeasible system gives its replayed Farkas result for every objective,
+    and a feasible one gives a tableau that each objective copies for its
+    own phase 2.  Results come in objective order, each phase 2 running when
+    the iterator reaches it, so a caller need not hold all of them at once.
+    """
     a = _as_fraction_rows(rows)
     b = [Fraction(x) for x in rhs]
-    c = [Fraction(x) for x in objective]
-    if maximize:
-        c = [-x for x in c]
-    n = len(c)
-    if any(len(row) != n for row in a):
+    if len(a) != len(b):
+        raise ValueError("row/rhs length mismatch")
+    n = len(objectives[0]) if objectives else len(a[0]) if a else 0
+    if any(len(row) != n for row in a) or any(len(c) != n for c in objectives):
         raise ValueError("objective/row length mismatch")
 
     flips = [-1 if bi < 0 else 1 for bi in b]
-    a = [[x * f for x in row] for row, f in zip(a, flips)]
-    b = [x * f for x, f in zip(b, flips)]
     m = len(a)
-    tab = _Tableau(a, b, n)
+    tab = _Tableau(
+        [[x * f for x in row] for row, f in zip(a, flips)],
+        [x * f for x, f in zip(b, flips)],
+        n,
+    )
 
     # phase 1: minimize the artificial total
     phase1_costs = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    all_columns = list(range(n + m))
-    status = tab.run(phase1_costs, all_columns)
+    status = tab.run(phase1_costs, list(range(n + m)))
     if status != "optimal":
         raise AssertionError("phase-1 objective is bounded below by zero")
-    artificial_total = tab.objective_value(phase1_costs)
+    artificial_total = -tab.z[-1]
     if artificial_total > 0:
-        # Farkas multipliers from the phase-1 optimum: y_i = z(artificial_i)
-        lam = [phase1_costs[tab.basis[i]] for i in range(m)]
-        y = [
-            sum(lam[r] * tab.t[r][n + i] for r in range(m)) * flips[i]
-            for i in range(m)
-        ]
-        if not verify_farkas(rows, rhs, y):
+        # Farkas multipliers are the phase-1 simplex multipliers, read off
+        # the artificial columns: y_i = 1 - z(artificial_i)
+        y = [(1 - tab.z[n + i]) * flips[i] for i in range(m)]
+        if not verify_farkas(a, b, y):
             raise AssertionError("extracted Farkas certificate failed replay")
-        return LPResult(
+        infeasible = LPResult(
             status="infeasible", objective=None, solution=None, certificate=tuple(y)
         )
+        return iter([infeasible] * len(objectives))
 
     # drive leftover zero-value artificials out of the basis; a row whose
     # structural coefficients are all zero is redundant and can be ignored
@@ -197,29 +228,46 @@ def solve_lp(
             if col is not None:
                 tab.pivot(i, col)
 
-    structural = [j for j in range(n)]
-    phase2_costs = c + [Fraction(0)] * m + [Fraction(0)]
+    return (
+        _phase2(tab.copy(), [Fraction(x) for x in c], a, b) for c in objectives
+    )
+
+
+def _phase2(
+    tab: _Tableau, c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]
+) -> LPResult:
     # rows still carrying an artificial basis variable are redundant:
     # freeze them by excluding artificial columns from entering
-    status = tab.run(phase2_costs, structural)
+    status = tab.run(c + [Fraction(0)] * (tab.m + 1), list(range(tab.n_real)))
     if status == "unbounded":
         return LPResult(
             status="unbounded", objective=None, solution=None, certificate=None
         )
     x = tab.solution()
-    for row, target in zip(rows, rhs):
-        total = sum(Fraction(rj) * xj for rj, xj in zip(row, x))
-        if total != Fraction(target):
+    # nonbasic columns are exactly zero, so only basic ones enter the check
+    basic = [j for j in tab.basis if j < tab.n_real]
+    for row, target in zip(a, b):
+        if sum(row[j] * x[j] for j in basic) != target:
             raise AssertionError("simplex solution fails the constraints")
     if any(xj < 0 for xj in x):
         raise AssertionError("simplex solution is not nonnegative")
-    value = sum(ci * xi for ci, xi in zip(c, x))
     return LPResult(
         status="optimal",
-        objective=-value if maximize else value,
+        objective=sum(ci * xi for ci, xi in zip(c, x)),
         solution=tuple(x),
         certificate=None,
     )
+
+
+def solve_lp(
+    objective: Sequence, rows: Sequence[Sequence], rhs: Sequence, maximize: bool = False
+) -> LPResult:
+    """Optimize objective . x subject to rows . x = rhs, x >= 0, exactly."""
+    sign = -1 if maximize else 1
+    (result,) = solve_lps([[sign * Fraction(x) for x in objective]], rows, rhs)
+    if maximize and result.objective is not None:
+        result = replace(result, objective=-result.objective)
+    return result
 
 
 def feasible_point(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:

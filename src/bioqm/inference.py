@@ -37,7 +37,7 @@ from .entangle import (
     representative_states,
     single_spin,
 )
-from .exactlp import feasible_point, rref, solve_lp
+from .exactlp import LPResult, RREFResult, rref, solve_lps
 
 PAIR_OUTCOMES = ("++", "+-", "-+", "--")
 PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -138,37 +138,24 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
     nonnegativity forces to zero.
     """
     rows, rhs, labels = system.full_rows()
-    n = len(system.outcomes)
-
-    feas = feasible_point(rows, rhs)
-    if feas.status == "infeasible":
+    feas, ranges = _coordinate_ranges(rows, rhs, len(system.outcomes))
+    reduced = rref(rows, rhs)
+    identities, forced = _implied_identities(system, rows, rhs, reduced)
+    if ranges is None:
         return InferenceResult(
             status="infeasible",
             outcomes=system.outcomes,
-            rank=rref(rows, rhs).rank,
+            rank=reduced.rank,
             solution=None,
             witness=None,
-            identities=_implied_identities(system, rows, rhs)[0],
+            identities=identities,
             forced_zero=(),
             ranges=None,
             certificate=feas.certificate,
             certificate_rows=tuple(labels),
         )
 
-    identities, forced = _implied_identities(system, rows, rhs)
-
-    ranges = []
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        lo = solve_lp(unit, rows, rhs)
-        hi = solve_lp(unit, rows, rhs, maximize=True)
-        if lo.status != "optimal" or hi.status != "optimal":
-            raise AssertionError("bounded polytope reported unbounded")
-        ranges.append((lo.objective, hi.objective))
-
     unique = all(lo == hi for lo, hi in ranges)
-    reduced = rref(rows, rhs)
     return InferenceResult(
         status="unique" if unique else "indeterminate",
         outcomes=system.outcomes,
@@ -177,22 +164,70 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
         witness=feas.solution,
         identities=identities,
         forced_zero=forced,
-        ranges=tuple(ranges),
+        ranges=ranges,
         certificate=None,
         certificate_rows=None,
     )
 
 
+def _coordinate_ranges(
+    rows: list[list[Fraction]], rhs: list[Fraction], n: int
+) -> tuple[LPResult, tuple[tuple[Fraction, Fraction], ...] | None]:
+    """A feasible point and the exact [min, max] of every coordinate.
+
+    All 2n + 1 LPs share one phase 1; a maximum is minus the minimum of the
+    negated coordinate.  An infeasible system gives its Farkas result and no
+    ranges.  The LPs are done before the caller row-reduces, so the two never
+    hold their working rows at the same time.
+    """
+    results = solve_lps(_RangeObjectives(n), rows, rhs)
+    feas = next(results)
+    if feas.status == "infeasible":
+        return feas, None
+    ranges = []
+    for lo, hi in zip(results, results):
+        if lo.status != "optimal" or hi.status != "optimal":
+            raise AssertionError("bounded polytope reported unbounded")
+        ranges.append((lo.objective, -hi.objective))
+    return feas, tuple(ranges)
+
+
+class _RangeObjectives(Sequence[list[Fraction]]):
+    """The zero objective, then e_j and -e_j for each coordinate j.
+
+    Each vector is built when asked for: holding all 2n + 1 of them through
+    the LPs raised the benchmark's peak memory for the 64-unknown systems.
+    """
+
+    _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return 2 * self.n + 1
+
+    def __getitem__(self, k: int) -> list[Fraction]:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        j, negated = divmod(k - 1, 2)  # k = 0 gives j = -1: the zero vector
+        unit = self._MINUS_ONE if negated else self._ONE
+        return [unit if i == j else self._ZERO for i in range(self.n)]
+
+
 def _implied_identities(
-    system: ConstraintSystem, rows: list[list[Fraction]], rhs: list[Fraction]
+    system: ConstraintSystem,
+    rows: list[list[Fraction]],
+    rhs: list[Fraction],
+    reduced: RREFResult,
 ) -> tuple[tuple[Identity, ...], tuple[str, ...]]:
     """Reduced equality rows, plus outcomes forced to zero by nonnegativity.
 
-    A reduced row with nonnegative coefficients and zero right side forces
-    every outcome it touches to zero; forcing is iterated to a fixed point
-    with the zeroed columns substituted away.
+    ``reduced`` is ``rref(rows, rhs)``.  A reduced row with nonnegative
+    coefficients and zero right side forces every outcome it touches to
+    zero; forcing is iterated to a fixed point with the zeroed columns
+    substituted away.
     """
-    reduced = rref(rows, rhs)
     identities = [
         Identity(
             coeffs=row,
@@ -208,8 +243,7 @@ def _implied_identities(
         keep = [j for j in range(n) if j not in zeroed]
         if not keep:
             break
-        sub_rows = [[row[j] for j in keep] for row in rows]
-        sub = rref(sub_rows, rhs)
+        sub = rref([[row[j] for j in keep] for row in rows], rhs) if zeroed else reduced
         new = set()
         for row, value in zip(sub.rows, sub.rhs):
             if value == 0 and all(c >= 0 for c in row) and any(c > 0 for c in row):

@@ -3,8 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from bioqm.exactlp import feasible_point, rref, solve_lp, verify_farkas
+from bioqm import FieldConfig, exactlp, representative_states
+from bioqm.exactlp import (
+    LPResult,
+    feasible_point,
+    rref,
+    solve_lp,
+    solve_lps,
+    verify_farkas,
+)
+from bioqm.inference import (
+    hv_feasibility,
+    infer_probabilities,
+    pair_measurement_system,
+    state_correlator_constraints,
+    state_marginal_constraints,
+)
 
 F = Fraction
 
@@ -94,6 +110,7 @@ def test_tampered_certificate_fails_replay():
     y[0] = y[0] + 1 if y[0] <= 0 else -y[0]
     bad = tuple(y)
     assert verify_farkas(rows, rhs, result.certificate)
+    assert not verify_farkas(rows, rhs, bad)
     # zeroing the certificate kills the strict inequality y . b > 0
     assert not verify_farkas(rows, rhs, (F(0), F(0)))
 
@@ -127,3 +144,205 @@ def test_unbounded_direction_is_reported():
 def test_solve_lp_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         solve_lp([1], [[1, 1]], [1])
+
+
+def test_solve_lp_rejects_row_rhs_mismatch():
+    # a short rhs must not silently drop the second constraint
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        solve_lp([1, 0], [[1, 1], [1, 0]], [1])
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        solve_lps([[1, 0]], [[1, 1]], [1, 2])
+
+
+def test_certificate_needs_one_multiplier_per_row():
+    rows, rhs = [[1, 1], [1, 1]], [1, 2]
+    assert verify_farkas(rows, rhs, (F(-1), F(1)))
+    assert not verify_farkas(rows, rhs, (F(-1), F(1), F(99)))
+    assert not verify_farkas(rows, rhs, (F(-1),))
+
+
+def test_solve_lps_answers_in_objective_order():
+    rows, rhs = [[1, 1, 1]], [1]
+    results = list(solve_lps([[1, 0, 0], [-1, 0, 0], [0, 2, 1]], rows, rhs))
+    assert [r.objective for r in results] == [F(0), F(-1), F(0)]
+    assert results[2].solution == (F(1), F(0), F(0))
+    infeasible = list(solve_lps([[1, 0], [0, 1]], [[1, 1], [1, 1]], [1, 2]))
+    assert [r.status for r in infeasible] == ["infeasible"] * 2
+    assert infeasible[0] == infeasible[1]
+
+
+# -- reference: one phase 1 per objective, reduced costs summed per column scan ---
+
+
+class _ReferenceTableau:
+    def __init__(self, rows, b, n_real):
+        self.m = len(rows)
+        self.n_real = n_real
+        self.t = [
+            rows[i] + [F(int(i == j)) for j in range(self.m)] + [b[i]]
+            for i in range(self.m)
+        ]
+        self.basis = [n_real + i for i in range(self.m)]
+
+    def pivot(self, row, col):
+        inv = 1 / self.t[row][col]
+        self.t[row] = [x * inv for x in self.t[row]]
+        for r in range(self.m):
+            if r != row and self.t[r][col] != 0:
+                f = self.t[r][col]
+                self.t[r] = [a - f * p for a, p in zip(self.t[r], self.t[row])]
+        self.basis[row] = col
+
+    def reduced_cost(self, costs, j):
+        return costs[j] - sum(
+            costs[self.basis[i]] * self.t[i][j] for i in range(self.m)
+        )
+
+    def run(self, costs, columns):
+        while True:
+            entering = next(
+                (j for j in columns if self.reduced_cost(costs, j) < 0), None
+            )
+            if entering is None:
+                return "optimal"
+            leaving, best = None, None
+            for i in range(self.m):
+                coeff = self.t[i][entering]
+                if coeff > 0:
+                    ratio = self.t[i][-1] / coeff
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and self.basis[i] < self.basis[leaving])
+                    ):
+                        best, leaving = ratio, i
+            if leaving is None:
+                return "unbounded"
+            self.pivot(leaving, entering)
+
+    def objective_value(self, costs):
+        return sum(costs[self.basis[i]] * self.t[i][-1] for i in range(self.m))
+
+    def solution(self):
+        x = [F(0)] * self.n_real
+        for i in range(self.m):
+            if self.basis[i] < self.n_real:
+                x[self.basis[i]] = self.t[i][-1]
+        return x
+
+
+def reference_solve_lp(objective, rows, rhs):
+    a = [[F(x) for x in row] for row in rows]
+    b = [F(x) for x in rhs]
+    c = [F(x) for x in objective]
+    n = len(c)
+    flips = [-1 if bi < 0 else 1 for bi in b]
+    a = [[x * f for x in row] for row, f in zip(a, flips)]
+    b = [x * f for x, f in zip(b, flips)]
+    m = len(a)
+    tab = _ReferenceTableau(a, b, n)
+    phase1_costs = [F(0)] * n + [F(1)] * m + [F(0)]
+    assert tab.run(phase1_costs, list(range(n + m))) == "optimal"
+    if tab.objective_value(phase1_costs) > 0:
+        lam = [phase1_costs[tab.basis[i]] for i in range(m)]
+        y = [
+            sum(lam[r] * tab.t[r][n + i] for r in range(m)) * flips[i]
+            for i in range(m)
+        ]
+        return LPResult("infeasible", None, None, tuple(y))
+    for i in range(m):
+        if tab.basis[i] >= n:
+            col = next((j for j in range(n) if tab.t[i][j] != 0), None)
+            if col is not None:
+                tab.pivot(i, col)
+    if tab.run(c + [F(0)] * (m + 1), list(range(n))) == "unbounded":
+        return LPResult("unbounded", None, None, None)
+    x = tab.solution()
+    return LPResult("optimal", sum(ci * xi for ci, xi in zip(c, x)), tuple(x), None)
+
+
+def range_objectives(n):
+    """A zero objective, then min and max (as min of the negation) per coordinate."""
+    objectives = [[F(0)] * n]
+    for j in range(n):
+        objectives += [
+            [F(int(i == j)) for i in range(n)],
+            [F(-int(i == j)) for i in range(n)],
+        ]
+    return objectives
+
+
+def assert_matches_reference(objectives, rows, rhs):
+    shared = list(solve_lps(objectives, rows, rhs))
+    first = reference_solve_lp(objectives[0], rows, rhs)
+    # the reference returns an infeasible result before it reads the objective
+    reference = [first] + [
+        first if first.status == "infeasible" else reference_solve_lp(c, rows, rhs)
+        for c in objectives[1:]
+    ]
+    assert shared == reference
+    for result in shared:
+        if result.status == "infeasible":
+            assert verify_farkas(rows, rhs, result.certificate)
+    return reference
+
+
+@pytest.mark.parametrize("marginals", [False, True], ids=["corr", "marg"])
+@pytest.mark.parametrize("axes", [(1, 3), (1, 2, 3)], ids=["axes13", "axes123"])
+@pytest.mark.parametrize("label", ["S", "T", "U"])
+def test_shared_phase1_matches_reference_on_hv_systems(label, axes, marginals):
+    state = representative_states(FieldConfig(3, 2))[label]
+    extra = state_marginal_constraints(state, axes) if marginals else ()
+    report = hv_feasibility(state_correlator_constraints(state, axes), axes, extra)
+    rows, rhs, _ = report.system.full_rows()
+    reference = assert_matches_reference(range_objectives(len(report.outcomes)), rows, rhs)
+    if reference[0].status == "optimal":
+        assert report.result.witness == reference[0].solution
+        assert report.result.ranges == tuple(
+            (lo.objective, -hi.objective)
+            for lo, hi in zip(reference[1::2], reference[2::2])
+        )
+    else:
+        assert report.result.certificate == reference[0].certificate
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    objectives = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    return objectives, rows, rhs
+
+
+@seed(20121)
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_shared_phase1_matches_reference_on_small_systems(system):
+    assert_matches_reference(*system)
+
+
+def test_one_phase1_per_inference(monkeypatch):
+    phase1_runs = []
+    original = exactlp._Tableau.run
+
+    def counting_run(self, costs, columns):
+        if columns[-1] >= self.n_real:  # artificial columns may enter
+            phase1_runs.append(self.n_real)
+        return original(self, costs, columns)
+
+    monkeypatch.setattr(exactlp._Tableau, "run", counting_run)
+    reps = representative_states(FieldConfig(3, 2))
+    cases = [
+        (pair_measurement_system(reps["S"], 3, 3, include_marginals=True), "unique"),
+        (pair_measurement_system(reps["S"], 3, 3), "indeterminate"),
+        (pair_measurement_system(reps["T"], 3, 3, include_marginals=True), "infeasible"),
+        (hv_feasibility(state_correlator_constraints(reps["S"], (1, 3))).system,
+         "indeterminate"),
+    ]
+    for system, status in cases:
+        phase1_runs.clear()
+        assert infer_probabilities(system).status == status
+        assert phase1_runs == [len(system.outcomes)]
