@@ -2,7 +2,9 @@
 
 Each subcommand rebuilds one report through the library and renders it as
 markdown (table layouts), JSON (sorted keys, fractions as numerator and
-denominator pairs) or CSV.  Identical invocations produce identical bytes.
+denominator pairs) or CSV.  Each report kind has one layout, registered in
+``LAYOUTS``, that gives both its markdown lines and its CSV rows.  Identical
+invocations produce identical bytes.
 Exit codes: 0 success, 2 bad usage or parameters, 1 internal failure.
 """
 
@@ -67,11 +69,10 @@ def _jsonify(value):
     return value
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
+def _md_table(header: list, rows: list[list]) -> str:
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+    lines += ["| " + " | ".join(str(x) for x in row) + " |" for row in rows]
+    return "\n".join(lines)
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -169,8 +170,14 @@ def build_chsh_bound(config: FieldConfig) -> dict:
 
 
 def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dict:
-    group = enumerate_group(config)
     everything = not classes_only and not iso_only
+    if everything and config.p != 3:
+        # past p = 3 the group moves spin observables off the signed spin set
+        raise ValueError(
+            f"the full groups report needs GF(3) or GF(9), got GF({config.order}); "
+            "pass --classes or --iso, which leave out the spin-axis action"
+        )
+    group = enumerate_group(config)
     payload: dict = {"kind": "groups", "field": _field_info(config), "order": group.order}
     if everything:
         elements = []
@@ -246,6 +253,12 @@ def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
     }
 
 
+def _certificate_payload(result) -> dict | None:
+    if result.certificate is None:
+        return None
+    return {"multipliers": list(result.certificate), "rows": list(result.certificate_rows)}
+
+
 def build_infer(config: FieldConfig, label: str, observable: str, marginals: bool) -> dict:
     reps = representative_states(config)
     singles = named_states(config)
@@ -263,7 +276,7 @@ def build_infer(config: FieldConfig, label: str, observable: str, marginals: boo
         options = ", ".join(sorted(reps) + sorted(singles))
         raise ValueError(f"unknown state {label!r}; choose from {options}")
     result = infer_probabilities(system)
-    payload = {
+    return {
         "kind": "infer",
         "field": _field_info(config),
         "state": label,
@@ -280,14 +293,8 @@ def build_infer(config: FieldConfig, label: str, observable: str, marginals: boo
         "solution": list(result.solution) if result.solution is not None else None,
         "witness": list(result.witness) if result.witness is not None else None,
         "ranges": [[lo, hi] for lo, hi in result.ranges] if result.ranges is not None else None,
-        "certificate": None,
+        "certificate": _certificate_payload(result),
     }
-    if result.certificate is not None:
-        payload["certificate"] = {
-            "multipliers": list(result.certificate),
-            "rows": list(result.certificate_rows),
-        }
-    return payload
 
 
 def build_mimic(config: FieldConfig, label: str, axes_text: str, marginals: bool) -> dict:
@@ -312,18 +319,13 @@ def build_mimic(config: FieldConfig, label: str, axes_text: str, marginals: bool
             {"label": c.label, "rhs": c.rhs} for c in report.system.constraints
         ],
         "witness": None,
-        "certificate": None,
+        "certificate": _certificate_payload(result),
     }
     if result.witness is not None:
         payload["witness"] = {
             outcome: mass
             for outcome, mass in zip(report.outcomes, result.witness)
             if mass != 0
-        }
-    if result.certificate is not None:
-        payload["certificate"] = {
-            "multipliers": list(result.certificate),
-            "rows": list(result.certificate_rows),
         }
     return payload
 
@@ -376,315 +378,229 @@ def build_verify_phi(p: int) -> dict:
     }
 
 
-# -- markdown rendering ---------------------------------------------------------------
+# -- layouts: one per report kind, giving its markdown lines and its CSV rows ---------
+
+Layout = tuple[list[str], list[list]]
 
 
-def _md_tables(payload: dict) -> str:
+def _digits(axes: list[int]) -> str:
+    return "".join(str(a) for a in axes)
+
+
+def _flag(value: bool) -> str:
+    return str(value).lower()
+
+
+def _key_values(source: dict, keys: tuple[str, ...], **shown) -> list[list]:
+    """CSV rows ``key,value`` for ``keys`` of ``source``; ``shown`` overrides a value."""
+    values = {**source, **shown}
+    return [["key", "value"]] + [[key, values[key]] for key in keys]
+
+
+def _certificate_layout(payload: dict) -> Layout:
+    """The Farkas certificate, one "multiplier x row" entry per constraint."""
+    certificate = payload["certificate"]
+    if certificate is None:
+        return [], []
+    entries = [f"{m} x {row}" for m, row in zip(certificate["multipliers"], certificate["rows"])]
+    markdown = ["infeasibility certificate:"] + [f"  {entry}" for entry in entries]
+    return markdown, [["certificate", entry] for entry in entries]
+
+
+def _table(header: list[str], rows: list[list]) -> Layout:
+    """A report that is one table, alike in markdown and CSV."""
+    return [_md_table(header, rows)], [header, *rows]
+
+
+def _tables(payload: dict) -> Layout:
     header = ["state"]
     for axis in payload["axes"]:
         header += [f"σ{axis}", f"Δσ{axis}"]
-    rows = []
+    md_rows, rows = [], [["state", "axis", "expectation", "variance"]]
     for row in payload["rows"]:
         cells = [row["state"]]
         for cell in row["cells"]:
-            cells += [str(cell["expectation"]), str(cell["variance"])]
-        rows.append(cells)
-    return _md_table(header, rows)
+            cells += [cell["expectation"], cell["variance"]]
+            rows.append([row["state"], cell["axis"], cell["expectation"], cell["variance"]])
+        md_rows.append(cells)
+    return [_md_table(header, md_rows)], rows
 
 
-def _md_census(payload: dict) -> str:
-    rows = [[key, str(payload["counts"][key])] for key in CENSUS_ORDER]
-    return _md_table(["quantity", "count"], rows)
+def _census(payload: dict) -> Layout:
+    return _table(["quantity", "count"], [[k, payload["counts"][k]] for k in CENSUS_ORDER])
 
 
-def _md_chsh_value(payload: dict) -> str:
-    axes = "".join(str(a) for a in payload["axes"])
-    lines = [f"C_{axes}({payload['state']}) = {payload['value']}", ""]
-    lines.append(
-        _md_table(
-            ["pair", "E"],
-            [[pair, str(value)] for pair, value in payload["correlators"].items()],
-        ).rstrip("\n")
-    )
-    return "\n".join(lines) + "\n"
+def _chsh_value(payload: dict) -> Layout:
+    axes = _digits(payload["axes"])
+    pairs = list(payload["correlators"].items())
+    markdown = [f"C_{axes}({payload['state']}) = {payload['value']}", "",
+                _md_table(["pair", "E"], pairs)]
+    rows = _key_values(payload, ("state", "axes", "value"), axes=axes)
+    return markdown, rows + [[f"E({pair})", value] for pair, value in pairs]
 
 
-def _md_chsh_scan(payload: dict) -> str:
-    header = ["state", "0", "1", "2", "3", "4"]
-    rows = [
-        [row["state"]] + [str(row["histogram"][k]) for k in header[1:]]
-        for row in payload["rows"]
-    ]
-    return _md_table(header, rows)
+def _chsh_scan(payload: dict) -> Layout:
+    counts = [str(k) for k in range(5)]
+    rows = [[row["state"]] + [row["histogram"][k] for k in counts] for row in payload["rows"]]
+    return _table(["state", *counts], rows)
 
 
-def _md_chsh_bound(payload: dict) -> str:
-    return f"{payload['bound']}\n"
+def _chsh_bound(payload: dict) -> Layout:
+    keys = ("bound", "states_scanned", "quadruples_per_state")
+    return [str(payload["bound"])], _key_values(payload, keys)
 
 
-def _md_groups(payload: dict) -> str:
-    parts = []
-    iso = payload.get("isomorphism")
+def _groups(payload: dict) -> Layout:
+    iso, classes = payload.get("isomorphism"), payload.get("classes")
+    elements = payload.get("elements")
     if iso:
         flag = "verified" if iso["verified"] else "unverified"
-        parts.append(f"order {payload['order']} ({iso['name']}, {flag})")
+        markdown = [f"order {payload['order']} ({iso['name']}, {flag})"]
     else:
-        parts.append(f"order {payload['order']}")
-    classes = payload.get("classes")
+        markdown = [f"order {payload['order']}"]
     if classes:
-        sizes = ", ".join(str(len(c)) for c in classes)
-        parts.append(f"class sizes: {sizes}")
-        for cls in classes:
-            parts.append("  class: " + " ".join(cls))
-    elements = payload.get("elements")
+        markdown.append("class sizes: " + ", ".join(str(len(c)) for c in classes))
+        markdown += ["  class: " + " ".join(cls) for cls in classes]
     if elements:
         axes = [entry["axis"] for entry in elements[0]["axis_action"]]
-        header = ["label", "sign", "order", "matrix"] + [f"σ{a}" for a in axes]
-        rows = []
+        md_rows, rows = [], [["label", "sign", "order", "m00", "m01", "m10", "m11"]]
         for element in elements:
-            m = element["matrix"]
-            matrix_text = f"[[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]"
-            action = [
-                ("+" if entry["sign"] > 0 else "-") + f"σ{entry['image']}"
-                for entry in element["axis_action"]
-            ]
-            rows.append(
-                [element["label"], "+" if element["sign"] > 0 else "-",
-                 str(element["order"]), matrix_text] + action
-            )
-        parts.append("")
-        parts.append(_md_table(header, rows).rstrip("\n"))
-    return "\n".join(parts) + "\n"
+            (m00, m01), (m10, m11) = element["matrix"]
+            sign = "+" if element["sign"] > 0 else "-"
+            action = [("+" if entry["sign"] > 0 else "-") + f"σ{entry['image']}"
+                      for entry in element["axis_action"]]
+            md_rows.append([element["label"], sign, element["order"],
+                            f"[[{m00}, {m01}], [{m10}, {m11}]]", *action])
+            rows.append([element["label"], element["sign"], element["order"],
+                         m00, m01, m10, m11])
+        header = ["label", "sign", "order", "matrix"] + [f"σ{a}" for a in axes]
+        return markdown + ["", _md_table(header, md_rows)], rows
+    # the CSV carries one section: the classes when asked for, else the identification
+    if classes:
+        return markdown, [["class", "label"]] + [
+            [index, label] for index, cls in enumerate(classes) for label in cls
+        ]
+    sizes = " ".join(str(s) for s in iso["class_sizes"])
+    keys = ("order", "name", "verified", "abelian", "class_sizes")
+    return markdown, _key_values(iso, keys, class_sizes=sizes)
 
 
-def _md_orbits(payload: dict) -> str:
-    lines = [
+def _orbits(payload: dict) -> Layout:
+    markdown = [
         f"{payload['mode']} action over GF({payload['field']['order']}): "
         f"{payload['total_orbits']} orbits, acting order {payload['acting_order']}, "
         f"Burnside count {payload['burnside']}",
         "",
     ]
+    md_rows, rows = [], [["representative", "size", "stabilizer_order", "named_members"]]
+    for row in payload["orbits"]:
+        cells = [row["representative"], row["size"], row["stabilizer_order"],
+                 " ".join(row["named_members"])]
+        rows.append(cells)
+        md_rows.append(cells[:3] + [cells[3] or "-"])
     header = ["representative", "size", "stabilizer", "named members"]
-    rows = [
-        [
-            row["representative"],
-            str(row["size"]),
-            str(row["stabilizer_order"]),
-            " ".join(row["named_members"]) or "-",
-        ]
-        for row in payload["orbits"]
-    ]
-    lines.append(_md_table(header, rows).rstrip("\n") if rows else "(no orbits listed)")
-    return "\n".join(lines) + "\n"
+    markdown.append(_md_table(header, md_rows) if md_rows else "(no orbits listed)")
+    return markdown, rows
 
 
-def _md_infer(payload: dict) -> str:
-    axes = "".join(str(a) for a in payload["axes"])
-    lines = [
-        f"state {payload['state']}, observable axes {axes}, over GF({payload['field']['order']})",
+def _infer(payload: dict) -> Layout:
+    md_certificate, csv_certificate = _certificate_layout(payload)
+    markdown = [
+        f"state {payload['state']}, observable axes {_digits(payload['axes'])}, "
+        f"over GF({payload['field']['order']})",
         f"status: {payload['status']} (rank {payload['rank']})",
     ]
-    if payload["identities"]:
-        lines.append("identities:")
-        lines += [f"  {ident['text']}" for ident in payload["identities"]]
+    rows = _key_values(payload, ("state", "status", "rank"))
+    identities = [ident["text"] for ident in payload["identities"]]
+    if identities:
+        markdown += ["identities:"] + [f"  {text}" for text in identities]
+    rows += [["identity", text] for text in identities]
     if payload["forced_zero"]:
-        lines.append("forced zero: " + ", ".join(payload["forced_zero"]))
+        markdown.append("forced zero: " + ", ".join(payload["forced_zero"]))
+        rows.append(["forced_zero", " ".join(payload["forced_zero"])])
+    outcomes, ranges = payload["outcomes"], payload["ranges"]
     if payload["status"] == "unique":
-        lines.append("solution:")
-        for outcome, value in zip(payload["outcomes"], payload["solution"]):
-            lines.append(f"  P({outcome}) = {value}")
+        markdown.append("solution:")
+        markdown += [f"  P({o}) = {v}" for o, v in zip(outcomes, payload["solution"])]
     elif payload["status"] == "indeterminate":
-        lines.append("ranges:")
-        for outcome, (lo, hi) in zip(payload["outcomes"], payload["ranges"]):
-            lines.append(f"  P({outcome}) in [{lo}, {hi}]")
-    elif payload["certificate"] is not None:
-        lines.append("infeasibility certificate:")
-        for mult, row in zip(
-            payload["certificate"]["multipliers"], payload["certificate"]["rows"]
-        ):
-            lines.append(f"  {mult} x {row}")
-    return "\n".join(lines) + "\n"
+        markdown.append("ranges:")
+        markdown += [f"  P({o}) in [{lo}, {hi}]" for o, (lo, hi) in zip(outcomes, ranges)]
+    else:
+        markdown += md_certificate
+    if ranges is not None:
+        rows += [[f"range P({o})", f"[{lo}, {hi}]"] for o, (lo, hi) in zip(outcomes, ranges)]
+    return markdown, rows + csv_certificate
 
 
-def _md_mimic(payload: dict) -> str:
-    axes = ", ".join(str(a) for a in payload["axes"])
-    lines = [
+def _mimic(payload: dict) -> Layout:
+    md_certificate, csv_certificate = _certificate_layout(payload)
+    markdown = [
         f"deterministic hidden-variable model for {payload['state']} "
-        f"over GF({payload['field']['order']}), axes {axes}",
+        f"over GF({payload['field']['order']}), axes {', '.join(map(str, payload['axes']))}",
         f"status: {payload['status']}",
     ]
-    if payload["witness"]:
-        lines.append("witness assignment probabilities:")
-        for outcome in sorted(payload["witness"]):
-            lines.append(f"  P({outcome}) = {payload['witness'][outcome]}")
-    if payload["certificate"] is not None:
-        lines.append("infeasibility certificate:")
-        for mult, row in zip(
-            payload["certificate"]["multipliers"], payload["certificate"]["rows"]
-        ):
-            lines.append(f"  {mult} x {row}")
-    return "\n".join(lines) + "\n"
+    rows = _key_values(payload, ("state", "status"))
+    witness = sorted((payload["witness"] or {}).items())
+    if witness:
+        markdown.append("witness assignment probabilities:")
+        markdown += [f"  P({outcome}) = {mass}" for outcome, mass in witness]
+        rows += [[f"P({outcome})", mass] for outcome, mass in witness]
+    return markdown + md_certificate, rows + csv_certificate
 
 
-def _md_table4(payload: dict) -> str:
-    header = ["state"] + payload["outcomes"] + ["E.V."]
-    rows = [
-        [row["state"]]
-        + [str(p) for p in row["probabilities"]]
-        + [str(row["expectation"])]
-        for row in payload["rows"]
-    ]
-    return _md_table(header, rows)
+def _table4(payload: dict) -> Layout:
+    rows = [[row["state"], *row["probabilities"], row["expectation"]] for row in payload["rows"]]
+    header = ["state", *payload["outcomes"]]
+    return [_md_table(header + ["E.V."], rows)], [header + ["expectation"], *rows]
 
 
-def _md_correspondence(payload: dict) -> str:
-    lines = [f"all entries consistent: {str(payload['ok']).lower()}", ""]
+def _correspondence(payload: dict) -> Layout:
     header = ["state", "axes", "bracket", "sign", "canonical", "matched"]
-    rows = [
-        [
-            e["state"],
-            "".join(str(a) for a in e["axes"]),
-            e["galois"],
-            str(e["sign"]),
-            str(e["canonical"]),
-            str(e["matched"]).lower(),
-        ]
-        for e in payload["entries"]
+    rows = [[e["state"], _digits(e["axes"]), e["galois"], e["sign"], e["canonical"], e["matched"]]
+            for e in payload["entries"]]
+    md_rows = [row[:-1] + [_flag(row[-1])] for row in rows]
+    markdown = [f"all entries consistent: {_flag(payload['ok'])}", "", _md_table(header, md_rows)]
+    return markdown, [header, *rows]
+
+
+def _verify_phi(payload: dict) -> Layout:
+    kernel = [str(k) for k in payload["kernel"]]
+    keys = ("p", "unique", "method", "candidates_checked", "qualifying_count", "kernel",
+            "matches_phi_map", "generator_independent")
+    markdown = [
+        f"unique: {_flag(payload['unique'])}",
+        f"p: {payload['p']}",
+        f"method: {payload['method']}",
+        f"candidates checked: {payload['candidates_checked']}",
+        f"qualifying maps: {payload['qualifying_count']}",
+        f"kernel: {', '.join(kernel)}",
+        f"matches reference map: {_flag(payload['matches_phi_map'])}",
+        f"generator independent: {_flag(payload['generator_independent'])}",
     ]
-    lines.append(_md_table(header, rows).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return markdown, _key_values(payload, keys, kernel=" ".join(kernel))
 
 
-def _md_verify_phi(payload: dict) -> str:
-    kernel = ", ".join(str(k) for k in payload["kernel"])
-    return (
-        f"unique: {str(payload['unique']).lower()}\n"
-        f"p: {payload['p']}\n"
-        f"method: {payload['method']}\n"
-        f"candidates checked: {payload['candidates_checked']}\n"
-        f"qualifying maps: {payload['qualifying_count']}\n"
-        f"kernel: {kernel}\n"
-        f"matches reference map: {str(payload['matches_phi_map']).lower()}\n"
-        f"generator independent: {str(payload['generator_independent']).lower()}\n"
-    )
-
-
-_MARKDOWN = {
-    "tables": _md_tables,
-    "census": _md_census,
-    "chsh_value": _md_chsh_value,
-    "chsh_scan": _md_chsh_scan,
-    "chsh_bound": _md_chsh_bound,
-    "groups": _md_groups,
-    "orbits": _md_orbits,
-    "infer": _md_infer,
-    "mimic": _md_mimic,
-    "canonical_table4": _md_table4,
-    "correspondence": _md_correspondence,
-    "verify_phi": _md_verify_phi,
+LAYOUTS = {
+    "tables": _tables,
+    "census": _census,
+    "chsh_value": _chsh_value,
+    "chsh_scan": _chsh_scan,
+    "chsh_bound": _chsh_bound,
+    "groups": _groups,
+    "orbits": _orbits,
+    "infer": _infer,
+    "mimic": _mimic,
+    "canonical_table4": _table4,
+    "correspondence": _correspondence,
+    "verify_phi": _verify_phi,
 }
 
 
-# -- CSV rendering ----------------------------------------------------------------
-
-
-def _csv_rows(payload: dict) -> list[list]:
-    kind = payload["kind"]
-    if kind == "tables":
-        rows = [["state", "axis", "expectation", "variance"]]
-        for row in payload["rows"]:
-            for cell in row["cells"]:
-                rows.append([row["state"], cell["axis"], cell["expectation"], cell["variance"]])
-        return rows
-    if kind == "census":
-        return [["quantity", "count"]] + [[k, payload["counts"][k]] for k in CENSUS_ORDER]
-    if kind == "chsh_value":
-        rows = [["key", "value"],
-                ["state", payload["state"]],
-                ["axes", "".join(str(a) for a in payload["axes"])],
-                ["value", payload["value"]]]
-        rows += [[f"E({pair})", value] for pair, value in payload["correlators"].items()]
-        return rows
-    if kind == "chsh_scan":
-        rows = [["state", "0", "1", "2", "3", "4"]]
-        for row in payload["rows"]:
-            rows.append([row["state"]] + [row["histogram"][str(k)] for k in range(5)])
-        return rows
-    if kind == "chsh_bound":
-        return [["key", "value"],
-                ["bound", payload["bound"]],
-                ["states_scanned", payload["states_scanned"]],
-                ["quadruples_per_state", payload["quadruples_per_state"]]]
-    if kind == "groups":
-        if "elements" in payload:
-            rows = [["label", "sign", "order", "m00", "m01", "m10", "m11"]]
-            for element in payload["elements"]:
-                m = element["matrix"]
-                rows.append([element["label"], element["sign"], element["order"],
-                             m[0][0], m[0][1], m[1][0], m[1][1]])
-            return rows
-        if "classes" in payload:
-            rows = [["class", "label"]]
-            for index, cls in enumerate(payload["classes"]):
-                rows += [[index, label] for label in cls]
-            return rows
-        iso = payload["isomorphism"]
-        return [["key", "value"],
-                ["order", iso["order"]],
-                ["name", iso["name"]],
-                ["verified", iso["verified"]],
-                ["abelian", iso["abelian"]],
-                ["class_sizes", " ".join(str(s) for s in iso["class_sizes"])]]
-    if kind == "orbits":
-        rows = [["representative", "size", "stabilizer_order", "named_members"]]
-        for row in payload["orbits"]:
-            rows.append([row["representative"], row["size"], row["stabilizer_order"],
-                         " ".join(row["named_members"])])
-        return rows
-    if kind == "infer" or kind == "mimic":
-        rows = [["key", "value"],
-                ["state", payload["state"]],
-                ["status", payload["status"]]]
-        if kind == "infer":
-            rows.append(["rank", payload["rank"]])
-            rows += [["identity", ident["text"]] for ident in payload["identities"]]
-            if payload["forced_zero"]:
-                rows.append(["forced_zero", " ".join(payload["forced_zero"])])
-            if payload["ranges"] is not None:
-                for outcome, (lo, hi) in zip(payload["outcomes"], payload["ranges"]):
-                    rows.append([f"range P({outcome})", f"[{lo}, {hi}]"])
-        else:
-            if payload["witness"]:
-                for outcome in sorted(payload["witness"]):
-                    rows.append([f"P({outcome})", payload["witness"][outcome]])
-        if payload.get("certificate"):
-            for mult, row in zip(payload["certificate"]["multipliers"],
-                                 payload["certificate"]["rows"]):
-                rows.append(["certificate", f"{mult} x {row}"])
-        return rows
-    if kind == "canonical_table4":
-        rows = [["state"] + payload["outcomes"] + ["expectation"]]
-        for row in payload["rows"]:
-            rows.append([row["state"]] + [str(p) for p in row["probabilities"]]
-                        + [str(row["expectation"])])
-        return rows
-    if kind == "correspondence":
-        rows = [["state", "axes", "bracket", "sign", "canonical", "matched"]]
-        for e in payload["entries"]:
-            rows.append([e["state"], "".join(str(a) for a in e["axes"]), e["galois"],
-                         e["sign"], str(e["canonical"]), e["matched"]])
-        return rows
-    if kind == "verify_phi":
-        return [["key", "value"],
-                ["p", payload["p"]],
-                ["unique", payload["unique"]],
-                ["method", payload["method"]],
-                ["candidates_checked", payload["candidates_checked"]],
-                ["qualifying_count", payload["qualifying_count"]],
-                ["kernel", " ".join(str(k) for k in payload["kernel"])],
-                ["matches_phi_map", payload["matches_phi_map"]],
-                ["generator_independent", payload["generator_independent"]]]
-    raise AssertionError(f"no CSV layout for {kind}")
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    markdown, rows = LAYOUTS[payload["kind"]](payload)
+    return _csv_text(rows) if fmt == "csv" else "\n".join(markdown) + "\n"
 
 
 # -- argument parsing and dispatch ------------------------------------------------
@@ -762,13 +678,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _csv_text(_csv_rows(payload))
-    else:
-        text = _MARKDOWN[payload["kind"]](payload)
+def _field(ns: argparse.Namespace) -> FieldConfig:
+    return FieldConfig(ns.p, ns.degree)
+
+
+def _build_chsh(ns: argparse.Namespace) -> dict:
+    config = _field(ns)
+    if ns.bound:
+        return build_chsh_bound(config)
+    if ns.scan:
+        return build_chsh_scan(config, ns.state)
+    if ns.state:
+        return build_chsh_value(config, ns.state, ns.axes)
+    raise ValueError("chsh needs --state, --scan or --bound")
+
+
+# subcommand -> report builder; only the commands that report on a field build one
+_BUILDERS = {
+    "tables": lambda ns: build_tables(_field(ns)),
+    "census": lambda ns: build_census(_field(ns)),
+    "chsh": _build_chsh,
+    "groups": lambda ns: build_groups(_field(ns), ns.classes, ns.iso),
+    "orbits": lambda ns: build_orbits(_field(ns), ns.mode, ns.min_size),
+    "infer": lambda ns: build_infer(_field(ns), ns.state, ns.observable, ns.marginals),
+    "mimic": lambda ns: build_mimic(_field(ns), ns.state, ns.axes, ns.marginals),
+    "canonical": lambda ns: (
+        build_correspondence(_field(ns)) if ns.correspondence else build_table4()
+    ),
+    "verify-phi": lambda ns: build_verify_phi(ns.p),
+}
+
+
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -777,64 +718,18 @@ def _emit(payload: dict, fmt: str, output: str | None) -> None:
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    p = ns.p if getattr(ns, "p", None) is not None else 3
-    degree = getattr(ns, "degree", None) if getattr(ns, "degree", None) is not None else 2
-    fmt = getattr(ns, "format", None) or "markdown"
-    output = getattr(ns, "output", None)
-
+    ns.p = 3 if ns.p is None else ns.p
+    ns.degree = 2 if ns.degree is None else ns.degree
     if ns.seed_check:
         results = acceptance.run_all()
         lines = [result.line() for result in results]
         passed = sum(1 for result in results if result.passed)
         lines.append(f"{passed}/{len(results)} criteria passed")
-        text = "\n".join(lines) + "\n"
-        if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", ns.output)
         return 0 if passed == len(results) else 1
-
-    command = ns.command
-    if command is None:
+    if ns.command is None:
         raise ValueError("no subcommand given; see --help")
-
-    if command == "verify-phi":
-        _emit(build_verify_phi(p), fmt, output)
-        return 0
-    if command == "canonical":
-        if ns.correspondence:
-            payload = build_correspondence(FieldConfig(p, degree))
-        else:
-            payload = build_table4()
-        _emit(payload, fmt, output)
-        return 0
-
-    config = FieldConfig(p, degree)
-    if command == "tables":
-        payload = build_tables(config)
-    elif command == "census":
-        payload = build_census(config)
-    elif command == "chsh":
-        if ns.bound:
-            payload = build_chsh_bound(config)
-        elif ns.scan:
-            payload = build_chsh_scan(config, ns.state)
-        elif ns.state:
-            payload = build_chsh_value(config, ns.state, ns.axes)
-        else:
-            raise ValueError("chsh needs --state, --scan or --bound")
-    elif command == "groups":
-        payload = build_groups(config, ns.classes, ns.iso)
-    elif command == "orbits":
-        payload = build_orbits(config, ns.mode, ns.min_size)
-    elif command == "infer":
-        payload = build_infer(config, ns.state, ns.observable, ns.marginals)
-    elif command == "mimic":
-        payload = build_mimic(config, ns.state, ns.axes, ns.marginals)
-    else:
-        raise AssertionError(f"unhandled command {command}")
-    _emit(payload, fmt, output)
+    _write(_render(_BUILDERS[ns.command](ns), ns.format or "markdown"), ns.output)
     return 0
 
 

@@ -29,8 +29,11 @@ from typing import Iterator, Sequence
 Row = tuple[Fraction, ...]
 
 
-def _as_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _as_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[Fraction]], list]:
+    """[rows | rhs] over Fraction; an rhs without one entry per row raises."""
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    return [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,7 @@ class RREFResult:
 
 def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
     """Reduced row echelon form of [rows | rhs]."""
-    work = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(work) != len(b):
-        raise ValueError("row/rhs length mismatch")
+    work, b = _as_system(rows, rhs)
     n_cols = len(work[0]) if work else 0
     pivots: list[int] = []
     rank = 0
@@ -93,10 +93,10 @@ def verify_farkas(
     """Replay a Farkas certificate: y.A <= 0 componentwise and y.b > 0.
 
     A certificate needs exactly one multiplier per row; any other length
-    fails the replay.
+    fails the replay.  A system whose rhs length differs from its row count
+    raises ``ValueError``.
     """
-    work = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
+    work, b = _as_system(rows, rhs)
     if len(y) != len(work):
         return False
     n = len(work[0]) if work else 0
@@ -187,10 +187,7 @@ def solve_lps(
     own phase 2.  Results come in objective order, each phase 2 running when
     the iterator reaches it, so a caller need not hold all of them at once.
     """
-    a = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("row/rhs length mismatch")
+    a, b = _as_system(rows, rhs)
     n = len(objectives[0]) if objectives else len(a[0]) if a else 0
     if any(len(row) != n for row in a) or any(len(c) != n for c in objectives):
         raise ValueError("objective/row length mismatch")

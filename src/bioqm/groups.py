@@ -348,13 +348,6 @@ class _ActionTable:
         return tuple(out)
 
 
-def _orbit_state_tuple(states) -> tuple[TwoParticleState, ...]:
-    out = tuple(states)
-    if not out:
-        raise ValueError("empty state set")
-    return out
-
-
 @dataclass(frozen=True)
 class Orbit:
     mode: str

@@ -301,10 +301,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(m: Matrix, factor: FieldElement) -> Matrix:
-    return tuple(tuple(x * factor for x in row) for row in m)
-
-
 def mat_neg(m: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
 

@@ -227,6 +227,16 @@ def test_exit_codes_for_user_errors(capsys):
         assert captured.err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("p", ["7", "11", "19"])
+def test_full_groups_report_is_refused_past_gf3_and_gf9(capsys, p):
+    code, out, err = invoke(capsys, ["groups", "--p", p, "--degree", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--classes" in err and "--iso" in err
+    code, out, err = invoke(capsys, ["groups", "--p", p, "--degree", "1", "--classes", "--iso"])
+    assert code == 0 and err == ""
+    assert out.startswith("order ")
+
+
 def test_argparse_errors_keep_their_exit_code(capsys):
     assert run(["census", "--format", "yaml"]) == 2
     capsys.readouterr()

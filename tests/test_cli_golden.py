@@ -70,26 +70,22 @@ def matrix() -> list[tuple[tuple[str, ...], ...]]:
     return [tuple(c + ("--format", fmt) for fmt in FORMATS) for c in commands]
 
 
-def observe(argv: tuple[str, ...]) -> dict:
+def observe(argv: tuple[str, ...]) -> tuple[dict, str]:
+    """The golden entry of one in-process run (without its kind), and its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(argv))
-    return {
-        "exit": code,
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
-        "stderr": err.getvalue(),
-        "stdout": out.getvalue(),
-    }
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return {"exit": code, "stdout_sha256": digest, "stderr": err.getvalue()}, out.getvalue()
 
 
 def record() -> dict:
     golden = {}
     for invocations in matrix():
         seen = [observe(argv) for argv in invocations]
-        as_json = seen[FORMATS.index("json")]
-        kind = json.loads(as_json["stdout"])["kind"] if as_json["exit"] == 0 else None
-        for argv, entry in zip(invocations, seen):
-            del entry["stdout"]
+        entry, stdout = seen[FORMATS.index("json")]
+        kind = json.loads(stdout)["kind"] if entry["exit"] == 0 else None
+        for argv, (entry, _) in zip(invocations, seen):
             golden[" ".join(argv)] = dict(entry, kind=kind)
     return golden
 
@@ -106,12 +102,16 @@ def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
 
 
+def test_every_layout_has_golden_entries_in_every_format():
+    covered = {(e["kind"], key.split()[-1]) for key, e in _load().items() if e["exit"] == 0}
+    assert [(k, f) for k in cli.LAYOUTS for f in FORMATS if (k, f) not in covered] == []
+
+
 @pytest.mark.parametrize("key", KEYS)
 def test_cli_output_matches_golden(key):
-    expected = _load()[key]
-    seen = observe(tuple(key.split()))
-    del seen["stdout"]
-    assert seen == {k: expected[k] for k in ("exit", "stdout_sha256", "stderr")}
+    expected = dict(_load()[key])
+    del expected["kind"]
+    assert observe(tuple(key.split()))[0] == expected
 
 
 if __name__ == "__main__":

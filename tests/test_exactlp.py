@@ -161,6 +161,15 @@ def test_certificate_needs_one_multiplier_per_row():
     assert not verify_farkas(rows, rhs, (F(-1),))
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, y", [([[1, 1]], [1, 2], [1]), ([[-1], [-1]], [1], [1, 1])], ids=["long", "short"]
+)
+def test_certificate_replay_rejects_a_rhs_of_the_wrong_length(rows, rhs, y):
+    # a short rhs must not drop a row's right side from y.b and pass the replay
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        verify_farkas(rows, rhs, y)
+
+
 def test_solve_lps_answers_in_objective_order():
     rows, rhs = [[1, 1, 1]], [1]
     results = list(solve_lps([[1, 0, 0], [-1, 0, 0], [0, 2, 1]], rows, rhs))
