@@ -61,6 +61,11 @@ OTHER_COMMANDS = (
     ("verify-phi", "--p", "5"),
     ("tables", "--p", "5"),
     (),
+) + tuple(
+    # orbits past GF(3)/GF(9): the prime fields GF(7) and GF(11)
+    ("orbits", "--mode", mode, "--p", p, "--degree", "1")
+    for p in ("7", "11")
+    for mode in ("local", "global")
 )
 
 
@@ -100,6 +105,11 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
+    assert len(KEYS) == 201
+    # both orbit modes over GF(7) and GF(11), in every format
+    past_gf9 = [k for k in KEYS if k.startswith("orbits") and " --degree 1 " in k
+                and (" --p 7 " in k or " --p 11 " in k)]
+    assert len(past_gf9) == 2 * 2 * len(FORMATS)
 
 
 def test_every_layout_has_golden_entries_in_every_format():
