@@ -31,7 +31,6 @@ from .linear import (
     dot,
     enumerate_projective,
     field_rank,
-    is_self_orthogonal,
     mat_add,
     mat_mul,
     mat_neg,

@@ -11,23 +11,30 @@ states (cycle notation, identity written "e").  Two-particle actions come in
 four modes: the same matrix on both sides (global), or a matrix on one side
 only (local_1 / local_2); the local group is the direct product acting
 componentwise, with order the square of the one-particle group order.
+
+The two-particle action table is built from a generating set: only the
+generators are applied to the states, and every other element's permutation
+is composed from theirs along a breadth-first walk of the Cayley graph.
+Orbits are walked along the generators' permutations; stabilizer orders and
+Burnside counts still count over the whole acting group.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from string import ascii_lowercase
+from typing import Sequence
 
-from .gf import FieldConfig, FieldElement, phi_map
+from .gf import FieldConfig, phi_map
 from .linear import (
     Matrix,
     ProjectiveState,
+    StateVector,
     canonicalize,
     dagger,
-    identity_matrix,
     inverse2,
-    kron,
     mat_mul,
     mat_neg,
     mat_vec,
@@ -300,42 +307,100 @@ def act(
     state: ProjectiveState | TwoParticleState,
     mode: str = "single",
 ) -> ProjectiveState | TwoParticleState:
-    """Apply a group element to a state; two-particle modes pick the sides."""
+    """Apply a group element to a state; two-particle modes pick the sides.
+
+    A two-particle amplitude is a 2x2 array psi (row = side 1, column =
+    side 2), and (M kron N) psi = M psi N^T: local_1 is M psi, local_2 is
+    psi M^T, global is both.
+    """
     if mode not in ACT_MODES:
         raise ValueError(f"mode must be one of {ACT_MODES}")
     tp = isinstance(state, TwoParticleState)
     proj = state.state if tp else state
-    config = proj.config
     if mode == "single":
         if proj.dim != 2:
             raise ValueError("mode 'single' acts on one-particle states")
-        matrix = g.matrix
-    else:
-        if proj.dim != 4:
-            raise ValueError(f"mode '{mode}' acts on two-particle states")
-        eye = identity_matrix(config, 2)
-        if mode == "global":
-            matrix = kron(g.matrix, g.matrix)
-        elif mode == "local_1":
-            matrix = kron(g.matrix, eye)
-        else:
-            matrix = kron(eye, g.matrix)
-    image = canonicalize(mat_vec(matrix, proj.rep))
+        image = canonicalize(mat_vec(g.matrix, proj.rep))
+        return classify(image) if tp else image
+    if proj.dim != 4:
+        raise ValueError(f"mode '{mode}' acts on two-particle states")
+    v = proj.rep.components
+    psi = ((v[0], v[1]), (v[2], v[3]))
+    if mode != "local_2":
+        psi = mat_mul(g.matrix, psi)
+    if mode != "local_1":
+        psi = mat_mul(psi, tuple(zip(*g.matrix)))
+    image = canonicalize(StateVector(psi[0] + psi[1], proj.config))
     return classify(image) if tp else image
 
 
+def _cayley_tree(
+    group: ProjectiveGroup, gens: Sequence[GroupElement]
+) -> list[tuple[GroupElement, GroupElement, GroupElement]]:
+    """Breadth-first walk of the Cayley graph from the identity.
+
+    Each element reached for the first time is listed once as (s*h, s, h),
+    with s a generator and h an element listed before it (or the identity).
+    """
+    seen = {group.identity}
+    frontier = [group.identity]
+    edges = []
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for s in gens:
+                sh = group.mul(s, h)
+                if sh not in seen:
+                    seen.add(sh)
+                    edges.append((sh, s, h))
+                    nxt.append(sh)
+        frontier = nxt
+    return edges
+
+
+def _generating_set(group: ProjectiveGroup) -> tuple[GroupElement, ...]:
+    """Walk the elements in sorted order, keeping each one not yet generated."""
+    gens: list[GroupElement] = []
+    generated = {group.identity}
+    for g in group.elements:
+        if g not in generated:
+            gens.append(g)
+            generated = {group.identity, *(sh for sh, _, _ in _cayley_tree(group, gens))}
+    return tuple(gens)
+
+
 class _ActionTable:
-    """Permutation arrays for the one-sided actions on an indexed state set."""
+    """Permutation arrays for the one-sided actions on an indexed state set.
+
+    ``side1[k]`` / ``side2[k]`` is the permutation of the state indices made
+    by ``group.elements[k]`` acting on side 1 / side 2 alone.  Only the
+    generators go through ``act``; every other element's arrays are composed
+    along the Cayley tree, side[s*h][i] = side[s][side[h][i]].  A state set
+    closed under the generators is closed under the whole group.
+    """
 
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
         self.index = {s.state.rep: k for k, s in enumerate(states)}
-        self.side1: list[tuple[int, ...]] = []
-        self.side2: list[tuple[int, ...]] = []
-        for g in group.elements:
-            self.side1.append(self._permutation(g, "local_1"))
-            self.side2.append(self._permutation(g, "local_2"))
+        self.generators = _generating_set(group)
+        # (side-1, side-2) permutations of each generator, the only ones from act()
+        self.generator_sides = tuple(
+            (self._permutation(s, "local_1"), self._permutation(s, "local_2"))
+            for s in self.generators
+        )
+        moves = dict(zip(self.generators, self.generator_sides))
+        unmoved = tuple(range(len(states)))
+        side1 = {group.identity: unmoved}
+        side2 = {group.identity: unmoved}
+        for sh, s, h in _cayley_tree(group, self.generators):
+            s1, s2 = moves[s]
+            side1[sh] = tuple(s1[i] for i in side1[h])
+            side2[sh] = tuple(s2[i] for i in side2[h])
+        if len(side1) != group.order:
+            raise AssertionError("the generators do not reach every group element")
+        self.side1 = [side1[g] for g in group.elements]
+        self.side2 = [side2[g] for g in group.elements]
 
     def _permutation(self, g: GroupElement, mode: str) -> tuple[int, ...]:
         out = []
@@ -379,21 +444,31 @@ def action_table(
     return _ActionTable(enumerate_group(config), states)
 
 
-def _mode_permutations(table: _ActionTable, mode: str) -> list[tuple[int, ...]]:
-    """The acting permutations: diagonal pairs for global, all pairs for local."""
-    n = len(table.states)
+def _generator_permutations(table: _ActionTable, mode: str) -> list[tuple[int, ...]]:
+    """Permutations generating the action: (s, s) for global, (s, e) and (e, s) for local."""
+    sides = table.generator_sides
     if mode == "global":
-        return [
-            tuple(table.side2[k][table.side1[k][i]] for i in range(n))
-            for k in range(len(table.group.elements))
-        ]
+        return [tuple(s2[i] for i in s1) for s1, s2 in sides]
+    return [s1 for s1, _ in sides] + [s2 for _, s2 in sides]
+
+
+def _acting_order(table: _ActionTable, mode: str) -> int:
+    """|G| for the global action, |G|^2 for the local one."""
+    if mode == "global":
+        return table.group.order
     if mode == "local":
-        return [
-            tuple(s2[s1[i]] for i in range(n))
-            for s1 in table.side1
-            for s2 in table.side2
-        ]
+        return table.group.order ** 2
     raise ValueError("orbit mode must be 'global' or 'local'")
+
+
+def _stabilizer_order(table: _ActionTable, mode: str, i: int) -> int:
+    """How many elements of the whole acting group fix state i."""
+    if mode == "global":
+        return sum(1 for s1, s2 in zip(table.side1, table.side2) if s2[s1[i]] == i)
+    # (a, b) fixes i exactly when a on side 1 and b^-1 on side 2 agree on i
+    images1 = Counter(s1[i] for s1 in table.side1)
+    images2 = Counter(s2[i] for s2 in table.side2)
+    return sum(count * images2[j] for j, count in images1.items())
 
 
 def orbits(
@@ -403,8 +478,8 @@ def orbits(
 ) -> list[Orbit]:
     """Orbits of the entangled physical states under the chosen action."""
     table = action_table(config, states)
-    perms = _mode_permutations(table, mode)
-    acting_order = len(perms)
+    acting_order = _acting_order(table, mode)
+    perms = _generator_permutations(table, mode)
     n = len(table.states)
     assigned = [False] * n
     out = []
@@ -424,7 +499,7 @@ def orbits(
                         members.add(j)
                         nxt.append(j)
             frontier = nxt
-        stabilizer = sum(1 for perm in perms if perm[start] == start)
+        stabilizer = _stabilizer_order(table, mode, start)
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
         member_states = tuple(
@@ -451,15 +526,18 @@ def burnside_count(
     mode: str,
     states: tuple[TwoParticleState, ...] | None = None,
 ) -> int:
-    """Orbit count as the average number of fixed points over the action."""
+    """Orbit count as the average number of fixed points over the action.
+
+    The fixed points of every element summed equal the stabilizer orders of
+    every state summed; both count pairs (element, state) with element fixing
+    state.
+    """
     table = action_table(config, states)
-    perms = _mode_permutations(table, mode)
-    total = sum(
-        sum(1 for i, j in enumerate(perm) if i == j) for perm in perms
-    )
-    if total % len(perms) != 0:
+    acting_order = _acting_order(table, mode)
+    total = sum(_stabilizer_order(table, mode, i) for i in range(len(table.states)))
+    if total % acting_order != 0:
         raise AssertionError("Burnside sum is not divisible by the group order")
-    return total // len(perms)
+    return total // acting_order
 
 
 # -- local equivalence and state labels -------------------------------------------

@@ -22,11 +22,24 @@ from bioqm import (
     verify_isomorphism,
 )
 from bioqm.biortho import spin_axes, state_label
-from bioqm.entangle import from_product, two_particle_states
-from bioqm.linear import StateVector, dagger, det2, mat_mul, matrix_make
+from bioqm.entangle import classify, from_product, two_particle_states
+from bioqm.groups import action_table
+from bioqm.linear import (
+    StateVector,
+    canonicalize,
+    dagger,
+    det2,
+    identity_matrix,
+    kron,
+    mat_mul,
+    mat_vec,
+    matrix_make,
+)
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
+GF7 = FieldConfig(7, 1)
+GF11 = FieldConfig(11, 1)
 
 
 def test_canonicalize_matrix():
@@ -275,6 +288,22 @@ def test_act_modes_round_trip():
         assert back.state.rep.components == pair.state.rep.components
 
 
+@pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])
+def test_act_matches_the_kronecker_reference(config):
+    # reference: the 4x4 Kronecker matrix applied to the four amplitudes
+    eye = identity_matrix(config, 2)
+    states = two_particle_states(config)
+    for g in enumerate_group(config).elements:
+        for mode, matrix in (
+            ("global", kron(g.matrix, g.matrix)),
+            ("local_1", kron(g.matrix, eye)),
+            ("local_2", kron(eye, g.matrix)),
+        ):
+            for state in states:
+                expected = classify(canonicalize(mat_vec(matrix, state.state.rep)))
+                assert act(g, state, mode=mode) == expected
+
+
 def test_act_rejects_bad_mode_and_shape():
     pair = representative_states(GF3)["S"]
     with pytest.raises(ValueError):
@@ -299,6 +328,55 @@ def test_action_table_escape_raises():
     for mode in ("global", "local"):
         with pytest.raises(ValueError):
             orbits(GF3, mode, states=(singlet,))
+
+
+def test_action_table_escape_raises_for_a_global_orbit():
+    # a global orbit is closed under the global action but under neither
+    # side alone, and the table checks closure under one-sided generators
+    group = enumerate_group(GF9)
+    for orbit in orbits(GF9, "global"):
+        reps = {m.state.rep for m in orbit.members}
+        for g in group.elements:
+            assert {act(g, m, mode="global").state.rep for m in orbit.members} == reps
+        with pytest.raises(ValueError, match="escapes"):
+            orbits(GF9, "global", states=orbit.members)
+
+
+@pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])
+def test_orbits_of_the_physical_product_states(config):
+    # unlike entangled states, product states have nontrivial one-sided
+    # stabilizers, so the local stabilizer count sees products of them
+    products = tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
+    order = enumerate_group(config).order
+    (orbit,) = orbits(config, "local", states=products)
+    assert orbit.size == len(products)
+    assert orbit.stabilizer_order == order * order // len(products)
+    for mode in ("global", "local"):
+        assert burnside_count(config, mode, states=products) == len(
+            orbits(config, mode, states=products)
+        )
+
+
+def _per_element_sides(table):
+    """Reference: act() for every element on every state, on each side."""
+
+    def permutation(g, mode):
+        return tuple(table.index[act(g, s, mode).state.rep] for s in table.states)
+
+    elements = table.group.elements
+    return (
+        [permutation(g, "local_1") for g in elements],
+        [permutation(g, "local_2") for g in elements],
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
+)
+def test_generator_built_table_matches_per_element_reference(config):
+    table = action_table(config)
+    assert len(table.generators) <= 4
+    assert (table.side1, table.side2) == _per_element_sides(table)
 
 
 def test_orbits_on_a_closed_subset():
@@ -368,7 +446,16 @@ def test_gf9_local_orbits_frozen():
 
 @pytest.mark.parametrize(
     "config,mode",
-    [(GF3, "global"), (GF3, "local"), (GF9, "global"), (GF9, "local")],
+    [
+        (GF3, "global"),
+        (GF3, "local"),
+        (GF9, "global"),
+        (GF9, "local"),
+        (GF7, "global"),
+        (GF7, "local"),
+        (GF11, "global"),
+        (GF11, "local"),
+    ],
 )
 def test_burnside_agrees_with_direct_orbit_count(config, mode):
     assert burnside_count(config, mode) == len(orbits(config, mode))
