@@ -66,6 +66,14 @@ OTHER_COMMANDS = (
     ("orbits", "--mode", mode, "--p", p, "--degree", "1")
     for p in ("7", "11")
     for mode in ("local", "global")
+) + tuple(
+    # the CHSH bound over the prime fields GF(7), GF(11) and GF(19)
+    ("chsh", "--bound", "--p", p, "--degree", "1")
+    for p in ("7", "11", "19")
+) + (
+    # the named-state CHSH reports over GF(49)
+    ("chsh", "--scan", "--p", "7", "--degree", "2"),
+    ("chsh", "--state", "U", "--axes", "1221", "--p", "7", "--degree", "2"),
 )
 
 
@@ -105,11 +113,18 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 201
+    assert len(KEYS) == 216
     # both orbit modes over GF(7) and GF(11), in every format
     past_gf9 = [k for k in KEYS if k.startswith("orbits") and " --degree 1 " in k
                 and (" --p 7 " in k or " --p 11 " in k)]
     assert len(past_gf9) == 2 * 2 * len(FORMATS)
+    # the CHSH bound over GF(7), GF(11), GF(19); scan and value over GF(49)
+    bounds = [k for k in KEYS
+              if k.startswith("chsh --bound --p ") and k.split()[3] != "3"]
+    assert sorted({k.split()[3] for k in bounds}) == ["11", "19", "7"]
+    assert len(bounds) == 3 * len(FORMATS)
+    gf49 = [k for k in KEYS if k.startswith("chsh") and " --p 7 --degree 2 " in k]
+    assert len(gf49) == 2 * len(FORMATS)
 
 
 def test_every_layout_has_golden_entries_in_every_format():
