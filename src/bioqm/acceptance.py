@@ -366,7 +366,13 @@ def _criterion_12() -> str:
     return f"uniqueness at p in {UNIQUENESS_PRIMES}; products preserved for {checked} primes"
 
 
-def _signed_correlator(state, first, second) -> int:
+def signed_correlator(state, first, second) -> int:
+    """The correlator of signed axes (sign, axis) on each side, by the object path.
+
+    A side whose sign is -1 measures the negated spin observable.  This goes
+    through ``bracket`` on the 4x4 product matrix, independent of the
+    integer-residue kernel behind ``correlator`` and ``chsh``.
+    """
     (sign1, i), (sign2, j) = first, second
     matrix = product_spin(state.config, i, j).matrix
     if sign1 * sign2 < 0:
@@ -374,12 +380,13 @@ def _signed_correlator(state, first, second) -> int:
     return phi_map(bracket(state.state, matrix))
 
 
-def _chsh_of(state, A, a, B, b) -> int:
+def signed_chsh(state, A, a, B, b) -> int:
+    """CHSH from signed axes (sign, axis) in each slot, by the object path."""
     return (
-        _signed_correlator(state, A, B)
-        + _signed_correlator(state, A, b)
-        + _signed_correlator(state, a, B)
-        - _signed_correlator(state, a, b)
+        signed_correlator(state, A, B)
+        + signed_correlator(state, A, b)
+        + signed_correlator(state, a, B)
+        - signed_correlator(state, a, b)
     )
 
 
@@ -488,19 +495,19 @@ def _criterion_13() -> str:
                             if b == B:
                                 continue
                             base = chsh(state, A, a, B, b).value
-                            assert base == _chsh_of(
+                            assert base == signed_chsh(
                                 state, (1, A), (1, a), (1, B), (1, b)
                             )
-                            assert base == _chsh_of(
+                            assert base == signed_chsh(
                                 state, (1, A), (-1, a), (1, b), (1, B)
                             )
-                            assert base == -_chsh_of(
+                            assert base == -signed_chsh(
                                 state, (-1, A), (1, a), (1, b), (1, B)
                             )
-                            assert base == _chsh_of(
+                            assert base == signed_chsh(
                                 state, (1, a), (1, A), (1, B), (-1, b)
                             )
-                            assert base == -_chsh_of(
+                            assert base == -signed_chsh(
                                 state, (1, a), (1, A), (-1, B), (1, b)
                             )
                             checks += 5

@@ -151,7 +151,7 @@ def build_chsh_scan(config: FieldConfig, label: str | None) -> dict:
     rows = []
     for name in labels:
         state = _pair_state(config, name)
-        histogram = chsh_scan(state, label=name)
+        histogram = chsh_scan(state)
         rows.append(
             {"state": name, "histogram": {str(k): v for k, v in sorted(histogram.items())}}
         )

@@ -9,19 +9,38 @@ biorthogonal system so the spectral form survives.
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
 Admissible quadruples require A != a and B != b.
+
+Every sign-mapped correlator E(i,j) = phi_map(<psi|spin_i x spin_j|psi>)
+comes from one integer-residue kernel, ``correlator_grid``.  Reshape the
+amplitude to the 2x2 array psi (row index on side 1).  The row-major
+Kronecker product acts as (s_i x s_j) psi = s_i psi s_j^T, so the unnormalized
+bracket is
+
+    <psi, (s_i x s_j) psi> = sum over entries of conj(u_i) * w_j,
+    u_i = s_i^dagger psi,   w_j = psi s_j^T,
+
+which costs one 2x2 product per axis and side, not one 4x4 product per pair.
+No Hermiticity is assumed: s_i^dagger is taken with ``linear.dagger``.  The
+bracket divides this by the norm n = <psi, psi>, which lies in GF(p)*.  The
+sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
+square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij) * phi(n), read
+off integer residues without building any field element.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .gf import FieldConfig, phi_map
+from .gf import FieldConfig, _even_power_residues, phi_map
 from .linear import (
     Matrix,
     ProjectiveState,
     StateVector,
     canonicalize,
+    dagger,
     det2,
     enumerate_projective,
     identity_matrix,
@@ -105,17 +124,16 @@ class Census:
 
 def census(config: FieldConfig) -> Census:
     states = two_particle_states(config)
-    product = [s for s in states if s.is_product]
-    entangled = [s for s in states if not s.is_product]
+    tally = Counter((s.kind, s.physical) for s in states)
     return Census(
         config=config,
         states=len(states),
-        product=len(product),
-        product_physical=sum(1 for s in product if s.physical),
-        product_self_orthogonal=sum(1 for s in product if not s.physical),
-        entangled=len(entangled),
-        entangled_physical=sum(1 for s in entangled if s.physical),
-        entangled_self_orthogonal=sum(1 for s in entangled if not s.physical),
+        product=tally["product", True] + tally["product", False],
+        product_physical=tally["product", True],
+        product_self_orthogonal=tally["product", False],
+        entangled=tally["entangled", True] + tally["entangled", False],
+        entangled_physical=tally["entangled", True],
+        entangled_self_orthogonal=tally["entangled", False],
     )
 
 
@@ -144,9 +162,85 @@ def one_sided_spin(config: FieldConfig, side: int, axis: int) -> Matrix:
     return kron(sigma, eye) if side == 1 else kron(eye, sigma)
 
 
+@lru_cache(maxsize=None)
+def _kernel_tables(config: FieldConfig):
+    """Per-field kernel inputs, as flat (re, im) residue 2x2 tables per axis.
+
+    Returns (daggers, transposes, signs): spin_i^dagger and spin_j^T keyed by
+    axis, and the sign map of every residue 0..p-1.
+    """
+    def flat(m: Matrix) -> tuple[int, ...]:
+        return tuple(part for row in m for x in row for part in (x.re, x.im))
+
+    daggers, transposes = {}, {}
+    for axis in spin_axes(config):
+        sigma = spin_observable(config, axis).matrix
+        daggers[axis] = flat(dagger(sigma))
+        transposes[axis] = flat(tuple(zip(*sigma)))
+    even = _even_power_residues(config.p)
+    signs = (0,) + tuple(1 if r in even else -1 for r in range(1, config.p))
+    return daggers, transposes, signs
+
+
+def _mul2(x, y) -> list[int]:
+    """The product [[a, b], [c, d]] [[e, f], [g, h]] of two flat (re, im)
+    residue tables, unreduced."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return [
+        ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+        ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+        cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+        cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr,
+    ]
+
+
+def correlator_grid(
+    state: TwoParticleState, side1: tuple[int, ...], side2: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """E(i, j) for every axis i in side1 and j in side2, from one kernel pass.
+
+    Raises ValueError on a self-orthogonal state and RuntimeError on a
+    bracket with a nonzero imaginary part, as ``bracket`` does.
+    """
+    config = state.config
+    p = config.p
+    daggers, transposes, signs = _kernel_tables(config)
+    psi = [part for x in state.state.rep.components for part in (x.re, x.im)]
+    norm = sum(x * x for x in psi) % p
+    if norm == 0:
+        raise ValueError(f"self-orthogonal vector {state} has no conjugate dual")
+    sign_norm = signs[norm]
+    ws = []
+    for j in side2:
+        w = _mul2(psi, transposes[j])
+        # conj(u) * w has real part u_re * w_re + u_im * w_im and imaginary
+        # part u_re * w_im - u_im * w_re: plain sums of products against w
+        # and against w turned to (w_im, -w_re)
+        turned = []
+        for k in (0, 2, 4, 6):
+            turned += (w[k + 1], -w[k])
+        ws.append((j, w, turned))
+    grid = {}
+    for i in side1:
+        u = _mul2(daggers[i], psi)
+        for j, w, turned in ws:
+            if sum(map(mul, u, turned)) % p:
+                raise RuntimeError(
+                    f"bracket of spin {i}x{j} in {state} has a nonzero imaginary "
+                    "part; observable is malformed"
+                )
+            grid[i, j] = signs[sum(map(mul, u, w)) % p] * sign_norm
+    return grid
+
+
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
     """The sign-mapped two-particle expectation E(spin_i x spin_j)."""
-    return phi_map(bracket(state.state, product_spin(state.config, i, j)))
+    axes = spin_axes(state.config)
+    for axis in (i, j):
+        if axis not in axes:
+            raise ValueError(f"axis {axis} is not available over {state.config}")
+    return correlator_grid(state, (i,), (j,))[i, j]
 
 
 def single_spin(state: TwoParticleState, side: int, axis: int) -> int:
@@ -170,13 +264,12 @@ def chsh(state: TwoParticleState, A: int, a: int, B: int, b: int,
             raise ValueError(f"axis {axis} is not available over {state.config}")
     if A == a or B == b:
         raise ValueError("CHSH needs two distinct axes on each side")
-    e = {(i, j): correlator(state, i, j) for i in (A, a) for j in (B, b)}
-    value = e[(A, B)] + e[(A, b)] + e[(a, B)] - e[(a, b)]
+    e = correlator_grid(state, (A, a), (B, b))
     return CHSHRecord(
         state_label=label if label is not None else str(state),
         axes=(A, a, B, b),
-        value=value,
-        correlators={f"{i}{j}": e[(i, j)] for (i, j) in sorted(e)},
+        value=next(_chsh_values(e, ((A, a, B, b),))),
+        correlators={f"{i}{j}": e[i, j] for (i, j) in sorted(e)},
     )
 
 
@@ -193,12 +286,18 @@ def axis_quadruples(config: FieldConfig) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def chsh_scan(state: TwoParticleState, label: str | None = None) -> dict[int, int]:
+def _chsh_values(e: dict[tuple[int, int], int], quadruples):
+    """The CHSH value of each quadruple (A, a, B, b) read from a correlator grid."""
+    return (e[A, B] + e[A, b] + e[a, B] - e[a, b] for A, a, B, b in quadruples)
+
+
+def chsh_scan(state: TwoParticleState) -> dict[int, int]:
     """Histogram of |CHSH| over all admissible axis quadruples."""
+    axes = spin_axes(state.config)
+    grid = correlator_grid(state, axes, axes)
     tally = {k: 0 for k in range(5)}
-    for A, a, B, b in axis_quadruples(state.config):
-        record = chsh(state, A, a, B, b, label=label)
-        tally[abs(record.value)] += 1
+    for value in _chsh_values(grid, axis_quadruples(state.config)):
+        tally[abs(value)] += 1
     return tally
 
 
@@ -220,11 +319,8 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
         if not tp.physical:
             continue
         scanned += 1
-        e = {(i, j): correlator(tp, i, j) for i in axes for j in axes}
-        for A, a, B, b in quadruples:
-            value = abs(e[(A, B)] + e[(A, b)] + e[(a, B)] - e[(a, b)])
-            if value > best:
-                best = value
+        grid = correlator_grid(tp, axes, axes)
+        best = max(best, *map(abs, _chsh_values(grid, quadruples)))
     return ChshBound(
         config=config,
         bound=best,

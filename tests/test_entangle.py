@@ -1,5 +1,8 @@
 """Two-particle states, censuses, correlators, and the CHSH scan."""
 
+import dataclasses
+import random
+
 import pytest
 
 from bioqm import (
@@ -14,12 +17,23 @@ from bioqm import (
     correlator,
     from_product,
     from_vector,
+    phi_map,
     representative_states,
     single_spin,
+    spin_axes,
     two_particle_states,
 )
-from bioqm.entangle import one_sided_spin, product_spin
-from bioqm.linear import det2, enumerate_projective, kron, matrix_make
+from bioqm import entangle
+from bioqm.biortho import bracket
+from bioqm.entangle import correlator_grid, one_sided_spin, product_spin
+from bioqm.linear import (
+    ProjectiveState,
+    det2,
+    enumerate_projective,
+    is_self_orthogonal,
+    kron,
+    matrix_make,
+)
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -313,3 +327,149 @@ def test_chsh_classical_bound_holds_for_all_product_states():
         if pair.physical and pair.is_product:
             for A, a, B, b in axis_quadruples(GF3):
                 assert abs(chsh(pair, A, a, B, b).value) <= 2
+
+
+# -- the integer-residue correlator kernel -------------------------------------
+
+GF11 = FieldConfig(11, 1)
+GF19 = FieldConfig(19, 1)
+GF49 = FieldConfig(7, 2)
+
+
+def _object_grid(state):
+    """Every E(i, j) by the object path: a 4x4 product matrix and ``bracket``."""
+    config = state.config
+    axes = spin_axes(config)
+    return {
+        (i, j): phi_map(bracket(state.state, product_spin(config, i, j)))
+        for i in axes
+        for j in axes
+    }
+
+
+def _physical(config):
+    return [s for s in two_particle_states(config) if s.physical]
+
+
+def _sampled_physical(config, seed, count):
+    """Seeded random physical two-particle states, each held by the random
+    (not canonical) vector drawn, without enumerating the field."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v = vec(config, [
+            (rng.randrange(config.p), rng.randrange(config.p) if config.is_extension else 0)
+            for _ in range(4)
+        ])
+        if not v.is_zero and not is_self_orthogonal(v):
+            out.append(classify(ProjectiveState(rep=v, self_orthogonal=False)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
+)
+def test_kernel_matches_object_path_exhaustively(config):
+    axes = spin_axes(config)
+    for state in _physical(config):
+        assert correlator_grid(state, axes, axes) == _object_grid(state), str(state)
+
+
+@pytest.mark.parametrize(
+    "config,seed", [(GF19, 1901), (GF49, 4901)], ids=["gf19", "gf49"]
+)
+def test_kernel_matches_object_path_on_a_sample(config, seed):
+    axes = spin_axes(config)
+    for state in _sampled_physical(config, seed, 300):
+        assert correlator_grid(state, axes, axes) == _object_grid(state), str(state)
+
+
+def test_kernel_reads_one_pair_or_a_rectangle():
+    u = representative_states(GF9)["U"]
+    grid = _object_grid(u)
+    assert correlator_grid(u, (3,), (1, 2)) == {(3, 1): grid[3, 1], (3, 2): grid[3, 2]}
+    for (i, j), value in grid.items():
+        assert correlator(u, i, j) == value
+    with pytest.raises(ValueError):
+        correlator(representative_states(GF3)["S"], 1, 2)
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
+def test_chsh_bound_and_scan_match_object_path_reference(config):
+    quadruples = axis_quadruples(config)
+    best = 0
+    states = _physical(config)
+    for state in states:
+        e = _object_grid(state)
+        values = [e[A, B] + e[A, b] + e[a, B] - e[a, b] for A, a, B, b in quadruples]
+        tally = {k: 0 for k in range(5)}
+        for value in values:
+            tally[abs(value)] += 1
+        assert chsh_scan(state) == tally, str(state)
+        best = max(best, *map(abs, values))
+    result = chsh_bound(config)
+    assert (result.bound, result.states_scanned) == (best, len(states))
+    assert result.quadruples_per_state == len(quadruples)
+
+
+def test_self_orthogonal_state_raises_value_error():
+    state = next(s for s in two_particle_states(GF9) if not s.physical)
+    with pytest.raises(ValueError):
+        bracket(state.state, product_spin(GF9, 1, 1))
+    with pytest.raises(ValueError):
+        correlator_grid(state, (1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError):
+        correlator(state, 3, 3)
+    with pytest.raises(ValueError):
+        chsh_scan(state)
+
+
+# axis-1 spin tables that are neither Hermitian nor symmetric: a raising
+# operator over GF(3), and over GF(9) one with an imaginary part in every entry
+MALFORMED = {
+    GF3: [[0, 1], [0, 0]],
+    GF9: [[(1, 1), (1, 2)], [(2, 1), (0, 1)]],
+}
+
+
+@pytest.fixture
+def kernel_tables_cleared():
+    entangle._kernel_tables.cache_clear()
+    yield
+    entangle._kernel_tables.cache_clear()
+
+
+@pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
+def test_malformed_spin_table_matches_object_path(config, monkeypatch, kernel_tables_cleared):
+    original = entangle.spin_observable
+
+    def substituted(field, axis):
+        obs = original(field, axis)
+        if axis != 1:
+            return obs
+        return dataclasses.replace(obs, matrix=matrix_make(field, MALFORMED[field]))
+
+    monkeypatch.setattr(entangle, "spin_observable", substituted)
+    # the kernel must take sigma^dagger on side 1 and sigma^T on side 2 of
+    # the given table, and refuse complex brackets as ``bracket`` does; the
+    # representatives are rescaled so their leading entries are not real
+    axes = spin_axes(config)
+    matrices = {a: entangle.spin_observable(config, a).matrix for a in axes}
+    factor = config.element(1, 1) if config.is_extension else config.element(-1)
+    outcomes = set()
+    for canonical in _physical(config):
+        rep = canonical.state.rep.scale(factor)
+        state = classify(ProjectiveState(rep=rep, self_orthogonal=False))
+        for i in axes:
+            for j in axes:
+                try:
+                    expected = phi_map(bracket(state.state, kron(matrices[i], matrices[j])))
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        correlator_grid(state, (i,), (j,))
+                    outcomes.add("raised")
+                    continue
+                assert correlator_grid(state, (i,), (j,)) == {(i, j): expected}
+                outcomes.add(expected)
+    assert outcomes >= {-1, 0, 1}
+    assert ("raised" in outcomes) == config.is_extension

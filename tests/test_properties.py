@@ -21,11 +21,12 @@ from bioqm import (
     spin_observable,
     two_particle_states,
 )
+from bioqm.acceptance import signed_chsh
 from bioqm.biortho import SPIN_AXIS_KETS, build_observable, enumerate_biorthogonal_systems
 from bioqm.entangle import one_sided_spin, product_spin
 from bioqm.exactlp import rref
 from bioqm.inference import moment_system
-from bioqm.linear import mat_neg, mat_vec
+from bioqm.linear import mat_vec
 
 SMALL_PRIMES = (3, 7, 11)
 PHI_PRIMES = tuple(
@@ -165,25 +166,6 @@ ENTANGLED_GF9 = tuple(
 )
 
 
-def _signed_correlator(state, i, si, j, sj):
-    """Correlator with either side's observable negated when its sign is -1."""
-    matrix = product_spin(state.config, i, j).matrix
-    if si * sj < 0:
-        matrix = mat_neg(matrix)
-    return phi_map(bracket(state.state, matrix))
-
-
-def _signed_chsh(state, A, a, B, b):
-    """CHSH from signed axes (sign, axis) on each slot."""
-    (sA, iA), (sa, ia), (sB, iB), (sb, ib) = A, a, B, b
-    return (
-        _signed_correlator(state, iA, sA, iB, sB)
-        + _signed_correlator(state, iA, sA, ib, sb)
-        + _signed_correlator(state, ia, sa, iB, sB)
-        - _signed_correlator(state, ia, sa, ib, sb)
-    )
-
-
 @settings(max_examples=60)
 @given(st.sampled_from(ENTANGLED_GF9), st.data())
 def test_chsh_sign_and_swap_identities(state, data):
@@ -193,12 +175,12 @@ def test_chsh_sign_and_swap_identities(state, data):
     B = data.draw(st.sampled_from(axes))
     b = data.draw(st.sampled_from([x for x in axes if x != B]))
     base = chsh(state, A, a, B, b).value
-    assert base == _signed_chsh(state, (1, A), (1, a), (1, B), (1, b))
+    assert base == signed_chsh(state, (1, A), (1, a), (1, B), (1, b))
     # negating one primed observable swaps the partner pair
-    assert base == _signed_chsh(state, (1, A), (-1, a), (1, b), (1, B))
-    assert base == -_signed_chsh(state, (-1, A), (1, a), (1, b), (1, B))
-    assert base == _signed_chsh(state, (1, a), (1, A), (1, B), (-1, b))
-    assert base == -_signed_chsh(state, (1, a), (1, A), (-1, B), (1, b))
+    assert base == signed_chsh(state, (1, A), (-1, a), (1, b), (1, B))
+    assert base == -signed_chsh(state, (-1, A), (1, a), (1, b), (1, B))
+    assert base == signed_chsh(state, (1, a), (1, A), (1, B), (-1, b))
+    assert base == -signed_chsh(state, (1, a), (1, A), (-1, B), (1, b))
 
 
 @given(st.sampled_from(ENTANGLED_GF9), st.sampled_from([1, 2, 3]),
