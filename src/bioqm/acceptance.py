@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .gf import FieldConfig, phi_map, verify_phi_uniqueness
-from .linear import StateVector, dot, mat_neg
+from .linear import StateVector, dot, mat_neg, matrix_make
 from .biortho import (
     bracket,
     expectation,
@@ -186,15 +186,6 @@ UNIQUENESS_PRIMES = (3, 7, 11, 19)
 PRODUCT_CHECK_LIMIT = 199
 
 
-def _reference_matrix(config: FieldConfig, rows):
-    def entry(x):
-        if isinstance(x, tuple):
-            return config.element(x[0], x[1])
-        return config.element(x)
-
-    return tuple(tuple(entry(x) for x in row) for row in rows)
-
-
 # -- criteria -----------------------------------------------------------------------
 
 
@@ -265,7 +256,7 @@ def _criterion_7() -> str:
         assert group.order == len(reference), f"order {group.order}"
         assert set(group.by_label) == set(reference), "label set mismatch"
         for label, rows in reference.items():
-            want = canonicalize_matrix(_reference_matrix(config, rows))
+            want = canonicalize_matrix(matrix_make(config, rows))
             assert group.by_label[label].matrix == want, f"matrix for {label}"
         if signs is None:
             signs = {

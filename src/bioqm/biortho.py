@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .gf import FieldConfig, FieldElement, phi_map
 from .linear import (
@@ -237,11 +237,18 @@ def spin_axes(config: FieldConfig) -> tuple[int, ...]:
     return (1, 2, 3) if config.is_extension else (1, 3)
 
 
+def require_axes(config: FieldConfig, axes: Iterable[int]) -> None:
+    """Raise ValueError on the first axis the field does not offer."""
+    available = spin_axes(config)
+    for axis in axes:
+        if axis not in available:
+            raise ValueError(f"axis {axis} is not available over {config}")
+
+
 @lru_cache(maxsize=None)
 def spin_observable(config: FieldConfig, axis: int) -> Observable:
     """The spin observable for an axis, eigenvalues (+1, -1) on its kets."""
-    if axis not in spin_axes(config):
-        raise ValueError(f"axis {axis} is not available over {config}")
+    require_axes(config, (axis,))
     named = named_states(config)
     kets = tuple(named[n].rep for n in SPIN_AXIS_KETS[axis])
     system = BiorthogonalSystem.from_kets(kets)

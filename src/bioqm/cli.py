@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .gf import FieldConfig, verify_phi_uniqueness
-from .biortho import named_states, spin_axes, spin_observable, table_report
+from .biortho import named_states, require_axes, spin_axes, spin_observable, table_report
 from .entangle import census, chsh, chsh_bound, chsh_scan, representative_states
 from .groups import (
     burnside_count,
@@ -124,10 +124,7 @@ def _parse_axes(config: FieldConfig, text: str, count: int) -> tuple[int, ...]:
     if len(text) != count or not text.isdigit():
         raise ValueError(f"expected {count} axis digits, got {text!r}")
     axes = tuple(int(c) for c in text)
-    valid = spin_axes(config)
-    for axis in axes:
-        if axis not in valid:
-            raise ValueError(f"axis {axis} is not available over GF({config.order})")
+    require_axes(config, axes)
     return axes
 
 

@@ -46,7 +46,7 @@ from .linear import (
     identity_matrix,
     kron,
 )
-from .biortho import Observable, bracket, spin_axes, spin_observable
+from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
 
 
 @dataclass(frozen=True)
@@ -234,16 +234,9 @@ def correlator_grid(
     return grid
 
 
-def _require_axes(config: FieldConfig, axes: tuple[int, ...]) -> None:
-    available = spin_axes(config)
-    for axis in axes:
-        if axis not in available:
-            raise ValueError(f"axis {axis} is not available over {config}")
-
-
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
     """The sign-mapped two-particle expectation E(spin_i x spin_j)."""
-    _require_axes(state.config, (i, j))
+    require_axes(state.config, (i, j))
     return correlator_grid(state, (i,), (j,))[i, j]
 
 
@@ -262,7 +255,7 @@ class CHSHRecord:
 
 def chsh(state: TwoParticleState, A: int, a: int, B: int, b: int,
          label: str | None = None) -> CHSHRecord:
-    _require_axes(state.config, (A, a, B, b))
+    require_axes(state.config, (A, a, B, b))
     if A == a or B == b:
         raise ValueError("CHSH needs two distinct axes on each side")
     e = correlator_grid(state, (A, a), (B, b))

@@ -15,8 +15,9 @@ componentwise, with order the square of the one-particle group order.
 The two-particle action table is built from a generating set: only the
 generators are applied to the states, and every other element's permutation
 is composed from theirs along a breadth-first walk of the Cayley graph.
-Orbits are walked along the generators' permutations; stabilizer orders and
-Burnside counts still count over the whole acting group.
+Orbits and local-transform words are walked along the generators'
+permutations by the same walk; stabilizer orders and Burnside counts still
+count over the whole acting group.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .linear import (
     StateVector,
     canonicalize,
     dagger,
+    enumerate_projective,
     inverse2,
     mat_mul,
     mat_neg,
@@ -131,24 +133,14 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
 
-    zero, one = config.zero(), config.one()
-    candidates: list[Matrix] = []
-    elements_pool = config.elements()
-    # canonical form: entries before the leading 1 are zero
-    for lead in range(4):
-        prefix = [zero] * lead + [one]
-        free = 3 - lead
-        stack = [tuple(prefix)]
-        for _ in range(free):
-            stack = [s + (x,) for s in stack for x in elements_pool]
-        for flat in stack:
-            candidates.append((flat[0:2], flat[2:4]))
-
     found: list[GroupElement] = []
-    for m in candidates:
+    # the canonical 2x2 matrices are the canonical 4-vectors, row-major
+    for candidate in enumerate_projective(config, 4):
+        v = candidate.rep.components
+        m = (v[0:2], v[2:4])
         mdm = mat_mul(dagger(m), m)
         c = mdm[0][0]
-        if c.is_zero or mdm[0][1] != zero or mdm[1][0] != zero or mdm[1][1] != c:
+        if c.is_zero or not mdm[0][1].is_zero or not mdm[1][0].is_zero or mdm[1][1] != c:
             continue
         if not c.is_real:
             raise AssertionError("dagger(M) M produced a non-real scalar")
@@ -320,8 +312,7 @@ def act(
     if mode == "single":
         if proj.dim != 2:
             raise ValueError("mode 'single' acts on one-particle states")
-        image = canonicalize(mat_vec(g.matrix, proj.rep))
-        return classify(image) if tp else image
+        return canonicalize(mat_vec(g.matrix, proj.rep))
     if proj.dim != 4:
         raise ValueError(f"mode '{mode}' acts on two-particle states")
     v = proj.rep.components
@@ -334,39 +325,48 @@ def act(
     return classify(image) if tp else image
 
 
-def _cayley_tree(
-    group: ProjectiveGroup, gens: Sequence[GroupElement]
-) -> list[tuple[GroupElement, GroupElement, GroupElement]]:
-    """Breadth-first walk of the Cayley graph from the identity.
+def _walk(start: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """Breadth-first walk from start along permutation arrays.
 
-    Each element reached for the first time is listed once as (s*h, s, h),
-    with s a generator and h an element listed before it (or the identity).
+    Each index reached for the first time is listed once as (j, k, i), with
+    j = perms[k][i] and i the start or an index listed before it.
     """
-    seen = {group.identity}
-    frontier = [group.identity]
+    moves = tuple(enumerate(perms))  # built once, not per visited index
+    seen = {start}
     edges = []
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for s in gens:
-                sh = group.mul(s, h)
-                if sh not in seen:
-                    seen.add(sh)
-                    edges.append((sh, s, h))
-                    nxt.append(sh)
-        frontier = nxt
+    queue = [start]
+    for i in queue:  # the queue grows while it is read
+        for k, perm in moves:
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                edges.append((j, k, i))
+                queue.append(j)
     return edges
 
 
-def _generating_set(group: ProjectiveGroup) -> tuple[GroupElement, ...]:
-    """Walk the elements in sorted order, keeping each one not yet generated."""
+def _generating_set(
+    group: ProjectiveGroup,
+) -> tuple[tuple[GroupElement, ...], list[tuple[int, int, int]]]:
+    """Walk the elements in sorted order, keeping each one not yet generated.
+
+    Returns the generators and the Cayley tree: the walk from the identity
+    along their left-multiplication permutations of the element indices.
+    """
+    elements = group.elements
+    index = {g: k for k, g in enumerate(elements)}
+    start = index[group.identity]
     gens: list[GroupElement] = []
-    generated = {group.identity}
-    for g in group.elements:
-        if g not in generated:
+    left: list[tuple[int, ...]] = []
+    tree: list[tuple[int, int, int]] = []
+    generated = {start}
+    for k, g in enumerate(elements):
+        if k not in generated:
             gens.append(g)
-            generated = {group.identity, *(sh for sh, _, _ in _cayley_tree(group, gens))}
-    return tuple(gens)
+            left.append(tuple(index[group.mul(g, h)] for h in elements))
+            tree = _walk(start, left)
+            generated = {start, *(j for j, _, _ in tree)}
+    return tuple(gens), tree
 
 
 class _ActionTable:
@@ -383,24 +383,24 @@ class _ActionTable:
         self.group = group
         self.states = states
         self.index = {s.state.rep: k for k, s in enumerate(states)}
-        self.generators = _generating_set(group)
+        self.generators, tree = _generating_set(group)
         # (side-1, side-2) permutations of each generator, the only ones from act()
         self.generator_sides = tuple(
             (self._permutation(s, "local_1"), self._permutation(s, "local_2"))
             for s in self.generators
         )
-        moves = dict(zip(self.generators, self.generator_sides))
-        unmoved = tuple(range(len(states)))
-        side1 = {group.identity: unmoved}
-        side2 = {group.identity: unmoved}
-        for sh, s, h in _cayley_tree(group, self.generators):
-            s1, s2 = moves[s]
+        if len(tree) + 1 != group.order:
+            raise AssertionError("the generators do not reach every group element")
+        side1: list = [None] * group.order
+        side2: list = [None] * group.order
+        start = group.elements.index(group.identity)
+        side1[start] = side2[start] = tuple(range(len(states)))
+        for sh, k, h in tree:
+            s1, s2 = self.generator_sides[k]
             side1[sh] = tuple(s1[i] for i in side1[h])
             side2[sh] = tuple(s2[i] for i in side2[h])
-        if len(side1) != group.order:
-            raise AssertionError("the generators do not reach every group element")
-        self.side1 = [side1[g] for g in group.elements]
-        self.side2 = [side2[g] for g in group.elements]
+        self.side1 = side1
+        self.side2 = side2
 
     def _permutation(self, g: GroupElement, mode: str) -> tuple[int, ...]:
         out = []
@@ -480,25 +480,14 @@ def orbits(
     table = action_table(config, states)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
-    n = len(table.states)
-    assigned = [False] * n
+    assigned: set[int] = set()
     out = []
-    for start in range(n):
-        if assigned[start]:
+    for start in range(len(table.states)):
+        if start in assigned:
             continue
-        frontier = [start]
-        members = {start}
-        assigned[start] = True
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for perm in perms:
-                    j = perm[i]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        members.add(j)
-                        nxt.append(j)
-            frontier = nxt
+        # ascending indices are in state order, which the sort below finds fastest
+        members = sorted([start, *(j for j, _, _ in _walk(start, perms))])
+        assigned.update(members)
         stabilizer = _stabilizer_order(table, mode, start)
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
@@ -553,33 +542,27 @@ class LocalTransform:
 
 @lru_cache(maxsize=None)
 def _local_reach(config: FieldConfig) -> dict:
-    """BFS over the local action from each representative, recording words.
+    """Walk the local generators from each representative, recording words.
 
     For every reachable state index this stores (rep_label, A, B) with
     state = (A tensor B) rep, so the inverse pair maps the state back.
     """
     table = _action_table(config)
     group = table.group
+    gens = table.generators
+    perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
     reach: dict[int, tuple[str, GroupElement, GroupElement]] = {}
     for label, rep in representative_states(config).items():
         start = table.index[rep.state.rep]
         if start in reach:
             continue
         reach[start] = (label, group.identity, group.identity)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                _, acc1, acc2 = reach[i]
-                for k, g in enumerate(group.elements):
-                    for side, arr in ((1, table.side1), (2, table.side2)):
-                        j = arr[k][i]
-                        if j not in reach:
-                            new1 = group.mul(g, acc1) if side == 1 else acc1
-                            new2 = group.mul(g, acc2) if side == 2 else acc2
-                            reach[j] = (label, new1, new2)
-                            nxt.append(j)
-            frontier = nxt
+        for j, k, i in _walk(start, perms):
+            _, acc1, acc2 = reach[i]
+            if k < len(gens):
+                reach[j] = (label, group.mul(gens[k], acc1), acc2)
+            else:
+                reach[j] = (label, acc1, group.mul(gens[k - len(gens)], acc2))
     return reach
 
 

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
 from .gf import FieldConfig, phi_map
-from .biortho import bracket, spin_axes
+from .biortho import bracket, expectation, named_states, spin_axes, spin_observable
 from .entangle import (
     TwoParticleState,
     correlator,
-    one_sided_spin,
     product_spin,
     representative_states,
     single_spin,
@@ -403,8 +401,6 @@ def pair_measurement_system(
 
 def single_measurement_system(config: FieldConfig, state_label: str, axis: int) -> ConstraintSystem:
     """Constraints on the two outcome probabilities of one spin measurement."""
-    from .biortho import named_states, spin_observable, expectation
-
     state = named_states(config)[state_label]
     meas = expectation(state, spin_observable(config, axis))
     return ConstraintSystem.make(

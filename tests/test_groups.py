@@ -526,17 +526,38 @@ def test_entangled_labels_need_a_free_covering_action():
         entangled_labels(GF9)
 
 
-def test_find_local_transform_round_trip():
-    for state in two_particle_states(GF3):
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
+)
+def test_find_local_transform_round_trip(config):
+    # states in a representative's local orbit map back onto it; the other
+    # entangled physical states belong to no representative and are refused
+    rep_labels = {rep.state.rep: label for label, rep in representative_states(config).items()}
+    label_of = {}
+    covered = 0
+    for orbit in orbits(config, "local"):
+        labels = [rep_labels[m.state.rep] for m in orbit.members if m.state.rep in rep_labels]
+        if labels:
+            (label,) = labels
+            label_of.update((m.state.rep, label) for m in orbit.members)
+            covered += orbit.size
+    round_trips = 0
+    for state in two_particle_states(config):
         if not state.physical or state.is_product:
             continue
+        if state.state.rep not in label_of:
+            with pytest.raises(ValueError):
+                find_local_transform(state)
+            continue
         move = find_local_transform(state)
-        assert move.representative_label == "S"
+        assert move.representative_label == label_of[state.state.rep]
         image = act(move.g2, act(move.g1, state, mode="local_1"), mode="local_2")
         assert (
             image.state.rep.components
             == move.representative.state.rep.components
         )
+        round_trips += 1
+    assert round_trips == covered
 
 
 def test_find_local_transform_frozen_chains():
