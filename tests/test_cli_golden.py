@@ -74,6 +74,10 @@ OTHER_COMMANDS = (
     # the named-state CHSH reports over GF(49)
     ("chsh", "--scan", "--p", "7", "--degree", "2"),
     ("chsh", "--state", "U", "--axes", "1221", "--p", "7", "--degree", "2"),
+) + tuple(
+    # the census over the prime fields GF(7), GF(11), GF(19) and over GF(49)
+    ("census", "--p", p, "--degree", degree)
+    for p, degree in (("7", "1"), ("11", "1"), ("19", "1"), ("7", "2"))
 )
 
 
@@ -113,7 +117,7 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 216
+    assert len(KEYS) == 228
     # both orbit modes over GF(7) and GF(11), in every format
     past_gf9 = [k for k in KEYS if k.startswith("orbits") and " --degree 1 " in k
                 and (" --p 7 " in k or " --p 11 " in k)]
@@ -125,6 +129,12 @@ def test_golden_file_covers_exactly_the_matrix():
     assert len(bounds) == 3 * len(FORMATS)
     gf49 = [k for k in KEYS if k.startswith("chsh") and " --p 7 --degree 2 " in k]
     assert len(gf49) == 2 * len(FORMATS)
+    # the census over GF(7), GF(11), GF(19) and GF(49)
+    censuses = [k for k in KEYS
+                if k.startswith("census --p ") and k.split()[2] != "3"]
+    assert sorted({tuple(k.split()[2:5:2]) for k in censuses}) == [
+        ("11", "1"), ("19", "1"), ("7", "1"), ("7", "2")]
+    assert len(censuses) == 4 * len(FORMATS)
 
 
 def test_every_layout_has_golden_entries_in_every_format():
