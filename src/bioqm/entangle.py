@@ -6,6 +6,11 @@ one-particle vectors).  Product spin observables are Kronecker products of
 one-particle spin observables, assembled together with their product
 biorthogonal system so the spectral form survives.
 
+``two_particle_codes`` caches, per field, every canonical two-particle state
+as integer residues with its norm and that determinant test.  ``census``
+counts over it and ``chsh_bound`` scans it without building a state object;
+``two_particle_states`` is its object view, in the same order.
+
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
 Admissible quadruples require A != a and B != b.
@@ -24,7 +29,9 @@ No Hermiticity is assumed: s_i^dagger is taken with ``linear.dagger``.  The
 bracket divides this by the norm n = <psi, psi>, which lies in GF(p)*.  The
 sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
 square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij) * phi(n), read
-off integer residues without building any field element.
+off integer residues without building any field element.  The kernel's core
+reads psi as flat (re, im) residues, so ``chsh_bound`` feeds it the code
+table's tuples directly.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ from .linear import (
     canonicalize,
     dagger,
     det2,
-    enumerate_projective,
     identity_matrix,
     kron,
+    projective_residues,
+    residue_state,
 )
 from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
 
@@ -93,8 +101,33 @@ def from_product(x: StateVector, y: StateVector) -> TwoParticleState:
 
 
 @lru_cache(maxsize=None)
+def two_particle_codes(config: FieldConfig) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+    """Every two-particle state as (psi, norm, is_product), lexicographically.
+
+    psi is the canonical representative's flat (re, im) residues and norm is
+    <psi, psi> mod p, as ``linear.projective_residues`` gives them; the state
+    is a product exactly when both parts of det [[a, b], [c, d]] = ad - bc
+    vanish mod p.
+    """
+    p = config.p
+    codes = []
+    for psi, norm in projective_residues(config, 4):
+        ar, ai, br, bi, cr, ci, dr, di = psi
+        is_product = (
+            not (ar * dr - ai * di - br * cr + bi * ci) % p
+            and not (ar * di + ai * dr - br * ci - bi * cr) % p
+        )
+        codes.append((psi, norm, is_product))
+    return tuple(codes)
+
+
+@lru_cache(maxsize=None)
 def two_particle_states(config: FieldConfig) -> tuple[TwoParticleState, ...]:
-    return tuple(classify(s) for s in enumerate_projective(config, 4))
+    """The objects of ``two_particle_codes``, in its order."""
+    return tuple(
+        TwoParticleState(residue_state(config, psi, norm), "product" if is_product else "entangled")
+        for psi, norm, is_product in two_particle_codes(config)
+    )
 
 
 @dataclass(frozen=True)
@@ -123,17 +156,18 @@ class Census:
 
 
 def census(config: FieldConfig) -> Census:
-    states = two_particle_states(config)
-    tally = Counter((s.kind, s.physical) for s in states)
+    codes = two_particle_codes(config)
+    # keyed by (is_product, physical)
+    tally = Counter((is_product, norm != 0) for _, norm, is_product in codes)
     return Census(
         config=config,
-        states=len(states),
-        product=tally["product", True] + tally["product", False],
-        product_physical=tally["product", True],
-        product_self_orthogonal=tally["product", False],
-        entangled=tally["entangled", True] + tally["entangled", False],
-        entangled_physical=tally["entangled", True],
-        entangled_self_orthogonal=tally["entangled", False],
+        states=len(codes),
+        product=tally[True, True] + tally[True, False],
+        product_physical=tally[True, True],
+        product_self_orthogonal=tally[True, False],
+        entangled=tally[False, True] + tally[False, False],
+        entangled_physical=tally[False, True],
+        entangled_self_orthogonal=tally[False, False],
     )
 
 
@@ -203,12 +237,19 @@ def correlator_grid(
     Raises ValueError on a self-orthogonal state and RuntimeError on a
     bracket with a nonzero imaginary part, as ``bracket`` does.
     """
-    config = state.config
+    psi = tuple(part for x in state.state.rep.components for part in (x.re, x.im))
+    return _residue_grid(state.config, psi, side1, side2)
+
+
+def _residue_grid(
+    config: FieldConfig, psi: tuple[int, ...], side1: tuple[int, ...], side2: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """``correlator_grid`` on the amplitude's flat (re, im) residues psi."""
     p = config.p
     daggers, transposes, signs = _kernel_tables(config)
-    psi = [part for x in state.state.rep.components for part in (x.re, x.im)]
-    norm = sum(x * x for x in psi) % p
+    norm = sum(map(mul, psi, psi)) % p
     if norm == 0:
+        state = residue_state(config, psi, norm).rep
         raise ValueError(f"self-orthogonal vector {state} has no conjugate dual")
     sign_norm = signs[norm]
     ws = []
@@ -226,6 +267,7 @@ def correlator_grid(
         u = _mul2(daggers[i], psi)
         for j, w, turned in ws:
             if sum(map(mul, u, turned)) % p:
+                state = residue_state(config, psi, norm).rep
                 raise RuntimeError(
                     f"bracket of spin {i}x{j} in {state} has a nonzero imaginary "
                     "part; observable is malformed"
@@ -305,15 +347,16 @@ class ChshBound:
 
 def chsh_bound(config: FieldConfig) -> ChshBound:
     """Maximum |CHSH| over every physical two-particle state and quadruple."""
+    codes = two_particle_codes(config)
     quadruples = axis_quadruples(config)
     axes = spin_axes(config)
     best = 0
     scanned = 0
-    for tp in two_particle_states(config):
-        if not tp.physical:
+    for psi, norm, _ in codes:
+        if not norm:
             continue
         scanned += 1
-        grid = correlator_grid(tp, axes, axes)
+        grid = _residue_grid(config, psi, axes, axes)
         best = max(best, *map(abs, _chsh_values(grid, quadruples)))
     return ChshBound(
         config=config,

@@ -35,11 +35,12 @@ from .linear import (
     StateVector,
     canonicalize,
     dagger,
-    enumerate_projective,
     inverse2,
     mat_mul,
     mat_neg,
     mat_vec,
+    matrix_make,
+    projective_residues,
 )
 from .biortho import Observable, physical_states, spin_axes, spin_observable
 from .entangle import TwoParticleState, classify, representative_states, two_particle_states
@@ -133,17 +134,27 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
 
+    p = config.p
+    zero = config.zero()
     found: list[GroupElement] = []
-    # the canonical 2x2 matrices are the canonical 4-vectors, row-major
-    for candidate in enumerate_projective(config, 4):
-        v = candidate.rep.components
-        m = (v[0:2], v[2:4])
-        mdm = mat_mul(dagger(m), m)
-        c = mdm[0][0]
-        if c.is_zero or not mdm[0][1].is_zero or not mdm[1][0].is_zero or mdm[1][1] != c:
+    # the canonical 2x2 matrices are the canonical 4-vectors, row-major;
+    # M = [[a, b], [c, d]] has dagger(M) M = [[n, x], [conj(x), n']] with the
+    # column norms n = |a|^2 + |c|^2, n' = |b|^2 + |d|^2 and x = conj(a) b +
+    # conj(c) d, so only the members are built as matrices
+    for v, _ in projective_residues(config, 4):
+        ar, ai, br, bi, cr, ci, dr, di = v
+        norm = (ar * ar + ai * ai + cr * cr + ci * ci) % p
+        if (
+            not norm
+            or norm != (br * br + bi * bi + dr * dr + di * di) % p
+            or (ar * br + ai * bi + cr * dr + ci * di) % p
+            or (ar * bi - ai * br + cr * di - ci * dr) % p
+        ):
             continue
-        if not c.is_real:
-            raise AssertionError("dagger(M) M produced a non-real scalar")
+        m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
+        c = config.element(norm)
+        if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
+            raise AssertionError("dagger(M) M is not the scalar its residues give")
         perm = []
         for s in states:
             image = canonicalize(mat_vec(m, s.rep))

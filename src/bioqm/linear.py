@@ -13,14 +13,16 @@ operation.
 
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1, and enumeration is
-lexicographic over components, each component ordered by (re, im).
+lexicographic over components, each component ordered by (re, im).  It runs
+on integers: ``projective_residues`` yields each representative as a flat
+(re, im, ...) residue tuple with its norm dot(v, v) mod p, and
+``enumerate_projective`` is the object view of that stream, in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf import FieldConfig, FieldElement
 
@@ -228,11 +230,15 @@ def canonicalize(v: StateVector) -> ProjectiveState:
     return ProjectiveState(rep=rep, self_orthogonal=is_self_orthogonal(rep))
 
 
-def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]:
-    """All projective states of the given dimension, lexicographically.
+def projective_residues(config: FieldConfig, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every projective state of the given dimension as integer residues.
 
-    Canonical representatives are generated directly: zeros, then a leading
-    1, then a free tail.  The count is (q^dim - 1) / (q - 1).
+    Yields (v, n): v = (re_0, im_0, re_1, im_1, ...) is the canonical
+    representative's components as residues in [0, p), im = 0 over GF(p),
+    and n = dot(v, v) mod p, which vanishes exactly on self-orthogonal
+    states.  Canonical representatives are generated directly: zeros, then
+    a leading 1, then a free tail, in lexicographic order with each
+    component ordered by (re, im).  The count is (q^dim - 1) / (q - 1).
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -241,22 +247,48 @@ def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]
         raise ValueError(
             f"enumeration of {q}^{dim} raw vectors exceeds guard {ENUMERATION_GUARD}"
         )
-    zero, one = config.zero(), config.one()
-    ordered = config.elements()
-    states: list[ProjectiveState] = []
+    # the generator below would not run its first line until the first state
+    # is asked for, so the guard is checked here, at the call
+    return _residues(config, dim)
+
+
+def _residues(config: FieldConfig, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    p = config.p
+    ims = range(p) if config.is_extension else (0,)
+    components = [((re, im), re * re + im * im) for re in range(p) for im in ims]
+    # tails[k] holds every k-component tail with its unreduced norm, in
+    # lexicographic order; the longest tails are never stored, only walked
+    tails = [[((), 0)]]
+    for _ in range(dim - 2):
+        tails.append([(c + t, cn + n) for c, cn in components for t, n in tails[-1]])
     # leading-zero prefixes sort first, so walking the pivot from the last
     # position to the first yields lexicographic order directly
-    for pivot in range(dim - 1, -1, -1):
-        prefix = (zero,) * pivot + (one,)
-        for tail in iter_product(ordered, repeat=dim - 1 - pivot):
-            vec = StateVector(prefix + tail, config)
-            states.append(
-                ProjectiveState(rep=vec, self_orthogonal=is_self_orthogonal(vec))
-            )
+    yield (0, 0) * (dim - 1) + (1, 0), 1
+    count = 1
+    for pivot in range(dim - 2, -1, -1):
+        prefix, walked = (0, 0) * pivot + (1, 0), tails[dim - 2 - pivot]
+        count += len(components) * len(walked)
+        for c, cn in components:
+            head, head_norm = prefix + c, 1 + cn
+            for t, n in walked:
+                yield head + t, (head_norm + n) % p
+    q = config.order
     expected = (q**dim - 1) // (q - 1)
-    if len(states) != expected:
-        raise AssertionError(f"projective count {len(states)} != {expected}")
-    return states
+    if count != expected:
+        raise AssertionError(f"projective count {count} != {expected}")
+
+
+def residue_state(config: FieldConfig, v: tuple[int, ...], norm: int) -> ProjectiveState:
+    """The projective state of one ``projective_residues`` entry (v, norm)."""
+    # the residues are reduced already, so they key the intern store as they are
+    components = tuple(map(config._interned.__getitem__, zip(v[::2], v[1::2])))
+    return ProjectiveState(StateVector(components, config), norm == 0)
+
+
+def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]:
+    """All projective states of the given dimension, lexicographically: the
+    objects of ``projective_residues``, in its order."""
+    return [residue_state(config, v, norm) for v, norm in projective_residues(config, dim)]
 
 
 # -- small exact matrices ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,11 +30,13 @@ from bioqm.entangle import correlator_grid, one_sided_spin, product_spin
 from bioqm.linear import (
     ProjectiveState,
     det2,
+    dot,
     enumerate_projective,
     is_self_orthogonal,
     kron,
     matrix_make,
 )
+from test_linear import reference_projective
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -119,6 +122,73 @@ def test_census_against_independent_recount():
     assert counts["product_physical"] == product_physical == 16
     assert counts["entangled"] == entangled == 24
     assert counts["entangled_physical"] == entangled_physical == 8
+
+
+GF11 = FieldConfig(11, 1)
+GF19 = FieldConfig(19, 1)
+GF49 = FieldConfig(7, 2)
+CODE_FIELDS = [GF3, GF7, GF9, GF11, GF19]
+CODE_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19"]
+
+
+@pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
+def test_code_table_matches_classify_on_every_state(config):
+    reference = reference_projective(config, 4)
+    codes = entangle.two_particle_codes(config)
+    assert len(codes) == len(reference)
+    for (psi, norm, is_product), state in zip(codes, reference):
+        assert psi == tuple(part for x in state.rep.components for part in (x.re, x.im))
+        assert norm == dot(state.rep, state.rep).re
+        assert is_product == classify(state).is_product
+    assert two_particle_states(config) == tuple(classify(s) for s in reference)
+
+
+@pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
+def test_census_matches_object_recount(config):
+    tally = Counter(
+        (classify(s).kind, "physical" if s.physical else "self_orthogonal")
+        for s in reference_projective(config, 4)
+    )
+    expected = {"states": sum(tally.values())}
+    for kind in ("product", "entangled"):
+        expected[kind] = tally[kind, "physical"] + tally[kind, "self_orthogonal"]
+        for flag in ("physical", "self_orthogonal"):
+            expected[f"{kind}_{flag}"] = tally[kind, flag]
+    assert census(config).counts() == expected
+
+
+# the frozen GF(49) census of the benchmark's scan workload
+CENSUS49 = {
+    "states": 120100,
+    "product": 2500,
+    "product_physical": 1764,
+    "product_self_orthogonal": 736,
+    "entangled": 117600,
+    "entangled_physical": 101136,
+    "entangled_self_orthogonal": 16464,
+}
+
+
+def test_census_counts_codes_without_building_states():
+    # a fresh config, so any element the census interned would show in it
+    config = FieldConfig(7, 2)
+    two_particle_states.cache_clear()
+    entangle.two_particle_codes.cache_clear()
+    assert census(config).counts() == CENSUS49
+    assert two_particle_states.cache_info().currsize == 0
+    assert len(config._interned) == 0
+
+
+def test_chsh_bound_interns_only_kernel_elements():
+    config = FieldConfig(19, 1)
+    two_particle_states.cache_clear()
+    entangle.two_particle_codes.cache_clear()
+    entangle._kernel_tables.cache_clear()
+    result = chsh_bound(config)
+    assert (result.bound, result.states_scanned) == (4, 6840)
+    assert two_particle_states.cache_info().currsize == 0
+    # the spin tables' entries, not one element per state
+    assert len(config._interned) <= 16
 
 
 def test_census_totals_are_consistent():
@@ -330,11 +400,6 @@ def test_chsh_classical_bound_holds_for_all_product_states():
 
 
 # -- the integer-residue correlator kernel -------------------------------------
-
-GF11 = FieldConfig(11, 1)
-GF19 = FieldConfig(19, 1)
-GF49 = FieldConfig(7, 2)
-
 
 def _object_grid(state):
     """Every E(i, j) by the object path: a 4x4 product matrix and ``bracket``."""

@@ -1,6 +1,7 @@
 """The projective symmetry groups, their actions, and orbit decompositions."""
 
 from itertools import product
+from string import ascii_lowercase
 
 import pytest
 
@@ -21,9 +22,10 @@ from bioqm import (
     spin_observable,
     verify_isomorphism,
 )
-from bioqm.biortho import spin_axes, state_label
+from bioqm.biortho import physical_states, spin_axes, state_label
 from bioqm.entangle import classify, from_product, two_particle_states
-from bioqm.groups import action_table
+from bioqm.gf import phi_map
+from bioqm.groups import _cycle_notation, action_table
 from bioqm.linear import (
     StateVector,
     canonicalize,
@@ -35,11 +37,13 @@ from bioqm.linear import (
     mat_vec,
     matrix_make,
 )
+from test_linear import reference_projective
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
 GF7 = FieldConfig(7, 1)
 GF11 = FieldConfig(11, 1)
+GF19 = FieldConfig(19, 1)
 
 
 def test_canonicalize_matrix():
@@ -71,6 +75,34 @@ def test_group_matches_brute_force_enumeration(config):
             if not c.is_zero and c.is_real:
                 found.add(canonicalize_matrix(m))
     assert found == {g.matrix for g in group.elements}
+
+
+def _object_group(config):
+    """(matrix, label, sign, perm) of every element, filtered on objects: each
+    candidate of the object enumeration is a matrix, dagger(M) M its Gram."""
+    states = physical_states(config, 2)
+    index_of = {s.rep: k for k, s in enumerate(states)}
+    letters = ascii_lowercase[: len(states)]
+    found = []
+    for candidate in reference_projective(config, 4):
+        v = candidate.rep.components
+        m = (v[0:2], v[2:4])
+        gram = mat_mul(dagger(m), m)
+        c = gram[0][0]
+        if c.is_zero or not gram[0][1].is_zero or not gram[1][0].is_zero or gram[1][1] != c:
+            continue
+        assert c.is_real
+        perm = tuple(index_of[canonicalize(mat_vec(m, s.rep)).rep] for s in states)
+        found.append((m, _cycle_notation(perm, letters), phi_map(c), perm))
+    return found
+
+
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11, GF19], ids=["gf3", "gf7", "gf9", "gf11", "gf19"]
+)
+def test_group_matches_object_filter(config):
+    elements = [(g.matrix, g.label, g.sign, g.perm) for g in enumerate_group(config).elements]
+    assert elements == _object_group(config)
 
 
 @pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])

@@ -18,6 +18,7 @@ from bioqm.biortho import spin_axes, spin_observable
 from bioqm.entangle import product_spin
 from bioqm.linear import (
     DualVector,
+    ProjectiveState,
     det2,
     field_rank,
     identity_matrix,
@@ -26,11 +27,13 @@ from bioqm.linear import (
     mat_mul,
     mat_vec,
     matrix_make,
+    projective_residues,
 )
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
 GF7 = FieldConfig(7, 1)
+GF11 = FieldConfig(11, 1)
 
 
 def vec(config, entries):
@@ -167,6 +170,36 @@ def test_physical_flag_tracks_self_orthogonality():
 def test_enumeration_guard_trips():
     with pytest.raises(ValueError):
         enumerate_projective(GF3, 17)  # 3^17 > 10^8
+    with pytest.raises(ValueError):
+        projective_residues(GF3, 17)  # refused at the call, before any state
+
+
+def reference_projective(config, dim):
+    """The object enumerator: a leading 1 after zeros, then every tail of
+    field elements, each vector's self-orthogonality taken from ``dot``."""
+    zero, one = config.zero(), config.one()
+    states = []
+    for pivot in range(dim - 1, -1, -1):
+        prefix = (zero,) * pivot + (one,)
+        for tail in product(config.elements(), repeat=dim - 1 - pivot):
+            v = StateVector(prefix + tail, config)
+            states.append(ProjectiveState(rep=v, self_orthogonal=is_self_orthogonal(v)))
+    return states
+
+
+REFERENCE_FIELDS = [GF3, GF7, GF9, GF11]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("config", REFERENCE_FIELDS, ids=["gf3", "gf7", "gf9", "gf11"])
+def test_enumeration_matches_object_reference(config, dim):
+    reference = reference_projective(config, dim)
+    assert enumerate_projective(config, dim) == reference
+    residues = [
+        (tuple(part for x in s.rep.components for part in (x.re, x.im)), dot(s.rep, s.rep).re)
+        for s in reference
+    ]
+    assert list(projective_residues(config, dim)) == residues
 
 
 def test_tensor_is_row_major():
