@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import acceptance
 from .gf import FieldConfig, verify_phi_uniqueness
@@ -730,10 +731,15 @@ def _dispatch(ns: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` reads every command line with, built once per process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -1,9 +1,25 @@
 """Exact rational linear algebra: row reduction and a tiny simplex solver.
 
-Everything runs on fractions.Fraction, so results are exact and certificates
-can be replayed by direct substitution.  The systems handled here are tiny
-(at most a few dozen variables), so dense tableaus with Bland's rule are
-plenty; Bland's rule also guarantees termination.
+Results are exact rationals, so certificates can be replayed by direct
+substitution.  The systems handled here are tiny (at most a few dozen
+variables), so dense tableaus with Bland's rule are plenty; Bland's rule also
+guarantees termination.
+
+The arithmetic is fraction-free.  Each input row [a_i | b_i] is multiplied by
+the least common multiple of its denominators, which leaves its solutions
+alone, and every working row is then a list of Python ints.  The invariant is
+that a stored row is a nonzero integer multiple of the exact row it stands
+for, kept primitive by dividing out the gcd of its entries after each update.
+In the simplex tableau the multiple is positive, and it is the row's entry in
+its basic column, which is 1 in the exact row B^-1 [A | I | b]; a pivot on a
+negative entry negates the pivot row to keep it so.  The reduced-cost row is
+stored the same way with its positive multiple ``zd`` beside it.  Signs, zero
+tests and the ratio test (by cross-multiplication within each row) read the
+same from the multiples as from the exact values, so Bland's rule takes the
+pivots it would take over exact fractions.  ``Fraction`` appears only at the
+boundary: in reading the input, in the ``RREFResult`` and ``LPResult`` fields
+(reduced rows, solutions, objectives and Farkas multipliers), and in
+``verify_farkas``, which replays a certificate on the caller's own rows.
 
 Feasibility problems have the standard form  A x = b, x >= 0.  When no
 solution exists the solver produces a Farkas certificate: a row-combination
@@ -24,9 +40,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 Row = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def _as_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[Fraction]], list]:
@@ -34,6 +53,37 @@ def _as_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[Fract
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     return [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
+
+
+def _integer_row(entries: Sequence) -> tuple[list[int], int]:
+    """(entries times s, s) for s the least common multiple of their denominators."""
+    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries]
+    scale = lcm(*(x.denominator for x in exact))
+    if scale == 1:
+        return [x.numerator for x in exact], 1
+    return [x.numerator * (scale // x.denominator) for x in exact], scale
+
+
+def _integer_system(rows: Sequence[Sequence], rhs: Sequence) -> list[tuple[list[int], int]]:
+    """(s_i [row_i | rhs_i] over int, s_i) per row; an rhs without one entry per row raises."""
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    return [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+
+
+def _combine(row: list[int], q: int, f: int, pivot_row: list[int]) -> list[int]:
+    """q * row - f * pivot_row with the gcd of its entries divided out."""
+    new = [a * q - f * p for a, p in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+def _combine_costs(
+    z: list[int], zd: int, q: int, f: int, pivot_row: list[int]
+) -> tuple[list[int], int]:
+    """(q z - f pivot_row, q zd): the cost row z/zd less f/q pivot rows, kept primitive."""
+    *z, zd = _combine([*z, zd], q, f, [*pivot_row, 0])
+    return z, zd
 
 
 @dataclass(frozen=True)
@@ -46,36 +96,39 @@ class RREFResult:
 
 
 def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
-    """Reduced row echelon form of [rows | rhs]."""
-    work, b = _as_system(rows, rhs)
-    n_cols = len(work[0]) if work else 0
+    """Reduced row echelon form of [rows | rhs].
+
+    Gauss-Jordan elimination on integer multiples of the rows, taking the
+    same pivots as over fractions; each pivot row is divided by its pivot
+    entry once, at the end.
+    """
+    work = [row for row, _ in _integer_system(rows, rhs)]
+    n_cols = len(work[0]) - 1 if work else 0
     pivots: list[int] = []
     rank = 0
     for col in range(n_cols):
-        pivot_row = next(
-            (r for r in range(rank, len(work)) if work[r][col] != 0), None
-        )
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        b[rank], b[pivot_row] = b[pivot_row], b[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        b[rank] *= inv
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-                b[r] -= f * b[rank]
+        prow = work[rank]
+        q = prow[col]
+        for r, other in enumerate(work):
+            f = other[col]
+            if f and r != rank:
+                work[r] = _combine(other, q, f, prow)
         pivots.append(col)
         rank += 1
-    consistent = all(b[r] == 0 for r in range(rank, len(work)))
+    reduced = [
+        [Fraction(a, row[col]) if a else _ZERO for a in row]
+        for row, col in zip(work, pivots)
+    ]
     return RREFResult(
-        rows=tuple(tuple(work[r]) for r in range(rank)),
-        rhs=tuple(b[:rank]),
+        rows=tuple(tuple(row[:-1]) for row in reduced),
+        rhs=tuple(row[-1] for row in reduced),
         pivots=tuple(pivots),
         rank=rank,
-        consistent=consistent,
+        consistent=all(work[r][-1] == 0 for r in range(rank, len(work))),
     )
 
 
@@ -106,74 +159,83 @@ def verify_farkas(
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's anticycling rule.
+    """Dense simplex tableau over ints with Bland's anticycling rule.
 
-    ``z`` is the reduced-cost row of the objective being run, computed once
-    when ``run`` starts and then updated by every pivot like a constraint
-    row; its last entry is minus the objective value.
+    Row i of ``t`` is a positive multiple of the exact row i of
+    B^-1 [A | I | b], the multiple being its entry ``t[i][basis[i]]``.  ``z``
+    is ``zd`` > 0 times the reduced-cost row of the objective being run,
+    computed once when ``run`` starts and then updated by every pivot like a
+    constraint row; its last entry is minus the objective value.
     """
 
-    def __init__(self, rows: list[list[Fraction]], b: list[Fraction], n_real: int):
+    def __init__(self, rows: list[list[int]], scales: list[int], n_real: int):
+        """``rows[i]`` is s_i [a_i | b_i] over int, with ``scales[i]`` = s_i > 0."""
         self.m = len(rows)
         self.n_real = n_real
-        # columns: n_real structural + m artificial + 1 rhs
+        # columns: n_real structural + m artificial + 1 rhs; scaling the whole
+        # row, identity part included, leaves the exact tableau unchanged
         self.t = [
-            rows[i] + [Fraction(int(i == j)) for j in range(self.m)] + [b[i]]
-            for i in range(self.m)
+            row[:-1] + [s if i == j else 0 for j in range(self.m)] + row[-1:]
+            for i, (row, s) in enumerate(zip(rows, scales))
         ]
         self.basis = [n_real + i for i in range(self.m)]
-        self.z = [Fraction(0)] * (n_real + self.m + 1)
+        self.z = [0] * (n_real + self.m + 1)
+        self.zd = 1
 
     def copy(self) -> _Tableau:
         twin = copy.copy(self)
-        twin.t = [row[:] for row in self.t]
+        twin.t = self.t[:]  # rows are replaced by pivots, never changed in place
         twin.basis = self.basis[:]
         return twin
 
     def pivot(self, row: int, col: int) -> None:
-        inv = 1 / self.t[row][col]
-        pivot_row = self.t[row] = [x * inv for x in self.t[row]]
-        for r in range(self.m):
-            if r != row and self.t[r][col] != 0:
-                f = self.t[r][col]
-                self.t[r] = [a - f * p for a, p in zip(self.t[r], pivot_row)]
-        if self.z[col] != 0:
-            f = self.z[col]
-            self.z = [a - f * p for a, p in zip(self.z, pivot_row)]
+        t = self.t
+        pivot_row = t[row]
+        q = pivot_row[col]
+        if q < 0:  # the new basic entry is the row's multiple: keep it positive
+            pivot_row = t[row] = [-a for a in pivot_row]
+            q = -q
+        for r, other in enumerate(t):
+            f = other[col]
+            if f and r != row:
+                t[r] = _combine(other, q, f, pivot_row)
+        f = self.z[col]
+        if f:
+            self.z, self.zd = _combine_costs(self.z, self.zd, q, f, pivot_row)
         self.basis[row] = col
 
-    def run(self, costs: list[Fraction], columns: list[int]) -> str:
-        z = list(costs)
-        for i in range(self.m):
-            cb = costs[self.basis[i]]
-            if cb != 0:
-                z = [a - cb * p for a, p in zip(z, self.t[i])]
-        self.z = z
+    def run(self, costs: list[int], columns: list[int]) -> str:
+        """Minimize over ``columns``; ``costs`` is any positive int multiple of the objective."""
+        z, zd = list(costs), 1
+        for row, j in zip(self.t, self.basis):
+            if costs[j]:  # z/zd less costs[j] exact rows, the exact row being row/row[j]
+                z, zd = _combine_costs(z, zd, row[j], costs[j] * zd, row)
+        self.z, self.zd = z, zd
         while True:
             entering = next((j for j in columns if self.z[j] < 0), None)
             if entering is None:
                 return "optimal"
-            leaving, best = None, None
-            for i in range(self.m):
-                coeff = self.t[i][entering]
+            # least rhs/coeff over positive coeffs, as products: rows' multiples cancel
+            leaving, best_rhs, best_coeff = None, 0, 1
+            for i, row in enumerate(self.t):
+                coeff = row[entering]
                 if coeff > 0:
-                    ratio = self.t[i][-1] / coeff
+                    lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
                     if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leaving])
+                        leaving is None
+                        or lhs < rhs
+                        or (lhs == rhs and self.basis[i] < self.basis[leaving])
                     ):
-                        best, leaving = ratio, i
+                        leaving, best_rhs, best_coeff = i, row[-1], coeff
             if leaving is None:
                 return "unbounded"
             self.pivot(leaving, entering)
 
-    def solution(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.n_real
-        for i in range(self.m):
-            if self.basis[i] < self.n_real:
-                x[self.basis[i]] = self.t[i][-1]
-        return x
+    def basic_values(self) -> list[tuple[int, int, int]]:
+        """(j, v, s) per basic structural column j, whose value is v/s."""
+        return [
+            (j, row[-1], row[j]) for row, j in zip(self.t, self.basis) if j < self.n_real
+        ]
 
 
 def solve_lps(
@@ -187,30 +249,28 @@ def solve_lps(
     own phase 2.  Results come in objective order, each phase 2 running when
     the iterator reaches it, so a caller need not hold all of them at once.
     """
-    a, b = _as_system(rows, rhs)
-    n = len(objectives[0]) if objectives else len(a[0]) if a else 0
-    if any(len(row) != n for row in a) or any(len(c) != n for c in objectives):
+    system = _integer_system(rows, rhs)
+    n = len(objectives[0]) if objectives else len(system[0][0]) - 1 if system else 0
+    if any(len(row) != n + 1 for row, _ in system) or any(len(c) != n for c in objectives):
         raise ValueError("objective/row length mismatch")
 
-    flips = [-1 if bi < 0 else 1 for bi in b]
-    m = len(a)
+    flips = [-1 if row[-1] < 0 else 1 for row, _ in system]
+    m = len(system)
     tab = _Tableau(
-        [[x * f for x in row] for row, f in zip(a, flips)],
-        [x * f for x, f in zip(b, flips)],
+        [[x * f for x in row] for (row, _), f in zip(system, flips)],
+        [s for _, s in system],
         n,
     )
 
     # phase 1: minimize the artificial total
-    phase1_costs = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    status = tab.run(phase1_costs, list(range(n + m)))
+    status = tab.run([0] * n + [1] * m + [0], list(range(n + m)))
     if status != "optimal":
         raise AssertionError("phase-1 objective is bounded below by zero")
-    artificial_total = -tab.z[-1]
-    if artificial_total > 0:
+    if tab.z[-1] < 0:  # the artificial total -z[-1]/zd is positive
         # Farkas multipliers are the phase-1 simplex multipliers, read off
         # the artificial columns: y_i = 1 - z(artificial_i)
-        y = [(1 - tab.z[n + i]) * flips[i] for i in range(m)]
-        if not verify_farkas(a, b, y):
+        y = [Fraction((tab.zd - tab.z[n + i]) * flips[i], tab.zd) for i in range(m)]
+        if not verify_farkas(rows, rhs, y):
             raise AssertionError("extracted Farkas certificate failed replay")
         infeasible = LPResult(
             status="infeasible", objective=None, solution=None, certificate=tuple(y)
@@ -225,32 +285,36 @@ def solve_lps(
             if col is not None:
                 tab.pivot(i, col)
 
-    return (
-        _phase2(tab.copy(), [Fraction(x) for x in c], a, b) for c in objectives
-    )
+    return (_phase2(tab.copy(), c, system) for c in objectives)
 
 
 def _phase2(
-    tab: _Tableau, c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]
+    tab: _Tableau, objective: Sequence, system: list[tuple[list[int], int]]
 ) -> LPResult:
+    c, c_scale = _integer_row(objective)
     # rows still carrying an artificial basis variable are redundant:
     # freeze them by excluding artificial columns from entering
-    status = tab.run(c + [Fraction(0)] * (tab.m + 1), list(range(tab.n_real)))
+    status = tab.run(c + [0] * (tab.m + 1), list(range(tab.n_real)))
     if status == "unbounded":
         return LPResult(
             status="unbounded", objective=None, solution=None, certificate=None
         )
-    x = tab.solution()
-    # nonbasic columns are exactly zero, so only basic ones enter the check
-    basic = [j for j in tab.basis if j < tab.n_real]
-    for row, target in zip(a, b):
-        if sum(row[j] * x[j] for j in basic) != target:
+    basic = tab.basic_values()
+    # over the common denominator d, basic x_j = v/s is X_j/d; nonbasic
+    # columns are exactly zero, so only basic ones enter the checks
+    d = lcm(*(s for _, _, s in basic))
+    scaled = [(j, v * (d // s)) for j, v, s in basic]
+    for row, _ in system:
+        if sum(row[j] * xj for j, xj in scaled) != row[-1] * d:
             raise AssertionError("simplex solution fails the constraints")
-    if any(xj < 0 for xj in x):
+    if any(xj < 0 for _, xj in scaled):
         raise AssertionError("simplex solution is not nonnegative")
+    x = [_ZERO] * tab.n_real
+    for j, v, s in basic:
+        x[j] = Fraction(v, s) if v else _ZERO
     return LPResult(
         status="optimal",
-        objective=sum(ci * xi for ci, xi in zip(c, x)),
+        objective=Fraction(sum(c[j] * xj for j, xj in scaled), c_scale * d),
         solution=tuple(x),
         certificate=None,
     )

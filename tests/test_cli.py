@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bioqm import FieldConfig
+from bioqm import FieldConfig, cli
 from bioqm.cli import run
 
 try:
@@ -242,6 +242,19 @@ def test_argparse_errors_keep_their_exit_code(capsys):
     capsys.readouterr()
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_run_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    first = invoke(capsys, ["census", "--p", "3", "--degree", "1"])
+    usage = invoke(capsys, ["census", "--format", "yaml"])
+    again = invoke(capsys, ["census", "--p", "3", "--degree", "1"])
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a usage error on the shared parser leaves later runs unchanged
+    assert usage[0] == 2 and "invalid choice" in usage[2]
+    assert again == first and first[0] == 0
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_bare_invocation_needs_a_subcommand(capsys):

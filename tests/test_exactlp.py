@@ -1,6 +1,7 @@
 """Exact rational row reduction and the small simplex solver."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -180,6 +181,42 @@ def test_solve_lps_answers_in_objective_order():
     assert infeasible[0] == infeasible[1]
 
 
+# -- reference: Gauss-Jordan over Fraction --------------------------------------
+
+
+def reference_rref(rows, rhs):
+    work = [[F(x) for x in row] for row in rows]
+    b = [F(x) for x in rhs]
+    n_cols = len(work[0]) if work else 0
+    pivots = []
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next(
+            (r for r in range(rank, len(work)) if work[r][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        b[rank], b[pivot_row] = b[pivot_row], b[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        b[rank] *= inv
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+                b[r] -= f * b[rank]
+        pivots.append(col)
+        rank += 1
+    return exactlp.RREFResult(
+        rows=tuple(tuple(work[r]) for r in range(rank)),
+        rhs=tuple(b[:rank]),
+        pivots=tuple(pivots),
+        rank=rank,
+        consistent=all(b[r] == 0 for r in range(rank, len(work))),
+    )
+
+
 # -- reference: one phase 1 per objective, reduced costs summed per column scan ---
 
 
@@ -240,11 +277,10 @@ class _ReferenceTableau:
         return x
 
 
-def reference_solve_lp(objective, rows, rhs):
+def reference_phase1(rows, rhs, n):
+    """The reference tableau after phase 1, its row sign flips and phase-1 costs."""
     a = [[F(x) for x in row] for row in rows]
     b = [F(x) for x in rhs]
-    c = [F(x) for x in objective]
-    n = len(c)
     flips = [-1 if bi < 0 else 1 for bi in b]
     a = [[x * f for x in row] for row, f in zip(a, flips)]
     b = [x * f for x, f in zip(b, flips)]
@@ -252,6 +288,14 @@ def reference_solve_lp(objective, rows, rhs):
     tab = _ReferenceTableau(a, b, n)
     phase1_costs = [F(0)] * n + [F(1)] * m + [F(0)]
     assert tab.run(phase1_costs, list(range(n + m))) == "optimal"
+    return tab, flips, phase1_costs
+
+
+def reference_solve_lp(objective, rows, rhs):
+    c = [F(x) for x in objective]
+    n = len(c)
+    m = len(rows)
+    tab, flips, phase1_costs = reference_phase1(rows, rhs, n)
     if tab.objective_value(phase1_costs) > 0:
         lam = [phase1_costs[tab.basis[i]] for i in range(m)]
         y = [
@@ -296,13 +340,17 @@ def assert_matches_reference(objectives, rows, rhs):
     return reference
 
 
+def hv_report(label, axes, marginals):
+    state = representative_states(FieldConfig(3, 2))[label]
+    extra = state_marginal_constraints(state, axes) if marginals else ()
+    return hv_feasibility(state_correlator_constraints(state, axes), axes, extra)
+
+
 @pytest.mark.parametrize("marginals", [False, True], ids=["corr", "marg"])
 @pytest.mark.parametrize("axes", [(1, 3), (1, 2, 3)], ids=["axes13", "axes123"])
 @pytest.mark.parametrize("label", ["S", "T", "U"])
 def test_shared_phase1_matches_reference_on_hv_systems(label, axes, marginals):
-    state = representative_states(FieldConfig(3, 2))[label]
-    extra = state_marginal_constraints(state, axes) if marginals else ()
-    report = hv_feasibility(state_correlator_constraints(state, axes), axes, extra)
+    report = hv_report(label, axes, marginals)
     rows, rhs, _ = report.system.full_rows()
     reference = assert_matches_reference(range_objectives(len(report.outcomes)), rows, rhs)
     if reference[0].status == "optimal":
@@ -315,11 +363,22 @@ def test_shared_phase1_matches_reference_on_hv_systems(label, axes, marginals):
         assert report.result.certificate == reference[0].certificate
 
 
+@pytest.mark.parametrize("marginals", [False, True], ids=["corr", "marg"])
+@pytest.mark.parametrize("axes", [(1, 3), (1, 2, 3)], ids=["axes13", "axes123"])
+@pytest.mark.parametrize("label", ["S", "T", "U"])
+def test_rref_matches_reference_on_hv_systems(label, axes, marginals):
+    rows, rhs, _ = hv_report(label, axes, marginals).system.full_rows()
+    assert rref(rows, rhs) == reference_rref(rows, rhs)
+
+
+INTEGERS = st.integers(-3, 3)
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
 @st.composite
-def small_systems(draw):
+def small_systems(draw, entry=INTEGERS, max_rows=3):
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 3))
-    entry = st.integers(-3, 3)
+    m = draw(st.integers(1, max_rows))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
     rhs = draw(st.lists(entry, min_size=m, max_size=m))
     objectives = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
@@ -331,6 +390,72 @@ def small_systems(draw):
 @given(small_systems())
 def test_shared_phase1_matches_reference_on_small_systems(system):
     assert_matches_reference(*system)
+
+
+@seed(20122)
+@settings(max_examples=300, deadline=None)
+@given(small_systems(RATIONALS))
+def test_shared_phase1_matches_reference_on_rational_systems(system):
+    assert_matches_reference(*system)
+
+
+@seed(20123)
+@settings(max_examples=300, deadline=None)
+@given(small_systems(RATIONALS, max_rows=5))
+def test_rref_matches_reference_on_rational_systems(system):
+    _, rows, rhs = system
+    assert rref(rows, rhs) == reference_rref(rows, rhs)
+
+
+def test_phase1_tableau_is_integer_and_matches_reference(monkeypatch):
+    # snapshot the tableau as phase 1 leaves it, before the drive-out
+    snapshots = []
+    original = exactlp._Tableau.run
+
+    def recording_run(self, costs, columns):
+        status = original(self, costs, columns)
+        if columns[-1] >= self.n_real:
+            snapshots.append(([row[:] for row in self.t], self.basis[:], self.z[:], self.zd))
+        return status
+
+    monkeypatch.setattr(exactlp._Tableau, "run", recording_run)
+    report = hv_report("S", (1, 2, 3), False)
+    ((t, basis, z, zd),) = snapshots
+    assert all(type(x) is int for row in t for x in row)
+    assert all(type(x) is int for x in z) and type(zd) is int and zd > 0
+    # each row is a primitive positive multiple of the exact row, the
+    # multiple being its basic entry; the exact rows are the reference's
+    rows, rhs, _ = report.system.full_rows()
+    n, m = len(rows[0]), len(rows)
+    ref, _, phase1_costs = reference_phase1(rows, rhs, n)
+    assert basis == ref.basis
+    for row, j, exact in zip(t, basis, ref.t):
+        assert row[j] > 0 and gcd(*row) == 1
+        assert [F(x, row[j]) for x in row] == exact
+    assert [F(x, zd) for x in z[:-1]] == [
+        ref.reduced_cost(phase1_costs, j) for j in range(n + m)
+    ]
+    assert F(-z[-1], zd) == ref.objective_value(phase1_costs)
+
+
+@pytest.mark.parametrize("scales", [(1, 1, 1), (F(1, 3), F(3, 2), F(2, 3))],
+                         ids=["integer", "rational"])
+def test_drive_out_on_a_negative_coefficient_matches_reference(monkeypatch, scales):
+    # -2 x2 = 0 leaves an artificial basic at zero after phase 1, and the
+    # drive-out pivots it out on the -2
+    pivot_entries = []
+    original = exactlp._Tableau.pivot
+
+    def recording_pivot(self, row, col):
+        pivot_entries.append(self.t[row][col])
+        return original(self, row, col)
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", recording_pivot)
+    base_rows, base_rhs = [[0, -2], [1, -1], [1, 0]], [0, 1, 1]
+    rows = [[s * x for x in row] for row, s in zip(base_rows, scales)]
+    rhs = [s * b for b, s in zip(base_rhs, scales)]
+    assert_matches_reference(range_objectives(2) + [[F(1, 2), 3]], rows, rhs)
+    assert any(q < 0 for q in pivot_entries)
 
 
 def test_one_phase1_per_inference(monkeypatch):
