@@ -62,9 +62,9 @@ OTHER_COMMANDS = (
     ("tables", "--p", "5"),
     (),
 ) + tuple(
-    # orbits past GF(3)/GF(9): the prime fields GF(7) and GF(11)
+    # orbits past GF(3)/GF(9): the prime fields GF(7), GF(11) and GF(19)
     ("orbits", "--mode", mode, "--p", p, "--degree", "1")
-    for p in ("7", "11")
+    for p in ("7", "11", "19")
     for mode in ("local", "global")
 ) + tuple(
     # the CHSH bound over the prime fields GF(7), GF(11) and GF(19)
@@ -117,11 +117,12 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 228
-    # both orbit modes over GF(7) and GF(11), in every format
-    past_gf9 = [k for k in KEYS if k.startswith("orbits") and " --degree 1 " in k
-                and (" --p 7 " in k or " --p 11 " in k)]
-    assert len(past_gf9) == 2 * 2 * len(FORMATS)
+    assert len(KEYS) == 234
+    # both orbit modes over GF(7), GF(11) and GF(19), in every format
+    past_gf9 = [k for k in KEYS if k.startswith("orbits --mode ") and " --p 3 " not in k]
+    assert sorted({tuple(k.split()[2:7:2]) for k in past_gf9}) == [
+        (mode, p, "1") for mode in ("global", "local") for p in ("11", "19", "7")]
+    assert len(past_gf9) == 3 * 2 * len(FORMATS)
     # the CHSH bound over GF(7), GF(11), GF(19); scan and value over GF(49)
     bounds = [k for k in KEYS
               if k.startswith("chsh --bound --p ") and k.split()[3] != "3"]
