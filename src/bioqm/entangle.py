@@ -49,9 +49,12 @@ from .linear import (
     canonicalize,
     dagger,
     det2,
+    flat_residues,
     identity_matrix,
     kron,
+    matrix_residues,
     projective_residues,
+    residue_mul2,
     residue_state,
 )
 from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
@@ -203,30 +206,14 @@ def _kernel_tables(config: FieldConfig):
     Returns (daggers, transposes, signs): spin_i^dagger and spin_j^T keyed by
     axis, and the sign map of every residue 0..p-1.
     """
-    def flat(m: Matrix) -> tuple[int, ...]:
-        return tuple(part for row in m for x in row for part in (x.re, x.im))
-
     daggers, transposes = {}, {}
     for axis in spin_axes(config):
         sigma = spin_observable(config, axis).matrix
-        daggers[axis] = flat(dagger(sigma))
-        transposes[axis] = flat(tuple(zip(*sigma)))
+        daggers[axis] = matrix_residues(dagger(sigma))
+        transposes[axis] = matrix_residues(zip(*sigma))
     even = _even_power_residues(config.p)
     signs = (0,) + tuple(1 if r in even else -1 for r in range(1, config.p))
     return daggers, transposes, signs
-
-
-def _mul2(x, y) -> list[int]:
-    """The product [[a, b], [c, d]] [[e, f], [g, h]] of two flat (re, im)
-    residue tables, unreduced."""
-    ar, ai, br, bi, cr, ci, dr, di = x
-    er, ei, fr, fi, gr, gi, hr, hi = y
-    return [
-        ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
-        ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
-        cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
-        cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr,
-    ]
 
 
 def correlator_grid(
@@ -237,7 +224,7 @@ def correlator_grid(
     Raises ValueError on a self-orthogonal state and RuntimeError on a
     bracket with a nonzero imaginary part, as ``bracket`` does.
     """
-    psi = tuple(part for x in state.state.rep.components for part in (x.re, x.im))
+    psi = flat_residues(state.state.rep.components)
     return _residue_grid(state.config, psi, side1, side2)
 
 
@@ -254,7 +241,7 @@ def _residue_grid(
     sign_norm = signs[norm]
     ws = []
     for j in side2:
-        w = _mul2(psi, transposes[j])
+        w = residue_mul2(psi, transposes[j])
         # conj(u) * w has real part u_re * w_re + u_im * w_im and imaginary
         # part u_re * w_im - u_im * w_re: plain sums of products against w
         # and against w turned to (w_im, -w_re)
@@ -264,7 +251,7 @@ def _residue_grid(
         ws.append((j, w, turned))
     grid = {}
     for i in side1:
-        u = _mul2(daggers[i], psi)
+        u = residue_mul2(daggers[i], psi)
         for j, w, turned in ws:
             if sum(map(mul, u, turned)) % p:
                 state = residue_state(config, psi, norm).rep

@@ -19,7 +19,8 @@ same from the multiples as from the exact values, so Bland's rule takes the
 pivots it would take over exact fractions.  ``Fraction`` appears only at the
 boundary: in reading the input, in the ``RREFResult`` and ``LPResult`` fields
 (reduced rows, solutions, objectives and Farkas multipliers), and in
-``verify_farkas``, which replays a certificate on the caller's own rows.
+``verify_farkas``, which reads a certificate's multipliers and then replays
+it over ints on the caller's own rows.
 
 Feasibility problems have the standard form  A x = b, x >= 0.  When no
 solution exists the solver produces a Farkas certificate: a row-combination
@@ -46,13 +47,6 @@ from typing import Iterator, Sequence
 Row = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-
-
-def _as_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list[list[Fraction]], list]:
-    """[rows | rhs] over Fraction; an rhs without one entry per row raises."""
-    if len(rows) != len(rhs):
-        raise ValueError("row/rhs length mismatch")
-    return [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
 
 
 def _integer_row(entries: Sequence) -> tuple[list[int], int]:
@@ -148,13 +142,27 @@ def verify_farkas(
     A certificate needs exactly one multiplier per row; any other length
     fails the replay.  A system whose rhs length differs from its row count
     raises ``ValueError``.
+
+    The replay runs over ints on the caller's rows.  Row i with a nonzero
+    multiplier enters as s_i [a_i | b_i] over int, so it counts with the
+    weight y_i / s_i; one positive common denominator D clears every weight,
+    and the sums come out D times the exact y.A and y.b, with the same signs.
     """
-    work, b = _as_system(rows, rhs)
-    if len(y) != len(work):
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    if len(y) != len(rows):
         return False
-    n = len(work[0]) if work else 0
-    combo = [sum(y[i] * work[i][j] for i in range(len(work))) for j in range(n)]
-    value = sum(y[i] * b[i] for i in range(len(b)))
+    used = []  # (y_i / s_i, s_i [a_i | b_i]) for each nonzero y_i
+    for c, row, b in zip(y, rows, rhs):
+        if c:
+            ints, s = _integer_row([*row, b])
+            used.append((Fraction(c) / s, ints))
+    scale = lcm(*(w.denominator for w, _ in used))
+    total = [0] * (len(rows[0]) + 1 if rows else 1)
+    for w, ints in used:
+        k = w.numerator * (scale // w.denominator)
+        total = [t + k * a for t, a in zip(total, ints)]
+    *combo, value = total
     return all(c <= 0 for c in combo) and value > 0
 
 

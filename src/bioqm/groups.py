@@ -14,19 +14,26 @@ componentwise, with order the square of the one-particle group order.
 
 The two-particle action table is built from a generating set: only the
 generators are applied to the states, and every other element's permutation
-is composed from theirs along a breadth-first walk of the Cayley graph.
-Orbits and local-transform words are walked along the generators'
-permutations by the same walk; stabilizer orders and Burnside counts still
-count over the whole acting group.
+is composed from theirs along a breadth-first walk of the Cayley graph.  The
+generator rows are computed on integer residue codes, as the CHSH kernel and
+the census are: each state's flat (re, im) code goes through the 2x2 residue
+product, is brought to leading-1 form and is looked up by code, so no state
+object or ``act`` call is made.  The generating set and the Cayley tree come
+from the generators' left multiplication of the element indices, on matrix
+codes the same way.  Orbits and local-transform words are walked along the
+generators' permutations by the same walk; a word is a pair of element
+indices, and its inverse is read from the table's inverse index.  Stabilizer
+orders and Burnside counts still count over the whole acting group.  ``act``
+stays the object path, and the tests check every residue row against it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from string import ascii_lowercase
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gf import FieldConfig, phi_map
 from .linear import (
@@ -35,12 +42,16 @@ from .linear import (
     StateVector,
     canonicalize,
     dagger,
+    flat_residues,
     inverse2,
     mat_mul,
     mat_neg,
     mat_vec,
     matrix_make,
+    matrix_residues,
     projective_residues,
+    residue_canonicalizer,
+    residue_mul2,
 )
 from .biortho import Observable, physical_states, spin_axes, spin_observable
 from .entangle import TwoParticleState, classify, representative_states, two_particle_states
@@ -356,17 +367,33 @@ def _walk(start: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int, in
     return edges
 
 
+def _residue_permutation(
+    step: Callable[[tuple[int, ...]], list[int]],
+    codes: Sequence[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    canonical: Callable[[list[int]], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """The index of each code's canonical image under step."""
+    try:
+        return tuple([index[canonical(step(code))] for code in codes])
+    except KeyError:
+        raise ValueError("the action escapes the given state set") from None
+
+
 def _generating_set(
-    group: ProjectiveGroup,
-) -> tuple[tuple[GroupElement, ...], list[tuple[int, int, int]]]:
+    group: ProjectiveGroup, canonical: Callable[[list[int]], tuple[int, ...]]
+) -> tuple[tuple[GroupElement, ...], list[tuple[int, int, int]], tuple[tuple[int, ...], ...]]:
     """Walk the elements in sorted order, keeping each one not yet generated.
 
-    Returns the generators and the Cayley tree: the walk from the identity
-    along their left-multiplication permutations of the element indices.
+    Returns the generators, the Cayley tree and the generators'
+    left-multiplication permutations of the element indices; the tree is the
+    walk from the identity along those permutations.  A product g h is
+    looked up by the residue code of its canonical matrix.
     """
     elements = group.elements
-    index = {g: k for k, g in enumerate(elements)}
-    start = index[group.identity]
+    codes = [matrix_residues(g.matrix) for g in elements]
+    index = {code: k for k, code in enumerate(codes)}
+    start = elements.index(group.identity)
     gens: list[GroupElement] = []
     left: list[tuple[int, ...]] = []
     tree: list[tuple[int, int, int]] = []
@@ -374,10 +401,11 @@ def _generating_set(
     for k, g in enumerate(elements):
         if k not in generated:
             gens.append(g)
-            left.append(tuple(index[group.mul(g, h)] for h in elements))
+            step = partial(residue_mul2, codes[k])
+            left.append(_residue_permutation(step, codes, index, canonical))
             tree = _walk(start, left)
             generated = {start, *(j for j, _, _ in tree)}
-    return tuple(gens), tree
+    return tuple(gens), tree, tuple(left)
 
 
 class _ActionTable:
@@ -385,23 +413,38 @@ class _ActionTable:
 
     ``side1[k]`` / ``side2[k]`` is the permutation of the state indices made
     by ``group.elements[k]`` acting on side 1 / side 2 alone.  Only the
-    generators go through ``act``; every other element's arrays are composed
-    along the Cayley tree, side[s*h][i] = side[s][side[h][i]].  A state set
-    closed under the generators is closed under the whole group.
+    generators are applied to the states, on residue codes: psi -> M psi on
+    side 1 and psi -> psi M^T on side 2, brought to leading-1 form and looked
+    up by code.  Every other element's arrays are composed along the Cayley
+    tree, side[s*h][i] = side[s][side[h][i]].  A state set closed under the
+    generators is closed under the whole group.
+
+    ``generator_left[k]`` is the k-th generator's left multiplication of the
+    element indices and ``inverse[k]`` the index of element k's inverse, so
+    words in the group are walked as element indices.
     """
 
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
         self.index = {s.state.rep: k for k, s in enumerate(states)}
-        self.generators, tree = _generating_set(group)
-        # (side-1, side-2) permutations of each generator, the only ones from act()
-        self.generator_sides = tuple(
-            (self._permutation(s, "local_1"), self._permutation(s, "local_2"))
-            for s in self.generators
-        )
+        canonical = residue_canonicalizer(group.config)
+        self.generators, tree, self.generator_left = _generating_set(group, canonical)
         if len(tree) + 1 != group.order:
             raise AssertionError("the generators do not reach every group element")
+        codes = [flat_residues(s.state.rep.components) for s in states]
+        code_index = {code: k for k, code in enumerate(codes)}
+        sides = []
+        for g in self.generators:
+            m, m_t = matrix_residues(g.matrix), matrix_residues(zip(*g.matrix))
+            sides.append((
+                _residue_permutation(partial(residue_mul2, m), codes, code_index, canonical),
+                _residue_permutation(
+                    lambda psi: residue_mul2(psi, m_t), codes, code_index, canonical
+                ),
+            ))
+        # (side-1, side-2) permutations of each generator
+        self.generator_sides = tuple(sides)
         side1: list = [None] * group.order
         side2: list = [None] * group.order
         start = group.elements.index(group.identity)
@@ -412,16 +455,8 @@ class _ActionTable:
             side2[sh] = tuple(s2[i] for i in side2[h])
         self.side1 = side1
         self.side2 = side2
-
-    def _permutation(self, g: GroupElement, mode: str) -> tuple[int, ...]:
-        out = []
-        for s in self.states:
-            image = act(g, s, mode)
-            idx = self.index.get(image.state.rep)
-            if idx is None:
-                raise ValueError("the action escapes the given state set")
-            out.append(idx)
-        return tuple(out)
+        by_matrix = {g.matrix: k for k, g in enumerate(group.elements)}
+        self.inverse = tuple(by_matrix[group.inv(g).matrix] for g in group.elements)
 
 
 @dataclass(frozen=True)
@@ -552,28 +587,28 @@ class LocalTransform:
 
 
 @lru_cache(maxsize=None)
-def _local_reach(config: FieldConfig) -> dict:
+def _local_reach(config: FieldConfig) -> dict[int, tuple[str, int, int]]:
     """Walk the local generators from each representative, recording words.
 
-    For every reachable state index this stores (rep_label, A, B) with
-    state = (A tensor B) rep, so the inverse pair maps the state back.
+    For every reachable state index this stores (rep_label, a, b) with
+    state = (A tensor B) rep for the elements A, B at indices a, b; each step
+    moves a or b along a generator's left multiplication.  The inverse pair
+    maps the state back.
     """
     table = _action_table(config)
-    group = table.group
-    gens = table.generators
+    left = table.generator_left
+    n = len(left)
+    identity = table.group.elements.index(table.group.identity)
     perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
-    reach: dict[int, tuple[str, GroupElement, GroupElement]] = {}
+    reach: dict[int, tuple[str, int, int]] = {}
     for label, rep in representative_states(config).items():
         start = table.index[rep.state.rep]
         if start in reach:
             continue
-        reach[start] = (label, group.identity, group.identity)
+        reach[start] = (label, identity, identity)
         for j, k, i in _walk(start, perms):
-            _, acc1, acc2 = reach[i]
-            if k < len(gens):
-                reach[j] = (label, group.mul(gens[k], acc1), acc2)
-            else:
-                reach[j] = (label, acc1, group.mul(gens[k - len(gens)], acc2))
+            _, a, b = reach[i]
+            reach[j] = (label, left[k][a], b) if k < n else (label, a, left[k - n][b])
     return reach
 
 
@@ -588,13 +623,12 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
     if idx not in reach:
         raise ValueError("state is not locally equivalent to any representative")
     label, a, b = reach[idx]
-    group = table.group
-    reps = representative_states(config)
+    elements = table.group.elements
     return LocalTransform(
-        g1=group.inv(a),
-        g2=group.inv(b),
+        g1=elements[table.inverse[a]],
+        g2=elements[table.inverse[b]],
         representative_label=label,
-        representative=reps[label],
+        representative=representative_states(config)[label],
     )
 
 
@@ -612,10 +646,10 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
     s_state = representative_states(config)["S"]
     start = table.index[s_state.state.rep]
     labels: dict[str, TwoParticleState] = {}
-    for k, g in enumerate(group.elements):
+    for k in range(group.order):
         # (g tensor 1) S = state  <=>  (g^-1 tensor 1) state = S
         image = table.side1[k][start]
-        owner = group.inv(g)
+        owner = group.elements[table.inverse[k]]
         name = "S" if owner is group.identity else owner.label
         if name in labels:
             raise ValueError("side-1 action on S is not free; labels undefined")

@@ -17,12 +17,16 @@ lexicographic over components, each component ordered by (re, im).  It runs
 on integers: ``projective_residues`` yields each representative as a flat
 (re, im, ...) residue tuple with its norm dot(v, v) mod p, and
 ``enumerate_projective`` is the object view of that stream, in its order.
+Beside it sit the residue kernels the fast paths share:
+``flat_residues`` and ``matrix_residues`` read a vector's or a matrix's
+code, ``residue_mul2`` multiplies 2x2 codes and ``residue_canonicalizer`` is
+``canonicalize`` on codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import FieldConfig, FieldElement
 
@@ -289,6 +293,63 @@ def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]
     """All projective states of the given dimension, lexicographically: the
     objects of ``projective_residues``, in its order."""
     return [residue_state(config, v, norm) for v, norm in projective_residues(config, dim)]
+
+
+def flat_residues(entries: Iterable[FieldElement]) -> tuple[int, ...]:
+    """The flat (re, im, ...) residues of a run of field elements."""
+    return tuple(part for x in entries for part in (x.re, x.im))
+
+
+def matrix_residues(m: Iterable[Iterable[FieldElement]]) -> tuple[int, ...]:
+    """The flat (re, im, ...) residues of a matrix's entries, row-major."""
+    return flat_residues(x for row in m for x in row)
+
+
+def residue_mul2(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The product [[a, b], [c, d]] [[e, f], [g, h]] of two flat (re, im)
+    residue tables, unreduced."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return [
+        ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+        ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+        cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+        cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr,
+    ]
+
+
+def residue_canonicalizer(config: FieldConfig) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``canonicalize`` on flat (re, im, ...) integers.
+
+    The returned function reduces its input mod p and scales it so the first
+    nonzero component is 1, reading the scale from a table of the field's
+    inverses built once here; its result is the canonical representative's
+    ``flat_residues``.
+    """
+    p = config.p
+    inverses = {
+        (x.re, x.im): (y.re, y.im)
+        for x in config.elements()
+        if not x.is_zero
+        for y in (x.inverse(),)
+    }
+
+    def canonical(v: Sequence[int]) -> tuple[int, ...]:
+        v = [x % p for x in v]
+        for k in range(0, len(v), 2):
+            if v[k] or v[k + 1]:
+                break
+        else:
+            raise ValueError("the zero vector has no projective class")
+        sr, si = inverses[v[k], v[k + 1]]
+        if sr == 1 and not si:
+            return tuple(v)
+        out = []
+        for re, im in zip(v[::2], v[1::2]):
+            out += ((re * sr - im * si) % p, (re * si + im * sr) % p)
+        return tuple(out)
+
+    return canonical
 
 
 # -- small exact matrices ---------------------------------------------------

@@ -334,10 +334,51 @@ def assert_matches_reference(objectives, rows, rhs):
         for c in objectives[1:]
     ]
     assert shared == reference
-    for result in shared:
-        if result.status == "infeasible":
-            assert verify_farkas(rows, rhs, result.certificate)
+    # an infeasible system gives every objective the same certificate
+    if first.status == "infeasible":
+        assert_replay_matches_reference(rows, rhs, first.certificate)
     return reference
+
+
+# -- reference: the certificate replay over Fraction ------------------------------
+
+
+def reference_verify_farkas(rows, rhs, y):
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    if len(y) != len(rows):
+        return False
+    work = [[F(x) for x in row] for row in rows]
+    b = [F(x) for x in rhs]
+    n = len(work[0]) if work else 0
+    combo = [sum(y[i] * work[i][j] for i in range(len(work))) for j in range(n)]
+    value = sum(y[i] * b[i] for i in range(len(b)))
+    return all(c <= 0 for c in combo) and value > 0
+
+
+def assert_replay_matches_reference(rows, rhs, y):
+    """Both replays accept y and agree on every tampered copy of it.
+
+    Negating one multiplier may or may not break the certificate, so only
+    agreement is asserted; moving one entry of a row with a nonzero
+    multiplier so that column's y.A becomes 1 must be rejected by both.
+    Returns how many negated copies were rejected.
+    """
+    assert verify_farkas(rows, rhs, y) and reference_verify_farkas(rows, rhs, y)
+    rejected = 0
+    for i, c in enumerate(y):
+        if not c:
+            continue
+        negated = [*y[:i], -c, *y[i + 1:]]
+        verdict = verify_farkas(rows, rhs, negated)
+        assert verdict == reference_verify_farkas(rows, rhs, negated)
+        rejected += not verdict
+        column = sum(y[k] * F(rows[k][0]) for k in range(len(rows)))
+        moved = [list(row) for row in rows]
+        moved[i][0] = F(moved[i][0]) + (1 - column) / c
+        assert not verify_farkas(moved, rhs, y)
+        assert not reference_verify_farkas(moved, rhs, y)
+    return rejected
 
 
 def hv_report(label, axes, marginals):
@@ -353,6 +394,8 @@ def test_shared_phase1_matches_reference_on_hv_systems(label, axes, marginals):
     report = hv_report(label, axes, marginals)
     rows, rhs, _ = report.system.full_rows()
     reference = assert_matches_reference(range_objectives(len(report.outcomes)), rows, rhs)
+    if reference[0].status == "infeasible":
+        assert assert_replay_matches_reference(rows, rhs, reference[0].certificate) > 0
     if reference[0].status == "optimal":
         assert report.result.witness == reference[0].solution
         assert report.result.ranges == tuple(

@@ -1,6 +1,7 @@
 """The projective symmetry groups, their actions, and orbit decompositions."""
 
-from itertools import product
+from collections import Counter
+from itertools import cycle, islice, product
 from string import ascii_lowercase
 
 import pytest
@@ -25,7 +26,15 @@ from bioqm import (
 from bioqm.biortho import physical_states, spin_axes, state_label
 from bioqm.entangle import classify, from_product, two_particle_states
 from bioqm.gf import phi_map
-from bioqm.groups import _cycle_notation, action_table
+from bioqm import groups
+from bioqm.groups import (
+    ProjectiveGroup,
+    _cycle_notation,
+    _generator_permutations,
+    _local_reach,
+    _walk,
+    action_table,
+)
 from bioqm.linear import (
     StateVector,
     canonicalize,
@@ -411,6 +420,36 @@ def test_generator_built_table_matches_per_element_reference(config):
     assert (table.side1, table.side2) == _per_element_sides(table)
 
 
+def _physical_products(config):
+    return tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
+
+
+@pytest.mark.parametrize("subset", ["entangled", "products"])
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11, GF19], ids=["gf3", "gf7", "gf9", "gf11", "gf19"]
+)
+def test_residue_generator_rows_match_object_act(config, subset):
+    # the rows applied on residue codes, against act() on the state objects
+    states = None if subset == "entangled" else _physical_products(config)
+    table = action_table(config, states=states)
+    for g, (side1, side2) in zip(table.generators, table.generator_sides):
+        for mode, row in (("local_1", side1), ("local_2", side2)):
+            assert row == tuple(table.index[act(g, s, mode).state.rep] for s in table.states)
+
+
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11, GF19], ids=["gf3", "gf7", "gf9", "gf11", "gf19"]
+)
+def test_element_index_words_match_group_multiplication(config):
+    table = action_table(config)
+    group = table.group
+    elements = group.elements
+    for g, left in zip(table.generators, table.generator_left):
+        assert [elements[j] for j in left] == [group.mul(g, h) for h in elements]
+    for g, k in zip(elements, table.inverse):
+        assert group.mul(g, elements[k]) is group.identity
+
+
 def test_orbits_on_a_closed_subset():
     # the 24-state local orbit over GF(9) is closed, so restriction works
     closed = next(o for o in orbits(GF9, "local") if o.size == 24).members
@@ -487,6 +526,8 @@ def test_gf9_local_orbits_frozen():
         (GF7, "local"),
         (GF11, "global"),
         (GF11, "local"),
+        (GF19, "global"),
+        (GF19, "local"),
     ],
 )
 def test_burnside_agrees_with_direct_orbit_count(config, mode):
@@ -590,6 +631,73 @@ def test_find_local_transform_round_trip(config):
         )
         round_trips += 1
     assert round_trips == covered
+
+
+def _reference_reach(config):
+    """The local-transform words multiplied out as group elements: for each
+    state index reached from a representative, (label, A, B) with state =
+    (A tensor B) rep."""
+    table = action_table(config)
+    group = table.group
+    gens = table.generators
+    perms = _generator_permutations(table, "local")
+    reach = {}
+    for label, rep in representative_states(config).items():
+        start = table.index[rep.state.rep]
+        if start in reach:
+            continue
+        reach[start] = (label, group.identity, group.identity)
+        for j, k, i in _walk(start, perms):
+            _, acc1, acc2 = reach[i]
+            if k < len(gens):
+                reach[j] = (label, group.mul(gens[k], acc1), acc2)
+            else:
+                reach[j] = (label, acc1, group.mul(gens[k - len(gens)], acc2))
+    return reach
+
+
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
+)
+def test_find_local_transform_matches_the_element_walk(config):
+    table = action_table(config)
+    group = table.group
+    reach = _reference_reach(config)
+    assert sorted(reach) == sorted(_local_reach(config))
+    for i, state in enumerate(table.states):
+        if i not in reach:
+            with pytest.raises(ValueError, match="not locally equivalent"):
+                find_local_transform(state)
+            continue
+        label, a, b = reach[i]
+        move = find_local_transform(state)
+        assert move.g1 is group.inv(a) and move.g2 is group.inv(b)
+        assert move.representative_label == label
+
+
+@pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
+def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
+    # a fresh table and word walk, then 50 transforms (GF(7) has only S's
+    # orbit of 16 to draw from): group.inv runs once per element for the
+    # inverse index, and act and group.mul never run
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groups, "act", counting("act", groups.act))
+    for name in ("mul", "inv"):
+        monkeypatch.setattr(ProjectiveGroup, name, counting(name, getattr(ProjectiveGroup, name)))
+    groups._action_table.cache_clear()
+    _local_reach.cache_clear()
+    table = action_table(config)
+    reach = _local_reach(config)
+    for i in islice(cycle(sorted(reach)), 50):
+        find_local_transform(table.states[i])
+    assert calls == Counter(inv=table.group.order)
 
 
 def test_find_local_transform_frozen_chains():

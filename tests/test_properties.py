@@ -80,21 +80,23 @@ def test_phi_preserves_products(p, data):
 
 
 @st.composite
-def state_vectors(draw, dim=2):
+def state_vectors(draw, dim=2, count=1):
+    """(config, v_1, ..., v_count): nonzero vectors over one drawn field."""
     config = draw(configs)
-    entries = [
-        (draw(st.integers(0, config.p - 1)), draw(st.integers(0, config.p - 1)))
-        for _ in range(dim)
-    ]
-    assume(any(e != (0, 0) for e in entries))
-    return config, StateVector.make(config, entries)
+    vectors = []
+    for _ in range(count):
+        entries = [
+            (draw(st.integers(0, config.p - 1)), draw(st.integers(0, config.p - 1)))
+            for _ in range(dim)
+        ]
+        assume(any(e != (0, 0) for e in entries))
+        vectors.append(StateVector.make(config, entries))
+    return (config, *vectors)
 
 
-@given(state_vectors(), state_vectors())
-def test_dot_is_sesquilinear_and_conjugate_symmetric(left, right):
-    config, u = left
-    config2, v = right
-    assume(config == config2)
+@given(state_vectors(count=2))
+def test_dot_is_sesquilinear_and_conjugate_symmetric(data):
+    config, u, v = data
     assert dot(u, v).frobenius() == dot(v, u)
     for scalar in (config.element(2 % config.p, 1), config.i_unit()):
         assert dot(u.scale(scalar), v) == scalar.frobenius() * dot(u, v)
