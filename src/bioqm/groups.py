@@ -434,7 +434,7 @@ class _ActionTable:
             raise AssertionError("the generators do not reach every group element")
         codes = [flat_residues(s.state.rep.components) for s in states]
         code_index = {code: k for k, code in enumerate(codes)}
-        sides = []
+        sides = []  # (side-1, side-2) permutations of each generator
         for g in self.generators:
             m, m_t = matrix_residues(g.matrix), matrix_residues(zip(*g.matrix))
             sides.append((
@@ -443,7 +443,6 @@ class _ActionTable:
                     lambda psi: residue_mul2(psi, m_t), codes, code_index, canonical
                 ),
             ))
-        # (side-1, side-2) permutations of each generator
         self.generator_sides = tuple(sides)
         side1: list = [None] * group.order
         side2: list = [None] * group.order
@@ -624,11 +623,12 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
         raise ValueError("state is not locally equivalent to any representative")
     label, a, b = reach[idx]
     elements = table.group.elements
+    reps = representative_states(config)
     return LocalTransform(
         g1=elements[table.inverse[a]],
         g2=elements[table.inverse[b]],
         representative_label=label,
-        representative=representative_states(config)[label],
+        representative=reps[label],
     )
 
 

@@ -383,11 +383,15 @@ def test_action_table_escape_raises_for_a_global_orbit():
             orbits(GF9, "global", states=orbit.members)
 
 
+def _physical_products(config):
+    return tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
+
+
 @pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])
 def test_orbits_of_the_physical_product_states(config):
     # unlike entangled states, product states have nontrivial one-sided
     # stabilizers, so the local stabilizer count sees products of them
-    products = tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
+    products = _physical_products(config)
     order = enumerate_group(config).order
     (orbit,) = orbits(config, "local", states=products)
     assert orbit.size == len(products)
@@ -418,10 +422,6 @@ def test_generator_built_table_matches_per_element_reference(config):
     table = action_table(config)
     assert len(table.generators) <= 4
     assert (table.side1, table.side2) == _per_element_sides(table)
-
-
-def _physical_products(config):
-    return tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
 
 
 @pytest.mark.parametrize("subset", ["entangled", "products"])
