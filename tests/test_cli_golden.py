@@ -62,10 +62,15 @@ OTHER_COMMANDS = (
     ("tables", "--p", "5"),
     (),
 ) + tuple(
-    # orbits past GF(3)/GF(9): the prime fields GF(7), GF(11) and GF(19)
+    # orbits past GF(3)/GF(9): the prime fields GF(7), GF(11), GF(19) and
+    # GF(23), the largest whose one-particle states fit the letter labels
     ("orbits", "--mode", mode, "--p", p, "--degree", "1")
-    for p in ("7", "11", "19")
+    for p in ("7", "11", "19", "23")
     for mode in ("local", "global")
+) + tuple(
+    # conjugacy classes and identification over the prime fields
+    ("groups", "--classes", "--iso", "--p", p, "--degree", "1")
+    for p in ("7", "11", "19", "23")
 ) + tuple(
     # the CHSH bound over the prime fields GF(7), GF(11) and GF(19)
     ("chsh", "--bound", "--p", p, "--degree", "1")
@@ -117,12 +122,17 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 234
-    # both orbit modes over GF(7), GF(11) and GF(19), in every format
+    assert len(KEYS) == 252
+    # both orbit modes over GF(7), GF(11), GF(19) and GF(23), in every format
     past_gf9 = [k for k in KEYS if k.startswith("orbits --mode ") and " --p 3 " not in k]
     assert sorted({tuple(k.split()[2:7:2]) for k in past_gf9}) == [
-        (mode, p, "1") for mode in ("global", "local") for p in ("11", "19", "7")]
-    assert len(past_gf9) == 3 * 2 * len(FORMATS)
+        (mode, p, "1") for mode in ("global", "local") for p in ("11", "19", "23", "7")]
+    assert len(past_gf9) == 4 * 2 * len(FORMATS)
+    # classes and identification over GF(7), GF(11), GF(19) and GF(23)
+    prime_groups = [k for k in KEYS
+                    if k.startswith("groups --classes --iso --p ") and k.split()[4] != "3"]
+    assert sorted({k.split()[4] for k in prime_groups}) == ["11", "19", "23", "7"]
+    assert len(prime_groups) == 4 * len(FORMATS)
     # the CHSH bound over GF(7), GF(11), GF(19); scan and value over GF(49)
     bounds = [k for k in KEYS
               if k.startswith("chsh --bound --p ") and k.split()[3] != "3"]
