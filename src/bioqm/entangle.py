@@ -28,10 +28,10 @@ which costs one 2x2 product per axis and side, not one 4x4 product per pair.
 No Hermiticity is assumed: s_i^dagger is taken with ``linear.dagger``.  The
 bracket divides this by the norm n = <psi, psi>, which lies in GF(p)*.  The
 sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
-square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij) * phi(n), read
-off integer residues without building any field element.  The kernel's core
-reads psi as flat (re, im) residues, so ``chsh_bound`` feeds it the code
-table's tuples directly.
+square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij * n): one sign
+per pair, read off integer residues without building any field element.  The
+kernel's core reads psi as flat (re, im) residues, so ``chsh_bound`` feeds it
+the code table's tuples directly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .gf import FieldConfig, _even_power_residues, phi_map
+from .gf import FieldConfig, phi_map, residue_sign
 from .linear import (
     Matrix,
     ProjectiveState,
@@ -203,17 +203,14 @@ def one_sided_spin(config: FieldConfig, side: int, axis: int) -> Matrix:
 def _kernel_tables(config: FieldConfig):
     """Per-field kernel inputs, as flat (re, im) residue 2x2 tables per axis.
 
-    Returns (daggers, transposes, signs): spin_i^dagger and spin_j^T keyed by
-    axis, and the sign map of every residue 0..p-1.
+    Returns (daggers, transposes): spin_i^dagger and spin_j^T keyed by axis.
     """
     daggers, transposes = {}, {}
     for axis in spin_axes(config):
         sigma = spin_observable(config, axis).matrix
         daggers[axis] = matrix_residues(dagger(sigma))
         transposes[axis] = matrix_residues(zip(*sigma))
-    even = _even_power_residues(config.p)
-    signs = (0,) + tuple(1 if r in even else -1 for r in range(1, config.p))
-    return daggers, transposes, signs
+    return daggers, transposes
 
 
 def correlator_grid(
@@ -233,12 +230,11 @@ def _residue_grid(
 ) -> dict[tuple[int, int], int]:
     """``correlator_grid`` on the amplitude's flat (re, im) residues psi."""
     p = config.p
-    daggers, transposes, signs = _kernel_tables(config)
+    daggers, transposes = _kernel_tables(config)
     norm = sum(map(mul, psi, psi)) % p
     if norm == 0:
         state = residue_state(config, psi, norm).rep
         raise ValueError(f"self-orthogonal vector {state} has no conjugate dual")
-    sign_norm = signs[norm]
     ws = []
     for j in side2:
         w = residue_mul2(psi, transposes[j])
@@ -259,7 +255,7 @@ def _residue_grid(
                     f"bracket of spin {i}x{j} in {state} has a nonzero imaginary "
                     "part; observable is malformed"
                 )
-            grid[i, j] = signs[sum(map(mul, u, w)) % p] * sign_norm
+            grid[i, j] = residue_sign(sum(map(mul, u, w)) * norm, p)
     return grid
 
 

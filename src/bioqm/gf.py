@@ -69,11 +69,11 @@ def find_generator(p: int) -> int:
     raise AssertionError(f"no generator found for GF({p})")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def _even_power_residues(p: int) -> frozenset[int]:
-    """Even powers of the generator: the kernel of the sign map."""
-    g = find_generator(p)
-    return frozenset(pow(g, 2 * k, p) for k in range((p - 1) // 2))
+def residue_sign(r: int, p: int) -> int:
+    """The sign map on the residue r mod p by Euler's criterion: r^((p-1)/2)
+    is 0, 1 for an even power of a generator, or p - 1 for an odd one."""
+    power = pow(r, (p - 1) // 2, p)
+    return -1 if power == p - 1 else power
 
 
 @dataclass(frozen=True)
@@ -328,9 +328,7 @@ def phi_map(x: FieldElement) -> int:
     """
     if not x.is_real:
         raise ValueError(f"phi_map is defined on GF(p) only, got {x}")
-    if x.re == 0:
-        return 0
-    return 1 if x.re in _even_power_residues(x.config.p) else -1
+    return residue_sign(x.re, x.config.p)
 
 
 def abs_map(x: FieldElement) -> int:
@@ -423,7 +421,7 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
 
     # the parity-of-exponent definition must not depend on the generator
     generator_independent = True
-    expected = _even_power_residues(p)
+    expected = frozenset(pow(g, 2 * k, p) for k in range((p - 1) // 2))
     for h in units:
         h_powers = [pow(h, k, p) for k in range(p - 1)]
         if sorted(h_powers) != units:

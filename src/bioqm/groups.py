@@ -12,19 +12,20 @@ four modes: the same matrix on both sides (global), or a matrix on one side
 only (local_1 / local_2); the local group is the direct product acting
 componentwise, with order the square of the one-particle group order.
 
-The two-particle action table is built from a generating set: only the
-generators are applied to the states, and every other element's permutation
-is composed from theirs along a breadth-first walk of the Cayley graph.  The
-generator rows are computed on integer residue codes, as the CHSH kernel and
-the census are: each state's flat (re, im) code goes through the 2x2 residue
-product, is brought to leading-1 form and is looked up by code, so no state
-object or ``act`` call is made.  The generating set and the Cayley tree come
-from the generators' left multiplication of the element indices, on matrix
-codes the same way.  Orbits and local-transform words are walked along the
-generators' permutations by the same walk; a word is a pair of element
-indices, and its inverse is read from the table's inverse index.  Stabilizer
-orders and Burnside counts still count over the whole acting group.  ``act``
-stays the object path, and the tests check every residue row against it.
+The two-particle action table keeps only the generators' permutations of
+the states.  These generator rows are computed on integer residue codes, as
+the CHSH kernel and the census are: each state's flat (re, im) code goes
+through the 2x2 residue product, is brought to leading-1 form and is looked
+up by code, so no state object or ``act`` call is made.  The generating set
+and the Cayley tree come from the generators' left multiplication of the
+element indices, on matrix codes the same way.  Orbits and local-transform
+words are walked along the generator rows by one breadth-first walk; a word
+is a pair of element indices, and its inverse is read from the table's
+inverse index.  A stabilizer order walks the Cayley tree once from its state,
+composing generator rows into the state's image under every element, and
+counts the elements that fix it; Burnside counts sum those orders over every
+state.  ``act`` stays the object path, and the tests check every residue row
+and every element's image against it.
 """
 
 from __future__ import annotations
@@ -252,11 +253,8 @@ def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
     """
     classes = conjugacy_classes(group)
     class_sizes = tuple(sorted(len(c) for c in classes))
-    abelian = all(
-        group.mul(g, h) == group.mul(h, g)
-        for g in group.elements
-        for h in group.elements
-    )
+    # a group is abelian exactly when every element is its own class
+    abelian = all(size == 1 for size in class_sizes)
     profile_counts: dict[int, int] = {}
     for g in group.elements:
         n = group.element_order(g)
@@ -409,15 +407,15 @@ def _generating_set(
 
 
 class _ActionTable:
-    """Permutation arrays for the one-sided actions on an indexed state set.
+    """The one-sided actions on an indexed state set, kept as generator rows.
 
-    ``side1[k]`` / ``side2[k]`` is the permutation of the state indices made
-    by ``group.elements[k]`` acting on side 1 / side 2 alone.  Only the
-    generators are applied to the states, on residue codes: psi -> M psi on
-    side 1 and psi -> psi M^T on side 2, brought to leading-1 form and looked
-    up by code.  Every other element's arrays are composed along the Cayley
-    tree, side[s*h][i] = side[s][side[h][i]].  A state set closed under the
-    generators is closed under the whole group.
+    ``generator_sides[k]`` is the (side-1, side-2) permutation of the state
+    indices made by the k-th generator: psi -> M psi on side 1 and
+    psi -> psi M^T on side 2, applied to residue codes, brought to leading-1
+    form and looked up by code in ``index``.  A state set closed under the
+    generators is closed under the whole group.  ``tree`` is the Cayley tree
+    from the identity, one (s*h, k, h) per other element with s the k-th
+    generator; ``images`` walks it to act with every element.
 
     ``generator_left[k]`` is the k-th generator's left multiplication of the
     element indices and ``inverse[k]`` the index of element k's inverse, so
@@ -427,35 +425,32 @@ class _ActionTable:
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
-        self.index = {s.state.rep: k for k, s in enumerate(states)}
         canonical = residue_canonicalizer(group.config)
-        self.generators, tree, self.generator_left = _generating_set(group, canonical)
-        if len(tree) + 1 != group.order:
+        self.generators, self.tree, self.generator_left = _generating_set(group, canonical)
+        if len(self.tree) + 1 != group.order:
             raise AssertionError("the generators do not reach every group element")
         codes = [flat_residues(s.state.rep.components) for s in states]
-        code_index = {code: k for k, code in enumerate(codes)}
+        self.index = {code: k for k, code in enumerate(codes)}
         sides = []  # (side-1, side-2) permutations of each generator
         for g in self.generators:
             m, m_t = matrix_residues(g.matrix), matrix_residues(zip(*g.matrix))
             sides.append((
-                _residue_permutation(partial(residue_mul2, m), codes, code_index, canonical),
+                _residue_permutation(partial(residue_mul2, m), codes, self.index, canonical),
                 _residue_permutation(
-                    lambda psi: residue_mul2(psi, m_t), codes, code_index, canonical
+                    lambda psi: residue_mul2(psi, m_t), codes, self.index, canonical
                 ),
             ))
         self.generator_sides = tuple(sides)
-        side1: list = [None] * group.order
-        side2: list = [None] * group.order
-        start = group.elements.index(group.identity)
-        side1[start] = side2[start] = tuple(range(len(states)))
-        for sh, k, h in tree:
-            s1, s2 = self.generator_sides[k]
-            side1[sh] = tuple(s1[i] for i in side1[h])
-            side2[sh] = tuple(s2[i] for i in side2[h])
-        self.side1 = side1
-        self.side2 = side2
         by_matrix = {g.matrix: k for k, g in enumerate(group.elements)}
         self.inverse = tuple(by_matrix[group.inv(g).matrix] for g in group.elements)
+
+    def images(self, i: int, rows: Sequence[Sequence[int]]) -> list[int]:
+        """State i's image under every element, by element index, composed
+        along the tree from ``rows[k]``, the k-th generator's permutation."""
+        out = [i] * self.group.order
+        for sh, k, h in self.tree:
+            out[sh] = rows[k][out[h]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -506,14 +501,14 @@ def _acting_order(table: _ActionTable, mode: str) -> int:
     raise ValueError("orbit mode must be 'global' or 'local'")
 
 
-def _stabilizer_order(table: _ActionTable, mode: str, i: int) -> int:
-    """How many elements of the whole acting group fix state i."""
+def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> int:
+    """How many elements of the acting group fix state i; perms from _generator_permutations."""
     if mode == "global":
-        return sum(1 for s1, s2 in zip(table.side1, table.side2) if s2[s1[i]] == i)
+        return table.images(i, perms).count(i)
+    n = len(table.generators)
     # (a, b) fixes i exactly when a on side 1 and b^-1 on side 2 agree on i
-    images1 = Counter(s1[i] for s1 in table.side1)
-    images2 = Counter(s2[i] for s2 in table.side2)
-    return sum(count * images2[j] for j, count in images1.items())
+    images2 = Counter(table.images(i, perms[n:]))
+    return sum(images2[j] for j in table.images(i, perms[:n]))
 
 
 def orbits(
@@ -533,7 +528,7 @@ def orbits(
         # ascending indices are in state order, which the sort below finds fastest
         members = sorted([start, *(j for j, _, _ in _walk(start, perms))])
         assigned.update(members)
-        stabilizer = _stabilizer_order(table, mode, start)
+        stabilizer = _stabilizer_order(table, mode, perms, start)
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
         member_states = tuple(
@@ -568,7 +563,8 @@ def burnside_count(
     """
     table = action_table(config, states)
     acting_order = _acting_order(table, mode)
-    total = sum(_stabilizer_order(table, mode, i) for i in range(len(table.states)))
+    perms = _generator_permutations(table, mode)
+    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.states)))
     if total % acting_order != 0:
         raise AssertionError("Burnside sum is not divisible by the group order")
     return total // acting_order
@@ -601,7 +597,7 @@ def _local_reach(config: FieldConfig) -> dict[int, tuple[str, int, int]]:
     perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
     reach: dict[int, tuple[str, int, int]] = {}
     for label, rep in representative_states(config).items():
-        start = table.index[rep.state.rep]
+        start = table.index[flat_residues(rep.state.rep.components)]
         if start in reach:
             continue
         reach[start] = (label, identity, identity)
@@ -615,7 +611,7 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
     """A local pair (g1, g2) carrying the state onto its orbit representative."""
     config = state.config
     table = _action_table(config)
-    idx = table.index.get(state.state.rep)
+    idx = table.index.get(flat_residues(state.state.rep.components))
     if idx is None:
         raise ValueError("state is not an entangled physical state")
     reach = _local_reach(config)
@@ -641,14 +637,14 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
     when the side-1 action on S is free and covers the entangled physical
     states, which holds over GF(3).
     """
-    group = enumerate_group(config)
     table = _action_table(config)
+    group = table.group
     s_state = representative_states(config)["S"]
-    start = table.index[s_state.state.rep]
+    start = table.index[flat_residues(s_state.state.rep.components)]
+    images = table.images(start, [s1 for s1, _ in table.generator_sides])
     labels: dict[str, TwoParticleState] = {}
-    for k in range(group.order):
+    for k, image in enumerate(images):
         # (g tensor 1) S = state  <=>  (g^-1 tensor 1) state = S
-        image = table.side1[k][start]
         owner = group.elements[table.inverse[k]]
         name = "S" if owner is group.identity else owner.label
         if name in labels:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -273,6 +274,21 @@ def test_seed_check_subprocess_passes_everything():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13/13 criteria passed" in proc.stdout
     assert proc.stdout.count("PASS") == 13
+
+
+def test_chsh_value_over_a_large_prime_builds_no_residue_table(capsys):
+    # the sign map is Euler's criterion: no set or tuple of the p residues
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(
+            capsys, ["chsh", "--state", "S", "--p", "10000019", "--degree", "1"]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert out.startswith("C_1331(S) = -2\n")
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from bioqm.groups import (
     _cycle_notation,
     _generator_permutations,
     _local_reach,
+    _stabilizer_order,
     _walk,
     action_table,
 )
@@ -40,6 +41,7 @@ from bioqm.linear import (
     canonicalize,
     dagger,
     det2,
+    flat_residues,
     identity_matrix,
     kron,
     mat_mul,
@@ -402,26 +404,24 @@ def test_orbits_of_the_physical_product_states(config):
         )
 
 
-def _per_element_sides(table):
-    """Reference: act() for every element on every state, on each side."""
-
-    def permutation(g, mode):
-        return tuple(table.index[act(g, s, mode).state.rep] for s in table.states)
-
-    elements = table.group.elements
-    return (
-        [permutation(g, "local_1") for g in elements],
-        [permutation(g, "local_2") for g in elements],
-    )
+def _index_of(table, state):
+    return table.index[flat_residues(state.state.rep.components)]
 
 
 @pytest.mark.parametrize(
     "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
 )
 def test_generator_built_table_matches_per_element_reference(config):
+    # each state's image under every element, composed from the generator
+    # rows along the Cayley tree, against act() for that element and state
     table = action_table(config)
     assert len(table.generators) <= 4
-    assert (table.side1, table.side2) == _per_element_sides(table)
+    elements = table.group.elements
+    for side, mode in enumerate(("local_1", "local_2")):
+        rows = [sides[side] for sides in table.generator_sides]
+        for i, state in enumerate(table.states):
+            expected = [_index_of(table, act(g, state, mode)) for g in elements]
+            assert table.images(i, rows) == expected
 
 
 @pytest.mark.parametrize("subset", ["entangled", "products"])
@@ -434,7 +434,7 @@ def test_residue_generator_rows_match_object_act(config, subset):
     table = action_table(config, states=states)
     for g, (side1, side2) in zip(table.generators, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
-            assert row == tuple(table.index[act(g, s, mode).state.rep] for s in table.states)
+            assert row == tuple(_index_of(table, act(g, s, mode)) for s in table.states)
 
 
 @pytest.mark.parametrize(
@@ -549,6 +549,34 @@ def _local_stabilizer_pairs(label):
     return fixed
 
 
+def test_local_orbit_stabilizers_of_t_and_u_match_the_fixing_pairs():
+    orbit_of = {m.state.rep: o for o in orbits(GF9, "local") for m in o.members}
+    reps = representative_states(GF9)
+    for label, count in (("T", 3), ("U", 2)):
+        pairs = _local_stabilizer_pairs(label)
+        assert len(pairs) == count
+        assert orbit_of[reps[label].state.rep].stabilizer_order == len(pairs)
+
+
+def test_gf3_stabilizer_orders_match_the_fixing_elements():
+    # every entangled state's stabilizer, read from the tree-walked images,
+    # against the elements (global) and pairs (local) that act() finds fixing it
+    table = action_table(GF3)
+    elements = table.group.elements
+    global_perms = _generator_permutations(table, "global")
+    local_perms = _generator_permutations(table, "local")
+    for i, state in enumerate(table.states):
+        fixing = [g for g in elements if _index_of(table, act(g, state, "global")) == i]
+        assert _stabilizer_order(table, "global", global_perms, i) == len(fixing)
+        fixing_pairs = [
+            (g1, g2)
+            for g1 in elements
+            for g2 in elements
+            if _index_of(table, act(g2, act(g1, state, "local_1"), "local_2")) == i
+        ]
+        assert _stabilizer_order(table, "local", local_perms, i) == len(fixing_pairs)
+
+
 def test_local_stabilizers_of_t_and_u_frozen():
     assert _local_stabilizer_pairs("T") == {
         ("e", "e"),
@@ -643,7 +671,7 @@ def _reference_reach(config):
     perms = _generator_permutations(table, "local")
     reach = {}
     for label, rep in representative_states(config).items():
-        start = table.index[rep.state.rep]
+        start = _index_of(table, rep)
         if start in reach:
             continue
         reach[start] = (label, group.identity, group.identity)
