@@ -26,6 +26,7 @@ from .groups import (
     burnside_count,
     conjugacy_classes,
     conjugate_observable,
+    element_orders,
     entangled_labels,
     enumerate_group,
     orbits,
@@ -178,6 +179,7 @@ def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dic
     group = enumerate_group(config)
     payload: dict = {"kind": "groups", "field": _field_info(config), "order": group.order}
     if everything:
+        orders = dict(zip(group.elements, element_orders(group)))
         elements = []
         for label in sorted(group.by_label):
             g = group.by_label[label]
@@ -189,7 +191,7 @@ def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dic
                 {
                     "label": g.label,
                     "sign": g.sign,
-                    "order": group.element_order(g),
+                    "order": orders[g],
                     "matrix": [[str(x) for x in row] for row in g.matrix],
                     "axis_action": action,
                 }

@@ -18,14 +18,19 @@ the CHSH kernel and the census are: each state's flat (re, im) code goes
 through the 2x2 residue product, is brought to leading-1 form and is looked
 up by code, so no state object or ``act`` call is made.  The generating set
 and the Cayley tree come from the generators' left multiplication of the
-element indices, on matrix codes the same way.  Orbits and local-transform
-words are walked along the generator rows by one breadth-first walk; a word
-is a pair of element indices, and its inverse is read from the table's
-inverse index.  A stabilizer order walks the Cayley tree once from its state,
-composing generator rows into the state's image under every element, and
-counts the elements that fix it; Burnside counts sum those orders over every
-state.  ``act`` stays the object path, and the tests check every residue row
-and every element's image against it.
+element indices, on matrix codes the same way; these index tables and the
+inverse index are built once per field.  Conjugacy classes are the walk
+along each generator's conjugation of the indices, and an element's order is
+read once per class from the representative's left multiplication.  Orbits
+and local-transform words are walked along the generator rows by one
+breadth-first walk; a word is a pair of element indices, and its inverse is
+read from the inverse index.  A stabilizer order walks the Cayley tree once
+from its state, composing generator rows into the state's image under every
+element, and counts the elements that fix it.  A Burnside count sums fixed
+points over class representatives weighted by class size (pairs of classes
+for the local action), each representative's permutation composed from the
+generator rows.  ``act`` stays the object path, and the tests check every
+residue row and every element's image against it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import eq
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
@@ -130,12 +136,6 @@ class ProjectiveGroup:
     def inv(self, g: GroupElement) -> GroupElement:
         return self.lookup(inverse2(g.matrix))
 
-    def element_order(self, g: GroupElement) -> int:
-        power, n = g, 1
-        while power is not self.identity:
-            power, n = self.mul(power, g), n + 1
-        return n
-
 
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
@@ -187,16 +187,13 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
 
 def conjugacy_classes(group: ProjectiveGroup) -> list[tuple[GroupElement, ...]]:
     """Conjugacy classes, sorted by size then by representative matrix."""
-    remaining = list(group.elements)
-    classes = []
-    while remaining:
-        g = remaining[0]
-        members = {group.mul(group.mul(h, g), group.inv(h)) for h in group.elements}
-        ordered = tuple(sorted(members, key=lambda x: _matrix_key(x.matrix)))
-        classes.append(ordered)
-        remaining = [x for x in remaining if x not in members]
-    classes.sort(key=lambda c: (len(c), _matrix_key(c[0].matrix)))
-    return classes
+    elements = group.elements
+    return [tuple(elements[k] for k in c) for c in _group_index(group.config).classes]
+
+
+def element_orders(group: ProjectiveGroup) -> tuple[int, ...]:
+    """The order of each element, in the order of ``group.elements``."""
+    return _group_index(group.config).orders
 
 
 # -- abstract-group identification ---------------------------------------------
@@ -251,15 +248,11 @@ def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
     nonabelianness and the order profile (1, 9, 8, 6) for orders (1, 2, 3, 4),
     which no other order-24 group matches.
     """
-    classes = conjugacy_classes(group)
-    class_sizes = tuple(sorted(len(c) for c in classes))
+    index = _group_index(group.config)
+    class_sizes = tuple(sorted(len(c) for c in index.classes))
     # a group is abelian exactly when every element is its own class
     abelian = all(size == 1 for size in class_sizes)
-    profile_counts: dict[int, int] = {}
-    for g in group.elements:
-        n = group.element_order(g)
-        profile_counts[n] = profile_counts.get(n, 0) + 1
-    profile = tuple(sorted(profile_counts.items()))
+    profile = tuple(sorted(Counter(index.orders).items()))
 
     name, verified = "unidentified", False
     if group.order == 8:
@@ -406,6 +399,66 @@ def _generating_set(
     return tuple(gens), tree, tuple(left)
 
 
+class _GroupIndex:
+    """The group on element indices, built once per field.
+
+    ``tree`` is the Cayley tree from the identity, one (s*h, k, h) per other
+    element with s the k-th generator; ``generator_left[k]`` is the k-th
+    generator's left multiplication of the indices and ``inverse[k]`` the
+    index of element k's inverse.  ``classes`` are the conjugacy classes in
+    the order of ``conjugacy_classes`` (the elements are sorted by matrix):
+    the orbits of x -> s x s^-1 = (s (s x)^-1)^-1 over the generators s.
+    ``orders[k]``, a class function, is read once per class as the length of
+    the identity's cycle under the representative's left multiplication.
+    """
+
+    def __init__(self, group: ProjectiveGroup):
+        canonical = residue_canonicalizer(group.config)
+        self.generators, self.tree, self.generator_left = _generating_set(group, canonical)
+        if len(self.tree) + 1 != group.order:
+            raise AssertionError("the generators do not reach every group element")
+        by_matrix = {g.matrix: k for k, g in enumerate(group.elements)}
+        self.inverse = inv = tuple(by_matrix[group.inv(g).matrix] for g in group.elements)
+        self.identity = by_matrix[group.identity.matrix]
+        self.parent = {sh: (k, h) for sh, k, h in self.tree}
+        conjugations = [[inv[left[inv[left[x]]]] for x in range(group.order)]
+                        for left in self.generator_left]
+        classes, seen = [], set()
+        for x in range(group.order):
+            if x not in seen:
+                members = sorted([x, *(j for j, _, _ in _walk(x, conjugations))])
+                seen.update(members)
+                classes.append(tuple(members))
+        classes.sort(key=lambda c: (len(c), c[0]))
+        self.classes = tuple(classes)
+        orders = [0] * group.order
+        for members in classes:
+            left = self.compose(members[0], self.generator_left)
+            x, n = left[self.identity], 1
+            while x != self.identity:
+                x, n = left[x], n + 1
+            for k in members:
+                orders[k] = n
+        self.orders = tuple(orders)
+
+    def compose(self, x: int, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Element x's permutation, composed along its tree path from
+        ``rows[k]``, the k-th generator's permutation."""
+        path = []
+        while x != self.identity:
+            k, x = self.parent[x]
+            path.append(k)
+        out = list(range(len(rows[0])))
+        for k in reversed(path):  # x = s_path[0] ... s_path[-1]
+            out = list(map(rows[k].__getitem__, out))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _group_index(config: FieldConfig) -> _GroupIndex:
+    return _GroupIndex(enumerate_group(config))
+
+
 class _ActionTable:
     """The one-sided actions on an indexed state set, kept as generator rows.
 
@@ -413,22 +466,18 @@ class _ActionTable:
     indices made by the k-th generator: psi -> M psi on side 1 and
     psi -> psi M^T on side 2, applied to residue codes, brought to leading-1
     form and looked up by code in ``index``.  A state set closed under the
-    generators is closed under the whole group.  ``tree`` is the Cayley tree
-    from the identity, one (s*h, k, h) per other element with s the k-th
-    generator; ``images`` walks it to act with every element.
-
-    ``generator_left[k]`` is the k-th generator's left multiplication of the
-    element indices and ``inverse[k]`` the index of element k's inverse, so
-    words in the group are walked as element indices.
+    generators is closed under the whole group.  The generators, the Cayley
+    ``tree``, ``generator_left`` and ``inverse`` are read from the field's
+    ``_GroupIndex``; ``images`` walks the tree to act with every element.
     """
 
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
+        elements = _group_index(group.config)
+        self.generators, self.tree = elements.generators, elements.tree
+        self.generator_left, self.inverse = elements.generator_left, elements.inverse
         canonical = residue_canonicalizer(group.config)
-        self.generators, self.tree, self.generator_left = _generating_set(group, canonical)
-        if len(self.tree) + 1 != group.order:
-            raise AssertionError("the generators do not reach every group element")
         codes = [flat_residues(s.state.rep.components) for s in states]
         self.index = {code: k for k, code in enumerate(codes)}
         sides = []  # (side-1, side-2) permutations of each generator
@@ -441,8 +490,6 @@ class _ActionTable:
                 ),
             ))
         self.generator_sides = tuple(sides)
-        by_matrix = {g.matrix: k for k, g in enumerate(group.elements)}
-        self.inverse = tuple(by_matrix[group.inv(g).matrix] for g in group.elements)
 
     def images(self, i: int, rows: Sequence[Sequence[int]]) -> list[int]:
         """State i's image under every element, by element index, composed
@@ -557,14 +604,29 @@ def burnside_count(
 ) -> int:
     """Orbit count as the average number of fixed points over the action.
 
-    The fixed points of every element summed equal the stabilizer orders of
-    every state summed; both count pairs (element, state) with element fixing
-    state.
+    A fixed-point count is a class function, and the classes of the local
+    group G x G are pairs of classes of G, so the sum over the acting group
+    is a sum over class representatives weighted by class size.  Each
+    representative's permutation is composed from the generator rows.
     """
     table = action_table(config, states)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
-    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.states)))
+    index = _group_index(config)
+    ids = range(len(table.states))
+    if mode == "global":
+        total = sum(
+            len(c) * sum(map(eq, index.compose(c[0], perms), ids)) for c in index.classes
+        )
+    else:
+        n = len(index.generators)
+        # (a, b) fixes i exactly when side2_b[side1_a[i]] = i, that is when
+        # side1_a[i] = side2_b^-1[i]
+        back2 = [(len(c), index.compose(index.inverse[c[0]], perms[n:])) for c in index.classes]
+        total = 0
+        for c in index.classes:
+            row1 = index.compose(c[0], perms[:n])
+            total += len(c) * sum(size * sum(map(eq, row1, row2)) for size, row2 in back2)
     if total % acting_order != 0:
         raise AssertionError("Burnside sum is not divisible by the group order")
     return total // acting_order

@@ -14,6 +14,7 @@ from bioqm import (
     conjugate_observable,
     conjugacy_classes,
     d4_relations_hold,
+    element_orders,
     entangled_labels,
     enumerate_group,
     find_local_transform,
@@ -29,9 +30,11 @@ from bioqm.gf import phi_map
 from bioqm import groups
 from bioqm.groups import (
     ProjectiveGroup,
+    _acting_order,
     _cycle_notation,
     _generator_permutations,
     _local_reach,
+    _matrix_key,
     _stabilizer_order,
     _walk,
     action_table,
@@ -55,6 +58,9 @@ GF9 = FieldConfig(3, 2)
 GF7 = FieldConfig(7, 1)
 GF11 = FieldConfig(11, 1)
 GF19 = FieldConfig(19, 1)
+GF23 = FieldConfig(23, 1)
+FIELDS = [GF3, GF7, GF9, GF11, GF19, GF23]
+FIELD_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19", "gf23"]
 
 
 def test_canonicalize_matrix():
@@ -225,6 +231,36 @@ def test_gf9_conjugacy_classes_frozen():
             }
         ),
     }
+
+
+def reference_conjugacy_classes(group):
+    # the object loop: {h g h^-1} over every h, by group.mul and group.inv
+    remaining = list(group.elements)
+    classes = []
+    while remaining:
+        g = remaining[0]
+        members = {group.mul(group.mul(h, g), group.inv(h)) for h in group.elements}
+        classes.append(tuple(sorted(members, key=lambda x: _matrix_key(x.matrix))))
+        remaining = [x for x in remaining if x not in members]
+    classes.sort(key=lambda c: (len(c), _matrix_key(c[0].matrix)))
+    return classes
+
+
+def reference_element_order(group, g):
+    power, n = g, 1
+    while power is not group.identity:
+        power, n = group.mul(power, g), n + 1
+    return n
+
+
+@pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
+def test_classes_and_orders_match_the_object_references(config):
+    group = enumerate_group(config)
+    assert conjugacy_classes(group) == reference_conjugacy_classes(group)
+    orders = [reference_element_order(group, g) for g in group.elements]
+    assert list(element_orders(group)) == orders
+    profile = tuple(sorted(Counter(orders).items()))
+    assert verify_isomorphism(group).element_order_profile == profile
 
 
 def test_isomorphism_reports():
@@ -450,6 +486,22 @@ def test_element_index_words_match_group_multiplication(config):
         assert group.mul(g, elements[k]) is group.identity
 
 
+@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
+def test_composed_rows_match_group_multiplication_and_act(config):
+    # each element's row, composed from the generator rows along its tree
+    # path: on element indices against group.mul, on states against act()
+    index = groups._group_index(config)
+    table = action_table(config)
+    group = table.group
+    elements = group.elements
+    side1 = [s1 for s1, _ in table.generator_sides]
+    for x, g in enumerate(elements):
+        left = index.compose(x, index.generator_left)
+        assert [elements[j] for j in left] == [group.mul(g, h) for h in elements]
+        expected = [_index_of(table, act(g, state, "local_1")) for state in table.states]
+        assert index.compose(x, side1) == expected
+
+
 def test_orbits_on_a_closed_subset():
     # the 24-state local orbit over GF(9) is closed, so restriction works
     closed = next(o for o in orbits(GF9, "local") if o.size == 24).members
@@ -528,10 +580,38 @@ def test_gf9_local_orbits_frozen():
         (GF11, "local"),
         (GF19, "global"),
         (GF19, "local"),
+        (GF23, "global"),
+        (GF23, "local"),
     ],
 )
 def test_burnside_agrees_with_direct_orbit_count(config, mode):
     assert burnside_count(config, mode) == len(orbits(config, mode))
+
+
+def reference_burnside_count(config, mode, states=None):
+    # the per-state sum: every state's stabilizer order, walked along the tree
+    table = action_table(config, states)
+    perms = _generator_permutations(table, mode)
+    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.states)))
+    count, rest = divmod(total, _acting_order(table, mode))
+    assert rest == 0
+    return count
+
+
+@pytest.mark.parametrize("subset", ["entangled", "products"])
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
+def test_burnside_class_sum_matches_the_per_state_sum(config, mode, subset):
+    states = None if subset == "entangled" else _physical_products(config)
+    assert burnside_count(config, mode, states=states) == reference_burnside_count(
+        config, mode, states
+    )
+
+
+@pytest.mark.parametrize("count", [burnside_count, orbits], ids=["burnside", "orbits"])
+def test_unknown_orbit_mode_raises(count):
+    with pytest.raises(ValueError, match="orbit mode"):
+        count(GF3, "sideways")
 
 
 def _local_stabilizer_pairs(label):
@@ -703,22 +783,29 @@ def test_find_local_transform_matches_the_element_walk(config):
         assert move.representative_label == label
 
 
+def _counting(calls, name, func):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def _count_group_calls(monkeypatch):
+    calls = Counter()
+    for name in ("mul", "inv"):
+        func = getattr(ProjectiveGroup, name)
+        monkeypatch.setattr(ProjectiveGroup, name, _counting(calls, name, func))
+    return calls
+
+
 @pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
 def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     # a fresh table and word walk, then 50 transforms (GF(7) has only S's
     # orbit of 16 to draw from): group.inv runs once per element for the
     # inverse index, and act and group.mul never run
-    calls = Counter()
-
-    def counting(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(groups, "act", counting("act", groups.act))
-    for name in ("mul", "inv"):
-        monkeypatch.setattr(ProjectiveGroup, name, counting(name, getattr(ProjectiveGroup, name)))
+    calls = _count_group_calls(monkeypatch)
+    monkeypatch.setattr(groups, "act", _counting(calls, "act", groups.act))
+    groups._group_index.cache_clear()
     groups._action_table.cache_clear()
     _local_reach.cache_clear()
     table = action_table(config)
@@ -746,3 +833,19 @@ def test_find_local_transform_rejects_product_states():
     )
     with pytest.raises(ValueError):
         find_local_transform(pair)
+
+
+@pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
+def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
+    # from fresh caches the classes, the element orders and both Burnside
+    # sums read the index tables: group.inv runs once per element for the
+    # inverse index, and group.mul never runs
+    calls = _count_group_calls(monkeypatch)
+    groups._group_index.cache_clear()
+    groups._action_table.cache_clear()
+    group = enumerate_group(config)
+    conjugacy_classes(group)
+    verify_isomorphism(group)
+    for mode in ("global", "local"):
+        burnside_count(config, mode)
+    assert calls == Counter(inv=group.order)
