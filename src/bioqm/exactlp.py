@@ -337,9 +337,3 @@ def solve_lp(
     if maximize and result.objective is not None:
         result = replace(result, objective=-result.objective)
     return result
-
-
-def feasible_point(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
-    """Find any nonnegative solution of rows . x = rhs, or certify none exists."""
-    n = len(rows[0]) if rows else 0
-    return solve_lp([Fraction(0)] * n, rows, rhs)

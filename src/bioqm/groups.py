@@ -4,7 +4,9 @@ A 2x2 matrix M preserves the biorthogonal structure when dagger(M) * M is a
 nonzero base-field multiple of the identity; over p = 3 fields that multiple
 is forced into {+1, -1}, and its sign is stored on each element.  Matrices
 differing by a nonzero scalar act identically on projective states, so each
-element is kept in leading-1 canonical form.
+element is kept in leading-1 canonical form.  The members are constructed
+from the physical one-particle points, not searched for, and their sorted
+residue codes give both the element objects and the index tables.
 
 Elements are named by the permutation they induce on the named one-particle
 states (cycle notation, identity written "e").  Two-particle actions come in
@@ -18,10 +20,11 @@ the CHSH kernel and the census are: each state's flat (re, im) code goes
 through the 2x2 residue product, is brought to leading-1 form and is looked
 up by code, so no state object or ``act`` call is made.  The generating set
 and the Cayley tree come from the generators' left multiplication of the
-element indices, on matrix codes the same way; these index tables and the
-inverse index are built once per field.  Conjugacy classes are the walk
-along each generator's conjugation of the indices, and an element's order is
-read once per class from the representative's left multiplication.  Orbits
+element indices, on the members' codes the same way, and the inverse index
+from each member's adjugate code; these index tables are built once per
+field.  Conjugacy classes are the walk along each generator's conjugation of
+the indices, and an element's order is read once per class from the
+representative's left multiplication.  Orbits
 and local-transform words are walked along the generator rows by one
 breadth-first walk; a word is a pair of element indices, and its inverse is
 read from the inverse index.  A stabilizer order walks the Cayley tree once
@@ -56,7 +59,6 @@ from .linear import (
     mat_vec,
     matrix_make,
     matrix_residues,
-    projective_residues,
     residue_canonicalizer,
     residue_mul2,
 )
@@ -73,10 +75,6 @@ def canonicalize_matrix(m: Matrix) -> Matrix:
         raise ValueError("the zero matrix has no projective class")
     inv = leading.inverse()
     return tuple(tuple(x * inv for x in row) for row in m)
-
-
-def _matrix_key(m: Matrix) -> tuple[tuple[int, int], ...]:
-    return tuple(x.sort_key() for row in m for x in row)
 
 
 def _cycle_notation(perm: tuple[int, ...], letters: str) -> str:
@@ -138,35 +136,47 @@ class ProjectiveGroup:
 
 
 @lru_cache(maxsize=None)
+def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
+    """The members' canonical residue codes, in element order.
+
+    A member's first column is a physical one-particle point (a, c), and its
+    second is orthogonal to it with the same norm: mu (-conj(c), conj(a))
+    with mu conj(mu) = 1.  Each (point, mu) is one member, so p^2 - p points
+    and p + 1 values of mu make p(p^2 - 1) members over GF(p^2), and p + 1
+    points and mu = +1 or -1 make 2(p + 1) over GF(p).
+    """
+    p = config.p
+    canonical = residue_canonicalizer(config)
+    units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
+    codes = []
+    for s in physical_states(config, 2):
+        ar, ai, cr, ci = flat_residues(s.rep.components)
+        for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
+            codes.append(canonical((ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
+                                    cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)))
+    expected = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
+    if not len(set(codes)) == len(codes) == expected:
+        raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
+    return tuple(sorted(codes))
+
+
+@lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
-    """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar."""
+    """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
+    from ``_member_codes``."""
     states = physical_states(config, 2)
     index_of = {s.rep: k for k, s in enumerate(states)}
     if len(states) > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
 
-    p = config.p
     zero = config.zero()
     found: list[GroupElement] = []
-    # the canonical 2x2 matrices are the canonical 4-vectors, row-major;
-    # M = [[a, b], [c, d]] has dagger(M) M = [[n, x], [conj(x), n']] with the
-    # column norms n = |a|^2 + |c|^2, n' = |b|^2 + |d|^2 and x = conj(a) b +
-    # conj(c) d, so only the members are built as matrices
-    for v, _ in projective_residues(config, 4):
-        ar, ai, br, bi, cr, ci, dr, di = v
-        norm = (ar * ar + ai * ai + cr * cr + ci * ci) % p
-        if (
-            not norm
-            or norm != (br * br + bi * bi + dr * dr + di * di) % p
-            or (ar * br + ai * bi + cr * dr + ci * di) % p
-            or (ar * bi - ai * br + cr * di - ci * dr) % p
-        ):
-            continue
+    for ar, ai, br, bi, cr, ci, dr, di in _member_codes(config):
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
-        c = config.element(norm)
+        c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
-            raise AssertionError("dagger(M) M is not the scalar its residues give")
+            raise AssertionError("dagger(M) M is not the scalar its first column gives")
         perm = []
         for s in states:
             image = canonicalize(mat_vec(m, s.rep))
@@ -181,7 +191,6 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
                 perm=tuple(perm),
             )
         )
-    found.sort(key=lambda g: _matrix_key(g.matrix))
     return ProjectiveGroup(config, tuple(found))
 
 
@@ -371,55 +380,47 @@ def _residue_permutation(
         raise ValueError("the action escapes the given state set") from None
 
 
-def _generating_set(
-    group: ProjectiveGroup, canonical: Callable[[list[int]], tuple[int, ...]]
-) -> tuple[tuple[GroupElement, ...], list[tuple[int, int, int]], tuple[tuple[int, ...], ...]]:
-    """Walk the elements in sorted order, keeping each one not yet generated.
-
-    Returns the generators, the Cayley tree and the generators'
-    left-multiplication permutations of the element indices; the tree is the
-    walk from the identity along those permutations.  A product g h is
-    looked up by the residue code of its canonical matrix.
-    """
-    elements = group.elements
-    codes = [matrix_residues(g.matrix) for g in elements]
-    index = {code: k for k, code in enumerate(codes)}
-    start = elements.index(group.identity)
-    gens: list[GroupElement] = []
-    left: list[tuple[int, ...]] = []
-    tree: list[tuple[int, int, int]] = []
-    generated = {start}
-    for k, g in enumerate(elements):
-        if k not in generated:
-            gens.append(g)
-            step = partial(residue_mul2, codes[k])
-            left.append(_residue_permutation(step, codes, index, canonical))
-            tree = _walk(start, left)
-            generated = {start, *(j for j, _, _ in tree)}
-    return tuple(gens), tree, tuple(left)
-
-
 class _GroupIndex:
-    """The group on element indices, built once per field.
+    """The group on element indices, built once per field from the members'
+    residue codes; a product or an inverse is looked up by the code of its
+    canonical matrix.
 
-    ``tree`` is the Cayley tree from the identity, one (s*h, k, h) per other
-    element with s the k-th generator; ``generator_left[k]`` is the k-th
-    generator's left multiplication of the indices and ``inverse[k]`` the
-    index of element k's inverse.  ``classes`` are the conjugacy classes in
-    the order of ``conjugacy_classes`` (the elements are sorted by matrix):
-    the orbits of x -> s x s^-1 = (s (s x)^-1)^-1 over the generators s.
-    ``orders[k]``, a class function, is read once per class as the length of
-    the identity's cycle under the representative's left multiplication.
+    The generators are the elements, in order, not yet generated by those
+    before them.  ``tree`` is the Cayley tree from the identity, one
+    (s*h, k, h) per other element with s the k-th generator;
+    ``generator_left[k]`` is the k-th generator's left multiplication of the
+    indices and ``inverse[k]`` the index of element k's inverse, read from
+    the adjugate [[d, -b], [-c, a]].  ``classes`` are the conjugacy classes
+    in the order of ``conjugacy_classes`` (the elements are sorted by
+    matrix): the orbits of x -> s x s^-1 = (s (s x)^-1)^-1 over the
+    generators s.  ``orders[k]``, a class function, is read once per class as
+    the length of the identity's cycle under the representative's left
+    multiplication.
     """
 
     def __init__(self, group: ProjectiveGroup):
         canonical = residue_canonicalizer(group.config)
-        self.generators, self.tree, self.generator_left = _generating_set(group, canonical)
-        if len(self.tree) + 1 != group.order:
+        codes = _member_codes(group.config)
+        index = {code: k for k, code in enumerate(codes)}
+        self.identity = start = index[1, 0, 0, 0, 0, 0, 1, 0]
+        gens: list[GroupElement] = []
+        left: list[tuple[int, ...]] = []
+        tree: list[tuple[int, int, int]] = []
+        generated = {start}
+        for k, code in enumerate(codes):
+            if k not in generated:
+                gens.append(group.elements[k])
+                step = partial(residue_mul2, code)
+                left.append(_residue_permutation(step, codes, index, canonical))
+                tree = _walk(start, left)
+                generated = {start, *(j for j, _, _ in tree)}
+        if len(generated) != group.order:
             raise AssertionError("the generators do not reach every group element")
-        by_matrix = {g.matrix: k for k, g in enumerate(group.elements)}
-        self.inverse = inv = tuple(by_matrix[group.inv(g).matrix] for g in group.elements)
-        self.identity = by_matrix[group.identity.matrix]
+        self.generators, self.tree, self.generator_left = tuple(gens), tree, tuple(left)
+        self.inverse = inv = tuple(
+            index[canonical((dr, di, -br, -bi, -cr, -ci, ar, ai))]
+            for ar, ai, br, bi, cr, ci, dr, di in codes
+        )
         self.parent = {sh: (k, h) for sh, k, h in self.tree}
         conjugations = [[inv[left[inv[left[x]]]] for x in range(group.order)]
                         for left in self.generator_left]
@@ -453,6 +454,14 @@ class _GroupIndex:
             out = list(map(rows[k].__getitem__, out))
         return out
 
+    def images(self, i: int, rows: Sequence[Sequence[int]]) -> list[int]:
+        """State i's image under every element, by element index, composed
+        along the tree from ``rows[k]``, the k-th generator's permutation."""
+        out = [i] * len(self.inverse)
+        for sh, k, h in self.tree:
+            out[sh] = rows[k][out[h]]
+        return out
+
 
 @lru_cache(maxsize=None)
 def _group_index(config: FieldConfig) -> _GroupIndex:
@@ -466,22 +475,19 @@ class _ActionTable:
     indices made by the k-th generator: psi -> M psi on side 1 and
     psi -> psi M^T on side 2, applied to residue codes, brought to leading-1
     form and looked up by code in ``index``.  A state set closed under the
-    generators is closed under the whole group.  The generators, the Cayley
-    ``tree``, ``generator_left`` and ``inverse`` are read from the field's
-    ``_GroupIndex``; ``images`` walks the tree to act with every element.
+    generators is closed under the whole group.  The generators and the
+    Cayley tree are the field's ``_GroupIndex``, kept as ``group_index``.
     """
 
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
-        elements = _group_index(group.config)
-        self.generators, self.tree = elements.generators, elements.tree
-        self.generator_left, self.inverse = elements.generator_left, elements.inverse
+        self.group_index = _group_index(group.config)
         canonical = residue_canonicalizer(group.config)
         codes = [flat_residues(s.state.rep.components) for s in states]
         self.index = {code: k for k, code in enumerate(codes)}
         sides = []  # (side-1, side-2) permutations of each generator
-        for g in self.generators:
+        for g in self.group_index.generators:
             m, m_t = matrix_residues(g.matrix), matrix_residues(zip(*g.matrix))
             sides.append((
                 _residue_permutation(partial(residue_mul2, m), codes, self.index, canonical),
@@ -490,14 +496,6 @@ class _ActionTable:
                 ),
             ))
         self.generator_sides = tuple(sides)
-
-    def images(self, i: int, rows: Sequence[Sequence[int]]) -> list[int]:
-        """State i's image under every element, by element index, composed
-        along the tree from ``rows[k]``, the k-th generator's permutation."""
-        out = [i] * self.group.order
-        for sh, k, h in self.tree:
-            out[sh] = rows[k][out[h]]
-        return out
 
 
 @dataclass(frozen=True)
@@ -550,12 +548,13 @@ def _acting_order(table: _ActionTable, mode: str) -> int:
 
 def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> int:
     """How many elements of the acting group fix state i; perms from _generator_permutations."""
+    index = table.group_index
     if mode == "global":
-        return table.images(i, perms).count(i)
-    n = len(table.generators)
+        return index.images(i, perms).count(i)
+    n = len(index.generators)
     # (a, b) fixes i exactly when a on side 1 and b^-1 on side 2 agree on i
-    images2 = Counter(table.images(i, perms[n:]))
-    return sum(images2[j] for j in table.images(i, perms[:n]))
+    images2 = Counter(index.images(i, perms[n:]))
+    return sum(images2[j] for j in index.images(i, perms[:n]))
 
 
 def orbits(
@@ -653,9 +652,8 @@ def _local_reach(config: FieldConfig) -> dict[int, tuple[str, int, int]]:
     maps the state back.
     """
     table = _action_table(config)
-    left = table.generator_left
+    left, identity = table.group_index.generator_left, table.group_index.identity
     n = len(left)
-    identity = table.group.elements.index(table.group.identity)
     perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
     reach: dict[int, tuple[str, int, int]] = {}
     for label, rep in representative_states(config).items():
@@ -680,11 +678,11 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
     if idx not in reach:
         raise ValueError("state is not locally equivalent to any representative")
     label, a, b = reach[idx]
-    elements = table.group.elements
+    elements, inverse = table.group.elements, table.group_index.inverse
     reps = representative_states(config)
     return LocalTransform(
-        g1=elements[table.inverse[a]],
-        g2=elements[table.inverse[b]],
+        g1=elements[inverse[a]],
+        g2=elements[inverse[b]],
         representative_label=label,
         representative=reps[label],
     )
@@ -703,11 +701,12 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
     group = table.group
     s_state = representative_states(config)["S"]
     start = table.index[flat_residues(s_state.state.rep.components)]
-    images = table.images(start, [s1 for s1, _ in table.generator_sides])
+    index = table.group_index
+    images = index.images(start, [s1 for s1, _ in table.generator_sides])
     labels: dict[str, TwoParticleState] = {}
     for k, image in enumerate(images):
         # (g tensor 1) S = state  <=>  (g^-1 tensor 1) state = S
-        owner = group.elements[table.inverse[k]]
+        owner = group.elements[index.inverse[k]]
         name = "S" if owner is group.identity else owner.label
         if name in labels:
             raise ValueError("side-1 action on S is not free; labels undefined")

@@ -9,7 +9,6 @@ from hypothesis import given, seed, settings, strategies as st
 from bioqm import FieldConfig, exactlp, representative_states
 from bioqm.exactlp import (
     LPResult,
-    feasible_point,
     rref,
     solve_lp,
     solve_lps,
@@ -99,7 +98,7 @@ def test_infeasible_with_verified_certificate():
 def test_infeasible_by_sign_obstruction():
     # x + y = -1 has no nonnegative solution
     rows, rhs = [[1, 1]], [-1]
-    result = feasible_point(rows, rhs)
+    result = solve_lp([0, 0], rows, rhs)
     assert result.status == "infeasible"
     assert verify_farkas(rows, rhs, result.certificate)
 
@@ -119,7 +118,7 @@ def test_tampered_certificate_fails_replay():
 def test_feasible_point_replays():
     rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
     rhs = [F(1, 2), F(1, 2), F(1, 4)]
-    result = feasible_point(rows, rhs)
+    result = solve_lp([0, 0, 0, 0], rows, rhs)
     assert result.status == "optimal"
     for row, target in zip(rows, rhs):
         assert sum(F(a) * x for a, x in zip(row, result.solution)) == target

@@ -34,7 +34,7 @@ from bioqm.groups import (
     _cycle_notation,
     _generator_permutations,
     _local_reach,
-    _matrix_key,
+    _member_codes,
     _stabilizer_order,
     _walk,
     action_table,
@@ -50,6 +50,7 @@ from bioqm.linear import (
     mat_mul,
     mat_vec,
     matrix_make,
+    projective_residues,
 )
 from test_linear import reference_projective
 
@@ -59,8 +60,13 @@ GF7 = FieldConfig(7, 1)
 GF11 = FieldConfig(11, 1)
 GF19 = FieldConfig(19, 1)
 GF23 = FieldConfig(23, 1)
+GF49 = FieldConfig(7, 2)
 FIELDS = [GF3, GF7, GF9, GF11, GF19, GF23]
 FIELD_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19", "gf23"]
+
+
+def _matrix_key(m):
+    return tuple(x.sort_key() for row in m for x in row)
 
 
 def test_canonicalize_matrix():
@@ -114,9 +120,37 @@ def _object_group(config):
     return found
 
 
-@pytest.mark.parametrize(
-    "config", [GF3, GF7, GF9, GF11, GF19], ids=["gf3", "gf7", "gf9", "gf11", "gf19"]
-)
+def reference_member_codes(config):
+    """The members found by search: every canonical 4-vector of the residue
+    enumeration, read row-major as M = [[a, b], [c, d]], kept when
+    dagger(M) M = [[n, x], [conj(x), n']] has n = n' nonzero and x = 0, with
+    the column norms n, n' and x = conj(a) b + conj(c) d; sorted by code."""
+    p = config.p
+    found = []
+    for v, _ in projective_residues(config, 4):
+        ar, ai, br, bi, cr, ci, dr, di = v
+        norm = (ar * ar + ai * ai + cr * cr + ci * ci) % p
+        if (
+            norm
+            and norm == (br * br + bi * bi + dr * dr + di * di) % p
+            and not (ar * br + ai * bi + cr * dr + ci * di) % p
+            and not (ar * bi - ai * br + cr * di - ci * dr) % p
+        ):
+            found.append(v)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("config", FIELDS + [GF49], ids=FIELD_IDS + ["gf49"])
+def test_constructed_members_match_the_residue_filter(config):
+    # GF(49) is checked on the codes alone: enumerate_group refuses it
+    # because its 42 physical one-particle states outnumber the letters
+    codes = _member_codes(config)
+    p = config.p
+    assert len(codes) == (p * (p * p - 1) if config.is_extension else 2 * (p + 1))
+    assert list(codes) == reference_member_codes(config)
+
+
+@pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
 def test_group_matches_object_filter(config):
     elements = [(g.matrix, g.label, g.sign, g.perm) for g in enumerate_group(config).elements]
     assert elements == _object_group(config)
@@ -451,13 +485,14 @@ def test_generator_built_table_matches_per_element_reference(config):
     # each state's image under every element, composed from the generator
     # rows along the Cayley tree, against act() for that element and state
     table = action_table(config)
-    assert len(table.generators) <= 4
+    index = table.group_index
+    assert len(index.generators) <= 4
     elements = table.group.elements
     for side, mode in enumerate(("local_1", "local_2")):
         rows = [sides[side] for sides in table.generator_sides]
         for i, state in enumerate(table.states):
             expected = [_index_of(table, act(g, state, mode)) for g in elements]
-            assert table.images(i, rows) == expected
+            assert index.images(i, rows) == expected
 
 
 @pytest.mark.parametrize("subset", ["entangled", "products"])
@@ -468,7 +503,7 @@ def test_residue_generator_rows_match_object_act(config, subset):
     # the rows applied on residue codes, against act() on the state objects
     states = None if subset == "entangled" else _physical_products(config)
     table = action_table(config, states=states)
-    for g, (side1, side2) in zip(table.generators, table.generator_sides):
+    for g, (side1, side2) in zip(table.group_index.generators, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
             assert row == tuple(_index_of(table, act(g, s, mode)) for s in table.states)
 
@@ -478,11 +513,12 @@ def test_residue_generator_rows_match_object_act(config, subset):
 )
 def test_element_index_words_match_group_multiplication(config):
     table = action_table(config)
+    index = table.group_index
     group = table.group
     elements = group.elements
-    for g, left in zip(table.generators, table.generator_left):
+    for g, left in zip(index.generators, index.generator_left):
         assert [elements[j] for j in left] == [group.mul(g, h) for h in elements]
-    for g, k in zip(elements, table.inverse):
+    for g, k in zip(elements, index.inverse):
         assert group.mul(g, elements[k]) is group.identity
 
 
@@ -747,7 +783,7 @@ def _reference_reach(config):
     (A tensor B) rep."""
     table = action_table(config)
     group = table.group
-    gens = table.generators
+    gens = table.group_index.generators
     perms = _generator_permutations(table, "local")
     reach = {}
     for label, rep in representative_states(config).items():
@@ -801,8 +837,8 @@ def _count_group_calls(monkeypatch):
 @pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
 def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     # a fresh table and word walk, then 50 transforms (GF(7) has only S's
-    # orbit of 16 to draw from): group.inv runs once per element for the
-    # inverse index, and act and group.mul never run
+    # orbit of 16 to draw from): the inverse index comes from the adjugate
+    # codes, and act, group.mul and group.inv never run
     calls = _count_group_calls(monkeypatch)
     monkeypatch.setattr(groups, "act", _counting(calls, "act", groups.act))
     groups._group_index.cache_clear()
@@ -812,7 +848,7 @@ def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     reach = _local_reach(config)
     for i in islice(cycle(sorted(reach)), 50):
         find_local_transform(table.states[i])
-    assert calls == Counter(inv=table.group.order)
+    assert calls == Counter()
 
 
 def test_find_local_transform_frozen_chains():
@@ -837,15 +873,16 @@ def test_find_local_transform_rejects_product_states():
 
 @pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
 def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
-    # from fresh caches the classes, the element orders and both Burnside
-    # sums read the index tables: group.inv runs once per element for the
-    # inverse index, and group.mul never runs
+    # from fresh caches the group, the classes, the element orders and both
+    # Burnside sums come from the members' codes and the index tables:
+    # group.mul and group.inv never run
     calls = _count_group_calls(monkeypatch)
-    groups._group_index.cache_clear()
-    groups._action_table.cache_clear()
+    for cache in (enumerate_group, groups._member_codes, groups._group_index,
+                  groups._action_table, _local_reach):
+        cache.cache_clear()
     group = enumerate_group(config)
     conjugacy_classes(group)
     verify_isomorphism(group)
     for mode in ("global", "local"):
         burnside_count(config, mode)
-    assert calls == Counter(inv=group.order)
+    assert calls == Counter()

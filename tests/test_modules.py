@@ -1,13 +1,15 @@
 """Source hygiene of the library modules."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bioqm
 
-MODULES = sorted(p for p in Path(bioqm.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(bioqm.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:
@@ -29,3 +31,31 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_imported_name_is_read(path):
     assert _unread_imports(ast.parse(path.read_text())) == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Names read under node: loaded names, attribute names and imported names."""
+    reads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            reads.update(alias.name for alias in n.names)
+    return reads
+
+
+def test_every_definition_is_read_in_the_package():
+    # a top-level function or class that only the tests read is reference
+    # code, and reference code lives in the tests
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+    assert unread == []
