@@ -3,7 +3,8 @@
 ``cli_golden.json`` maps each invocation to its exit code, the sha256 of its
 standard output, its standard error and the kind of report it printed (null
 for a usage error).  Record it again only when an output change is intended:
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``, which prints the keys
+whose entries changed, were added or were removed.
 """
 
 import contextlib
@@ -71,6 +72,9 @@ OTHER_COMMANDS = (
     # conjugacy classes and identification over the prime fields
     ("groups", "--classes", "--iso", "--p", p, "--degree", "1")
     for p in ("7", "11", "19", "23")
+) + (
+    # GF(49)'s one-particle states outnumber the letter labels: exit 2
+    ("groups", "--classes", "--iso", "--p", "7", "--degree", "2"),
 ) + tuple(
     # the CHSH bound over the prime fields GF(7), GF(11) and GF(19)
     ("chsh", "--bound", "--p", p, "--degree", "1")
@@ -122,7 +126,7 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 252
+    assert len(KEYS) == 255
     # both orbit modes over GF(7), GF(11), GF(19) and GF(23), in every format
     past_gf9 = [k for k in KEYS if k.startswith("orbits --mode ") and " --p 3 " not in k]
     assert sorted({tuple(k.split()[2:7:2]) for k in past_gf9}) == [
@@ -130,9 +134,13 @@ def test_golden_file_covers_exactly_the_matrix():
     assert len(past_gf9) == 4 * 2 * len(FORMATS)
     # classes and identification over GF(7), GF(11), GF(19) and GF(23)
     prime_groups = [k for k in KEYS
-                    if k.startswith("groups --classes --iso --p ") and k.split()[4] != "3"]
+                    if k.startswith("groups --classes --iso --p ") and k.split()[4] != "3"
+                    and k.split()[6] == "1"]
     assert sorted({k.split()[4] for k in prime_groups}) == ["11", "19", "23", "7"]
     assert len(prime_groups) == 4 * len(FORMATS)
+    # the letter refusal over GF(49)
+    gf49_groups = [k for k in KEYS if k.startswith("groups") and " --p 7 --degree 2 " in k]
+    assert len(gf49_groups) == len(FORMATS)
     # the CHSH bound over GF(7), GF(11), GF(19); scan and value over GF(49)
     bounds = [k for k in KEYS
               if k.startswith("chsh --bound --p ") and k.split()[3] != "3"]
@@ -161,4 +169,9 @@ def test_cli_output_matches_golden(key):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = record()
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(key)
