@@ -67,7 +67,6 @@ from .groups import (
     canonicalize_matrix,
     conjugacy_classes,
     conjugate_observable,
-    d4_relations_hold,
     element_orders,
     entangled_labels,
     enumerate_group,

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import permutations
 from operator import eq
 from string import ascii_lowercase
 from typing import Callable, Sequence
@@ -208,80 +209,75 @@ def element_orders(group: ProjectiveGroup) -> tuple[int, ...]:
 # -- abstract-group identification ---------------------------------------------
 
 
-def d4_relations_hold(elements, mul, identity) -> bool:
-    """Search for generators r, s with r^4 = s^2 = e, s r s = r^-1.
-
-    Works on any abstract multiplication, so a negative control (an abelian
-    order-8 table) can be fed in directly.
-    """
-    if len(elements) != 8:
-        return False
-
-    def power(x, n):
-        out = identity
-        for _ in range(n):
-            out = mul(out, x)
-        return out
-
-    for r in elements:
-        if power(r, 4) != identity or power(r, 2) == identity:
-            continue  # not an order-4 element
-        r_cycle = {power(r, k) for k in range(4)}
-        r_inv = power(r, 3)
-        for s in elements:
-            if s in r_cycle or mul(s, s) != identity:
-                continue
-            if mul(mul(s, r), s) == r_inv:
-                # the eight products r^i s^j must exhaust the group
-                generated = {mul(power(r, i), power(s, j)) for i in range(4) for j in range(2)}
-                if len(generated) == 8:
-                    return True
-    return False
-
-
 @dataclass(frozen=True)
 class IsomorphismReport:
     order: int
     class_sizes: tuple[int, ...]
     abelian: bool
     element_order_profile: tuple[tuple[int, int], ...]  # (order, count)
-    name: str  # 'D4', 'S4' or 'unidentified'
+    name: str  # 'D{p+1}' over GF(p), 'PGL(2,p)' over GF(p^2) ('S4' at p = 3), or 'unidentified'
     verified: bool
 
 
-def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
-    """Identify the abstract group: D4 at order 8, the octahedral S4 at 24.
+def _is_dihedral(index: _GroupIndex, n: int) -> bool:
+    """Whether the indexed group is D_n = <r, s | r^n = s^2 = e, s r s = r^-1>.
 
-    D4 is confirmed by exhibiting generators satisfying its defining
-    relations; S4 by the class equation 1+3+6+6+8 together with
-    nonabelianness and the order profile (1, 9, 8, 6) for orders (1, 2, 3, 4),
-    which no other order-24 group matches.
+    It must have order 2n, hold an r of order n and an involution s with
+    r s an involution too, which is s r s = r^-1.  In <r> only r^(n/2) is an
+    involution, so s and r s are not both in it, and <r> and s<r> fill the
+    group.
     """
-    index = _group_index(group.config)
+    r = next((x for x, k in enumerate(index.orders) if k == n), None)
+    if r is None or len(index.orders) != 2 * n:
+        return False
+    left_r = index.compose(r, index.generator_left)
+    return any(k == 2 and index.orders[left_r[s]] == 2 for s, k in enumerate(index.orders))
+
+
+def _sharply_3_transitive(config: FieldConfig) -> bool:
+    """Whether the members act regularly on the ordered triples of the
+    self-orthogonal one-particle points (1, c), c conj(c) = -1 (none over GF(p)).
+
+    A point (x, y) is coded as the matrix [[x, 0], [y, 0]], which a member's
+    code multiplies by ``residue_mul2``; the images of one triple must be
+    every ordered triple of distinct points, each once.
+    """
+    p, canonical = config.p, residue_canonicalizer(config)
+    points = [(1, 0, 0, 0, x.re, x.im, 0, 0) for x in config.elements()
+              if (1 + x.re**2 + x.im**2) % p == 0]
+    triples = set(permutations(points, 3))
+    codes = _member_codes(config)
+    images = {tuple(canonical(residue_mul2(code, t)) for t in points[:3]) for code in codes}
+    return len(codes) == len(triples) and images == triples
+
+
+def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
+    """Identify the abstract group: D_{p+1} over GF(p), PGL(2, p) over GF(p^2).
+
+    Over GF(p) the index tables exhibit the presentation of D_{p+1}: order
+    2(p + 1), an r of order p + 1 and an involution s with s r s = r^-1.
+    Over GF(p^2) the group acts regularly on the ordered triples of the p + 1
+    self-orthogonal one-particle points, and a sharply 3-transitive group of
+    degree p + 1, p prime, is PGL(2, p) (Zassenhaus 1936; Dixon & Mortimer,
+    Permutation Groups, ch. 7).  At p = 3 these are D4 and S4.  A failed
+    check reports 'unidentified'.
+    """
+    config, p = group.config, group.config.p
+    index = _group_index(config)
     class_sizes = tuple(sorted(len(c) for c in index.classes))
     # a group is abelian exactly when every element is its own class
     abelian = all(size == 1 for size in class_sizes)
     profile = tuple(sorted(Counter(index.orders).items()))
-
-    name, verified = "unidentified", False
-    if group.order == 8:
-        if d4_relations_hold(
-            group.elements, group.mul, group.identity
-        ) and class_sizes == (1, 1, 2, 2, 2):
-            name, verified = "D4", True
-    elif group.order == 24:
-        if (
-            not abelian
-            and class_sizes == (1, 3, 6, 6, 8)
-            and profile == ((1, 1), (2, 9), (3, 8), (4, 6))
-        ):
-            name, verified = "S4", True
+    if config.is_extension:
+        name, verified = "S4" if p == 3 else f"PGL(2,{p})", _sharply_3_transitive(config)
+    else:
+        name, verified = f"D{p + 1}", _is_dihedral(index, p + 1)
     return IsomorphismReport(
         order=group.order,
         class_sizes=class_sizes,
         abelian=abelian,
         element_order_profile=profile,
-        name=name,
+        name=name if verified else "unidentified",
         verified=verified,
     )
 

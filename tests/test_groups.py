@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import cycle, islice, product
 from string import ascii_lowercase
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,6 @@ from bioqm import (
     canonicalize_matrix,
     conjugate_observable,
     conjugacy_classes,
-    d4_relations_hold,
     element_orders,
     entangled_labels,
     enumerate_group,
@@ -315,13 +315,80 @@ def test_isomorphism_reports():
     assert rep9.element_order_profile == ((1, 1), (2, 9), (3, 8), (4, 6))
 
 
-def test_d4_relations_reject_the_cyclic_group():
-    assert not d4_relations_hold(range(8), lambda a, b: (a + b) % 8, 0)
+@pytest.mark.parametrize(
+    "config, name",
+    [(GF3, "D4"), (GF7, "D8"), (GF11, "D12"), (GF19, "D20"), (GF23, "D24"), (GF9, "S4")],
+    ids=["gf3", "gf7", "gf11", "gf19", "gf23", "gf9"],
+)
+def test_isomorphism_names_the_group_on_every_field(config, name):
+    report = verify_isomorphism(enumerate_group(config))
+    assert (report.name, report.verified) == (name, True)
+    p = config.p
+    assert report.order == (p * (p * p - 1) if config.is_extension else 2 * (p + 1))
 
 
-def test_d4_relations_hold_for_the_gf3_group():
-    group = enumerate_group(GF3)
-    assert d4_relations_hold(group.elements, group.mul, group.identity)
+def test_a_failed_check_reports_unidentified(monkeypatch):
+    monkeypatch.setattr(groups, "_is_dihedral", lambda index, n: False)
+    monkeypatch.setattr(groups, "_sharply_3_transitive", lambda config: False)
+    for config in (GF3, GF9):
+        report = verify_isomorphism(enumerate_group(config))
+        assert (report.name, report.verified) == ("unidentified", False)
+
+
+def _abelian_index(elements, add):
+    """A stand-in for ``_GroupIndex`` on a small abelian group, identity first."""
+    position = {x: k for k, x in enumerate(elements)}
+    left = [[position[add(x, y)] for y in elements] for x in elements]
+    orders = []
+    for row in left:
+        y, n = row[0], 1
+        while y != 0:
+            y, n = row[y], n + 1
+        orders.append(n)
+    return SimpleNamespace(identity=0, orders=orders, generator_left=None,
+                           compose=lambda x, rows: left[x])
+
+
+def test_dihedral_check_rejects_groups_of_the_same_order():
+    # S4 has the order of D12 but no element of order 12
+    assert groups._is_dihedral(groups._group_index(GF11), 12)
+    assert not groups._is_dihedral(groups._group_index(GF9), 12)
+    # D8 holds copies of D4 but has twice its order
+    assert not groups._is_dihedral(groups._group_index(GF7), 4)
+    # Z8 has no involution outside <r>; in Z2 x Z4, r s has order 4, not 2
+    z8 = _abelian_index(list(range(8)), lambda x, y: (x + y) % 8)
+    z2z4 = _abelian_index(list(product(range(2), range(4))),
+                          lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4))
+    assert z8.orders[2] == z2z4.orders[1] == 4
+    assert not groups._is_dihedral(z8, 4)
+    assert not groups._is_dihedral(z2z4, 4)
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF11, GF19, GF23],
+                         ids=["gf3", "gf7", "gf11", "gf19", "gf23"])
+def test_three_transitivity_check_rejects_the_prime_fields(config):
+    # p = 3 (mod 4): no one-particle point over GF(p) is self-orthogonal
+    assert not groups._sharply_3_transitive(config)
+
+
+@pytest.mark.parametrize("change", [lambda codes: codes[:-1] + codes[:1],
+                                    lambda codes: codes + codes[:1]],
+                         ids=["replaced", "appended"])
+def test_three_transitivity_check_rejects_a_repeated_member(change, monkeypatch):
+    codes = change(groups._member_codes(GF9))
+    monkeypatch.setattr(groups, "_member_codes", lambda config: codes)
+    assert not groups._sharply_3_transitive(GF9)
+
+
+@pytest.mark.parametrize("p", [7, 11], ids=["gf49", "gf121"])
+def test_three_transitivity_holds_on_the_member_codes_past_the_letters(p):
+    # the groups are refused on letters, but their members act as PGL(2, 7)
+    # and PGL(2, 11) on the p + 1 self-orthogonal points
+    config = FieldConfig(p, 2)
+    with pytest.raises(ValueError, match="letter-label"):
+        enumerate_group(config)
+    assert len(groups._member_codes(config)) == p * (p * p - 1)
+    assert groups._sharply_3_transitive(config)
 
 
 # -- conjugation of spin observables ---------------------------------------------
@@ -871,7 +938,7 @@ def test_find_local_transform_rejects_product_states():
         find_local_transform(pair)
 
 
-@pytest.mark.parametrize("config", [FieldConfig(7, 1), FieldConfig(3, 2)], ids=["gf7", "gf9"])
+@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
 def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
     # from fresh caches the group, the classes, the element orders and both
     # Burnside sums come from the members' codes and the index tables:
