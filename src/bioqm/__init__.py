@@ -78,7 +78,6 @@ from .exactlp import LPResult, RREFResult, rref, solve_lp, solve_lps, verify_far
 from .inference import (
     ConstraintSystem,
     CorrespondenceReport,
-    GaussianRational,
     HVReport,
     InferenceResult,
     MomentReport,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from typing import Callable
 
@@ -371,14 +372,10 @@ def signed_correlator(state, first, second) -> int:
     return phi_map(bracket(state.state, matrix))
 
 
-def signed_chsh(state, A, a, B, b) -> int:
-    """CHSH from signed axes (sign, axis) in each slot, by the object path."""
-    return (
-        signed_correlator(state, A, B)
-        + signed_correlator(state, A, b)
-        + signed_correlator(state, a, B)
-        - signed_correlator(state, a, b)
-    )
+def signed_chsh(correlate, A, a, B, b) -> int:
+    """CHSH from signed axes (sign, axis) in each slot: E(A,B) + E(A,b) +
+    E(a,B) - E(a,b) with E = correlate, a function of two signed axes."""
+    return correlate(A, B) + correlate(A, b) + correlate(a, B) - correlate(a, b)
 
 
 def _random_vector(config: FieldConfig, rng: random.Random, dim: int = 2) -> StateVector:
@@ -399,6 +396,12 @@ def _physical_pool(config: FieldConfig, rng: random.Random, count: int):
         if not dot(v, v).is_zero:
             pool.append(v)
     return pool
+
+
+def _single_signs(config: FieldConfig, vectors) -> list[dict[int, int]]:
+    """phi(<x|spin_i|x>) for each vector x, keyed by axis i, by the object path."""
+    observables = {i: spin_observable(config, i) for i in spin_axes(config)}
+    return [{i: phi_map(bracket(x, obs)) for i, obs in observables.items()} for x in vectors]
 
 
 def _criterion_13() -> str:
@@ -424,15 +427,19 @@ def _criterion_13() -> str:
             scalars = [config.element(rng.randrange(p)) for _ in range(6)]
             sample = [_random_vector(config, rng) for _ in range(25)]
 
-        # conjugate symmetry and sesquilinearity of the dot product
-        for a in sample:
-            for b in sample[: len(sample) // 2 or 1]:
-                assert dot(a, b) == frob(dot(b, a))
+        # conjugate symmetry and sesquilinearity of the dot product; each
+        # vector's scalings and each pair's dot(a, b) are computed once
+        alphas = scalars[:3]
+        scaled = [[v.scale(alpha) for alpha in alphas] for v in sample]
+        half = len(sample) // 2 or 1
+        for a, a_scaled in zip(sample, scaled):
+            for b, b_scaled in zip(sample[:half], scaled):
+                ab = dot(a, b)
+                assert ab == frob(dot(b, a))
                 checks += 1
-                for alpha in scalars[:3]:
-                    left = dot(a.scale(alpha), b)
-                    assert left == frob(alpha) * dot(a, b)
-                    assert dot(a, b.scale(alpha)) == alpha * dot(a, b)
+                for alpha, a_alpha, b_alpha in zip(alphas, a_scaled, b_scaled):
+                    assert dot(a_alpha, b) == frob(alpha) * ab
+                    assert dot(a, b_alpha) == alpha * ab
                     checks += 2
 
         # Frobenius is an involution fixing the prime subfield
@@ -458,25 +465,25 @@ def _criterion_13() -> str:
                     assert meas.variance == 0, (label, axis)
                 checks += 1
 
-    # factorization of product correlators; CHSH sign identities
+    # factorization of product correlators; CHSH sign identities.  Each
+    # object-path reference value (a single-particle sign per state and axis,
+    # a signed correlator per representative and signed axis pair) is
+    # computed once and read by every check that needs it.
     for p, degree in ((3, 1), (3, 2)):
         config = FieldConfig(p, degree)
         axes = spin_axes(config)
         singles = [s.rep for s in physical_states(config)]
-        for x in singles:
-            for y in singles:
+        signs = _single_signs(config, singles)
+        for x, x_signs in zip(singles, signs):
+            for y, y_signs in zip(singles, signs):
                 pair = from_product(x, y)
                 for i in axes:
                     for j in axes:
-                        lhs = correlator(pair, i, j)
-                        rhs = phi_map(bracket(x, spin_observable(config, i))) * phi_map(
-                            bracket(y, spin_observable(config, j))
-                        )
-                        assert lhs == rhs, (i, j)
+                        assert correlator(pair, i, j) == x_signs[i] * y_signs[j], (i, j)
                         checks += 1
 
-        pairs = [s for s in (representative_states(config).values())]
-        for state in pairs:
+        for state in representative_states(config).values():
+            correlate = cache(partial(signed_correlator, state))
             for A in axes:
                 for a in axes:
                     if a == A:
@@ -486,21 +493,11 @@ def _criterion_13() -> str:
                             if b == B:
                                 continue
                             base = chsh(state, A, a, B, b).value
-                            assert base == signed_chsh(
-                                state, (1, A), (1, a), (1, B), (1, b)
-                            )
-                            assert base == signed_chsh(
-                                state, (1, A), (-1, a), (1, b), (1, B)
-                            )
-                            assert base == -signed_chsh(
-                                state, (-1, A), (1, a), (1, b), (1, B)
-                            )
-                            assert base == signed_chsh(
-                                state, (1, a), (1, A), (1, B), (-1, b)
-                            )
-                            assert base == -signed_chsh(
-                                state, (1, a), (1, A), (-1, B), (1, b)
-                            )
+                            assert base == signed_chsh(correlate, (1, A), (1, a), (1, B), (1, b))
+                            assert base == signed_chsh(correlate, (1, A), (-1, a), (1, b), (1, B))
+                            assert base == -signed_chsh(correlate, (-1, A), (1, a), (1, b), (1, B))
+                            assert base == signed_chsh(correlate, (1, a), (1, A), (1, B), (-1, b))
+                            assert base == -signed_chsh(correlate, (1, a), (1, A), (-1, B), (1, b))
                             checks += 5
 
     # randomized factorization for larger primes
@@ -508,16 +505,13 @@ def _criterion_13() -> str:
         config = FieldConfig(p, 1)
         axes = spin_axes(config)
         pool = _physical_pool(config, rng, 10)
-        for x in pool:
-            for y in pool[:5]:
+        signs = _single_signs(config, pool)
+        for x, x_signs in zip(pool, signs):
+            for y, y_signs in zip(pool[:5], signs):
                 pair = from_product(x, y)
                 for i in axes:
                     for j in axes:
-                        lhs = correlator(pair, i, j)
-                        rhs = phi_map(bracket(x, spin_observable(config, i))) * phi_map(
-                            bracket(y, spin_observable(config, j))
-                        )
-                        assert lhs == rhs
+                        assert correlator(pair, i, j) == x_signs[i] * y_signs[j]
                         checks += 1
 
     return f"{checks} property checks passed"

@@ -5,7 +5,9 @@ conjugate dualization, so that bra_r(ket_s) is the Kronecker delta.  An
 observable is built spectrally, sum of eigenvalue_k |k><k|, with eigenvalues
 drawn from the base field.  Expectation values convert the field-valued
 bracket <psi|A|psi> into a real number through the sign map, and variances
-follow from the bracket of the squared observable.
+follow from the bracket of the squared observable.  ``bracket`` computes
+<psi|A|psi> in one pass over the integer residues of psi and A, building no
+dual or image vector and looking up one field element for the result.
 
 The three spin observables arise from the named one-particle states:
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .gf import FieldConfig, FieldElement, phi_map
@@ -259,11 +262,38 @@ def spin_observable(config: FieldConfig, axis: int) -> Observable:
 
 
 def bracket(state: ProjectiveState | StateVector, obs: Observable | Matrix) -> FieldElement:
-    """The field value <psi|A|psi>, independent of the representative scaling."""
+    """The field value <psi|A|psi>, independent of the representative scaling.
+
+    One pass over the integer residues: the norm n = <psi, psi> and the sum
+    conj(psi)^T A psi accumulate as plain integer sums, and the value is
+    their quotient mod p, read off as one field element.  This equals
+    ``conjugate_dual(psi).pairing(mat_vec(A, psi))``.
+    """
     vec = state.rep if isinstance(state, ProjectiveState) else state
     matrix = obs.matrix if isinstance(obs, Observable) else obs
-    bra = conjugate_dual(vec)  # raises ValueError on a self-orthogonal state
-    value = bra.pairing(mat_vec(matrix, vec))
+    config, comps = vec.config, vec.components
+    p = config.p
+    res = [c.re for c in comps]
+    ims = [c.im for c in comps]
+    norm = (sum(map(mul, res, res)) + sum(map(mul, ims, ims))) % p
+    if not norm:
+        raise ValueError(f"self-orthogonal vector {vec} has no conjugate dual")
+    if list(map(len, matrix)) != [len(comps)] * len(comps):
+        raise ValueError("matrix and vector shapes do not match")
+    # conj(v_r) * (A v)_r = (vr - vi i)(wr + wi i), summed over the rows r
+    total_re = total_im = 0
+    for row, vr, vi in zip(matrix, res, ims):
+        wr = wi = 0
+        for x, cr, ci in zip(row, res, ims):
+            if x.config is not config and x.config != config:
+                raise ValueError(f"field mismatch: {x.config} vs {config}")
+            xr, xi = x.re, x.im
+            wr += xr * cr - xi * ci
+            wi += xr * ci + xi * cr
+        total_re += vr * wr + vi * wi
+        total_im += vr * wi - vi * wr
+    inv = pow(norm, -1, p)
+    value = config.element(total_re * inv, total_im * inv)
     if not value.is_real:
         raise RuntimeError(
             f"bracket {value} has a nonzero imaginary part; observable is malformed"

@@ -29,17 +29,20 @@ No Hermiticity is assumed: s_i^dagger is taken with ``linear.dagger``.  The
 bracket divides this by the norm n = <psi, psi>, which lies in GF(p)*.  The
 sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
 square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij * n): one sign
-per pair, read off integer residues without building any field element.  The
-kernel's core reads psi as flat (re, im) residues, so ``chsh_bound`` feeds it
-the code table's tuples directly.
+per pair, read off integer residues without building any field element.
+The kernel's core reads psi as flat (re, im) residues, so ``chsh_bound``
+feeds it the code table's tuples directly, and looks each sign up in a
+table of all p residues' signs; one state's grid takes each sign by Euler's
+criterion instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
+from typing import Callable
 
 from .gf import FieldConfig, phi_map, residue_sign
 from .linear import (
@@ -222,13 +225,19 @@ def correlator_grid(
     bracket with a nonzero imaginary part, as ``bracket`` does.
     """
     psi = flat_residues(state.state.rep.components)
-    return _residue_grid(state.config, psi, side1, side2)
+    sign = partial(residue_sign, p=state.config.p)
+    return _residue_grid(state.config, psi, side1, side2, sign)
 
 
 def _residue_grid(
-    config: FieldConfig, psi: tuple[int, ...], side1: tuple[int, ...], side2: tuple[int, ...]
+    config: FieldConfig,
+    psi: tuple[int, ...],
+    side1: tuple[int, ...],
+    side2: tuple[int, ...],
+    sign: Callable[[int], int],
 ) -> dict[tuple[int, int], int]:
-    """``correlator_grid`` on the amplitude's flat (re, im) residues psi."""
+    """``correlator_grid`` on the amplitude's flat (re, im) residues psi,
+    with ``sign`` the sign map on a residue in [0, p)."""
     p = config.p
     daggers, transposes = _kernel_tables(config)
     norm = sum(map(mul, psi, psi)) % p
@@ -255,7 +264,7 @@ def _residue_grid(
                     f"bracket of spin {i}x{j} in {state} has a nonzero imaginary "
                     "part; observable is malformed"
                 )
-            grid[i, j] = residue_sign(sum(map(mul, u, w)) * norm, p)
+            grid[i, j] = sign(sum(map(mul, u, w)) * norm % p)
     return grid
 
 
@@ -333,13 +342,16 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
     codes = two_particle_codes(config)
     quadruples = axis_quadruples(config)
     axes = spin_axes(config)
+    # every state reads many signs, so a table of all p of them pays off
+    # here; a single state's grid over a large prime must not build one
+    sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
     best = 0
     scanned = 0
     for psi, norm, _ in codes:
         if not norm:
             continue
         scanned += 1
-        grid = _residue_grid(config, psi, axes, axes)
+        grid = _residue_grid(config, psi, axes, axes, sign)
         best = max(best, *map(abs, _chsh_values(grid, quadruples)))
     return ChshBound(
         config=config,

@@ -115,25 +115,12 @@ class ProjectiveGroup:
     def __init__(self, config: FieldConfig, elements: tuple[GroupElement, ...]):
         self.config = config
         self.elements = elements
-        self.by_matrix = {g.matrix: g for g in elements}
         self.by_label = {g.label: g for g in elements}
         self.identity = self.by_label["e"]
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def lookup(self, m: Matrix) -> GroupElement:
-        g = self.by_matrix.get(canonicalize_matrix(m))
-        if g is None:
-            raise ValueError("matrix does not belong to the group")
-        return g
-
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.lookup(mat_mul(g.matrix, h.matrix))
-
-    def inv(self, g: GroupElement) -> GroupElement:
-        return self.lookup(inverse2(g.matrix))
 
 
 @lru_cache(maxsize=None)

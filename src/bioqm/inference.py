@@ -13,10 +13,11 @@ hidden-variable model: the unknowns are probabilities of complete outcome
 assignments, one +-1 value per axis per side, constrained by the observed
 correlators (and optionally single-side expectations).
 
-The canonical side (ordinary quantum mechanics) is computed with Gaussian
-rationals: complex numbers with Fraction components.  States are kept
-unnormalized and every bracket is divided by <psi|psi>, so no square roots
-are ever needed and all comparisons are exact.
+The canonical side (ordinary quantum mechanics) is computed over the
+Gaussian integers: the Pauli matrices and the unnormalized states have
+integer real and imaginary parts, every bracket is an integer sum, and
+``Fraction`` appears only at the boundary, where the sum is divided once by
+<psi|psi>.  No square roots are ever needed and all comparisons are exact.
 """
 
 from __future__ import annotations
@@ -412,99 +413,57 @@ def single_measurement_system(config: FieldConfig, state_label: str, axis: int) 
 # -- the canonical (complex quantum mechanics) side ----------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(re, im=0) -> GaussianRational:
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-
-_GR0 = GaussianRational.of(0)
-_GR1 = GaussianRational.of(1)
-_GRI = GaussianRational.of(0, 1)
-
-CanonicalMatrix = tuple[tuple[GaussianRational, ...], ...]
-
-_CANONICAL_PAULI: dict[int, CanonicalMatrix] = {
-    1: ((_GR0, _GR1), (_GR1, _GR0)),
-    2: ((_GR0, GaussianRational.of(0, -1)), (_GRI, _GR0)),
-    3: ((_GR1, _GR0), (_GR0, GaussianRational.of(-1))),
+# Gaussian integers are (re, im) int pairs.  The Pauli matrices and the
+# unnormalized representatives have integer entries; every bracket is
+# divided by <psi|psi> once, as the last step, so the 1/sqrt(2) and 1/2
+# prefactors never need to be written down.
+_CANONICAL_PAULI: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {
+    1: (((0, 0), (1, 0)), ((1, 0), (0, 0))),
+    2: (((0, 0), (0, -1)), ((0, 1), (0, 0))),
+    3: (((1, 0), (0, 0)), ((0, 0), (-1, 0))),
 }
 
-# unnormalized representatives; every bracket is divided by <psi|psi>, so
-# the 1/sqrt(2) and 1/2 prefactors never need to be written down
-_CANONICAL_STATES: dict[str, tuple[GaussianRational, ...]] = {
-    "S": (_GR0, _GR1, GaussianRational.of(-1), _GR0),
-    "T": (_GR1, _GR0, GaussianRational.of(1, 1), _GR1),
-    "U": (_GR1, _GR0, _GR1, GaussianRational.of(1, 1)),
+_CANONICAL_STATES: dict[str, tuple[tuple[int, int], ...]] = {
+    "S": ((0, 0), (1, 0), (-1, 0), (0, 0)),
+    "T": ((1, 0), (0, 0), (1, 1), (1, 0)),
+    "U": ((1, 0), (0, 0), (1, 0), (1, 1)),
 }
 
 
-def canonical_state(label: str) -> tuple[GaussianRational, ...]:
-    return _CANONICAL_STATES[label]
-
-
-def _canonical_kron(a: CanonicalMatrix, b: CanonicalMatrix) -> CanonicalMatrix:
-    return tuple(
-        tuple(a[ra][ca] * b[rb][cb] for ca in range(2) for cb in range(2))
-        for ra in range(2)
-        for rb in range(2)
-    )
-
-
-def _canonical_bracket(
-    psi: tuple[GaussianRational, ...], m: CanonicalMatrix
-) -> GaussianRational:
-    n = len(psi)
-    norm = sum((c.abs2() for c in psi), Fraction(0))
-    acc = _GR0
-    for r in range(n):
-        for c in range(n):
-            acc = acc + psi[r].conj() * m[r][c] * psi[c]
-    return GaussianRational(acc.re / norm, acc.im / norm)
+def _canonical_norm(psi: tuple[tuple[int, int], ...]) -> int:
+    return sum(re * re + im * im for re, im in psi)
 
 
 def canonical_correlator(label: str, i: int, j: int) -> Fraction:
-    """<psi| sigma_i x sigma_j |psi> in ordinary quantum mechanics, exactly."""
-    m = _canonical_kron(_CANONICAL_PAULI[i], _CANONICAL_PAULI[j])
-    value = _canonical_bracket(canonical_state(label), m)
-    if not value.is_real:
+    """<psi| sigma_i x sigma_j |psi> in ordinary quantum mechanics, exactly.
+
+    The row-major Kronecker product sends psi to w with
+    w[2ra + rb] = sum of sigma_i[ra][ca] sigma_j[rb][cb] psi[2ca + cb];
+    conj(psi) . w and the norm are Gaussian-integer sums, divided once.
+    """
+    psi = _CANONICAL_STATES[label]
+    a, b = _CANONICAL_PAULI[i], _CANONICAL_PAULI[j]
+    total_re = total_im = 0
+    for r, (ur, ui) in enumerate(psi):
+        row_a, row_b = a[r // 2], b[r % 2]
+        wr = wi = 0
+        for c, (vr, vi) in enumerate(psi):
+            (xr, xi), (yr, yi) = row_a[c // 2], row_b[c % 2]
+            mr, mi = xr * yr - xi * yi, xr * yi + xi * yr
+            wr += mr * vr - mi * vi
+            wi += mr * vi + mi * vr
+        total_re += ur * wr + ui * wi
+        total_im += ur * wi - ui * wr
+    if total_im:
         raise AssertionError("correlator came out complex")
-    return value.re
+    return Fraction(total_re, _canonical_norm(psi))
 
 
 def canonical_pair_probabilities(label: str) -> tuple[Fraction, ...]:
     """Outcome probabilities of the axis-3 pair measurement (Born rule)."""
-    psi = canonical_state(label)
-    norm = sum((c.abs2() for c in psi), Fraction(0))
-    return tuple(c.abs2() / norm for c in psi)
+    psi = _CANONICAL_STATES[label]
+    norm = _canonical_norm(psi)
+    return tuple(Fraction(re * re + im * im, norm) for re, im in psi)
 
 
 @dataclass(frozen=True)

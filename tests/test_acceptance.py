@@ -6,6 +6,7 @@ run_criterion folds a blown time budget into the failure itself.
 
 import pytest
 
+from bioqm import acceptance, bracket
 from bioqm.acceptance import CRITERIA, run_criterion
 
 
@@ -22,3 +23,20 @@ def test_criterion(number):
 
 def test_criterion_count():
     assert len(CRITERIA) == 13
+
+
+def test_property_suite_computes_each_reference_bracket_once(monkeypatch):
+    # each object-path reference value is computed once per run and read by
+    # every check that needs it (593 bracket calls, against 4,250 when each
+    # check computes its own), and every identity is still asserted
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(acceptance, "bracket", counting)
+    result = run_criterion(13)
+    assert result.passed, result.line()
+    assert result.detail == "11806 property checks passed"
+    assert len(calls) <= 600

@@ -1,5 +1,7 @@
 """Biorthogonal systems, spin observables, and the one-particle tables."""
 
+import re
+
 import pytest
 
 from bioqm import (
@@ -20,12 +22,14 @@ from bioqm import (
     verify_spectral,
 )
 from bioqm.biortho import SPIN_AXIS_KETS, is_ortho_nondegenerate
+from bioqm.entangle import one_sided_spin, product_spin, two_particle_states
 from bioqm.gf import phi_map
-from bioqm.linear import conjugate_dual, dot, matrix_make
+from bioqm.linear import conjugate_dual, dot, mat_vec, matrix_make
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
 GF7 = FieldConfig(7, 1)
+GF11 = FieldConfig(11, 1)
 
 
 def vec(config, entries):
@@ -173,8 +177,47 @@ def test_bracket_rejects_self_orthogonal_states():
 def test_bracket_rejects_non_real_values():
     skew = matrix_make(GF9, [[(0, 1), 0], [0, 0]])
     state = named_states(GF9)["a"]
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="bracket i has a nonzero imaginary part"):
         bracket(state, skew)
+
+
+def test_bracket_errors_pinned():
+    state = named_states(GF9)["c"]
+    with pytest.raises(ValueError, match="shapes do not match"):
+        bracket(state, product_spin(GF9, 1, 1))
+    sigma = spin_observable(GF9, 1).matrix
+    for malformed in (sigma[:1], (sigma[0], sigma[1][:1])):
+        with pytest.raises(ValueError, match="shapes do not match"):
+            bracket(state, malformed)
+    with pytest.raises(ValueError, match="field mismatch"):
+        bracket(named_states(GF7)["c"], spin_observable(GF3, 1))
+    # an equal config built separately is the same field
+    assert bracket(vec(FieldConfig(3, 2), [1, 1]), spin_observable(GF9, 1)) == GF9.one()
+    message = "self-orthogonal vector [1, 1+i] has no conjugate dual"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bracket(vec(GF9, [1, (1, 1)]), spin_observable(GF9, 1))
+
+
+def reference_bracket(state, matrix):
+    # the composed object path: the conjugate dual paired with A psi
+    v = state.rep
+    return conjugate_dual(v).pairing(mat_vec(matrix, v))
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"])
+def test_one_pass_bracket_matches_the_composed_reference(config):
+    axes = spin_axes(config)
+    for axis in axes:
+        obs = spin_observable(config, axis)
+        for matrix in (obs.matrix, obs.squared().matrix):
+            for state in physical_states(config, 2):
+                assert bracket(state, matrix) == reference_bracket(state, matrix)
+    matrices = [product_spin(config, i, j).matrix for i in axes for j in axes]
+    matrices += [one_sided_spin(config, side, axis) for side in (1, 2) for axis in axes]
+    for pair in two_particle_states(config):
+        if pair.physical:
+            for matrix in matrices:
+                assert bracket(pair.state, matrix) == reference_bracket(pair.state, matrix)
 
 
 TABLE1 = {

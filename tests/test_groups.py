@@ -1,6 +1,7 @@
 """The projective symmetry groups, their actions, and orbit decompositions."""
 
 from collections import Counter
+from functools import cache
 from itertools import cycle, islice, product
 from string import ascii_lowercase
 from types import SimpleNamespace
@@ -46,6 +47,7 @@ from bioqm.linear import (
     det2,
     flat_residues,
     identity_matrix,
+    inverse2,
     kron,
     mat_mul,
     mat_vec,
@@ -67,6 +69,30 @@ FIELD_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19", "gf23"]
 
 def _matrix_key(m):
     return tuple(x.sort_key() for row in m for x in row)
+
+
+# the object group products: the references the index tables are checked
+# against, by matrix multiplication and lookup of the canonical form
+
+
+@cache
+def _by_matrix(group):
+    return {g.matrix: g for g in group.elements}
+
+
+def group_lookup(group, m):
+    g = _by_matrix(group).get(canonicalize_matrix(m))
+    if g is None:
+        raise ValueError("matrix does not belong to the group")
+    return g
+
+
+def group_mul(group, g, h):
+    return group_lookup(group, mat_mul(g.matrix, h.matrix))
+
+
+def group_inv(group, g):
+    return group_lookup(group, inverse2(g.matrix))
 
 
 def test_canonicalize_matrix():
@@ -160,9 +186,9 @@ def test_group_matches_object_filter(config):
 def test_closure_and_inverses(config):
     group = enumerate_group(config)
     for g in group.elements:
-        assert group.mul(g, group.inv(g)) is group.identity
+        assert group_mul(group, g, group_inv(group, g)) is group.identity
         for h in group.elements:
-            assert group.mul(g, h) in group.elements
+            assert group_mul(group, g, h) in group.elements
 
 
 GF3_MATRICES = {
@@ -268,12 +294,15 @@ def test_gf9_conjugacy_classes_frozen():
 
 
 def reference_conjugacy_classes(group):
-    # the object loop: {h g h^-1} over every h, by group.mul and group.inv
+    # the object loop: {h g h^-1} over every h, by group_mul and group_inv
     remaining = list(group.elements)
     classes = []
     while remaining:
         g = remaining[0]
-        members = {group.mul(group.mul(h, g), group.inv(h)) for h in group.elements}
+        members = {
+            group_mul(group, group_mul(group, h, g), group_inv(group, h))
+            for h in group.elements
+        }
         classes.append(tuple(sorted(members, key=lambda x: _matrix_key(x.matrix))))
         remaining = [x for x in remaining if x not in members]
     classes.sort(key=lambda c: (len(c), _matrix_key(c[0].matrix)))
@@ -283,7 +312,7 @@ def reference_conjugacy_classes(group):
 def reference_element_order(group, g):
     power, n = g, 1
     while power is not group.identity:
-        power, n = group.mul(power, g), n + 1
+        power, n = group_mul(group, power, g), n + 1
     return n
 
 
@@ -458,7 +487,7 @@ def test_positive_elements_fix_axis_three_setwise():
 def test_act_modes_round_trip():
     group = enumerate_group(GF9)
     g = group.by_label["(cedf)"]
-    inv = group.inv(g)
+    inv = group_inv(group, g)
     one = named_states(GF9)["c"]
     assert act(inv, act(g, one)).rep.components == one.rep.components
     pair = representative_states(GF9)["T"]
@@ -584,15 +613,15 @@ def test_element_index_words_match_group_multiplication(config):
     group = table.group
     elements = group.elements
     for g, left in zip(index.generators, index.generator_left):
-        assert [elements[j] for j in left] == [group.mul(g, h) for h in elements]
+        assert [elements[j] for j in left] == [group_mul(group, g, h) for h in elements]
     for g, k in zip(elements, index.inverse):
-        assert group.mul(g, elements[k]) is group.identity
+        assert group_mul(group, g, elements[k]) is group.identity
 
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
 def test_composed_rows_match_group_multiplication_and_act(config):
     # each element's row, composed from the generator rows along its tree
-    # path: on element indices against group.mul, on states against act()
+    # path: on element indices against group_mul, on states against act()
     index = groups._group_index(config)
     table = action_table(config)
     group = table.group
@@ -600,7 +629,7 @@ def test_composed_rows_match_group_multiplication_and_act(config):
     side1 = [s1 for s1, _ in table.generator_sides]
     for x, g in enumerate(elements):
         left = index.compose(x, index.generator_left)
-        assert [elements[j] for j in left] == [group.mul(g, h) for h in elements]
+        assert [elements[j] for j in left] == [group_mul(group, g, h) for h in elements]
         expected = [_index_of(table, act(g, state, "local_1")) for state in table.states]
         assert index.compose(x, side1) == expected
 
@@ -861,9 +890,9 @@ def _reference_reach(config):
         for j, k, i in _walk(start, perms):
             _, acc1, acc2 = reach[i]
             if k < len(gens):
-                reach[j] = (label, group.mul(gens[k], acc1), acc2)
+                reach[j] = (label, group_mul(group, gens[k], acc1), acc2)
             else:
-                reach[j] = (label, acc1, group.mul(gens[k - len(gens)], acc2))
+                reach[j] = (label, acc1, group_mul(group, gens[k - len(gens)], acc2))
     return reach
 
 
@@ -882,7 +911,7 @@ def test_find_local_transform_matches_the_element_walk(config):
             continue
         label, a, b = reach[i]
         move = find_local_transform(state)
-        assert move.g1 is group.inv(a) and move.g2 is group.inv(b)
+        assert move.g1 is group_inv(group, a) and move.g2 is group_inv(group, b)
         assert move.representative_label == label
 
 
@@ -893,11 +922,13 @@ def _counting(calls, name, func):
     return wrapper
 
 
-def _count_group_calls(monkeypatch):
+def _count_act_calls(monkeypatch):
+    # the object group products are the helpers above; the group itself
+    # offers none for a fast path to fall back on
+    for name in ("mul", "inv", "lookup"):
+        assert not hasattr(ProjectiveGroup, name)
     calls = Counter()
-    for name in ("mul", "inv"):
-        func = getattr(ProjectiveGroup, name)
-        monkeypatch.setattr(ProjectiveGroup, name, _counting(calls, name, func))
+    monkeypatch.setattr(groups, "act", _counting(calls, "act", groups.act))
     return calls
 
 
@@ -905,9 +936,8 @@ def _count_group_calls(monkeypatch):
 def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     # a fresh table and word walk, then 50 transforms (GF(7) has only S's
     # orbit of 16 to draw from): the inverse index comes from the adjugate
-    # codes, and act, group.mul and group.inv never run
-    calls = _count_group_calls(monkeypatch)
-    monkeypatch.setattr(groups, "act", _counting(calls, "act", groups.act))
+    # codes, and act never runs
+    calls = _count_act_calls(monkeypatch)
     groups._group_index.cache_clear()
     groups._action_table.cache_clear()
     _local_reach.cache_clear()
@@ -942,11 +972,11 @@ def test_find_local_transform_rejects_product_states():
 def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
     # from fresh caches the group, the classes, the element orders and both
     # Burnside sums come from the members' codes and the index tables:
-    # group.mul and group.inv never run
-    calls = _count_group_calls(monkeypatch)
-    for cache in (enumerate_group, groups._member_codes, groups._group_index,
-                  groups._action_table, _local_reach):
-        cache.cache_clear()
+    # act never runs
+    calls = _count_act_calls(monkeypatch)
+    for cached in (enumerate_group, groups._member_codes, groups._group_index,
+                   groups._action_table, _local_reach):
+        cached.cache_clear()
     group = enumerate_group(config)
     conjugacy_classes(group)
     verify_isomorphism(group)

@@ -1,5 +1,6 @@
 """Probability inference, hidden-variable tests, and the rational cross-check."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from bioqm import (
     ConstraintSystem,
     FieldConfig,
-    GaussianRational,
     canonical_correlator,
     correspondence_check,
     hv_feasibility,
@@ -284,6 +284,85 @@ def test_state_constraint_builders():
 # -- rational quantum cross-check ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class GaussianRational:
+    """A complex number with exact rational real and imaginary parts: the
+    arithmetic of the reference oracle below."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(re, im=0):
+        return GaussianRational(Fraction(re), Fraction(im))
+
+    def __add__(self, other):
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conj(self):
+        return GaussianRational(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    @property
+    def is_real(self):
+        return self.im == 0
+
+
+_GR0, _GR1, _GRI = GaussianRational.of(0), GaussianRational.of(1), GaussianRational.of(0, 1)
+
+REFERENCE_PAULI = {
+    1: ((_GR0, _GR1), (_GR1, _GR0)),
+    2: ((_GR0, GaussianRational.of(0, -1)), (_GRI, _GR0)),
+    3: ((_GR1, _GR0), (_GR0, GaussianRational.of(-1))),
+}
+
+REFERENCE_STATES = {
+    "S": (_GR0, _GR1, GaussianRational.of(-1), _GR0),
+    "T": (_GR1, _GR0, GaussianRational.of(1, 1), _GR1),
+    "U": (_GR1, _GR0, _GR1, GaussianRational.of(1, 1)),
+}
+
+
+def reference_kron(a, b):
+    return tuple(
+        tuple(a[ra][ca] * b[rb][cb] for ca in range(2) for cb in range(2))
+        for ra in range(2)
+        for rb in range(2)
+    )
+
+
+def reference_bracket(psi, m):
+    # the Gaussian-rational oracle: every product and sum over Fraction
+    n = len(psi)
+    norm = sum((c.abs2() for c in psi), Fraction(0))
+    acc = _GR0
+    for r in range(n):
+        for c in range(n):
+            acc = acc + psi[r].conj() * m[r][c] * psi[c]
+    return GaussianRational(acc.re / norm, acc.im / norm)
+
+
+def reference_correlator(label, i, j):
+    m = reference_kron(REFERENCE_PAULI[i], REFERENCE_PAULI[j])
+    value = reference_bracket(REFERENCE_STATES[label], m)
+    assert value.is_real
+    return value.re
+
+
+def reference_pair_probabilities(label):
+    psi = REFERENCE_STATES[label]
+    norm = sum((c.abs2() for c in psi), Fraction(0))
+    return tuple(c.abs2() / norm for c in psi)
+
+
 def test_gaussian_rational_arithmetic():
     a = GaussianRational.of(1, 2)
     b = GaussianRational.of(3, 4)
@@ -294,6 +373,16 @@ def test_gaussian_rational_arithmetic():
     assert not a.is_real
     assert (a * a.conj()).is_real
     assert GaussianRational.of(F(1, 2)).re == F(1, 2)
+
+
+def test_integer_oracle_matches_the_fraction_reference():
+    for label in ("S", "T", "U"):
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                value = canonical_correlator(label, i, j)
+                assert value == reference_correlator(label, i, j), (label, i, j)
+                assert type(value) is Fraction
+        assert canonical_pair_probabilities(label) == reference_pair_probabilities(label)
 
 
 CANONICAL = {

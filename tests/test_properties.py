@@ -1,6 +1,7 @@
 """Algebraic invariants checked over randomized inputs."""
 
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from bioqm import (
     spin_observable,
     two_particle_states,
 )
-from bioqm.acceptance import signed_chsh
+from bioqm.acceptance import signed_chsh, signed_correlator
 from bioqm.biortho import SPIN_AXIS_KETS, build_observable, enumerate_biorthogonal_systems
 from bioqm.entangle import one_sided_spin, product_spin
 from bioqm.exactlp import rref
@@ -177,12 +178,13 @@ def test_chsh_sign_and_swap_identities(state, data):
     B = data.draw(st.sampled_from(axes))
     b = data.draw(st.sampled_from([x for x in axes if x != B]))
     base = chsh(state, A, a, B, b).value
-    assert base == signed_chsh(state, (1, A), (1, a), (1, B), (1, b))
+    correlate = partial(signed_correlator, state)
+    assert base == signed_chsh(correlate, (1, A), (1, a), (1, B), (1, b))
     # negating one primed observable swaps the partner pair
-    assert base == signed_chsh(state, (1, A), (-1, a), (1, b), (1, B))
-    assert base == -signed_chsh(state, (-1, A), (1, a), (1, b), (1, B))
-    assert base == signed_chsh(state, (1, a), (1, A), (1, B), (-1, b))
-    assert base == -signed_chsh(state, (1, a), (1, A), (-1, B), (1, b))
+    assert base == signed_chsh(correlate, (1, A), (-1, a), (1, b), (1, B))
+    assert base == -signed_chsh(correlate, (-1, A), (1, a), (1, b), (1, B))
+    assert base == signed_chsh(correlate, (1, a), (1, A), (1, B), (-1, b))
+    assert base == -signed_chsh(correlate, (1, a), (1, A), (-1, B), (1, b))
 
 
 @given(st.sampled_from(ENTANGLED_GF9), st.sampled_from([1, 2, 3]),
