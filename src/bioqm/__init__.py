@@ -26,7 +26,6 @@ from .biortho import (
     Observable,
     bracket,
     build_observable,
-    enumerate_biorthogonal_systems,
     expectation,
     is_ortho_nondegenerate,
     named_states,
@@ -35,7 +34,6 @@ from .biortho import (
     spin_observable,
     state_label,
     table_report,
-    verify_spectral,
 )
 from .entangle import (
     Census,

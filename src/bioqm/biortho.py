@@ -101,26 +101,6 @@ class BiorthogonalSystem:
         return BiorthogonalSystem(kets=kets, bras=bras)
 
 
-def enumerate_biorthogonal_systems(
-    config: FieldConfig, dim: int = 2
-) -> list[BiorthogonalSystem]:
-    """All two-dimensional biorthogonal systems, in deterministic order.
-
-    Built by pairing mutually orthogonal physical projective states; each
-    unordered pair appears once, kets sorted lexicographically.
-    """
-    if dim != 2:
-        raise ValueError("only dimension-2 systems are enumerated")
-    physical = [s for s in enumerate_projective(config, dim) if s.physical]
-    systems = []
-    for idx, u in enumerate(physical):
-        for v in physical[idx + 1 :]:
-            if dot(u.rep, v.rep).is_zero:
-                systems.append(BiorthogonalSystem.from_kets((u.rep, v.rep)))
-    systems.sort(key=lambda s: tuple(k.sort_key() for k in s.kets))
-    return systems
-
-
 @dataclass(frozen=True)
 class Observable:
     """A spectrally built operator: sum of eigenvalue_k |k><k|."""
@@ -179,14 +159,6 @@ def build_observable(
         )
         matrix = mat_add(matrix, outer)
     return Observable(matrix=matrix, eigenvalues=eigs, system=system)
-
-
-def verify_spectral(obs: Observable) -> bool:
-    """Check that each system ket is an eigenvector with the stored eigenvalue."""
-    for eig, ket in zip(obs.eigenvalues, obs.system.kets):
-        if obs.apply(ket) != ket.scale(eig):
-            return False
-    return True
 
 
 # -- named states and spin observables ---------------------------------------

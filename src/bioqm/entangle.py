@@ -16,24 +16,25 @@ is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
 Admissible quadruples require A != a and B != b.
 
 Every sign-mapped correlator E(i,j) = phi_map(<psi|spin_i x spin_j|psi>)
-comes from one integer-residue kernel, ``correlator_grid``.  Reshape the
-amplitude to the 2x2 array psi (row index on side 1).  The row-major
-Kronecker product acts as (s_i x s_j) psi = s_i psi s_j^T, so the unnormalized
-bracket is
-
-    <psi, (s_i x s_j) psi> = sum over entries of conj(u_i) * w_j,
-    u_i = s_i^dagger psi,   w_j = psi s_j^T,
-
-which costs one 2x2 product per axis and side, not one 4x4 product per pair.
-No Hermiticity is assumed: s_i^dagger is taken with ``linear.dagger``.  The
-bracket divides this by the norm n = <psi, psi>, which lies in GF(p)*.  The
-sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
-square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij * n): one sign
-per pair, read off integer residues without building any field element.
-The kernel's core reads psi as flat (re, im) residues, so ``chsh_bound``
-feeds it the code table's tuples directly, and looks each sign up in a
-table of all p residues' signs; one state's grid takes each sign by Euler's
-criterion instead.
+comes from one integer-residue kernel, ``correlator_grid``.  Write psi_r =
+x_r + i y_r and take the 16 Gram values G_rr = x_r^2 + y_r^2 and, for r < c,
+G_rc = x_r x_c + y_r y_c and A_rc = y_r x_c - x_r y_c.  Then conj(psi_r)
+psi_c = G_rc - i A_rc, so a table entry hr + i hi at (r, c) adds
+(hr G_rc + hi A_rc) + i (hi G_rc - hr A_rc) to the bracket.  ``_pair_forms``
+folds each s_i x s_j (row index on side 1) this way, once per field, into a
+real and an imaginary form over the Gram values, keeping the coefficients
+nonzero mod p (2 or 4 of 16 for the spin tables).  No Hermiticity is
+assumed: a nonzero imaginary form is checked on every state and raises as
+``bracket`` does; a Hermitian table folds to imaginary forms with no
+coefficient left, the zero polynomial.  The bracket divides the real part
+by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
+n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
+E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
+without building any field element.  ``chsh_bound`` feeds the kernel the
+code table's flat (re, im) residues and looks each sign up in a table of
+all p residues' signs (one state's grid takes each by Euler's criterion
+instead); it checks every physical state's grid but reads CHSH values once
+per distinct grid.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 from operator import mul
 from typing import Callable
 
@@ -50,14 +52,12 @@ from .linear import (
     ProjectiveState,
     StateVector,
     canonicalize,
-    dagger,
     det2,
     flat_residues,
     identity_matrix,
     kron,
     matrix_residues,
     projective_residues,
-    residue_mul2,
     residue_state,
 )
 from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
@@ -202,18 +202,53 @@ def one_sided_spin(config: FieldConfig, side: int, axis: int) -> Matrix:
     return kron(sigma, eye) if side == 1 else kron(eye, sigma)
 
 
-@lru_cache(maxsize=None)
-def _kernel_tables(config: FieldConfig):
-    """Per-field kernel inputs, as flat (re, im) residue 2x2 tables per axis.
+# the index pairs r < c of a four-component amplitude, in Gram-value order
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-    Returns (daggers, transposes): spin_i^dagger and spin_j^T keyed by axis.
-    """
-    daggers, transposes = {}, {}
-    for axis in spin_axes(config):
-        sigma = spin_observable(config, axis).matrix
-        daggers[axis] = matrix_residues(dagger(sigma))
-        transposes[axis] = matrix_residues(zip(*sigma))
-    return daggers, transposes
+
+def _gram(psi: tuple[int, ...]) -> list[int]:
+    """The 16 Gram values of flat (re, im) residues psi, unreduced: each
+    G_rr, then G_rc and A_rc for (r, c) in ``_PAIRS`` (module docstring)."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = psi
+    return [
+        x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3,
+        x0 * x1 + y0 * y1, x0 * x2 + y0 * y2, x0 * x3 + y0 * y3,
+        x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3,
+        y0 * x1 - x0 * y1, y0 * x2 - x0 * y2, y0 * x3 - x0 * y3,
+        y1 * x2 - x1 * y2, y1 * x3 - x1 * y3, y2 * x3 - x2 * y3,
+    ]
+
+
+def _sparse(coefficients: list[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A form over ``_gram``'s values as its (indices, coefficients) nonzero
+    mod p; the zero polynomial has no index."""
+    kept = {k: c % p for k, c in enumerate(coefficients) if c % p}
+    return tuple(kept), tuple(kept.values())
+
+
+@lru_cache(maxsize=None)
+def _pair_forms(config: FieldConfig) -> dict:
+    """Per-field kernel input: (i, j) -> (re, im), the real and imaginary
+    parts of <psi, (s_i x s_j) psi> as ``_sparse`` forms over ``_gram``."""
+    p = config.p
+    tables = {axis: matrix_residues(spin_observable(config, axis).matrix)
+              for axis in spin_axes(config)}
+    forms = {}
+    for i, s in tables.items():
+        for j, t in tables.items():
+            # h_rc = (s x t)[r][c] = s[r//2][c//2] * t[r%2][c%2] as hr + i hi
+            hr, hi = {}, {}
+            for r, c in product(range(4), repeat=2):
+                u, v = 2 * (r // 2 * 2 + c // 2), 2 * (r % 2 * 2 + c % 2)
+                hr[r, c] = s[u] * t[v] - s[u + 1] * t[v + 1]
+                hi[r, c] = s[u] * t[v + 1] + s[u + 1] * t[v]
+            # conj(psi_r) h_rc psi_c = (hr G + hi A) + i (hi G - hr A), A_cr = -A_rc
+            re = ([hr[r, r] for r in range(4)] + [hr[r, c] + hr[c, r] for r, c in _PAIRS]
+                  + [hi[r, c] - hi[c, r] for r, c in _PAIRS])
+            im = ([hi[r, r] for r in range(4)] + [hi[r, c] + hi[c, r] for r, c in _PAIRS]
+                  + [hr[c, r] - hr[r, c] for r, c in _PAIRS])
+            forms[i, j] = (_sparse(re, p), _sparse(im, p))
+    return forms
 
 
 def correlator_grid(
@@ -224,48 +259,36 @@ def correlator_grid(
     Raises ValueError on a self-orthogonal state and RuntimeError on a
     bracket with a nonzero imaginary part, as ``bracket`` does.
     """
+    config = state.config
     psi = flat_residues(state.state.rep.components)
-    sign = partial(residue_sign, p=state.config.p)
-    return _residue_grid(state.config, psi, side1, side2, sign)
+    norm = sum(map(mul, psi, psi)) % config.p
+    if norm == 0:
+        rep = residue_state(config, psi, norm).rep
+        raise ValueError(f"self-orthogonal vector {rep} has no conjugate dual")
+    forms = _pair_forms(config)
+    pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
+    signs = _residue_grid(config, psi, norm, pairs, partial(residue_sign, p=config.p))
+    return {pair: e for (pair, _, _), e in zip(pairs, signs)}
 
 
-def _residue_grid(
-    config: FieldConfig,
-    psi: tuple[int, ...],
-    side1: tuple[int, ...],
-    side2: tuple[int, ...],
-    sign: Callable[[int], int],
-) -> dict[tuple[int, int], int]:
-    """``correlator_grid`` on the amplitude's flat (re, im) residues psi,
+def _residue_grid(config: FieldConfig, psi: tuple[int, ...], norm: int, pairs: list,
+                  sign: Callable[[int], int]) -> tuple[int, ...]:
+    """The sign E of each ((i, j), re, im) ``_pair_forms`` entry in pairs on
+    the state with flat (re, im) residues psi and norm <psi, psi> mod p != 0,
     with ``sign`` the sign map on a residue in [0, p)."""
     p = config.p
-    daggers, transposes = _kernel_tables(config)
-    norm = sum(map(mul, psi, psi)) % p
-    if norm == 0:
-        state = residue_state(config, psi, norm).rep
-        raise ValueError(f"self-orthogonal vector {state} has no conjugate dual")
-    ws = []
-    for j in side2:
-        w = residue_mul2(psi, transposes[j])
-        # conj(u) * w has real part u_re * w_re + u_im * w_im and imaginary
-        # part u_re * w_im - u_im * w_re: plain sums of products against w
-        # and against w turned to (w_im, -w_re)
-        turned = []
-        for k in (0, 2, 4, 6):
-            turned += (w[k + 1], -w[k])
-        ws.append((j, w, turned))
-    grid = {}
-    for i in side1:
-        u = residue_mul2(daggers[i], psi)
-        for j, w, turned in ws:
-            if sum(map(mul, u, turned)) % p:
-                state = residue_state(config, psi, norm).rep
-                raise RuntimeError(
-                    f"bracket of spin {i}x{j} in {state} has a nonzero imaginary "
-                    "part; observable is malformed"
-                )
-            grid[i, j] = sign(sum(map(mul, u, w)) * norm % p)
-    return grid
+    at = _gram(psi).__getitem__
+    for (i, j), _, (indices, coefficients) in pairs:
+        if indices and sum(map(mul, coefficients, map(at, indices))) % p:
+            rep = residue_state(config, psi, norm).rep
+            raise RuntimeError(
+                f"bracket of spin {i}x{j} in {rep} has a nonzero imaginary "
+                "part; observable is malformed"
+            )
+    return tuple([
+        sign(sum(map(mul, coefficients, map(at, indices))) * norm % p)
+        for _, (indices, coefficients), _ in pairs
+    ])
 
 
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
@@ -338,21 +361,24 @@ class ChshBound:
 
 
 def chsh_bound(config: FieldConfig) -> ChshBound:
-    """Maximum |CHSH| over every physical two-particle state and quadruple."""
-    codes = two_particle_codes(config)
+    """Maximum |CHSH| over every physical two-particle state and quadruple,
+    read once per distinct sign grid (at most 3^9 of them in any field)."""
     quadruples = axis_quadruples(config)
-    axes = spin_axes(config)
+    forms = _pair_forms(config)
+    pairs = [(pair, *form) for pair, form in forms.items()]
     # every state reads many signs, so a table of all p of them pays off
     # here; a single state's grid over a large prime must not build one
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
-    best = 0
+    grids = set()
     scanned = 0
-    for psi, norm, _ in codes:
-        if not norm:
-            continue
-        scanned += 1
-        grid = _residue_grid(config, psi, axes, axes, sign)
-        best = max(best, *map(abs, _chsh_values(grid, quadruples)))
+    for psi, norm, _ in two_particle_codes(config):
+        if norm:
+            scanned += 1
+            grids.add(_residue_grid(config, psi, norm, pairs, sign))
+    best = max(
+        (max(map(abs, _chsh_values(dict(zip(forms, grid)), quadruples))) for grid in grids),
+        default=0,
+    )
     return ChshBound(
         config=config,
         bound=best,

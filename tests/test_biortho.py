@@ -11,7 +11,6 @@ from bioqm import (
     StateVector,
     bracket,
     build_observable,
-    enumerate_biorthogonal_systems,
     expectation,
     named_states,
     physical_states,
@@ -19,12 +18,11 @@ from bioqm import (
     spin_observable,
     state_label,
     table_report,
-    verify_spectral,
 )
 from bioqm.biortho import SPIN_AXIS_KETS, is_ortho_nondegenerate
 from bioqm.entangle import one_sided_spin, product_spin, two_particle_states
 from bioqm.gf import phi_map
-from bioqm.linear import conjugate_dual, dot, mat_vec, matrix_make
+from bioqm.linear import conjugate_dual, dot, enumerate_projective, mat_vec, matrix_make
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -34,6 +32,29 @@ GF11 = FieldConfig(11, 1)
 
 def vec(config, entries):
     return StateVector.make(config, entries)
+
+
+def enumerate_biorthogonal_systems(config):
+    """All two-dimensional biorthogonal systems, in deterministic order.
+
+    Built by pairing mutually orthogonal physical projective states; each
+    unordered pair appears once, kets sorted lexicographically.
+    """
+    physical = [s for s in enumerate_projective(config, 2) if s.physical]
+    systems = []
+    for idx, u in enumerate(physical):
+        for v in physical[idx + 1 :]:
+            if dot(u.rep, v.rep).is_zero:
+                systems.append(BiorthogonalSystem.from_kets((u.rep, v.rep)))
+    systems.sort(key=lambda s: tuple(k.sort_key() for k in s.kets))
+    return systems
+
+
+def verify_spectral(obs):
+    """Each system ket is an eigenvector with the stored eigenvalue."""
+    return all(
+        obs.apply(ket) == ket.scale(eig) for eig, ket in zip(obs.eigenvalues, obs.system.kets)
+    )
 
 
 def test_named_state_components():

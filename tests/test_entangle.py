@@ -34,6 +34,7 @@ from bioqm.linear import (
     enumerate_projective,
     is_self_orthogonal,
     kron,
+    mat_vec,
     matrix_make,
 )
 from test_linear import reference_projective
@@ -183,7 +184,7 @@ def test_chsh_bound_interns_only_kernel_elements():
     config = FieldConfig(19, 1)
     two_particle_states.cache_clear()
     entangle.two_particle_codes.cache_clear()
-    entangle._kernel_tables.cache_clear()
+    entangle._pair_forms.cache_clear()
     result = chsh_bound(config)
     assert (result.bound, result.states_scanned) == (4, 6840)
     assert two_particle_states.cache_info().currsize == 0
@@ -459,7 +460,9 @@ def test_kernel_reads_one_pair_or_a_rectangle():
         correlator(representative_states(GF3)["S"], 1, 2)
 
 
-@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
+@pytest.mark.parametrize(
+    "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
+)
 def test_chsh_bound_and_scan_match_object_path_reference(config):
     quadruples = axis_quadruples(config)
     best = 0
@@ -498,14 +501,15 @@ MALFORMED = {
 
 
 @pytest.fixture
-def kernel_tables_cleared():
-    entangle._kernel_tables.cache_clear()
+def pair_forms_cleared():
+    entangle._pair_forms.cache_clear()
     yield
-    entangle._kernel_tables.cache_clear()
+    entangle._pair_forms.cache_clear()
 
 
-@pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
-def test_malformed_spin_table_matches_object_path(config, monkeypatch, kernel_tables_cleared):
+def _substitute_malformed(monkeypatch):
+    """Make axis 1's spin table the MALFORMED one, wherever ``entangle``
+    reads it; returns every axis's table as the kernel now sees it."""
     original = entangle.spin_observable
 
     def substituted(field, axis):
@@ -515,11 +519,17 @@ def test_malformed_spin_table_matches_object_path(config, monkeypatch, kernel_ta
         return dataclasses.replace(obs, matrix=matrix_make(field, MALFORMED[field]))
 
     monkeypatch.setattr(entangle, "spin_observable", substituted)
-    # the kernel must take sigma^dagger on side 1 and sigma^T on side 2 of
-    # the given table, and refuse complex brackets as ``bracket`` does; the
-    # representatives are rescaled so their leading entries are not real
+    return lambda config: {a: substituted(config, a).matrix for a in spin_axes(config)}
+
+
+@pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
+def test_malformed_spin_table_matches_object_path(config, monkeypatch, pair_forms_cleared):
+    tables = _substitute_malformed(monkeypatch)
+    # the kernel must fold the given table, with no Hermiticity assumed, and
+    # refuse complex brackets as ``bracket`` does; the representatives are
+    # rescaled so their leading entries are not real
     axes = spin_axes(config)
-    matrices = {a: entangle.spin_observable(config, a).matrix for a in axes}
+    matrices = tables(config)
     factor = config.element(1, 1) if config.is_extension else config.element(-1)
     outcomes = set()
     for canonical in _physical(config):
@@ -538,3 +548,83 @@ def test_malformed_spin_table_matches_object_path(config, monkeypatch, kernel_ta
                 outcomes.add(expected)
     assert outcomes >= {-1, 0, 1}
     assert ("raised" in outcomes) == config.is_extension
+
+
+def test_malformed_spin_table_reaches_the_scan(monkeypatch, pair_forms_cleared):
+    tables = _substitute_malformed(monkeypatch)
+    # over GF(9) some physical state has a complex bracket, so the scan and
+    # the bound refuse; chsh_scan refuses exactly the states that have one
+    matrices = tables(GF9)
+    axes = spin_axes(GF9)
+    refused = 0
+    for state in _physical(GF9):
+        try:
+            for i in axes:
+                for j in axes:
+                    bracket(state.state, kron(matrices[i], matrices[j]))
+        except RuntimeError:
+            refused += 1
+            with pytest.raises(RuntimeError, match="nonzero imaginary part"):
+                chsh_scan(state)
+        else:
+            assert sum(chsh_scan(state).values()) == 36
+    assert 0 < refused < len(_physical(GF9))
+    with pytest.raises(RuntimeError, match="nonzero imaginary part"):
+        chsh_bound(GF9)
+    # over GF(3) every bracket of the raising operator is real: the bound
+    # is the per-state maximum of the object path's CHSH values
+    matrices = tables(GF3)
+    axes = spin_axes(GF3)
+    best = 0
+    for state in _physical(GF3):
+        e = {
+            (i, j): phi_map(bracket(state.state, kron(matrices[i], matrices[j])))
+            for i in axes
+            for j in axes
+        }
+        best = max(best, *(abs(e[A, B] + e[A, b] + e[a, B] - e[a, b])
+                           for A, a, B, b in axis_quadruples(GF3)))
+    result = chsh_bound(GF3)
+    assert (result.bound, result.states_scanned, result.quadruples_per_state) == (best, 24, 4)
+    assert best == 3  # not the spin tables' 2
+
+
+def _form_value(form, gram, p):
+    indices, coefficients = form
+    return sum(c * gram[k] for k, c in zip(indices, coefficients)) % p
+
+
+@pytest.mark.parametrize(
+    "config,malformed",
+    [(GF3, False), (GF7, False), (GF9, False), (GF3, True), (GF9, True)],
+    ids=["gf3", "gf7", "gf9", "gf3-malformed", "gf9-malformed"],
+)
+def test_pair_forms_fold_the_unnormalized_bracket(config, malformed, monkeypatch,
+                                                   pair_forms_cleared):
+    # on every state, self-orthogonal ones too, the real and imaginary forms
+    # read off the Gram values are <psi, (s_i x s_j) psi> mod p, so a form
+    # left without coefficients is exactly a part that is always 0
+    matrices = (_substitute_malformed(monkeypatch) if malformed else
+                lambda c: {a: entangle.spin_observable(c, a).matrix for a in spin_axes(c)})(config)
+    forms = entangle._pair_forms(config)
+    assert set(forms) == {(i, j) for i in matrices for j in matrices}
+    for state in two_particle_states(config):
+        v = state.state.rep
+        gram = entangle._gram(tuple(part for x in v.components for part in (x.re, x.im)))
+        for (i, j), (re, im) in forms.items():
+            value = dot(v, mat_vec(kron(matrices[i], matrices[j]), v))
+            assert (_form_value(re, gram, config.p), _form_value(im, gram, config.p)) == (
+                value.re, value.im), (str(v), i, j)
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
+def test_hermitian_spin_tables_fold_to_zero_imaginary_forms(config):
+    # so the kernel's per-state imaginary check has nothing to evaluate
+    forms = entangle._pair_forms(config)
+    assert len(forms) == len(spin_axes(config)) ** 2
+    assert all(im == ((), ()) for _, im in forms.values())
+
+
+def test_malformed_table_folds_to_a_nonzero_imaginary_form(monkeypatch, pair_forms_cleared):
+    _substitute_malformed(monkeypatch)
+    assert any(indices for _, (indices, _) in entangle._pair_forms(GF9).values())

@@ -23,11 +23,12 @@ from bioqm import (
     two_particle_states,
 )
 from bioqm.acceptance import signed_chsh, signed_correlator
-from bioqm.biortho import SPIN_AXIS_KETS, build_observable, enumerate_biorthogonal_systems
+from bioqm.biortho import SPIN_AXIS_KETS, build_observable
 from bioqm.entangle import one_sided_spin, product_spin
 from bioqm.exactlp import rref
 from bioqm.inference import moment_system
 from bioqm.linear import mat_vec
+from test_biortho import enumerate_biorthogonal_systems
 
 SMALL_PRIMES = (3, 7, 11)
 PHI_PRIMES = tuple(
