@@ -14,26 +14,29 @@ four modes: the same matrix on both sides (global), or a matrix on one side
 only (local_1 / local_2); the local group is the direct product acting
 componentwise, with order the square of the one-particle group order.
 
+A member acts on states one way, by ``_residue_permutation``: a state's flat
+(re, im) residue code goes through the member code's 2x2 residue product
+``residue_mul2``, is brought to leading-1 form and is looked up by code, so
+no state object or ``act`` call is made.  A one-particle state (x, y) is
+coded as the table [[x, 0], [y, 0]], which gives each element's permutation
+and the PGL(2, p) check.  The index tables (generating set, Cayley tree, the
+generators' left multiplication of the element indices, the inverse index
+from each member's adjugate code) are built once per field from the
+members' codes alone.  Conjugacy classes are the walk along each generator's
+conjugation of the indices, and an element's order is read once per class.
+
 The two-particle action table keeps only the generators' permutations of
-the states.  These generator rows are computed on integer residue codes, as
-the CHSH kernel and the census are: each state's flat (re, im) code goes
-through the 2x2 residue product, is brought to leading-1 form and is looked
-up by code, so no state object or ``act`` call is made.  The generating set
-and the Cayley tree come from the generators' left multiplication of the
-element indices, on the members' codes the same way, and the inverse index
-from each member's adjugate code; these index tables are built once per
-field.  Conjugacy classes are the walk along each generator's conjugation of
-the indices, and an element's order is read once per class from the
-representative's left multiplication.  Orbits
-and local-transform words are walked along the generator rows by one
-breadth-first walk; a word is a pair of element indices, and its inverse is
-read from the inverse index.  A stabilizer order walks the Cayley tree once
-from its state, composing generator rows into the state's image under every
-element, and counts the elements that fix it.  A Burnside count sums fixed
-points over class representatives weighted by class size (pairs of classes
-for the local action), each representative's permutation composed from the
-generator rows.  ``act`` stays the object path, and the tests check every
-residue row and every element's image against it.
+the states.  Side 1, psi -> M psi, is the member code's product; side 2,
+psi -> psi M^T = (M psi^T)^T, is side 1 conjugated by the transposition
+psi -> psi^T of the states, so the state set must be closed under
+transposition.  Orbits and local-transform words are walked along the
+generator rows by one breadth-first walk; a word is a pair of element
+indices, inverted by the inverse index.  A stabilizer order walks the Cayley
+tree once from its state and counts the elements that fix it.  A Burnside
+count sums fixed points over class representatives weighted by class size
+(pairs of classes for the local action), each representative's permutation
+composed from the generator rows.  ``act`` stays the object path, and the
+tests check every residue row and every element's image against it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
-from operator import eq
+from operator import eq, itemgetter
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
@@ -59,7 +61,6 @@ from .linear import (
     mat_neg,
     mat_vec,
     matrix_make,
-    matrix_residues,
     residue_canonicalizer,
     residue_mul2,
 )
@@ -148,37 +149,44 @@ def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(codes))
 
 
+def _residue_permutation(
+    step: Callable[[tuple[int, ...]], list[int]],
+    codes: Sequence[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    canonical: Callable[[list[int]], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """The index of each code's canonical image under step."""
+    try:
+        return tuple([index[canonical(step(code))] for code in codes])
+    except KeyError:
+        raise ValueError("the action escapes the given state set") from None
+
+
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
-    from ``_member_codes``."""
+    from ``_member_codes``; a member's ``perm`` is its code's product on
+    the physical states coded as [[x, 0], [y, 0]]."""
     states = physical_states(config, 2)
-    index_of = {s.rep: k for k, s in enumerate(states)}
     if len(states) > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
+    canonical = residue_canonicalizer(config)
+    points = [(xr, xi, 0, 0, yr, yi, 0, 0) for xr, xi, yr, yi in
+              (flat_residues(s.rep.components) for s in states)]
+    index = {code: k for k, code in enumerate(points)}
 
     zero = config.zero()
     found: list[GroupElement] = []
-    for ar, ai, br, bi, cr, ci, dr, di in _member_codes(config):
+    for code in _member_codes(config):
+        ar, ai, br, bi, cr, ci, dr, di = code
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
         c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
             raise AssertionError("dagger(M) M is not the scalar its first column gives")
-        perm = []
-        for s in states:
-            image = canonicalize(mat_vec(m, s.rep))
-            if image.rep not in index_of:
-                raise AssertionError("group action left the physical state set")
-            perm.append(index_of[image.rep])
-        found.append(
-            GroupElement(
-                matrix=m,
-                label=_cycle_notation(tuple(perm), letters),
-                sign=phi_map(c),
-                perm=tuple(perm),
-            )
-        )
+        perm = _residue_permutation(partial(residue_mul2, code), points, index, canonical)
+        found.append(GroupElement(matrix=m, label=_cycle_notation(perm, letters),
+                                  sign=phi_map(c), perm=perm))
     return ProjectiveGroup(config, tuple(found))
 
 
@@ -225,17 +233,18 @@ def _sharply_3_transitive(config: FieldConfig) -> bool:
     """Whether the members act regularly on the ordered triples of the
     self-orthogonal one-particle points (1, c), c conj(c) = -1 (none over GF(p)).
 
-    A point (x, y) is coded as the matrix [[x, 0], [y, 0]], which a member's
-    code multiplies by ``residue_mul2``; the images of one triple must be
-    every ordered triple of distinct points, each once.
+    The points are coded as in ``enumerate_group``.  An invertible member
+    sends the first three points to three distinct ones, so the action is
+    regular when these images are distinct and |G| = n(n - 1)(n - 2).
     """
     p, canonical = config.p, residue_canonicalizer(config)
     points = [(1, 0, 0, 0, x.re, x.im, 0, 0) for x in config.elements()
               if (1 + x.re**2 + x.im**2) % p == 0]
-    triples = set(permutations(points, 3))
-    codes = _member_codes(config)
-    images = {tuple(canonical(residue_mul2(code, t)) for t in points[:3]) for code in codes}
-    return len(codes) == len(triples) and images == triples
+    index = {code: k for k, code in enumerate(points)}
+    n, codes = len(points), _member_codes(config)
+    images = {_residue_permutation(partial(residue_mul2, code), points[:3], index, canonical)
+              for code in codes}
+    return len(codes) == len(images) == n * (n - 1) * (n - 2)
 
 
 def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
@@ -350,27 +359,14 @@ def _walk(start: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int, in
     return edges
 
 
-def _residue_permutation(
-    step: Callable[[tuple[int, ...]], list[int]],
-    codes: Sequence[tuple[int, ...]],
-    index: dict[tuple[int, ...], int],
-    canonical: Callable[[list[int]], tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The index of each code's canonical image under step."""
-    try:
-        return tuple([index[canonical(step(code))] for code in codes])
-    except KeyError:
-        raise ValueError("the action escapes the given state set") from None
-
-
 class _GroupIndex:
     """The group on element indices, built once per field from the members'
-    residue codes; a product or an inverse is looked up by the code of its
-    canonical matrix.
+    residue codes alone; a product or an inverse is looked up by the code of
+    its canonical matrix.
 
-    The generators are the elements, in order, not yet generated by those
-    before them.  ``tree`` is the Cayley tree from the identity, one
-    (s*h, k, h) per other element with s the k-th generator;
+    ``generators`` are the indices of the elements, in order, not yet
+    generated by those before them.  ``tree`` is the Cayley tree from the
+    identity, one (s*h, k, h) per other element with s the k-th generator;
     ``generator_left[k]`` is the k-th generator's left multiplication of the
     indices and ``inverse[k]`` the index of element k's inverse, read from
     the adjugate [[d, -b], [-c, a]].  ``classes`` are the conjugacy classes
@@ -381,23 +377,24 @@ class _GroupIndex:
     multiplication.
     """
 
-    def __init__(self, group: ProjectiveGroup):
-        canonical = residue_canonicalizer(group.config)
-        codes = _member_codes(group.config)
+    def __init__(self, config: FieldConfig):
+        canonical = residue_canonicalizer(config)
+        codes = _member_codes(config)
+        order = len(codes)
         index = {code: k for k, code in enumerate(codes)}
         self.identity = start = index[1, 0, 0, 0, 0, 0, 1, 0]
-        gens: list[GroupElement] = []
+        gens: list[int] = []
         left: list[tuple[int, ...]] = []
         tree: list[tuple[int, int, int]] = []
         generated = {start}
         for k, code in enumerate(codes):
             if k not in generated:
-                gens.append(group.elements[k])
+                gens.append(k)
                 step = partial(residue_mul2, code)
                 left.append(_residue_permutation(step, codes, index, canonical))
                 tree = _walk(start, left)
                 generated = {start, *(j for j, _, _ in tree)}
-        if len(generated) != group.order:
+        if len(generated) != order:
             raise AssertionError("the generators do not reach every group element")
         self.generators, self.tree, self.generator_left = tuple(gens), tree, tuple(left)
         self.inverse = inv = tuple(
@@ -405,17 +402,17 @@ class _GroupIndex:
             for ar, ai, br, bi, cr, ci, dr, di in codes
         )
         self.parent = {sh: (k, h) for sh, k, h in self.tree}
-        conjugations = [[inv[left[inv[left[x]]]] for x in range(group.order)]
+        conjugations = [[inv[left[inv[left[x]]]] for x in range(order)]
                         for left in self.generator_left]
         classes, seen = [], set()
-        for x in range(group.order):
+        for x in range(order):
             if x not in seen:
                 members = sorted([x, *(j for j, _, _ in _walk(x, conjugations))])
                 seen.update(members)
                 classes.append(tuple(members))
         classes.sort(key=lambda c: (len(c), c[0]))
         self.classes = tuple(classes)
-        orders = [0] * group.order
+        orders = [0] * order
         for members in classes:
             left = self.compose(members[0], self.generator_left)
             x, n = left[self.identity], 1
@@ -448,36 +445,32 @@ class _GroupIndex:
 
 @lru_cache(maxsize=None)
 def _group_index(config: FieldConfig) -> _GroupIndex:
-    return _GroupIndex(enumerate_group(config))
+    return _GroupIndex(config)
 
 
 class _ActionTable:
     """The one-sided actions on an indexed state set, kept as generator rows.
 
     ``generator_sides[k]`` is the (side-1, side-2) permutation of the state
-    indices made by the k-th generator: psi -> M psi on side 1 and
-    psi -> psi M^T on side 2, applied to residue codes, brought to leading-1
-    form and looked up by code in ``index``.  A state set closed under the
-    generators is closed under the whole group.  The generators and the
-    Cayley tree are the field's ``_GroupIndex``, kept as ``group_index``.
+    indices made by the k-th generator: psi -> M psi on the residue codes,
+    looked up by code in ``index``, and psi -> psi M^T = (M psi^T)^T, read
+    as tau side1 tau with tau the transposition psi -> psi^T.  A state set
+    closed under the generators is closed under the whole group.  The
+    generators and the Cayley tree are the field's ``_GroupIndex``.
     """
 
     def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
         self.group = group
         self.states = states
         self.group_index = _group_index(group.config)
-        canonical = residue_canonicalizer(group.config)
+        canonical, members = residue_canonicalizer(group.config), _member_codes(group.config)
         codes = [flat_residues(s.state.rep.components) for s in states]
-        self.index = {code: k for k, code in enumerate(codes)}
+        self.index = index = {code: k for k, code in enumerate(codes)}
+        tau = _residue_permutation(itemgetter(0, 1, 4, 5, 2, 3, 6, 7), codes, index, canonical)
         sides = []  # (side-1, side-2) permutations of each generator
-        for g in self.group_index.generators:
-            m, m_t = matrix_residues(g.matrix), matrix_residues(zip(*g.matrix))
-            sides.append((
-                _residue_permutation(partial(residue_mul2, m), codes, self.index, canonical),
-                _residue_permutation(
-                    lambda psi: residue_mul2(psi, m_t), codes, self.index, canonical
-                ),
-            ))
+        for k in self.group_index.generators:
+            side1 = _residue_permutation(partial(residue_mul2, members[k]), codes, index, canonical)
+            sides.append((side1, tuple([tau[side1[j]] for j in tau])))
         self.generator_sides = tuple(sides)
 
 
@@ -506,7 +499,12 @@ def _action_table(config: FieldConfig) -> _ActionTable:
 def action_table(
     config: FieldConfig, states: tuple[TwoParticleState, ...] | None = None
 ) -> _ActionTable:
-    """The permutation table on a state set (default: entangled physical)."""
+    """The permutation table on a state set (default: entangled physical).
+
+    Side 2 is side 1 conjugated by psi -> psi^T, so the set must be closed
+    under transposition, as the entangled and the product physical states
+    are; otherwise, as for a set the group moves, the build raises "escapes".
+    """
     if states is None:
         return _action_table(config)
     return _ActionTable(enumerate_group(config), states)

@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import bioqm
 from bioqm import FieldConfig, cli
 from bioqm.cli import run
 
@@ -265,11 +268,16 @@ def test_bare_invocation_needs_a_subcommand(capsys):
 
 
 def test_seed_check_subprocess_passes_everything():
+    # the child imports the same bioqm as this process, whatever the
+    # caller's PYTHONPATH
+    src = str(Path(bioqm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bioqm.cli", "--seed-check"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13/13 criteria passed" in proc.stdout

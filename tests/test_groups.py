@@ -418,6 +418,13 @@ def test_three_transitivity_holds_on_the_member_codes_past_the_letters(p):
         enumerate_group(config)
     assert len(groups._member_codes(config)) == p * (p * p - 1)
     assert groups._sharply_3_transitive(config)
+    # the index reads the member codes alone, so it builds past the letters:
+    # PGL(2, q) has q + 2 conjugacy classes
+    index = groups._group_index(config)
+    assert len(index.orders) == p * (p * p - 1)
+    assert len(index.classes) == p + 2
+    with pytest.raises(ValueError, match="letter-label"):
+        enumerate_group(config)
 
 
 # -- conjugation of spin observables ---------------------------------------------
@@ -599,7 +606,8 @@ def test_residue_generator_rows_match_object_act(config, subset):
     # the rows applied on residue codes, against act() on the state objects
     states = None if subset == "entangled" else _physical_products(config)
     table = action_table(config, states=states)
-    for g, (side1, side2) in zip(table.group_index.generators, table.generator_sides):
+    gens = [table.group.elements[k] for k in table.group_index.generators]
+    for g, (side1, side2) in zip(gens, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
             assert row == tuple(_index_of(table, act(g, s, mode)) for s in table.states)
 
@@ -612,7 +620,8 @@ def test_element_index_words_match_group_multiplication(config):
     index = table.group_index
     group = table.group
     elements = group.elements
-    for g, left in zip(index.generators, index.generator_left):
+    gens = [elements[k] for k in index.generators]
+    for g, left in zip(gens, index.generator_left):
         assert [elements[j] for j in left] == [group_mul(group, g, h) for h in elements]
     for g, k in zip(elements, index.inverse):
         assert group_mul(group, g, elements[k]) is group.identity
@@ -879,7 +888,7 @@ def _reference_reach(config):
     (A tensor B) rep."""
     table = action_table(config)
     group = table.group
-    gens = table.group_index.generators
+    gens = [group.elements[k] for k in table.group_index.generators]
     perms = _generator_permutations(table, "local")
     reach = {}
     for label, rep in representative_states(config).items():
@@ -924,11 +933,13 @@ def _counting(calls, name, func):
 
 def _count_act_calls(monkeypatch):
     # the object group products are the helpers above; the group itself
-    # offers none for a fast path to fall back on
+    # offers none for a fast path to fall back on.  act and the object
+    # images it is made of (mat_vec, canonicalize) are counted
     for name in ("mul", "inv", "lookup"):
         assert not hasattr(ProjectiveGroup, name)
     calls = Counter()
-    monkeypatch.setattr(groups, "act", _counting(calls, "act", groups.act))
+    for name in ("act", "mat_vec", "canonicalize"):
+        monkeypatch.setattr(groups, name, _counting(calls, name, getattr(groups, name)))
     return calls
 
 
@@ -970,14 +981,17 @@ def test_find_local_transform_rejects_product_states():
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
 def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
-    # from fresh caches the group, the classes, the element orders and both
-    # Burnside sums come from the members' codes and the index tables:
-    # act never runs
+    # from fresh caches the group, its index, the action table, the classes,
+    # the element orders and both Burnside sums come from the members' codes
+    # and the index tables: no object image is made
     calls = _count_act_calls(monkeypatch)
     for cached in (enumerate_group, groups._member_codes, groups._group_index,
                    groups._action_table, _local_reach):
         cached.cache_clear()
     group = enumerate_group(config)
+    groups._group_index(config)
+    groups._action_table(config)
+    assert calls == Counter()
     conjugacy_classes(group)
     verify_isomorphism(group)
     for mode in ("global", "local"):
