@@ -7,9 +7,10 @@ one-particle spin observables, assembled together with their product
 biorthogonal system so the spectral form survives.
 
 ``two_particle_codes`` caches, per field, every canonical two-particle state
-as integer residues with its norm and that determinant test.  ``census``
-counts over it and ``chsh_bound`` scans it without building a state object;
-``two_particle_states`` is its object view, in the same order.
+in columns: integer residues, norms, and kind bytes (that determinant test
+and physicality).  ``census`` counts kind bytes and ``chsh_bound`` scans the
+residues without building a state object; ``two_particle_states`` is their
+object view, in the same order.
 
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
@@ -39,7 +40,6 @@ per distinct grid.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -106,33 +106,39 @@ def from_product(x: StateVector, y: StateVector) -> TwoParticleState:
     return out
 
 
-@lru_cache(maxsize=None)
-def two_particle_codes(config: FieldConfig) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
-    """Every two-particle state as (psi, norm, is_product), lexicographically.
+PHYSICAL, PRODUCT = 1, 2  # the bits of a ``two_particle_codes`` kind byte
 
-    psi is the canonical representative's flat (re, im) residues and norm is
-    <psi, psi> mod p, as ``linear.projective_residues`` gives them; the state
-    is a product exactly when both parts of det [[a, b], [c, d]] = ad - bc
-    vanish mod p.
+
+@lru_cache(maxsize=None)
+def two_particle_codes(config: FieldConfig) -> tuple[tuple[tuple[int, ...], ...], tuple, bytes]:
+    """Every two-particle state, lexicographically, as columns (psis, norms, kinds).
+
+    A psi is the canonical representative's flat (re, im) residues and its
+    norm is <psi, psi> mod p, as ``linear.projective_residues`` gives them.
+    Its kind byte is PRODUCT when both parts of det [[a, b], [c, d]] = ad - bc
+    vanish mod p, plus PHYSICAL when the norm is nonzero.
     """
     p = config.p
-    codes = []
+    psis, norms, kinds = [], [], bytearray()
     for psi, norm in projective_residues(config, 4):
         ar, ai, br, bi, cr, ci, dr, di = psi
         is_product = (
             not (ar * dr - ai * di - br * cr + bi * ci) % p
             and not (ar * di + ai * dr - br * ci - bi * cr) % p
         )
-        codes.append((psi, norm, is_product))
-    return tuple(codes)
+        psis.append(psi)
+        norms.append(norm)
+        kinds.append(PRODUCT * is_product + (norm != 0))
+    return tuple(psis), tuple(norms), bytes(kinds)
 
 
 @lru_cache(maxsize=None)
 def two_particle_states(config: FieldConfig) -> tuple[TwoParticleState, ...]:
     """The objects of ``two_particle_codes``, in its order."""
     return tuple(
-        TwoParticleState(residue_state(config, psi, norm), "product" if is_product else "entangled")
-        for psi, norm, is_product in two_particle_codes(config)
+        TwoParticleState(residue_state(config, psi, norm),
+                         "product" if kind & PRODUCT else "entangled")
+        for psi, norm, kind in zip(*two_particle_codes(config))
     )
 
 
@@ -162,18 +168,17 @@ class Census:
 
 
 def census(config: FieldConfig) -> Census:
-    codes = two_particle_codes(config)
-    # keyed by (is_product, physical)
-    tally = Counter((is_product, norm != 0) for _, norm, is_product in codes)
+    kinds = two_particle_codes(config)[2]
+    tally = [kinds.count(kind) for kind in range(4)]  # indexed by kind byte
     return Census(
         config=config,
-        states=len(codes),
-        product=tally[True, True] + tally[True, False],
-        product_physical=tally[True, True],
-        product_self_orthogonal=tally[True, False],
-        entangled=tally[False, True] + tally[False, False],
-        entangled_physical=tally[False, True],
-        entangled_self_orthogonal=tally[False, False],
+        states=len(kinds),
+        product=tally[PRODUCT | PHYSICAL] + tally[PRODUCT],
+        product_physical=tally[PRODUCT | PHYSICAL],
+        product_self_orthogonal=tally[PRODUCT],
+        entangled=tally[PHYSICAL] + tally[0],
+        entangled_physical=tally[PHYSICAL],
+        entangled_self_orthogonal=tally[0],
     )
 
 
@@ -371,7 +376,7 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
     grids = set()
     scanned = 0
-    for psi, norm, _ in two_particle_codes(config):
+    for psi, norm in zip(*two_particle_codes(config)[:2]):
         if norm:
             scanned += 1
             grids.add(_residue_grid(config, psi, norm, pairs, sign))

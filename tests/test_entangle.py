@@ -135,12 +135,14 @@ CODE_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19"]
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
 def test_code_table_matches_classify_on_every_state(config):
     reference = reference_projective(config, 4)
-    codes = entangle.two_particle_codes(config)
-    assert len(codes) == len(reference)
-    for (psi, norm, is_product), state in zip(codes, reference):
+    psis, norms, kinds = entangle.two_particle_codes(config)
+    assert len(psis) == len(norms) == len(kinds) == len(reference)
+    assert set(kinds) <= {0, 1, 2, 3}
+    for psi, norm, kind, state in zip(psis, norms, kinds, reference):
         assert psi == tuple(part for x in state.rep.components for part in (x.re, x.im))
         assert norm == dot(state.rep, state.rep).re
-        assert is_product == classify(state).is_product
+        assert bool(kind & entangle.PRODUCT) == classify(state).is_product
+        assert bool(kind & entangle.PHYSICAL) == state.physical
     assert two_particle_states(config) == tuple(classify(s) for s in reference)
 
 
@@ -156,6 +158,26 @@ def test_census_matches_object_recount(config):
         for flag in ("physical", "self_orthogonal"):
             expected[f"{kind}_{flag}"] = tally[kind, flag]
     assert census(config).counts() == expected
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF11, GF19, GF9, GF49],
+                         ids=["gf3", "gf7", "gf11", "gf19", "gf9", "gf49"])
+def test_census_closed_forms(config):
+    # the product states are the Segre variety P1 x P1, and the
+    # self-orthogonal ones the quadric sum x_r^(p+1) = 0: hyperbolic over
+    # GF(p), p = 3 mod 4, and Hermitian over GF(p^2) (Bose & Chakravarti
+    # 1966; Hirschfeld)
+    q, p = config.order, config.p
+    c = census(config).counts()
+    self_orthogonal = c["product_self_orthogonal"] + c["entangled_self_orthogonal"]
+    assert c["states"] == (q**4 - 1) // (q - 1)
+    assert c["product"] == (q + 1) ** 2
+    if config.is_extension:
+        assert c["product_physical"] == (p * p - p) ** 2
+        assert self_orthogonal == (p**3 + 1) * (p * p + 1)
+    else:
+        assert c["product_physical"] == (p + 1) ** 2
+        assert self_orthogonal == (p + 1) ** 2
 
 
 # the frozen GF(49) census of the benchmark's scan workload
