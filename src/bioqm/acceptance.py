@@ -17,7 +17,7 @@ from functools import cache, partial
 from fractions import Fraction
 from typing import Callable
 
-from .gf import FieldConfig, phi_map, verify_phi_uniqueness
+from .gf import FieldConfig, find_generator, is_prime, phi_map, verify_phi_uniqueness
 from .linear import StateVector, dot, mat_neg, matrix_make
 from .biortho import (
     bracket,
@@ -339,23 +339,26 @@ def _criterion_11() -> str:
     return "probability table exact; 27 correspondence entries consistent"
 
 
+def _preserves_products(p: int, signs: list[int]) -> bool:
+    """Whether the table signs[x], x in GF(p), has phi(ab) = phi(a) phi(b): with g
+    a generator whose powers sweep every unit, phi(0) = 0, phi(1) = 1 and
+    phi(g x) = phi(g) phi(x) for all x give phi(g^k) = phi(g)^k by induction."""
+    g = find_generator(p)
+    assert sorted(pow(g, k, p) for k in range(p - 1)) == list(range(1, p)), (p, g)
+    return signs[0] == 0 and signs[1] == 1 and all(
+        signs[g * x % p] == signs[g] * signs[x] for x in range(p))
+
+
 def _criterion_12() -> str:
     for p in UNIQUENESS_PRIMES:
         report = verify_phi_uniqueness(p)
         assert report.unique and report.matches_phi_map, f"p={p}: {report}"
         assert report.generator_independent, f"p={p}"
-    checked = 0
-    p = 3
-    while p <= PRODUCT_CHECK_LIMIT:
-        if p % 4 == 3 and all(p % d for d in range(2, int(p**0.5) + 1)):
-            config = FieldConfig(p, 1)
-            values = {x: phi_map(config.element(x)) for x in range(p)}
-            for a in range(p):
-                for b in range(p):
-                    assert values[(a * b) % p] == values[a] * values[b], (p, a, b)
-            checked += 1
-        p += 2
-    return f"uniqueness at p in {UNIQUENESS_PRIMES}; products preserved for {checked} primes"
+    primes = list(filter(is_prime, range(3, PRODUCT_CHECK_LIMIT + 1, 4)))  # all 3 mod 4
+    for p in primes:
+        config = FieldConfig(p, 1)
+        assert _preserves_products(p, [phi_map(config.element(x)) for x in range(p)]), p
+    return f"uniqueness at p in {UNIQUENESS_PRIMES}; products preserved for {len(primes)} primes"
 
 
 def signed_correlator(state, first, second) -> int:

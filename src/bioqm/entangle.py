@@ -17,7 +17,7 @@ is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
 Admissible quadruples require A != a and B != b.
 
 Every sign-mapped correlator E(i,j) = phi_map(<psi|spin_i x spin_j|psi>)
-comes from one integer-residue kernel, ``correlator_grid``.  Write psi_r =
+comes from one integer-residue kernel, ``_sign_grids``.  Write psi_r =
 x_r + i y_r and take the 16 Gram values G_rr = x_r^2 + y_r^2 and, for r < c,
 G_rc = x_r x_c + y_r y_c and A_rc = y_r x_c - x_r y_c.  Then conj(psi_r)
 psi_c = G_rc - i A_rc, so a table entry hr + i hi at (r, c) adds
@@ -31,19 +31,19 @@ coefficient left, the zero polynomial.  The bracket divides the real part
 by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
 n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
 E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
-without building any field element.  ``chsh_bound`` feeds the kernel the
-code table's flat (re, im) residues and looks each sign up in a table of
-all p residues' signs (one state's grid takes each by Euler's criterion
-instead); it checks every physical state's grid but reads CHSH values once
-per distinct grid.
+without building any field element.  The kernel reads a chunk of states as
+8 residue columns, builds each Gram value and form as a column by ``map``
+chains that run in C, and yields one sign grid per state: ``correlator_grid``
+passes a chunk of one and signs by Euler's criterion, ``chsh_bound`` streams
+the physical rows in chunks and looks signs up in a table of all p residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
-from operator import mul
+from functools import lru_cache, partial, reduce
+from itertools import compress, islice, product, repeat
+from operator import add, mul, sub
 from typing import Callable
 
 from .gf import FieldConfig, phi_map, residue_sign
@@ -193,8 +193,7 @@ def product_spin(config: FieldConfig, i: int, j: int) -> Observable:
     system = left.system.tensor(right.system)
     eigenvalues = tuple(a * b for a in left.eigenvalues for b in right.eigenvalues)
     matrix = kron(left.matrix, right.matrix)
-    obs = Observable(matrix=matrix, eigenvalues=eigenvalues, system=system)
-    return obs
+    return Observable(matrix=matrix, eigenvalues=eigenvalues, system=system)
 
 
 @lru_cache(maxsize=None)
@@ -211,21 +210,17 @@ def one_sided_spin(config: FieldConfig, side: int, axis: int) -> Matrix:
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _gram(psi: tuple[int, ...]) -> list[int]:
-    """The 16 Gram values of flat (re, im) residues psi, unreduced: each
-    G_rr, then G_rc and A_rc for (r, c) in ``_PAIRS`` (module docstring)."""
-    x0, y0, x1, y1, x2, y2, x3, y3 = psi
-    return [
-        x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3,
-        x0 * x1 + y0 * y1, x0 * x2 + y0 * y2, x0 * x3 + y0 * y3,
-        x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3,
-        y0 * x1 - x0 * y1, y0 * x2 - x0 * y2, y0 * x3 - x0 * y3,
-        y1 * x2 - x1 * y2, y1 * x3 - x1 * y3, y2 * x3 - x2 * y3,
-    ]
+# Gram value k as (op, a, b, u, v) = op(w_a w_b, w_u w_v) over flat residues w,
+# x_r = w_2r and y_r = w_2r+1: each G_rr, then G_rc and A_rc for ``_PAIRS``
+_GRAM = tuple(
+    [(add, 2 * r, 2 * c, 2 * r + 1, 2 * c + 1) for r, c in (*zip(range(4), range(4)), *_PAIRS)]
+    + [(sub, 2 * r + 1, 2 * c, 2 * r, 2 * c + 1) for r, c in _PAIRS]
+)
+_CHUNK = 2048  # physical code-table rows per ``_sign_grids`` call in ``chsh_bound``
 
 
 def _sparse(coefficients: list[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A form over ``_gram``'s values as its (indices, coefficients) nonzero
+    """A form over the ``_GRAM`` values as its (indices, coefficients) nonzero
     mod p; the zero polynomial has no index."""
     kept = {k: c % p for k, c in enumerate(coefficients) if c % p}
     return tuple(kept), tuple(kept.values())
@@ -234,7 +229,7 @@ def _sparse(coefficients: list[int], p: int) -> tuple[tuple[int, ...], tuple[int
 @lru_cache(maxsize=None)
 def _pair_forms(config: FieldConfig) -> dict:
     """Per-field kernel input: (i, j) -> (re, im), the real and imaginary
-    parts of <psi, (s_i x s_j) psi> as ``_sparse`` forms over ``_gram``."""
+    parts of <psi, (s_i x s_j) psi> as ``_sparse`` forms over ``_GRAM``."""
     p = config.p
     tables = {axis: matrix_residues(spin_observable(config, axis).matrix)
               for axis in spin_axes(config)}
@@ -261,10 +256,11 @@ def correlator_grid(
 ) -> dict[tuple[int, int], int]:
     """E(i, j) for every axis i in side1 and j in side2, from one kernel pass.
 
-    Raises ValueError on a self-orthogonal state and RuntimeError on a
-    bracket with a nonzero imaginary part, as ``bracket`` does.
+    Raises ValueError on an axis the field lacks or a self-orthogonal state
+    and RuntimeError on a bracket with a nonzero imaginary part, as ``bracket``.
     """
     config = state.config
+    require_axes(config, (*side1, *side2))
     psi = flat_residues(state.state.rep.components)
     norm = sum(map(mul, psi, psi)) % config.p
     if norm == 0:
@@ -272,33 +268,44 @@ def correlator_grid(
         raise ValueError(f"self-orthogonal vector {rep} has no conjugate dual")
     forms = _pair_forms(config)
     pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
-    signs = _residue_grid(config, psi, norm, pairs, partial(residue_sign, p=config.p))
+    (signs,) = _sign_grids(config, (psi,), (norm,), pairs, partial(residue_sign, p=config.p))
     return {pair: e for (pair, _, _), e in zip(pairs, signs)}
 
 
-def _residue_grid(config: FieldConfig, psi: tuple[int, ...], norm: int, pairs: list,
-                  sign: Callable[[int], int]) -> tuple[int, ...]:
-    """The sign E of each ((i, j), re, im) ``_pair_forms`` entry in pairs on
-    the state with flat (re, im) residues psi and norm <psi, psi> mod p != 0,
-    with ``sign`` the sign map on a residue in [0, p)."""
+def _sign_grids(config: FieldConfig, psis, norms, pairs: list, sign: Callable[[int], int]):
+    """The sign E of each ((i, j), re, im) ``_pair_forms`` entry in pairs for
+    each state, flat (re, im) residues in psis and norm <psi, psi> mod p != 0
+    in norms, by ``sign`` on [0, p).  On real rows (all y_r = 0) G_rc = x_r x_c
+    and A_rc = 0.  The first state with a nonzero imaginary form raises on its
+    first such pair."""
     p = config.p
-    at = _gram(psi).__getitem__
-    for (i, j), _, (indices, coefficients) in pairs:
-        if indices and sum(map(mul, coefficients, map(at, indices))) % p:
-            rep = residue_state(config, psi, norm).rep
-            raise RuntimeError(
-                f"bracket of spin {i}x{j} in {rep} has a nonzero imaginary "
-                "part; observable is malformed"
-            )
-    return tuple([
-        sign(sum(map(mul, coefficients, map(at, indices))) * norm % p)
-        for _, (indices, coefficients), _ in pairs
-    ])
+    flat = tuple(zip(*psis))
+    real = not any(map(any, flat[1::2]))
+    gram = {}
+
+    def column(form):
+        terms = []
+        for k, c in zip(*form):
+            if k not in gram:
+                op, a, b, u, v = _GRAM[k]
+                products = map(mul, flat[a], flat[b])
+                gram[k] = list(products if real else map(op, products, map(mul, flat[u], flat[v])))
+            terms.append(gram[k] if c == 1 else map(c.__mul__, gram[k]))
+        return reduce(partial(map, add), terms) if terms else repeat(0, len(norms))
+
+    checked = [(pair, map(p.__rmod__, column(im))) for pair, _, im in pairs if im[0]]
+    for row, parts in enumerate(zip(*(parts for _, parts in checked))):
+        if any(parts):
+            i, j = next(pair for (pair, _), part in zip(checked, parts) if part)
+            rep = residue_state(config, psis[row], norms[row]).rep
+            raise RuntimeError(f"bracket of spin {i}x{j} in {rep} has a nonzero "
+                               "imaginary part; observable is malformed")
+    return zip(*[map(sign, map(p.__rmod__, map(mul, column(re), norms)))
+                 for _, re, _ in pairs])
 
 
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
     """The sign-mapped two-particle expectation E(spin_i x spin_j)."""
-    require_axes(state.config, (i, j))
     return correlator_grid(state, (i,), (j,))[i, j]
 
 
@@ -366,24 +373,32 @@ class ChshBound:
 
 
 def chsh_bound(config: FieldConfig) -> ChshBound:
-    """Maximum |CHSH| over every physical two-particle state and quadruple,
-    read once per distinct sign grid (at most 3^9 of them in any field)."""
+    """Maximum |CHSH| over every physical two-particle state and quadruple.
+
+    The physical rows of the code table go to the kernel ``_CHUNK`` at a
+    time, so the working memory is one chunk's columns whatever the field.
+    Every grid is computed and checked (``states_scanned`` is a true count);
+    then the CHSH values are read once per distinct grid (at most 3^9) up to
+    the first that reaches 4: four signs in {-1, 0, 1} sum to no more.
+    """
     quadruples = axis_quadruples(config)
     forms = _pair_forms(config)
     pairs = [(pair, *form) for pair, form in forms.items()]
     # every state reads many signs, so a table of all p of them pays off
     # here; a single state's grid over a large prime must not build one
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
+    psis, norms = two_particle_codes(config)[:2]
+    rows, physical = compress(psis, norms), filter(None, norms)
     grids = set()
     scanned = 0
-    for psi, norm in zip(*two_particle_codes(config)[:2]):
-        if norm:
-            scanned += 1
-            grids.add(_residue_grid(config, psi, norm, pairs, sign))
-    best = max(
-        (max(map(abs, _chsh_values(dict(zip(forms, grid)), quadruples))) for grid in grids),
-        default=0,
-    )
+    while chunk := list(islice(physical, _CHUNK)):
+        scanned += len(chunk)
+        grids.update(_sign_grids(config, list(islice(rows, len(chunk))), chunk, pairs, sign))
+    best = 0
+    for grid in grids:
+        best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))
+        if best == 4:
+            break
     return ChshBound(
         config=config,
         bound=best,

@@ -32,6 +32,7 @@ from .biortho import bracket, expectation, named_states, spin_axes, spin_observa
 from .entangle import (
     TwoParticleState,
     correlator,
+    correlator_grid,
     product_spin,
     representative_states,
     single_spin,
@@ -361,7 +362,8 @@ def state_correlator_constraints(
 ) -> list[tuple[tuple[int, int], int]]:
     """The sign-mapped correlator of every axis pair for a state."""
     axes = tuple(axes) if axes is not None else spin_axes(state.config)
-    return [((i, j), correlator(state, i, j)) for i in axes for j in axes]
+    grid = correlator_grid(state, axes, axes)
+    return [((i, j), grid[i, j]) for i in axes for j in axes]
 
 
 def state_marginal_constraints(

@@ -2,7 +2,10 @@
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
+from functools import partial
+from operator import mul
 
 import pytest
 
@@ -26,6 +29,7 @@ from bioqm import (
 )
 from bioqm import entangle
 from bioqm.biortho import bracket
+from bioqm.gf import residue_sign
 from bioqm.entangle import correlator_grid, one_sided_spin, product_spin
 from bioqm.linear import (
     ProjectiveState,
@@ -36,6 +40,7 @@ from bioqm.linear import (
     kron,
     mat_vec,
     matrix_make,
+    residue_state,
 )
 from test_linear import reference_projective
 
@@ -424,6 +429,114 @@ def test_chsh_classical_bound_holds_for_all_product_states():
 
 # -- the integer-residue correlator kernel -------------------------------------
 
+def _gram(psi):
+    """The 16 Gram values of flat (re, im) residues psi, unreduced, one state
+    at a time: each G_rr, then G_rc and A_rc for (r, c) in ``entangle._PAIRS``."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = psi
+    return [
+        x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3,
+        x0 * x1 + y0 * y1, x0 * x2 + y0 * y2, x0 * x3 + y0 * y3,
+        x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3,
+        y0 * x1 - x0 * y1, y0 * x2 - x0 * y2, y0 * x3 - x0 * y3,
+        y1 * x2 - x1 * y2, y1 * x3 - x1 * y3, y2 * x3 - x2 * y3,
+    ]
+
+
+def _residue_grid(config, psi, norm, pairs):
+    """The per-state reference for ``entangle._sign_grids``: the sign E of each
+    ((i, j), re, im) ``_pair_forms`` entry in pairs on one state with flat
+    (re, im) residues psi and norm <psi, psi> mod p != 0, each sign by Euler's
+    criterion; a nonzero imaginary form raises on the first such pair."""
+    p = config.p
+    at = _gram(psi).__getitem__
+    for (i, j), _, (indices, coefficients) in pairs:
+        if indices and sum(map(mul, coefficients, map(at, indices))) % p:
+            rep = residue_state(config, psi, norm).rep
+            raise RuntimeError(
+                f"bracket of spin {i}x{j} in {rep} has a nonzero imaginary "
+                "part; observable is malformed"
+            )
+    return tuple(
+        residue_sign(sum(map(mul, coefficients, map(at, indices))) * norm % p, p)
+        for _, (indices, coefficients), _ in pairs
+    )
+
+
+def _all_pairs(config):
+    return [(pair, *form) for pair, form in entangle._pair_forms(config).items()]
+
+
+def _physical_codes(config):
+    psis, norms, _ = entangle.two_particle_codes(config)
+    return [(psi, norm) for psi, norm in zip(psis, norms) if norm]
+
+
+def _table_sign(config):
+    return tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
+
+
+@pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
+def test_column_kernel_matches_per_state_reference_exhaustively(config):
+    pairs = _all_pairs(config)
+    rows = _physical_codes(config)
+    psis, norms = zip(*rows)
+    grids = list(entangle._sign_grids(config, psis, norms, pairs, _table_sign(config)))
+    assert grids == [_residue_grid(config, psi, norm, pairs) for psi, norm in rows]
+
+
+def test_column_kernel_matches_per_state_reference_on_a_sample():
+    pairs = _all_pairs(GF49)
+    rows = random.Random(4902).sample(_physical_codes(GF49), 300)
+    psis, norms = zip(*rows)
+    sign = partial(residue_sign, p=GF49.p)
+    grids = list(entangle._sign_grids(GF49, psis, norms, pairs, sign))
+    assert grids == [_residue_grid(GF49, psi, norm, pairs) for psi, norm in rows]
+    # a chunk of one row is the same kernel call
+    for psi, norm in rows[:20]:
+        assert list(entangle._sign_grids(GF49, (psi,), (norm,), pairs, sign)) == [
+            _residue_grid(GF49, psi, norm, pairs)]
+
+
+@pytest.mark.parametrize("config", [GF3, GF9, GF19], ids=["gf3", "gf9", "gf19"])
+def test_chsh_bound_is_the_same_for_every_chunk_size(config, monkeypatch):
+    # chunks are cut from the physical rows: one row each, 7 with a partial
+    # last chunk, exactly one full chunk, and one chunk short of its size
+    expected = chsh_bound(config)
+    scanned = expected.states_scanned
+    assert scanned % 7
+    rows = [psi for psi, _ in _physical_codes(config)]
+    kernel = entangle._sign_grids
+    fed = []
+
+    def feeding(config, psis, *rest):
+        fed.append(psis)
+        return kernel(config, psis, *rest)
+
+    monkeypatch.setattr(entangle, "_sign_grids", feeding)
+    for size in (1, 7, scanned, scanned + 1):
+        fed.clear()
+        monkeypatch.setattr(entangle, "_CHUNK", size)
+        assert chsh_bound(config) == expected, size
+        # every physical row reaches the kernel once, in scan order
+        assert [psi for chunk in fed for psi in chunk] == rows
+        assert max(map(len, fed)) == min(size, scanned)
+
+
+def test_chsh_bound_working_memory_is_one_chunk():
+    # with the code table built, the scan holds one chunk's columns, not
+    # columns over the whole field
+    entangle.two_particle_codes(GF19)
+    entangle._pair_forms(GF19)
+    tracemalloc.start()
+    try:
+        result = chsh_bound(GF19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.bound, result.states_scanned) == (4, 6840)
+    assert peak < 1 << 20, peak
+
+
 def _object_grid(state):
     """Every E(i, j) by the object path: a 4x4 product matrix and ``bracket``."""
     config = state.config
@@ -611,6 +724,55 @@ def test_malformed_spin_table_reaches_the_scan(monkeypatch, pair_forms_cleared):
     assert best == 3  # not the spin tables' 2
 
 
+def _reference_message(config, psi, norm, pairs):
+    try:
+        _residue_grid(config, psi, norm, pairs)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("size", [2048, 7, 1])
+def test_malformed_table_raises_as_the_per_state_reference(size, monkeypatch,
+                                                           pair_forms_cleared):
+    # the same first state in scan order and the same first pair, whatever
+    # the chunk boundaries
+    _substitute_malformed(monkeypatch)
+    monkeypatch.setattr(entangle, "_CHUNK", size)
+    pairs = _all_pairs(GF9)
+    expected = next(filter(None, (_reference_message(GF9, psi, norm, pairs)
+                                  for psi, norm in _physical_codes(GF9))))
+    with pytest.raises(RuntimeError) as raised:
+        chsh_bound(GF9)
+    assert str(raised.value) == expected
+
+
+def test_malformed_table_raises_as_the_reference_on_each_state(monkeypatch,
+                                                               pair_forms_cleared):
+    _substitute_malformed(monkeypatch)
+    forms = entangle._pair_forms(GF9)
+    refused = 0
+    for state in _physical(GF9):
+        psi = tuple(part for x in state.state.rep.components for part in (x.re, x.im))
+        norm = dot(state.state.rep, state.state.rep).re
+        for side1, side2 in (((1, 2, 3), (1, 2, 3)), ((3, 2), (2, 1))):
+            pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
+            expected = _reference_message(GF9, psi, norm, pairs)
+            if expected is None:
+                assert correlator_grid(state, side1, side2) == dict(
+                    zip((pair for pair, _, _ in pairs), _residue_grid(GF9, psi, norm, pairs)))
+                continue
+            refused += 1
+            with pytest.raises(RuntimeError) as raised:
+                correlator_grid(state, side1, side2)
+            assert str(raised.value) == expected
+            if len(side1) == 3:
+                with pytest.raises(RuntimeError) as raised:
+                    chsh_scan(state)
+                assert str(raised.value) == expected
+    assert refused
+
+
 def _form_value(form, gram, p):
     indices, coefficients = form
     return sum(c * gram[k] for k, c in zip(indices, coefficients)) % p
@@ -632,7 +794,7 @@ def test_pair_forms_fold_the_unnormalized_bracket(config, malformed, monkeypatch
     assert set(forms) == {(i, j) for i in matrices for j in matrices}
     for state in two_particle_states(config):
         v = state.state.rep
-        gram = entangle._gram(tuple(part for x in v.components for part in (x.re, x.im)))
+        gram = _gram(tuple(part for x in v.components for part in (x.re, x.im)))
         for (i, j), (re, im) in forms.items():
             value = dot(v, mat_vec(kron(matrices[i], matrices[j]), v))
             assert (_form_value(re, gram, config.p), _form_value(im, gram, config.p)) == (
