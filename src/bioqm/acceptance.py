@@ -33,7 +33,7 @@ from .entangle import (
     chsh,
     chsh_bound,
     chsh_scan,
-    correlator,
+    correlator_grid,
     from_product,
     product_spin,
     representative_states,
@@ -479,10 +479,10 @@ def _criterion_13() -> str:
         signs = _single_signs(config, singles)
         for x, x_signs in zip(singles, signs):
             for y, y_signs in zip(singles, signs):
-                pair = from_product(x, y)
+                grid = correlator_grid(from_product(x, y), axes, axes)
                 for i in axes:
                     for j in axes:
-                        assert correlator(pair, i, j) == x_signs[i] * y_signs[j], (i, j)
+                        assert grid[i, j] == x_signs[i] * y_signs[j], (i, j)
                         checks += 1
 
         for state in representative_states(config).values():
@@ -511,10 +511,10 @@ def _criterion_13() -> str:
         signs = _single_signs(config, pool)
         for x, x_signs in zip(pool, signs):
             for y, y_signs in zip(pool[:5], signs):
-                pair = from_product(x, y)
+                grid = correlator_grid(from_product(x, y), axes, axes)
                 for i in axes:
                     for j in axes:
-                        assert correlator(pair, i, j) == x_signs[i] * y_signs[j]
+                        assert grid[i, j] == x_signs[i] * y_signs[j]
                         checks += 1
 
     return f"{checks} property checks passed"

@@ -7,10 +7,10 @@ one-particle spin observables, assembled together with their product
 biorthogonal system so the spectral form survives.
 
 ``two_particle_codes`` caches, per field, every canonical two-particle state
-in columns: integer residues, norms, and kind bytes (that determinant test
-and physicality).  ``census`` counts kind bytes and ``chsh_bound`` scans the
-residues without building a state object; ``two_particle_states`` is their
-object view, in the same order.
+in ``bytes`` columns: 8 of residues, norms, and kind bytes (that
+determinant test, read off the row order, and physicality).  ``census``
+counts kind bytes and ``chsh_bound`` scans the residue columns without
+building a state object; ``two_particle_states`` is their object view.
 
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
@@ -34,15 +34,16 @@ E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
 without building any field element.  The kernel reads a chunk of states as
 8 residue columns, builds each Gram value and form as a column by ``map``
 chains that run in C, and yields one sign grid per state: ``correlator_grid``
-passes a chunk of one and signs by Euler's criterion, ``chsh_bound`` streams
-the physical rows in chunks and looks signs up in a table of all p residues.
+passes columns of one entry and signs by Euler's criterion, ``chsh_bound``
+streams each column's physical rows in chunks and looks signs up in a table
+of all p residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import add, mul, sub
 from typing import Callable
 
@@ -57,7 +58,7 @@ from .linear import (
     identity_matrix,
     kron,
     matrix_residues,
-    projective_residues,
+    projective_columns,
     residue_state,
 )
 from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
@@ -110,35 +111,47 @@ PHYSICAL, PRODUCT = 1, 2  # the bits of a ``two_particle_codes`` kind byte
 
 
 @lru_cache(maxsize=None)
-def two_particle_codes(config: FieldConfig) -> tuple[tuple[tuple[int, ...], ...], tuple, bytes]:
+def two_particle_codes(config: FieldConfig) -> tuple[tuple[bytes, ...], bytes, bytes]:
     """Every two-particle state, lexicographically, as columns (psis, norms, kinds).
 
-    A psi is the canonical representative's flat (re, im) residues and its
-    norm is <psi, psi> mod p, as ``linear.projective_residues`` gives them.
-    Its kind byte is PRODUCT when both parts of det [[a, b], [c, d]] = ad - bc
-    vanish mod p, plus PHYSICAL when the norm is nonzero.
+    psis is the 8 residue columns and norms the norm column of
+    ``linear.projective_columns(config, 4)`` as ``bytes``: the guard allows
+    q <= 100 at four components, so every residue fits in a byte.  A kind
+    byte is PRODUCT when det [[a, b], [c, d]] = ad - bc vanishes, plus
+    PHYSICAL when the norm is nonzero.
+
+    No determinant is taken per state.  A canonical row has a = 0 or 1, and
+    each row after (0, 0, 0, 1) lies in a run of q rows sharing (a, b, c)
+    with d running over every component.  The determinant is affine in d:
+    -bc on a run with a = 0, so the runs (0, 0, 1, d) and (0, 1, 0, d) are
+    all product and (0, 1, c, d) with c != 0 none; d - bc on a run with
+    a = 1, so exactly its row d = bc is.  That is rows 0 to 2q and one row in
+    each of the q^2 runs (1, b, c, d): (q + 1)^2 in all.
     """
-    p = config.p
-    psis, norms, kinds = [], [], bytearray()
-    for psi, norm in projective_residues(config, 4):
-        ar, ai, br, bi, cr, ci, dr, di = psi
-        is_product = (
-            not (ar * dr - ai * di - br * cr + bi * ci) % p
-            and not (ar * di + ai * dr - br * ci - bi * cr) % p
-        )
-        psis.append(psi)
-        norms.append(norm)
-        kinds.append(PRODUCT * is_product + (norm != 0))
-    return tuple(psis), tuple(norms), bytes(kinds)
+    columns, norms = projective_columns(config, 4)
+    if any(column.itemsize != 1 for column in (*columns, norms)):
+        raise AssertionError("a two-particle residue does not fit in a byte")
+    q, p = config.order, config.p
+    width = p if config.is_extension else 1
+    kinds = bytearray(norms.tobytes().translate(bytes((0,)) + bytes((PHYSICAL,)) * 255))
+    # the runs (1, b, c, d) follow the 1 + q + q^2 rows with a = 0, and the
+    # component d = (re, im) is at index re * width + im of its run
+    elements = [(re, im) for re in range(p) for im in range(width)]
+    bc = (((br * cr - bi * ci) % p) * width + (br * ci + bi * cr) % p
+          for (br, bi), (cr, ci) in product(elements, repeat=2))
+    for row in chain(range(2 * q + 1), map(add, range(1 + q + q * q, len(kinds), q), bc)):
+        kinds[row] |= PRODUCT
+    return tuple(map(bytes, columns)), bytes(norms), bytes(kinds)
 
 
 @lru_cache(maxsize=None)
 def two_particle_states(config: FieldConfig) -> tuple[TwoParticleState, ...]:
     """The objects of ``two_particle_codes``, in its order."""
+    columns, norms, kinds = two_particle_codes(config)
     return tuple(
         TwoParticleState(residue_state(config, psi, norm),
                          "product" if kind & PRODUCT else "entangled")
-        for psi, norm, kind in zip(*two_particle_codes(config))
+        for psi, norm, kind in zip(zip(*columns), norms, kinds)
     )
 
 
@@ -268,18 +281,18 @@ def correlator_grid(
         raise ValueError(f"self-orthogonal vector {rep} has no conjugate dual")
     forms = _pair_forms(config)
     pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
-    (signs,) = _sign_grids(config, (psi,), (norm,), pairs, partial(residue_sign, p=config.p))
+    sign = partial(residue_sign, p=config.p)
+    (signs,) = _sign_grids(config, [(x,) for x in psi], (norm,), pairs, sign)
     return {pair: e for (pair, _, _), e in zip(pairs, signs)}
 
 
-def _sign_grids(config: FieldConfig, psis, norms, pairs: list, sign: Callable[[int], int]):
+def _sign_grids(config: FieldConfig, flat, norms, pairs: list, sign: Callable[[int], int]):
     """The sign E of each ((i, j), re, im) ``_pair_forms`` entry in pairs for
-    each state, flat (re, im) residues in psis and norm <psi, psi> mod p != 0
-    in norms, by ``sign`` on [0, p).  On real rows (all y_r = 0) G_rc = x_r x_c
-    and A_rc = 0.  The first state with a nonzero imaginary form raises on its
-    first such pair."""
+    each state of a chunk, given as its 8 flat (re, im) residue columns in
+    flat and its norms <psi, psi> mod p != 0 in norms, by ``sign`` on [0, p).
+    On real rows (all y_r = 0) G_rc = x_r x_c and A_rc = 0.  The first state
+    with a nonzero imaginary form raises on its first such pair."""
     p = config.p
-    flat = tuple(zip(*psis))
     real = not any(map(any, flat[1::2]))
     gram = {}
 
@@ -297,7 +310,7 @@ def _sign_grids(config: FieldConfig, psis, norms, pairs: list, sign: Callable[[i
     for row, parts in enumerate(zip(*(parts for _, parts in checked))):
         if any(parts):
             i, j = next(pair for (pair, _), part in zip(checked, parts) if part)
-            rep = residue_state(config, psis[row], norms[row]).rep
+            rep = residue_state(config, [column[row] for column in flat], norms[row]).rep
             raise RuntimeError(f"bracket of spin {i}x{j} in {rep} has a nonzero "
                                "imaginary part; observable is malformed")
     return zip(*[map(sign, map(p.__rmod__, map(mul, column(re), norms)))
@@ -387,13 +400,14 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
     # every state reads many signs, so a table of all p of them pays off
     # here; a single state's grid over a large prime must not build one
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
-    psis, norms = two_particle_codes(config)[:2]
-    rows, physical = compress(psis, norms), filter(None, norms)
+    columns, norms, _ = two_particle_codes(config)
+    rows, physical = [compress(column, norms) for column in columns], filter(None, norms)
     grids = set()
     scanned = 0
     while chunk := list(islice(physical, _CHUNK)):
         scanned += len(chunk)
-        grids.update(_sign_grids(config, list(islice(rows, len(chunk))), chunk, pairs, sign))
+        flat = [list(islice(column, len(chunk))) for column in rows]
+        grids.update(_sign_grids(config, flat, chunk, pairs, sign))
     best = 0
     for grid in grids:
         best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))

@@ -14,9 +14,9 @@ operation.
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1, and enumeration is
 lexicographic over components, each component ordered by (re, im).  It runs
-on integers: ``projective_residues`` yields each representative as a flat
-(re, im, ...) residue tuple with its norm dot(v, v) mod p, and
-``enumerate_projective`` is the object view of that stream, in its order.
+on integer columns: ``projective_columns`` builds the representatives' re and
+im residues and norms dot(v, v) mod p as ``array`` columns by repetition, and
+``enumerate_projective`` is the object view of its rows, in their order.
 Beside it sit the residue kernels the fast paths share:
 ``flat_residues`` and ``matrix_residues`` read a vector's or a matrix's
 code, ``residue_mul2`` multiplies 2x2 codes and ``residue_canonicalizer`` is
@@ -25,8 +25,9 @@ code, ``residue_mul2`` multiplies 2x2 codes and ``residue_canonicalizer`` is
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf import FieldConfig, FieldElement
 
@@ -234,56 +235,66 @@ def canonicalize(v: StateVector) -> ProjectiveState:
     return ProjectiveState(rep=rep, self_orthogonal=is_self_orthogonal(rep))
 
 
-def projective_residues(config: FieldConfig, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every projective state of the given dimension as integer residues.
+def projective_columns(config: FieldConfig, dim: int) -> tuple[tuple[array, ...], array]:
+    """Every projective state of the given dimension as integer columns.
 
-    Yields (v, n): v = (re_0, im_0, re_1, im_1, ...) is the canonical
-    representative's components as residues in [0, p), im = 0 over GF(p),
-    and n = dot(v, v) mod p, which vanishes exactly on self-orthogonal
-    states.  Canonical representatives are generated directly: zeros, then
-    a leading 1, then a free tail, in lexicographic order with each
-    component ordered by (re, im).  The count is (q^dim - 1) / (q - 1).
+    Returns (columns, norms), one row per state: columns[2k] and
+    columns[2k + 1] are the re and im residues of the canonical
+    representative's component k (im = 0 over GF(p)), and norms is
+    dot(v, v) mod p, zero exactly on self-orthogonal states; each is an
+    ``array`` of the narrowest typecode holding p - 1.  Rows run zeros, a
+    leading 1, then a free tail, lexicographically with each component
+    ordered by (re, im); there are (q^dim - 1) / (q - 1) of them.
+
+    No row is built on its own.  In a block of tails, each column takes each
+    of its values n times in turn and repeats that, so it is ``array * n``
+    and concatenation.  A tail c + t has norm N(c) + N(t), so the norms of
+    the tails of length L, plus s, are those of length L - 1 plus s + N(c)
+    for each c in turn: one copy per distinct value mod p.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    q = config.order
+    q, p = config.order, config.p
     if q**dim > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration of {q}^{dim} raw vectors exceeds guard {ENUMERATION_GUARD}"
         )
-    # the generator below would not run its first line until the first state
-    # is asked for, so the guard is checked here, at the call
-    return _residues(config, dim)
+    code = next(c for c in "BHIL" if p <= 256 ** array(c).itemsize)
+    elements = [(re, im) for re in range(p) for im in (range(p) if config.is_extension else (0,))]
 
+    def joined(parts: Iterable[array]) -> array:
+        return array(code, b"".join(parts))
 
-def _residues(config: FieldConfig, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    p = config.p
-    ims = range(p) if config.is_extension else (0,)
-    components = [((re, im), re * re + im * im) for re in range(p) for im in ims]
-    # tails[k] holds every k-component tail with its unreduced norm, in
-    # lexicographic order; the longest tails are never stored, only walked
-    tails = [[((), 0)]]
-    for _ in range(dim - 2):
-        tails.append([(c + t, cn + n) for c, cn in components for t, n in tails[-1]])
+    copies: dict[tuple[int, int], array] = {}
+
+    def tail_norms(length: int, shift: int) -> array:
+        """N(t) + shift mod p for every tail t of this many components."""
+        if (length, shift) not in copies:
+            copies[length, shift] = joined(
+                tail_norms(length - 1, (shift + re * re + im * im) % p) for re, im in elements
+            ) if length else array(code, (shift,))
+        return copies[length, shift]
+
     # leading-zero prefixes sort first, so walking the pivot from the last
-    # position to the first yields lexicographic order directly
-    yield (0, 0) * (dim - 1) + (1, 0), 1
-    count = 1
-    for pivot in range(dim - 2, -1, -1):
-        prefix, walked = (0, 0) * pivot + (1, 0), tails[dim - 2 - pivot]
-        count += len(components) * len(walked)
-        for c, cn in components:
-            head, head_norm = prefix + c, 1 + cn
-            for t, n in walked:
-                yield head + t, (head_norm + n) % p
-    q = config.order
+    # position to the first gives lexicographic order directly
+    blocks: list[list[array]] = [[] for _ in range(2 * dim + 1)]
+    for pivot in range(dim - 1, -1, -1):
+        choices = [[(0, 0)]] * pivot + [[(1, 0)]] + [elements] * (dim - 1 - pivot)
+        for k, values in enumerate(choices):
+            n, tile = q ** (dim - 1 - max(k, pivot)), q ** max(0, k - 1 - pivot)
+            for part in (0, 1):
+                blocks[2 * k + part].append(
+                    joined(array(code, (x[part],)) * n for x in values) * tile)
+        blocks[-1].append(tail_norms(dim - 1 - pivot, 1))
+    *columns, norms = map(joined, blocks)
     expected = (q**dim - 1) // (q - 1)
-    if count != expected:
-        raise AssertionError(f"projective count {count} != {expected}")
+    if any(len(column) != expected for column in (*columns, norms)):
+        raise AssertionError(f"projective count {len(norms)} != {expected}")
+    return tuple(columns), norms
 
 
-def residue_state(config: FieldConfig, v: tuple[int, ...], norm: int) -> ProjectiveState:
-    """The projective state of one ``projective_residues`` entry (v, norm)."""
+def residue_state(config: FieldConfig, v: Sequence[int], norm: int) -> ProjectiveState:
+    """The projective state of one ``projective_columns`` row (v, norm)."""
     # the residues are reduced already, so they key the intern store as they are
     components = tuple(map(config._interned.__getitem__, zip(v[::2], v[1::2])))
     return ProjectiveState(StateVector(components, config), norm == 0)
@@ -291,8 +302,9 @@ def residue_state(config: FieldConfig, v: tuple[int, ...], norm: int) -> Project
 
 def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]:
     """All projective states of the given dimension, lexicographically: the
-    objects of ``projective_residues``, in its order."""
-    return [residue_state(config, v, norm) for v, norm in projective_residues(config, dim)]
+    objects of the ``projective_columns`` rows, in their order."""
+    columns, norms = projective_columns(config, dim)
+    return [residue_state(config, v, norm) for v, norm in zip(zip(*columns), norms)]
 
 
 def flat_residues(entries: Iterable[FieldElement]) -> tuple[int, ...]:

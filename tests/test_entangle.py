@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -42,7 +43,7 @@ from bioqm.linear import (
     matrix_make,
     residue_state,
 )
-from test_linear import reference_projective
+from test_linear import reference_projective, reference_residues
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -137,10 +138,44 @@ CODE_FIELDS = [GF3, GF7, GF9, GF11, GF19]
 CODE_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19"]
 
 
+def reference_codes(config):
+    """The per-state reference for ``entangle.two_particle_codes``: every row
+    of ``reference_residues`` with its own determinant test, as (8 residue
+    columns, norms, kinds) in bytes."""
+    p = config.p
+    psis, norms, kinds = [], [], []
+    for psi, norm in reference_residues(config, 4):
+        ar, ai, br, bi, cr, ci, dr, di = psi
+        is_product = (
+            not (ar * dr - ai * di - br * cr + bi * ci) % p
+            and not (ar * di + ai * dr - br * ci - bi * cr) % p
+        )
+        psis.append(psi)
+        norms.append(norm)
+        kinds.append(entangle.PRODUCT * is_product + (norm != 0) * entangle.PHYSICAL)
+    return tuple(map(bytes, zip(*psis))), bytes(norms), bytes(kinds)
+
+
+@pytest.mark.parametrize("config", CODE_FIELDS + [GF49], ids=CODE_IDS + ["gf49"])
+def test_code_table_matches_per_state_reference(config):
+    assert entangle.two_particle_codes(config) == reference_codes(config)
+
+
+def test_code_table_is_bytes_columns():
+    # one byte per state in each of 10 columns, not a tuple per state
+    table = entangle.two_particle_codes(GF49)
+    columns, norms, kinds = table
+    assert all(type(column) is bytes for column in (*columns, norms, kinds))
+    size = sys.getsizeof(table) + sys.getsizeof(columns) + sum(
+        map(sys.getsizeof, (*columns, norms, kinds)))
+    assert size <= 11 * CENSUS49["states"] + 4096, size
+
+
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
 def test_code_table_matches_classify_on_every_state(config):
     reference = reference_projective(config, 4)
-    psis, norms, kinds = entangle.two_particle_codes(config)
+    columns, norms, kinds = entangle.two_particle_codes(config)
+    psis = list(zip(*columns))
     assert len(psis) == len(norms) == len(kinds) == len(reference)
     assert set(kinds) <= {0, 1, 2, 3}
     for psi, norm, kind, state in zip(psis, norms, kinds, reference):
@@ -467,8 +502,8 @@ def _all_pairs(config):
 
 
 def _physical_codes(config):
-    psis, norms, _ = entangle.two_particle_codes(config)
-    return [(psi, norm) for psi, norm in zip(psis, norms) if norm]
+    columns, norms, _ = entangle.two_particle_codes(config)
+    return [(psi, norm) for psi, norm in zip(zip(*columns), norms) if norm]
 
 
 def _table_sign(config):
@@ -480,7 +515,8 @@ def test_column_kernel_matches_per_state_reference_exhaustively(config):
     pairs = _all_pairs(config)
     rows = _physical_codes(config)
     psis, norms = zip(*rows)
-    grids = list(entangle._sign_grids(config, psis, norms, pairs, _table_sign(config)))
+    columns = list(zip(*psis))
+    grids = list(entangle._sign_grids(config, columns, norms, pairs, _table_sign(config)))
     assert grids == [_residue_grid(config, psi, norm, pairs) for psi, norm in rows]
 
 
@@ -489,11 +525,12 @@ def test_column_kernel_matches_per_state_reference_on_a_sample():
     rows = random.Random(4902).sample(_physical_codes(GF49), 300)
     psis, norms = zip(*rows)
     sign = partial(residue_sign, p=GF49.p)
-    grids = list(entangle._sign_grids(GF49, psis, norms, pairs, sign))
+    grids = list(entangle._sign_grids(GF49, list(zip(*psis)), norms, pairs, sign))
     assert grids == [_residue_grid(GF49, psi, norm, pairs) for psi, norm in rows]
     # a chunk of one row is the same kernel call
     for psi, norm in rows[:20]:
-        assert list(entangle._sign_grids(GF49, (psi,), (norm,), pairs, sign)) == [
+        columns = [(x,) for x in psi]
+        assert list(entangle._sign_grids(GF49, columns, (norm,), pairs, sign)) == [
             _residue_grid(GF49, psi, norm, pairs)]
 
 
@@ -508,9 +545,10 @@ def test_chsh_bound_is_the_same_for_every_chunk_size(config, monkeypatch):
     kernel = entangle._sign_grids
     fed = []
 
-    def feeding(config, psis, *rest):
-        fed.append(psis)
-        return kernel(config, psis, *rest)
+    def feeding(config, columns, *rest):
+        assert len(columns) == 8 and len(set(map(len, columns))) == 1
+        fed.append(list(zip(*columns)))
+        return kernel(config, columns, *rest)
 
     monkeypatch.setattr(entangle, "_sign_grids", feeding)
     for size in (1, 7, scanned, scanned + 1):
@@ -745,6 +783,35 @@ def test_malformed_table_raises_as_the_per_state_reference(size, monkeypatch,
     with pytest.raises(RuntimeError) as raised:
         chsh_bound(GF9)
     assert str(raised.value) == expected
+
+
+def test_malformed_table_raises_on_the_first_complex_object_bracket(monkeypatch,
+                                                                  pair_forms_cleared):
+    # the scan rebuilds the failing row from the table's columns: it names the
+    # first physical state in scan order, and that state's first axis pair,
+    # whose bracket the object path refuses.  With the raising operator over
+    # GF(9) the first physical states' brackets are real, so that row is not
+    # the first of its chunk
+    monkeypatch.setitem(MALFORMED, GF9, MALFORMED[GF3])
+    matrices = _substitute_malformed(monkeypatch)(GF9)
+    axes = spin_axes(GF9)
+
+    def first_complex_pair(state):
+        for i in axes:
+            for j in axes:
+                try:
+                    bracket(state.state, kron(matrices[i], matrices[j]))
+                except RuntimeError:
+                    return i, j
+        return None
+
+    row, (i, j), state = next((row, pair, s) for row, s in enumerate(_physical(GF9))
+                              if (pair := first_complex_pair(s)) is not None)
+    assert row > 0
+    with pytest.raises(RuntimeError) as raised:
+        chsh_bound(GF9)
+    assert str(raised.value) == (f"bracket of spin {i}x{j} in {state} has a nonzero "
+                                 "imaginary part; observable is malformed")
 
 
 def test_malformed_table_raises_as_the_reference_on_each_state(monkeypatch,

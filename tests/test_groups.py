@@ -52,7 +52,7 @@ from bioqm.linear import (
     mat_mul,
     mat_vec,
     matrix_make,
-    projective_residues,
+    projective_columns,
 )
 from test_linear import reference_projective
 
@@ -153,7 +153,7 @@ def reference_member_codes(config):
     the column norms n, n' and x = conj(a) b + conj(c) d; sorted by code."""
     p = config.p
     found = []
-    for v, _ in projective_residues(config, 4):
+    for v in zip(*projective_columns(config, 4)[0]):
         ar, ai, br, bi, cr, ci, dr, di = v
         norm = (ar * ar + ai * ai + cr * cr + ci * ci) % p
         if (

@@ -27,7 +27,7 @@ from bioqm.linear import (
     mat_mul,
     mat_vec,
     matrix_make,
-    projective_residues,
+    projective_columns,
 )
 
 GF3 = FieldConfig(3, 1)
@@ -171,7 +171,7 @@ def test_enumeration_guard_trips():
     with pytest.raises(ValueError):
         enumerate_projective(GF3, 17)  # 3^17 > 10^8
     with pytest.raises(ValueError):
-        projective_residues(GF3, 17)  # refused at the call, before any state
+        projective_columns(GF3, 17)  # refused before any column is built
 
 
 def reference_projective(config, dim):
@@ -187,7 +187,36 @@ def reference_projective(config, dim):
     return states
 
 
+def reference_residues(config, dim):
+    """The per-state residue enumerator: each canonical representative as a
+    flat (re, im, ...) residue tuple v with its norm dot(v, v) mod p, one
+    state at a time, in the order of ``reference_projective``."""
+    p = config.p
+    ims = range(p) if config.is_extension else (0,)
+    components = [((re, im), re * re + im * im) for re in range(p) for im in ims]
+    # tails[k] holds every k-component tail with its unreduced norm
+    tails = [[((), 0)]]
+    for _ in range(dim - 2):
+        tails.append([(c + t, cn + n) for c, cn in components for t, n in tails[-1]])
+    yield (0, 0) * (dim - 1) + (1, 0), 1
+    for pivot in range(dim - 2, -1, -1):
+        prefix, walked = (0, 0) * pivot + (1, 0), tails[dim - 2 - pivot]
+        for c, cn in components:
+            for t, n in walked:
+                yield prefix + c + t, (1 + cn + n) % p
+
+
+def column_rows(config, dim):
+    """The rows (v, norm) of ``projective_columns``, every column checked to
+    have one entry per state."""
+    columns, norms = projective_columns(config, dim)
+    assert len(columns) == 2 * dim
+    assert {len(column) for column in columns} == {len(norms)}
+    return list(zip(zip(*columns), norms))
+
+
 REFERENCE_FIELDS = [GF3, GF7, GF9, GF11]
+GF263 = FieldConfig(263, 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -199,7 +228,22 @@ def test_enumeration_matches_object_reference(config, dim):
         (tuple(part for x in s.rep.components for part in (x.re, x.im)), dot(s.rep, s.rep).re)
         for s in reference
     ]
-    assert list(projective_residues(config, dim)) == residues
+    assert column_rows(config, dim) == residues
+    assert list(reference_residues(config, dim)) == residues
+
+
+def test_wide_residue_columns_match_the_references():
+    # residues past 255 need two bytes per entry
+    reference = reference_projective(GF263, 2)
+    assert enumerate_projective(GF263, 2) == reference
+    assert column_rows(GF263, 2) == [
+        (tuple(part for x in s.rep.components for part in (x.re, x.im)), dot(s.rep, s.rep).re)
+        for s in reference
+    ]
+    assert column_rows(GF263, 3) == list(reference_residues(GF263, 3))
+    wide = FieldConfig(9967, 1)
+    assert column_rows(wide, 2) == list(reference_residues(wide, 2))
+    assert {column.itemsize for column in projective_columns(wide, 2)[0]} == {2}
 
 
 def test_tensor_is_row_major():
