@@ -28,12 +28,18 @@ vector y with  y.A <= 0 componentwise and y.b > 0, which contradicts any
 nonnegative solution on contraction.
 
 Phase 1 (finding a feasible basis, or the certificate) depends only on the
-system, so ``solve_lps`` runs it once per system and gives each objective
-its own copy of the resulting tableau for phase 2; ``solve_lp`` is the
-one-objective case.  The tableau carries the reduced-cost row and updates it
-on every pivot instead of re-summing a column's reduced cost at each scan.
-Bland's rule decides from exact values, so each objective takes the same
-pivots as a solve of its own would.
+system, so ``LPSystem`` runs it once and then answers one objective at a
+time, each phase 2 on its own copy of the tableau; ``solve_lps`` is a loop
+over it and ``solve_lp`` the one-objective case.  The tableau carries the
+reduced-cost row and updates it on every pivot instead of re-summing a
+column's reduced cost at each scan.  Bland's rule decides from exact values,
+so each objective takes the same pivots as a solve of its own would.
+
+Every phase 2 checks its solution against the rows and for x >= 0 before
+returning it, so the coordinate ranges in ``inference`` skip LPs exactly: a
+coordinate that is 0 in a returned solution has minimum 0, and twins
+(coordinates with identical columns) trade mass without changing any row,
+so each has minimum 0 and all share the maximum of their total.
 """
 
 from __future__ import annotations
@@ -246,54 +252,74 @@ class _Tableau:
         ]
 
 
+class LPSystem:
+    """The system rows . x = rhs, x >= 0 after its one phase 1, run here.
+
+    ``infeasible`` is the replayed Farkas result when no solution exists and
+    None otherwise.  ``solve`` minimizes one objective, given as ints or
+    rationals over the n unknowns: each call runs its phase 2 on a copy of
+    the feasible tableau, and on an infeasible system returns ``infeasible``.
+    """
+
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence, n: int):
+        system = _integer_system(rows, rhs)
+        if any(len(row) != n + 1 for row, _ in system):
+            raise ValueError("objective/row length mismatch")
+        self.n = n
+        self._system = system
+        flips = [-1 if row[-1] < 0 else 1 for row, _ in system]
+        m = len(system)
+        tab = _Tableau(
+            [[x * f for x in row] for (row, _), f in zip(system, flips)],
+            [s for _, s in system],
+            n,
+        )
+
+        # phase 1: minimize the artificial total
+        status = tab.run([0] * n + [1] * m + [0], list(range(n + m)))
+        if status != "optimal":
+            raise AssertionError("phase-1 objective is bounded below by zero")
+        self.infeasible = None
+        if tab.z[-1] < 0:  # the artificial total -z[-1]/zd is positive
+            # Farkas multipliers are the phase-1 simplex multipliers, read off
+            # the artificial columns: y_i = 1 - z(artificial_i)
+            y = [Fraction((tab.zd - tab.z[n + i]) * flips[i], tab.zd) for i in range(m)]
+            if not verify_farkas(rows, rhs, y):
+                raise AssertionError("extracted Farkas certificate failed replay")
+            self.infeasible = LPResult(
+                status="infeasible", objective=None, solution=None, certificate=tuple(y)
+            )
+            return
+
+        # drive leftover zero-value artificials out of the basis; a row whose
+        # structural coefficients are all zero is redundant and can be ignored
+        for i in range(m):
+            if tab.basis[i] >= n:
+                col = next((j for j in range(n) if tab.t[i][j] != 0), None)
+                if col is not None:
+                    tab.pivot(i, col)
+        self._tableau = tab
+
+    def solve(self, objective: Sequence) -> LPResult:
+        if len(objective) != self.n:
+            raise ValueError("objective/row length mismatch")
+        if self.infeasible is not None:
+            return self.infeasible
+        return _phase2(self._tableau.copy(), objective, self._system)
+
+
 def solve_lps(
     objectives: Sequence[Sequence], rows: Sequence[Sequence], rhs: Sequence
 ) -> Iterator[LPResult]:
     """Minimize each objective . x subject to rows . x = rhs, x >= 0, exactly.
 
-    Phase 1 depends only on the system, so it runs once, in this call: an
-    infeasible system gives its replayed Farkas result for every objective,
-    and a feasible one gives a tableau that each objective copies for its
-    own phase 2.  Results come in objective order, each phase 2 running when
-    the iterator reaches it, so a caller need not hold all of them at once.
+    Phase 1 runs once, in this call, through ``LPSystem``.  Results come in
+    objective order, each phase 2 running when the iterator reaches it, so a
+    caller need not hold all of them at once; an objective of the wrong
+    length raises ``ValueError`` there too.
     """
-    system = _integer_system(rows, rhs)
-    n = len(objectives[0]) if objectives else len(system[0][0]) - 1 if system else 0
-    if any(len(row) != n + 1 for row, _ in system) or any(len(c) != n for c in objectives):
-        raise ValueError("objective/row length mismatch")
-
-    flips = [-1 if row[-1] < 0 else 1 for row, _ in system]
-    m = len(system)
-    tab = _Tableau(
-        [[x * f for x in row] for (row, _), f in zip(system, flips)],
-        [s for _, s in system],
-        n,
-    )
-
-    # phase 1: minimize the artificial total
-    status = tab.run([0] * n + [1] * m + [0], list(range(n + m)))
-    if status != "optimal":
-        raise AssertionError("phase-1 objective is bounded below by zero")
-    if tab.z[-1] < 0:  # the artificial total -z[-1]/zd is positive
-        # Farkas multipliers are the phase-1 simplex multipliers, read off
-        # the artificial columns: y_i = 1 - z(artificial_i)
-        y = [Fraction((tab.zd - tab.z[n + i]) * flips[i], tab.zd) for i in range(m)]
-        if not verify_farkas(rows, rhs, y):
-            raise AssertionError("extracted Farkas certificate failed replay")
-        infeasible = LPResult(
-            status="infeasible", objective=None, solution=None, certificate=tuple(y)
-        )
-        return iter([infeasible] * len(objectives))
-
-    # drive leftover zero-value artificials out of the basis; a row whose
-    # structural coefficients are all zero is redundant and can be ignored
-    for i in range(m):
-        if tab.basis[i] >= n:
-            col = next((j for j in range(n) if tab.t[i][j] != 0), None)
-            if col is not None:
-                tab.pivot(i, col)
-
-    return (_phase2(tab.copy(), c, system) for c in objectives)
+    n = len(objectives[0]) if objectives else len(rows[0]) if rows else 0
+    return map(LPSystem(rows, rhs, n).solve, objectives)
 
 
 def _phase2(

@@ -37,7 +37,7 @@ from .entangle import (
     representative_states,
     single_spin,
 )
-from .exactlp import LPResult, RREFResult, rref, solve_lps
+from .exactlp import LPResult, LPSystem, RREFResult, rref
 
 PAIR_OUTCOMES = ("++", "+-", "-+", "--")
 PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -175,44 +175,49 @@ def _coordinate_ranges(
 ) -> tuple[LPResult, tuple[tuple[Fraction, Fraction], ...] | None]:
     """A feasible point and the exact [min, max] of every coordinate.
 
-    All 2n + 1 LPs share one phase 1; a maximum is minus the minimum of the
-    negated coordinate.  An infeasible system gives its Farkas result and no
-    ranges.  The LPs are done before the caller row-reduces, so the two never
-    hold their working rows at the same time.
+    One phase 1 serves every LP, and two exact facts spare most of them.
+    Twin columns: coordinates with the same column in every row,
+    normalization included, trade mass without changing any row, so each of
+    two or more twins has minimum 0 and all share the maximum of their
+    total, which one max LP per class finds.  Verified zeros: every solution
+    the simplex returns is checked against the rows and for x >= 0, so a
+    coordinate that is 0 in one of them has minimum exactly 0.  The max LPs
+    run first, and a min LP runs only for a singleton coordinate positive in
+    every solution seen so far.
+
+    An infeasible system gives its Farkas result, no ranges and no
+    objective.  The LPs are done before the caller row-reduces, so the two
+    never hold their working rows at the same time.
     """
-    results = solve_lps(_RangeObjectives(n), rows, rhs)
-    feas = next(results)
-    if feas.status == "infeasible":
-        return feas, None
-    ranges = []
-    for lo, hi in zip(results, results):
-        if lo.status != "optimal" or hi.status != "optimal":
+    lp = LPSystem(rows, rhs, n)
+    if lp.infeasible is not None:
+        return lp.infeasible, None
+    zeroed: set[int] = set()  # coordinates at 0 in some verified solution
+
+    def vertex(j: int, sign: int) -> LPResult:
+        """The optimum of sign * x_j; sign 0 gives a feasible point."""
+        objective = [0] * n
+        if sign:
+            objective[j] = sign
+        result = lp.solve(objective)
+        if result.status != "optimal":
             raise AssertionError("bounded polytope reported unbounded")
-        ranges.append((lo.objective, -hi.objective))
-    return feas, tuple(ranges)
+        zeroed.update(k for k, x in enumerate(result.solution) if not x)
+        return result
 
-
-class _RangeObjectives(Sequence[list[Fraction]]):
-    """The zero objective, then e_j and -e_j for each coordinate j.
-
-    Each vector is built when asked for: holding all 2n + 1 of them through
-    the LPs raised the benchmark's peak memory for the 64-unknown systems.
-    """
-
-    _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return 2 * self.n + 1
-
-    def __getitem__(self, k: int) -> list[Fraction]:
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        j, negated = divmod(k - 1, 2)  # k = 0 gives j = -1: the zero vector
-        unit = self._MINUS_ONE if negated else self._ONE
-        return [unit if i == j else self._ZERO for i in range(self.n)]
+    feas = vertex(0, 0)
+    classes: dict[tuple[Fraction, ...], list[int]] = {}
+    for j, column in enumerate(zip(*rows)):
+        classes.setdefault(column, []).append(j)
+    low, high = [Fraction(0)] * n, [Fraction(0)] * n
+    for members in classes.values():
+        top = -vertex(members[0], -1).objective
+        for j in members:
+            high[j] = top
+    for j, *twins in classes.values():
+        if not twins and j not in zeroed:
+            low[j] = vertex(j, 1).objective
+    return feas, tuple(zip(low, high))
 
 
 def _implied_identities(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from bioqm import FieldConfig, exactlp, representative_states
 from bioqm.exactlp import (
@@ -15,6 +15,7 @@ from bioqm.exactlp import (
     verify_farkas,
 )
 from bioqm.inference import (
+    ConstraintSystem,
     hv_feasibility,
     infer_probabilities,
     pair_measurement_system,
@@ -522,3 +523,82 @@ def test_one_phase1_per_inference(monkeypatch):
         phase1_runs.clear()
         assert infer_probabilities(system).status == status
         assert phase1_runs == [len(system.outcomes)]
+
+
+# -- coordinate ranges against one reference LP per objective ------------------------
+
+
+@st.composite
+def twin_systems(draw):
+    """A small system with one of its columns planted once or twice more.
+
+    Half the draws take the right sides from a point of the simplex, so they
+    are feasible and often unique, which makes the min LPs run.
+    """
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    columns = draw(st.lists(st.lists(INTEGERS, min_size=m, max_size=m), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        rhs = [F(sum(w * c[i] for w, c in zip(weights, columns)), sum(weights)) for i in range(m)]
+    else:
+        rhs = draw(st.lists(INTEGERS, min_size=m, max_size=m))
+    twin = columns[draw(st.integers(0, k - 1))]
+    for _ in range(draw(st.integers(1, 2))):
+        columns.insert(draw(st.integers(0, len(columns))), twin)
+    rows = [(f"r{i}", [c[i] for c in columns], rhs[i]) for i in range(m)]
+    return ConstraintSystem.make([f"x{j}" for j in range(len(columns))], rows)
+
+
+def unit(n, j, sign):
+    return [sign * int(i == j) for i in range(n)]
+
+
+@seed(20124)
+@settings(max_examples=300, deadline=None)
+@given(twin_systems())
+# unique, with a zero twin pair beside two singletons that no vertex sets to 0
+@example(ConstraintSystem.make(
+    ("a", "b", "c", "c'"), [("A", [1, 0, 0, 0], F(1, 2)), ("B", [0, 1, 0, 0], F(1, 2))]))
+# unique without twins: the min LPs of the singlet's axis-3 pair with marginals
+@example(pair_measurement_system(
+    representative_states(FieldConfig(3, 2))["S"], 3, 3, include_marginals=True))
+def test_coordinate_ranges_match_reference_on_twin_systems(system):
+    rows, rhs, _ = system.full_rows()
+    n = len(system.outcomes)
+    result = infer_probabilities(system)
+    first = reference_solve_lp([0] * n, rows, rhs)
+    if first.status == "infeasible":
+        assert result.status == "infeasible"
+        assert result.certificate == first.certificate
+        return
+    ranges = tuple(
+        (reference_solve_lp(unit(n, j, 1), rows, rhs).objective,
+         -reference_solve_lp(unit(n, j, -1), rows, rhs).objective)
+        for j in range(n)
+    )
+    assert result.witness == first.solution
+    assert result.ranges == ranges
+    assert result.status == ("unique" if all(lo == hi for lo, hi in ranges) else "indeterminate")
+
+
+@pytest.mark.parametrize(
+    "label, axes, marginals, most",
+    [("S", (1, 2, 3), False, 33), ("S", (1, 2, 3), True, 65), ("S", (1, 3), False, 9),
+     ("T", (1, 2, 3), False, 0)],
+    ids=["S-axes123", "S-axes123-marg", "S-axes13", "T-axes123"],
+)
+def test_coordinate_ranges_solve_only_uncertified_lps(monkeypatch, label, axes, marginals, most):
+    # one max LP per twin class after the feasible point, and no min LP where
+    # a verified vertex already reaches 0; an infeasible system builds no
+    # objective at all
+    objectives, runs = [], []
+    solve, phase2 = exactlp.LPSystem.solve, exactlp._phase2
+    monkeypatch.setattr(exactlp.LPSystem, "solve",
+                        lambda self, c: objectives.append(c) or solve(self, c))
+    monkeypatch.setattr(exactlp, "_phase2", lambda *args: runs.append(1) or phase2(*args))
+    report = hv_report(label, axes, marginals)
+    assert report.feasible == (most > 0)
+    assert len(runs) <= most
+    if not most:
+        assert objectives == []
