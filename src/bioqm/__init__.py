@@ -72,7 +72,7 @@ from .groups import (
     orbits,
     verify_isomorphism,
 )
-from .exactlp import LPResult, RREFResult, rref, solve_lp, solve_lps, verify_farkas
+from .exactlp import LPResult, RREFResult, rref, solve_lp, verify_farkas
 from .inference import (
     ConstraintSystem,
     CorrespondenceReport,

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from . import acceptance
 from .gf import FieldConfig, verify_phi_uniqueness
+from .linear import flat_residues
 from .biortho import named_states, require_axes, spin_axes, spin_observable, table_report
 from .entangle import census, chsh, chsh_bound, chsh_scan, representative_states
 from .groups import (
@@ -215,13 +216,11 @@ def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dic
 
 
 def _named_pair_states(config: FieldConfig) -> dict:
-    names = {}
-    for label, state in representative_states(config).items():
-        names[state.state.rep] = label
+    """Label by flat residue code, the form of ``Orbit.members``."""
+    named = dict(representative_states(config))
     if config.order == 3:
-        for label, state in entangled_labels(config).items():
-            names[state.state.rep] = label
-    return names
+        named.update(entangled_labels(config))
+    return {flat_residues(state.state.rep.components): label for label, state in named.items()}
 
 
 def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
@@ -229,9 +228,7 @@ def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
     names = _named_pair_states(config)
     rows = []
     for orbit in sorted(found, key=lambda o: (o.size, str(o.representative.state.rep))):
-        named = sorted(
-            {names[m.state.rep] for m in orbit.members if m.state.rep in names}
-        )
+        named = sorted({names[code] for code in orbit.members if code in names})
         rows.append(
             {
                 "representative": str(orbit.representative.state.rep),

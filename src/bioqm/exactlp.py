@@ -29,11 +29,11 @@ nonnegative solution on contraction.
 
 Phase 1 (finding a feasible basis, or the certificate) depends only on the
 system, so ``LPSystem`` runs it once and then answers one objective at a
-time, each phase 2 on its own copy of the tableau; ``solve_lps`` is a loop
-over it and ``solve_lp`` the one-objective case.  The tableau carries the
-reduced-cost row and updates it on every pivot instead of re-summing a
-column's reduced cost at each scan.  Bland's rule decides from exact values,
-so each objective takes the same pivots as a solve of its own would.
+time, each phase 2 on its own copy of the tableau; ``solve_lp`` is the
+one-objective case.  The tableau carries the reduced-cost row and updates
+it on every pivot instead of re-summing a column's reduced cost at each
+scan.  Bland's rule decides from exact values, so each objective takes the
+same pivots as a solve of its own would.
 
 Every phase 2 checks its solution against the rows and for x >= 0 before
 returning it, so the coordinate ranges in ``inference`` skip LPs exactly: a
@@ -48,7 +48,7 @@ import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Row = tuple[Fraction, ...]
 
@@ -308,20 +308,6 @@ class LPSystem:
         return _phase2(self._tableau.copy(), objective, self._system)
 
 
-def solve_lps(
-    objectives: Sequence[Sequence], rows: Sequence[Sequence], rhs: Sequence
-) -> Iterator[LPResult]:
-    """Minimize each objective . x subject to rows . x = rhs, x >= 0, exactly.
-
-    Phase 1 runs once, in this call, through ``LPSystem``.  Results come in
-    objective order, each phase 2 running when the iterator reaches it, so a
-    caller need not hold all of them at once; an objective of the wrong
-    length raises ``ValueError`` there too.
-    """
-    n = len(objectives[0]) if objectives else len(rows[0]) if rows else 0
-    return map(LPSystem(rows, rhs, n).solve, objectives)
-
-
 def _phase2(
     tab: _Tableau, objective: Sequence, system: list[tuple[list[int], int]]
 ) -> LPResult:
@@ -359,7 +345,7 @@ def solve_lp(
 ) -> LPResult:
     """Optimize objective . x subject to rows . x = rhs, x >= 0, exactly."""
     sign = -1 if maximize else 1
-    (result,) = solve_lps([[sign * Fraction(x) for x in objective]], rows, rhs)
+    result = LPSystem(rows, rhs, len(objective)).solve([sign * Fraction(x) for x in objective])
     if maximize and result.objective is not None:
         result = replace(result, objective=-result.objective)
     return result

@@ -25,18 +25,22 @@ from each member's adjugate code) are built once per field from the
 members' codes alone.  Conjugacy classes are the walk along each generator's
 conjugation of the indices, and an element's order is read once per class.
 
-The two-particle action table keeps only the generators' permutations of
-the states.  Side 1, psi -> M psi, is the member code's product; side 2,
-psi -> psi M^T = (M psi^T)^T, is side 1 conjugated by the transposition
-psi -> psi^T of the states, so the state set must be closed under
-transposition.  Orbits and local-transform words are walked along the
-generator rows by one breadth-first walk; a word is a pair of element
-indices, inverted by the inverse index.  A stabilizer order walks the Cayley
-tree once from its state and counts the elements that fix it.  A Burnside
-count sums fixed points over class representatives weighted by class size
-(pairs of classes for the local action), each representative's permutation
-composed from the generator rows.  ``act`` stays the object path, and the
-tests check every residue row and every element's image against it.
+The two-particle action table is built once per field on one fixed set,
+the entangled physical states, read as flat residue codes from the
+``two_particle_codes`` rows whose kind byte is PHYSICAL alone; it keeps
+only the generators' permutations of those codes.  Side 1, psi -> M psi, is
+the member code's product; side 2, psi -> psi M^T = (M psi^T)^T, is side 1
+conjugated by the transposition psi -> psi^T.  Orbits and local-transform
+words are walked along the generator rows by one breadth-first walk; a word
+is a pair of element indices, inverted by the inverse index.  An orbit's
+members are its codes in table order, which is ``sort_key`` order, and only
+its representative, the least code, becomes a state object.  A stabilizer
+order walks the Cayley tree once from its state and counts the elements
+that fix it.  A Burnside count sums fixed points over class representatives
+weighted by class size (pairs of classes for the local action), each
+representative's permutation composed from the generator rows.  ``act``
+stays the object path, and the tests check every residue row and every
+element's image against it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import eq, itemgetter
+from itertools import compress
+from operator import eq, itemgetter, mul
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
@@ -63,9 +68,11 @@ from .linear import (
     matrix_make,
     residue_canonicalizer,
     residue_mul2,
+    residue_state,
 )
 from .biortho import Observable, physical_states, spin_axes, spin_observable
-from .entangle import TwoParticleState, classify, representative_states, two_particle_states
+from .entangle import (PHYSICAL, TwoParticleState, classify, representative_states,
+                       two_particle_codes)
 
 ACT_MODES = ("single", "global", "local_1", "local_2")
 
@@ -449,22 +456,21 @@ def _group_index(config: FieldConfig) -> _GroupIndex:
 
 
 class _ActionTable:
-    """The one-sided actions on an indexed state set, kept as generator rows.
+    """The one-sided actions on ascending flat residue codes, kept as generator rows.
 
-    ``generator_sides[k]`` is the (side-1, side-2) permutation of the state
-    indices made by the k-th generator: psi -> M psi on the residue codes,
-    looked up by code in ``index``, and psi -> psi M^T = (M psi^T)^T, read
-    as tau side1 tau with tau the transposition psi -> psi^T.  A state set
-    closed under the generators is closed under the whole group.  The
-    generators and the Cayley tree are the field's ``_GroupIndex``.
+    ``generator_sides[k]`` is the (side-1, side-2) permutation of the code
+    indices made by the k-th generator: psi -> M psi on the codes, looked up
+    by code in ``index``, and psi -> psi M^T = (M psi^T)^T, read as
+    tau side1 tau with tau the transposition psi -> psi^T.  A code set not
+    closed under the generators raises "escapes".  The generators and the
+    Cayley tree are the field's ``_GroupIndex``.
     """
 
-    def __init__(self, group: ProjectiveGroup, states: tuple[TwoParticleState, ...]):
+    def __init__(self, group: ProjectiveGroup, codes: Sequence[tuple[int, ...]]):
         self.group = group
-        self.states = states
+        self.codes = codes
         self.group_index = _group_index(group.config)
         canonical, members = residue_canonicalizer(group.config), _member_codes(group.config)
-        codes = [flat_residues(s.state.rep.components) for s in states]
         self.index = index = {code: k for k, code in enumerate(codes)}
         tau = _residue_permutation(itemgetter(0, 1, 4, 5, 2, 3, 6, 7), codes, index, canonical)
         sides = []  # (side-1, side-2) permutations of each generator
@@ -477,8 +483,8 @@ class _ActionTable:
 @dataclass(frozen=True)
 class Orbit:
     mode: str
-    representative: TwoParticleState
-    members: tuple[TwoParticleState, ...]
+    representative: TwoParticleState  # the state of the least member code
+    members: tuple[tuple[int, ...], ...]  # flat residue codes, ascending
     stabilizer_order: int
     acting_order: int
 
@@ -489,25 +495,17 @@ class Orbit:
 
 @lru_cache(maxsize=None)
 def _action_table(config: FieldConfig) -> _ActionTable:
-    group = enumerate_group(config)
-    states = tuple(
-        s for s in two_particle_states(config) if s.physical and not s.is_product
-    )
-    return _ActionTable(group, states)
+    """The table on the entangled physical states: the ``two_particle_codes``
+    rows whose kind byte is PHYSICAL alone, in table order."""
+    columns, _, kinds = two_particle_codes(config)
+    keep = [kind == PHYSICAL for kind in kinds]
+    codes = tuple(zip(*(compress(column, keep) for column in columns)))
+    return _ActionTable(enumerate_group(config), codes)
 
 
-def action_table(
-    config: FieldConfig, states: tuple[TwoParticleState, ...] | None = None
-) -> _ActionTable:
-    """The permutation table on a state set (default: entangled physical).
-
-    Side 2 is side 1 conjugated by psi -> psi^T, so the set must be closed
-    under transposition, as the entangled and the product physical states
-    are; otherwise, as for a set the group moves, the build raises "escapes".
-    """
-    if states is None:
-        return _action_table(config)
-    return _ActionTable(enumerate_group(config), states)
+def _state(config: FieldConfig, code: tuple[int, ...]) -> TwoParticleState:
+    """The two-particle state object of a flat residue code."""
+    return classify(residue_state(config, code, sum(map(mul, code, code)) % config.p))
 
 
 def _generator_permutations(table: _ActionTable, mode: str) -> list[tuple[int, ...]]:
@@ -538,50 +536,39 @@ def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> in
     return sum(images2[j] for j in index.images(i, perms[:n]))
 
 
-def orbits(
-    config: FieldConfig,
-    mode: str,
-    states: tuple[TwoParticleState, ...] | None = None,
-) -> list[Orbit]:
-    """Orbits of the entangled physical states under the chosen action."""
-    table = action_table(config, states)
+def orbits(config: FieldConfig, mode: str) -> list[Orbit]:
+    """Orbits of the entangled physical states under the chosen action.
+
+    Each orbit is found from its least code index, so the orbits come in
+    ascending order of their representatives, and only a representative is
+    built as a state object.
+    """
+    table = _action_table(config)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
     assigned: set[int] = set()
     out = []
-    for start in range(len(table.states)):
+    for start, code in enumerate(table.codes):
         if start in assigned:
             continue
-        # ascending indices are in state order, which the sort below finds fastest
         members = sorted([start, *(j for j, _, _ in _walk(start, perms))])
         assigned.update(members)
         stabilizer = _stabilizer_order(table, mode, perms, start)
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
-        member_states = tuple(
-            sorted(
-                (table.states[i] for i in members),
-                key=lambda s: s.state.sort_key(),
-            )
-        )
         out.append(
             Orbit(
                 mode=mode,
-                representative=member_states[0],
-                members=member_states,
+                representative=_state(config, code),
+                members=tuple(table.codes[i] for i in members),
                 stabilizer_order=stabilizer,
                 acting_order=acting_order,
             )
         )
-    out.sort(key=lambda o: o.representative.state.sort_key())
     return out
 
 
-def burnside_count(
-    config: FieldConfig,
-    mode: str,
-    states: tuple[TwoParticleState, ...] | None = None,
-) -> int:
+def burnside_count(config: FieldConfig, mode: str) -> int:
     """Orbit count as the average number of fixed points over the action.
 
     A fixed-point count is a class function, and the classes of the local
@@ -589,11 +576,11 @@ def burnside_count(
     is a sum over class representatives weighted by class size.  Each
     representative's permutation is composed from the generator rows.
     """
-    table = action_table(config, states)
+    table = _action_table(config)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
     index = _group_index(config)
-    ids = range(len(table.states))
+    ids = range(len(table.codes))
     if mode == "global":
         total = sum(
             len(c) * sum(map(eq, index.compose(c[0], perms), ids)) for c in index.classes
@@ -691,7 +678,7 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
         name = "S" if owner is group.identity else owner.label
         if name in labels:
             raise ValueError("side-1 action on S is not free; labels undefined")
-        labels[name] = table.states[image]
-    if len(labels) != len(table.states):
+        labels[name] = _state(config, table.codes[image])
+    if len(labels) != len(table.codes):
         raise ValueError("side-1 orbit of S does not cover the entangled states")
     return labels

@@ -6,7 +6,8 @@ probabilities behind them satisfy exact linear constraints with rational
 coefficients.  ``infer_probabilities`` decides, over the simplex of
 probability vectors, whether those constraints pin a unique distribution,
 leave a family (with the implied linear identities reported), or admit no
-distribution at all (with a replayable Farkas certificate).
+distribution at all (with a replayable Farkas certificate).  Forced zeros
+are read from the exact coordinate ranges: the outcomes whose maximum is 0.
 
 ``hv_feasibility`` asks the same question for a local deterministic
 hidden-variable model: the unknowns are probabilities of complete outcome
@@ -37,7 +38,7 @@ from .entangle import (
     representative_states,
     single_spin,
 )
-from .exactlp import LPResult, LPSystem, RREFResult, rref
+from .exactlp import LPResult, LPSystem, rref
 
 PAIR_OUTCOMES = ("++", "+-", "-+", "--")
 PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -133,14 +134,17 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
     Status is 'unique' exactly when the feasible polytope is a single point
     (decided by exact coordinatewise min/max), 'infeasible' when it is empty
     (with a Farkas certificate over the listed rows plus normalization), and
-    'indeterminate' otherwise, in which case the reduced equality rows are
-    reported as implied identities together with any outcomes that
-    nonnegativity forces to zero.
+    'indeterminate' otherwise.  The reduced equality rows are reported as
+    implied identities, and the outcomes whose exact maximum is 0 as forced
+    zeros, whatever combination of rows forces them.
     """
     rows, rhs, labels = system.full_rows()
     feas, ranges = _coordinate_ranges(rows, rhs, len(system.outcomes))
     reduced = rref(rows, rhs)
-    identities, forced = _implied_identities(system, rows, rhs, reduced)
+    identities = tuple(
+        Identity(coeffs=row, rhs=value, text=_identity_text(system.outcomes, row, value))
+        for row, value in zip(reduced.rows, reduced.rhs)
+    )
     if ranges is None:
         return InferenceResult(
             status="infeasible",
@@ -163,7 +167,7 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
         solution=feas.solution if unique else None,
         witness=feas.solution,
         identities=identities,
-        forced_zero=forced,
+        forced_zero=tuple(name for name, (_, hi) in zip(system.outcomes, ranges) if hi == 0),
         ranges=ranges,
         certificate=None,
         certificate_rows=None,
@@ -218,48 +222,6 @@ def _coordinate_ranges(
         if not twins and j not in zeroed:
             low[j] = vertex(j, 1).objective
     return feas, tuple(zip(low, high))
-
-
-def _implied_identities(
-    system: ConstraintSystem,
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    reduced: RREFResult,
-) -> tuple[tuple[Identity, ...], tuple[str, ...]]:
-    """Reduced equality rows, plus outcomes forced to zero by nonnegativity.
-
-    ``reduced`` is ``rref(rows, rhs)``.  A reduced row with nonnegative
-    coefficients and zero right side forces every outcome it touches to
-    zero; forcing is iterated to a fixed point with the zeroed columns
-    substituted away.
-    """
-    identities = [
-        Identity(
-            coeffs=row,
-            rhs=value,
-            text=_identity_text(system.outcomes, row, value),
-        )
-        for row, value in zip(reduced.rows, reduced.rhs)
-    ]
-
-    n = len(system.outcomes)
-    zeroed: set[int] = set()
-    while True:
-        keep = [j for j in range(n) if j not in zeroed]
-        if not keep:
-            break
-        sub = rref([[row[j] for j in keep] for row in rows], rhs) if zeroed else reduced
-        new = set()
-        for row, value in zip(sub.rows, sub.rhs):
-            if value == 0 and all(c >= 0 for c in row) and any(c > 0 for c in row):
-                for local_j, c in enumerate(row):
-                    if c > 0:
-                        new.add(keep[local_j])
-        if not new - zeroed:
-            break
-        zeroed |= new
-    forced = tuple(system.outcomes[j] for j in sorted(zeroed))
-    return tuple(identities), forced
 
 
 # -- moment systems ---------------------------------------------------------------

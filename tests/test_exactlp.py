@@ -9,9 +9,9 @@ from hypothesis import example, given, seed, settings, strategies as st
 from bioqm import FieldConfig, exactlp, representative_states
 from bioqm.exactlp import (
     LPResult,
+    LPSystem,
     rref,
     solve_lp,
-    solve_lps,
     verify_farkas,
 )
 from bioqm.inference import (
@@ -152,7 +152,7 @@ def test_solve_lp_rejects_row_rhs_mismatch():
     with pytest.raises(ValueError, match="row/rhs length mismatch"):
         solve_lp([1, 0], [[1, 1], [1, 0]], [1])
     with pytest.raises(ValueError, match="row/rhs length mismatch"):
-        solve_lps([[1, 0]], [[1, 1]], [1, 2])
+        LPSystem([[1, 1]], [1, 2], 2)
 
 
 def test_certificate_needs_one_multiplier_per_row():
@@ -171,12 +171,13 @@ def test_certificate_replay_rejects_a_rhs_of_the_wrong_length(rows, rhs, y):
         verify_farkas(rows, rhs, y)
 
 
-def test_solve_lps_answers_in_objective_order():
-    rows, rhs = [[1, 1, 1]], [1]
-    results = list(solve_lps([[1, 0, 0], [-1, 0, 0], [0, 2, 1]], rows, rhs))
+def test_lp_system_answers_each_objective_from_one_phase1():
+    lp = LPSystem([[1, 1, 1]], [1], 3)
+    results = [lp.solve(c) for c in ([1, 0, 0], [-1, 0, 0], [0, 2, 1])]
     assert [r.objective for r in results] == [F(0), F(-1), F(0)]
     assert results[2].solution == (F(1), F(0), F(0))
-    infeasible = list(solve_lps([[1, 0], [0, 1]], [[1, 1], [1, 1]], [1, 2]))
+    lp = LPSystem([[1, 1], [1, 1]], [1, 2], 2)
+    infeasible = [lp.solve(c) for c in ([1, 0], [0, 1])]
     assert [r.status for r in infeasible] == ["infeasible"] * 2
     assert infeasible[0] == infeasible[1]
 
@@ -326,7 +327,8 @@ def range_objectives(n):
 
 
 def assert_matches_reference(objectives, rows, rhs):
-    shared = list(solve_lps(objectives, rows, rhs))
+    lp = LPSystem(rows, rhs, len(objectives[0]))
+    shared = [lp.solve(c) for c in objectives]
     first = reference_solve_lp(objectives[0], rows, rhs)
     # the reference returns an infeasible result before it reads the objective
     reference = [first] + [

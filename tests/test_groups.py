@@ -26,7 +26,15 @@ from bioqm import (
     verify_isomorphism,
 )
 from bioqm.biortho import physical_states, spin_axes, state_label
-from bioqm.entangle import classify, from_product, two_particle_states
+from bioqm import entangle
+from bioqm.entangle import (
+    PHYSICAL,
+    PRODUCT,
+    classify,
+    from_product,
+    two_particle_codes,
+    two_particle_states,
+)
 from bioqm.gf import phi_map
 from bioqm import groups
 from bioqm.groups import (
@@ -38,7 +46,6 @@ from bioqm.groups import (
     _member_codes,
     _stabilizer_order,
     _walk,
-    action_table,
 )
 from bioqm.linear import (
     StateVector,
@@ -538,12 +545,36 @@ def test_global_action_fixes_the_singlet():
             assert image.state.rep.components == singlet.state.rep.components
 
 
+def _code(state):
+    return flat_residues(state.state.rep.components)
+
+
+def _objects(config, codes):
+    """The ``two_particle_states`` objects of flat residue codes, in order."""
+    by_code = {_code(s): s for s in two_particle_states(config)}
+    return [by_code[code] for code in codes]
+
+
+def _subset_table(config, subset):
+    """The field's table ("entangled"), or one built on the code-table rows
+    of the physical product states ("products")."""
+    if subset == "entangled":
+        return groups._action_table(config)
+    columns, _, kinds = two_particle_codes(config)
+    products = [code for code, kind in zip(zip(*columns), kinds) if kind == PRODUCT | PHYSICAL]
+    return groups._ActionTable(enumerate_group(config), products)
+
+
+def _use_table(monkeypatch, table):
+    """Run orbits and burnside_count on table instead of the field's own."""
+    monkeypatch.setattr(groups, "_action_table", lambda config: table)
+
+
 def test_action_table_escape_raises():
-    # a restricted state set must be closed under both one-sided actions
-    singlet = representative_states(GF3)["S"]
-    for mode in ("global", "local"):
-        with pytest.raises(ValueError):
-            orbits(GF3, mode, states=(singlet,))
+    # a restricted code set must be closed under both one-sided actions
+    singlet = _code(representative_states(GF3)["S"])
+    with pytest.raises(ValueError, match="escapes"):
+        groups._ActionTable(enumerate_group(GF3), (singlet,))
 
 
 def test_action_table_escape_raises_for_a_global_orbit():
@@ -551,34 +582,31 @@ def test_action_table_escape_raises_for_a_global_orbit():
     # side alone, and the table checks closure under one-sided generators
     group = enumerate_group(GF9)
     for orbit in orbits(GF9, "global"):
-        reps = {m.state.rep for m in orbit.members}
+        members = _objects(GF9, orbit.members)
         for g in group.elements:
-            assert {act(g, m, mode="global").state.rep for m in orbit.members} == reps
+            assert {_code(act(g, m, mode="global")) for m in members} == set(orbit.members)
         with pytest.raises(ValueError, match="escapes"):
-            orbits(GF9, "global", states=orbit.members)
-
-
-def _physical_products(config):
-    return tuple(s for s in two_particle_states(config) if s.physical and s.is_product)
+            groups._ActionTable(group, orbit.members)
 
 
 @pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])
-def test_orbits_of_the_physical_product_states(config):
+def test_orbits_of_the_physical_product_states(config, monkeypatch):
     # unlike entangled states, product states have nontrivial one-sided
     # stabilizers, so the local stabilizer count sees products of them
-    products = _physical_products(config)
+    table = _subset_table(config, "products")
+    _use_table(monkeypatch, table)
     order = enumerate_group(config).order
-    (orbit,) = orbits(config, "local", states=products)
-    assert orbit.size == len(products)
-    assert orbit.stabilizer_order == order * order // len(products)
+    (orbit,) = orbits(config, "local")
+    assert orbit.size == len(table.codes)
+    assert orbit.stabilizer_order == order * order // len(table.codes)
+    assert orbit.representative == _objects(config, table.codes[:1])[0]
+    assert orbit.representative.is_product
     for mode in ("global", "local"):
-        assert burnside_count(config, mode, states=products) == len(
-            orbits(config, mode, states=products)
-        )
+        assert burnside_count(config, mode) == len(orbits(config, mode))
 
 
 def _index_of(table, state):
-    return table.index[flat_residues(state.state.rep.components)]
+    return table.index[_code(state)]
 
 
 @pytest.mark.parametrize(
@@ -587,13 +615,13 @@ def _index_of(table, state):
 def test_generator_built_table_matches_per_element_reference(config):
     # each state's image under every element, composed from the generator
     # rows along the Cayley tree, against act() for that element and state
-    table = action_table(config)
+    table = groups._action_table(config)
     index = table.group_index
     assert len(index.generators) <= 4
     elements = table.group.elements
     for side, mode in enumerate(("local_1", "local_2")):
         rows = [sides[side] for sides in table.generator_sides]
-        for i, state in enumerate(table.states):
+        for i, state in enumerate(_objects(config, table.codes)):
             expected = [_index_of(table, act(g, state, mode)) for g in elements]
             assert index.images(i, rows) == expected
 
@@ -604,19 +632,19 @@ def test_generator_built_table_matches_per_element_reference(config):
 )
 def test_residue_generator_rows_match_object_act(config, subset):
     # the rows applied on residue codes, against act() on the state objects
-    states = None if subset == "entangled" else _physical_products(config)
-    table = action_table(config, states=states)
+    table = _subset_table(config, subset)
+    states = _objects(config, table.codes)
     gens = [table.group.elements[k] for k in table.group_index.generators]
     for g, (side1, side2) in zip(gens, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
-            assert row == tuple(_index_of(table, act(g, s, mode)) for s in table.states)
+            assert row == tuple(_index_of(table, act(g, s, mode)) for s in states)
 
 
 @pytest.mark.parametrize(
     "config", [GF3, GF7, GF9, GF11, GF19], ids=["gf3", "gf7", "gf9", "gf11", "gf19"]
 )
 def test_element_index_words_match_group_multiplication(config):
-    table = action_table(config)
+    table = groups._action_table(config)
     index = table.group_index
     group = table.group
     elements = group.elements
@@ -632,32 +660,32 @@ def test_composed_rows_match_group_multiplication_and_act(config):
     # each element's row, composed from the generator rows along its tree
     # path: on element indices against group_mul, on states against act()
     index = groups._group_index(config)
-    table = action_table(config)
+    table = groups._action_table(config)
     group = table.group
     elements = group.elements
+    states = _objects(config, table.codes)
     side1 = [s1 for s1, _ in table.generator_sides]
     for x, g in enumerate(elements):
         left = index.compose(x, index.generator_left)
         assert [elements[j] for j in left] == [group_mul(group, g, h) for h in elements]
-        expected = [_index_of(table, act(g, state, "local_1")) for state in table.states]
+        expected = [_index_of(table, act(g, state, "local_1")) for state in states]
         assert index.compose(x, side1) == expected
 
 
-def test_orbits_on_a_closed_subset():
+def test_orbits_on_a_closed_subset(monkeypatch):
     # the 24-state local orbit over GF(9) is closed, so restriction works
     closed = next(o for o in orbits(GF9, "local") if o.size == 24).members
-    within = orbits(GF9, "global", states=closed)
+    _use_table(monkeypatch, groups._ActionTable(enumerate_group(GF9), closed))
+    within = orbits(GF9, "global")
     assert sum(o.size for o in within) == 24
-    assert burnside_count(GF9, "global", states=closed) == len(within)
+    assert burnside_count(GF9, "global") == len(within)
 
 
 def test_gf3_global_orbits_frozen():
     labels = entangled_labels(GF3)
-    rep_of = {
-        state.state.rep.components: label for label, state in labels.items()
-    }
+    rep_of = {_code(state): label for label, state in labels.items()}
     got = {
-        frozenset(rep_of[m.state.rep.components] for m in orbit.members): orbit.stabilizer_order
+        frozenset(rep_of[m] for m in orbit.members): orbit.stabilizer_order
         for orbit in orbits(GF3, "global")
     }
     assert got == {
@@ -700,12 +728,9 @@ def test_gf9_local_orbits_frozen():
     assert by_size[288].stabilizer_order == 2
     for orbit in out:
         assert orbit.acting_order == 576
-    members24 = {m.state.rep.components for m in by_size[24].members}
-    assert reps["S"].state.rep.components in members24
-    members192 = {m.state.rep.components for m in by_size[192].members}
-    assert reps["T"].state.rep.components in members192
-    members288 = {m.state.rep.components for m in by_size[288].members}
-    assert reps["U"].state.rep.components in members288
+    assert _code(reps["S"]) in by_size[24].members
+    assert _code(reps["T"]) in by_size[192].members
+    assert _code(reps["U"]) in by_size[288].members
 
 
 @pytest.mark.parametrize(
@@ -729,11 +754,10 @@ def test_burnside_agrees_with_direct_orbit_count(config, mode):
     assert burnside_count(config, mode) == len(orbits(config, mode))
 
 
-def reference_burnside_count(config, mode, states=None):
+def reference_burnside_count(table, mode):
     # the per-state sum: every state's stabilizer order, walked along the tree
-    table = action_table(config, states)
     perms = _generator_permutations(table, mode)
-    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.states)))
+    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.codes)))
     count, rest = divmod(total, _acting_order(table, mode))
     assert rest == 0
     return count
@@ -742,11 +766,10 @@ def reference_burnside_count(config, mode, states=None):
 @pytest.mark.parametrize("subset", ["entangled", "products"])
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
-def test_burnside_class_sum_matches_the_per_state_sum(config, mode, subset):
-    states = None if subset == "entangled" else _physical_products(config)
-    assert burnside_count(config, mode, states=states) == reference_burnside_count(
-        config, mode, states
-    )
+def test_burnside_class_sum_matches_the_per_state_sum(config, mode, subset, monkeypatch):
+    table = _subset_table(config, subset)
+    _use_table(monkeypatch, table)
+    assert burnside_count(config, mode) == reference_burnside_count(table, mode)
 
 
 @pytest.mark.parametrize("count", [burnside_count, orbits], ids=["burnside", "orbits"])
@@ -771,22 +794,22 @@ def _local_stabilizer_pairs(label):
 
 
 def test_local_orbit_stabilizers_of_t_and_u_match_the_fixing_pairs():
-    orbit_of = {m.state.rep: o for o in orbits(GF9, "local") for m in o.members}
+    orbit_of = {m: o for o in orbits(GF9, "local") for m in o.members}
     reps = representative_states(GF9)
     for label, count in (("T", 3), ("U", 2)):
         pairs = _local_stabilizer_pairs(label)
         assert len(pairs) == count
-        assert orbit_of[reps[label].state.rep].stabilizer_order == len(pairs)
+        assert orbit_of[_code(reps[label])].stabilizer_order == len(pairs)
 
 
 def test_gf3_stabilizer_orders_match_the_fixing_elements():
     # every entangled state's stabilizer, read from the tree-walked images,
     # against the elements (global) and pairs (local) that act() finds fixing it
-    table = action_table(GF3)
+    table = groups._action_table(GF3)
     elements = table.group.elements
     global_perms = _generator_permutations(table, "global")
     local_perms = _generator_permutations(table, "local")
-    for i, state in enumerate(table.states):
+    for i, state in enumerate(_objects(GF3, table.codes)):
         fixing = [g for g in elements if _index_of(table, act(g, state, "global")) == i]
         assert _stabilizer_order(table, "global", global_perms, i) == len(fixing)
         fixing_pairs = [
@@ -854,25 +877,25 @@ def test_entangled_labels_need_a_free_covering_action():
 def test_find_local_transform_round_trip(config):
     # states in a representative's local orbit map back onto it; the other
     # entangled physical states belong to no representative and are refused
-    rep_labels = {rep.state.rep: label for label, rep in representative_states(config).items()}
+    rep_labels = {_code(rep): label for label, rep in representative_states(config).items()}
     label_of = {}
     covered = 0
     for orbit in orbits(config, "local"):
-        labels = [rep_labels[m.state.rep] for m in orbit.members if m.state.rep in rep_labels]
+        labels = [rep_labels[m] for m in orbit.members if m in rep_labels]
         if labels:
             (label,) = labels
-            label_of.update((m.state.rep, label) for m in orbit.members)
+            label_of.update((m, label) for m in orbit.members)
             covered += orbit.size
     round_trips = 0
     for state in two_particle_states(config):
         if not state.physical or state.is_product:
             continue
-        if state.state.rep not in label_of:
+        if _code(state) not in label_of:
             with pytest.raises(ValueError):
                 find_local_transform(state)
             continue
         move = find_local_transform(state)
-        assert move.representative_label == label_of[state.state.rep]
+        assert move.representative_label == label_of[_code(state)]
         image = act(move.g2, act(move.g1, state, mode="local_1"), mode="local_2")
         assert (
             image.state.rep.components
@@ -886,7 +909,7 @@ def _reference_reach(config):
     """The local-transform words multiplied out as group elements: for each
     state index reached from a representative, (label, A, B) with state =
     (A tensor B) rep."""
-    table = action_table(config)
+    table = groups._action_table(config)
     group = table.group
     gens = [group.elements[k] for k in table.group_index.generators]
     perms = _generator_permutations(table, "local")
@@ -909,11 +932,11 @@ def _reference_reach(config):
     "config", [GF3, GF7, GF9, GF11], ids=["gf3", "gf7", "gf9", "gf11"]
 )
 def test_find_local_transform_matches_the_element_walk(config):
-    table = action_table(config)
+    table = groups._action_table(config)
     group = table.group
     reach = _reference_reach(config)
     assert sorted(reach) == sorted(_local_reach(config))
-    for i, state in enumerate(table.states):
+    for i, state in enumerate(_objects(config, table.codes)):
         if i not in reach:
             with pytest.raises(ValueError, match="not locally equivalent"):
                 find_local_transform(state)
@@ -952,10 +975,10 @@ def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     groups._group_index.cache_clear()
     groups._action_table.cache_clear()
     _local_reach.cache_clear()
-    table = action_table(config)
+    states = _objects(config, groups._action_table(config).codes)
     reach = _local_reach(config)
     for i in islice(cycle(sorted(reach)), 50):
-        find_local_transform(table.states[i])
+        find_local_transform(states[i])
     assert calls == Counter()
 
 
@@ -982,11 +1005,17 @@ def test_find_local_transform_rejects_product_states():
 @pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
 def test_classes_and_burnside_run_without_object_group_products(config, monkeypatch):
     # from fresh caches the group, its index, the action table, the classes,
-    # the element orders and both Burnside sums come from the members' codes
-    # and the index tables: no object image is made
+    # the element orders, both Burnside sums, the orbits and the local words
+    # come from the members' codes, the code table and the index tables: no
+    # object image is made, no two-particle state list is built, and a state
+    # object is made only for each orbit's representative
     calls = _count_act_calls(monkeypatch)
+    for module in (groups, entangle):
+        monkeypatch.setattr(module, "residue_state",
+                            _counting(calls, "residue_state", module.residue_state))
     for cached in (enumerate_group, groups._member_codes, groups._group_index,
-                   groups._action_table, _local_reach):
+                   groups._action_table, _local_reach, two_particle_codes,
+                   two_particle_states):
         cached.cache_clear()
     group = enumerate_group(config)
     groups._group_index(config)
@@ -994,6 +1023,10 @@ def test_classes_and_burnside_run_without_object_group_products(config, monkeypa
     assert calls == Counter()
     conjugacy_classes(group)
     verify_isomorphism(group)
+    found = 0
     for mode in ("global", "local"):
         burnside_count(config, mode)
-    assert calls == Counter()
+        found += len(orbits(config, mode))
+    _local_reach(config)
+    assert calls == Counter(residue_state=found)
+    assert two_particle_states.cache_info().misses == 0

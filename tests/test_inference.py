@@ -161,6 +161,31 @@ def test_singlet_pair_system_with_marginals_becomes_unique():
     assert result.forced_zero == ("++", "--")
 
 
+def test_forced_zeros_that_only_a_row_combination_forces():
+    # r1 + r2 reads P(w) + P(x) = 0, so both are 0 in every solution, but
+    # each reduced row with a zero right side has a negative coefficient
+    system = ConstraintSystem.make(
+        ("v", "w", "x", "y", "z"),
+        [("r1", [0, 1, 0, 1, -1], 0), ("r2", [0, 0, 1, -1, 1], 0)],
+    )
+    result = infer_probabilities(system)
+    assert result.status == "indeterminate"
+    assert result.ranges[1:3] == ((F(0), F(0)), (F(0), F(0)))
+    assert result.forced_zero == ("w", "x")
+
+
+def test_forced_zeros_of_a_unique_system_are_its_zero_outcomes():
+    # no reduced row has a zero right side, yet the one solution has two zeros
+    system = ConstraintSystem.make(
+        ("a", "b", "c", "d"),
+        [("r1", [1, 0, 1, -1], 0), ("r2", [0, 1, -1, 1], 0)],
+    )
+    result = infer_probabilities(system)
+    assert result.status == "unique"
+    assert result.solution == (F(0), F(0), F(1, 2), F(1, 2))
+    assert result.forced_zero == ("a", "b")
+
+
 # -- moments ------------------------------------------------------------------------
 
 
