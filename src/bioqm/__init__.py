@@ -4,7 +4,6 @@ from .gf import (
     FieldConfig,
     FieldElement,
     PhiUniquenessReport,
-    abs_map,
     find_generator,
     frobenius,
     phi_map,

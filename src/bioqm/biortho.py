@@ -194,12 +194,11 @@ def state_label(state: ProjectiveState) -> str:
 
 
 @lru_cache(maxsize=None)
-def physical_states(config: FieldConfig, dim: int = 2) -> tuple[ProjectiveState, ...]:
-    """Physical projective states, named ones first, the rest lexicographic."""
-    named = named_states(config) if dim == 2 else {}
-    ordered = [s for s in named.values()]
+def physical_states(config: FieldConfig) -> tuple[ProjectiveState, ...]:
+    """Physical one-particle states, named ones first, the rest lexicographic."""
+    ordered = list(named_states(config).values())
     seen = {s.rep for s in ordered}
-    for s in enumerate_projective(config, dim):
+    for s in enumerate_projective(config, 2):
         if s.physical and s.rep not in seen:
             ordered.append(s)
     return tuple(ordered)
@@ -314,7 +313,7 @@ def table_report(config: FieldConfig) -> TableReport:
     axes = spin_axes(config)
     observables = [spin_observable(config, axis) for axis in axes]
     rows = []
-    for state in physical_states(config, 2):
+    for state in physical_states(config):
         cells = tuple(expectation(state, obs) for obs in observables)
         rows.append(TableRow(label=state_label(state), state=state, cells=cells))
     return TableReport(config=config, axes=axes, rows=tuple(rows))

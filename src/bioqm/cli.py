@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,17 +44,6 @@ from .inference import (
     state_marginal_constraints,
     table4_report,
 )
-
-CENSUS_ORDER = (
-    "states",
-    "product",
-    "product_physical",
-    "product_self_orthogonal",
-    "entangled",
-    "entangled_physical",
-    "entangled_self_orthogonal",
-)
-
 
 # -- serialization helpers ------------------------------------------------------------
 
@@ -93,10 +83,7 @@ def build_tables(config: FieldConfig) -> dict:
     report = table_report(config)
     rows = []
     for row in report.rows:
-        cells = [
-            {"axis": axis, "expectation": m.expectation, "variance": m.variance}
-            for axis, m in zip(report.axes, row.cells)
-        ]
+        cells = [{"axis": axis, **asdict(m)} for axis, m in zip(report.axes, row.cells)]
         rows.append({"state": row.label, "cells": cells})
     return {
         "kind": "tables",
@@ -141,7 +128,7 @@ def build_chsh_value(config: FieldConfig, label: str, axes_text: str) -> dict:
         "state": label,
         "axes": list(record.axes),
         "value": record.value,
-        "correlators": dict(sorted(record.correlators.items())),
+        "correlators": record.correlators,
     }
 
 
@@ -159,14 +146,7 @@ def build_chsh_scan(config: FieldConfig, label: str | None) -> dict:
 
 
 def build_chsh_bound(config: FieldConfig) -> dict:
-    result = chsh_bound(config)
-    return {
-        "kind": "chsh_bound",
-        "field": _field_info(config),
-        "bound": result.bound,
-        "states_scanned": result.states_scanned,
-        "quadruples_per_state": result.quadruples_per_state,
-    }
+    return {"kind": "chsh_bound", "field": _field_info(config), **asdict(chsh_bound(config))}
 
 
 def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dict:
@@ -203,15 +183,7 @@ def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dic
             sorted(e.label for e in cls) for cls in conjugacy_classes(group)
         ]
     if everything or iso_only:
-        report = verify_isomorphism(group)
-        payload["isomorphism"] = {
-            "name": report.name,
-            "verified": report.verified,
-            "order": report.order,
-            "class_sizes": list(report.class_sizes),
-            "abelian": report.abelian,
-            "element_order_profile": [list(pair) for pair in report.element_order_profile],
-        }
+        payload["isomorphism"] = asdict(verify_isomorphism(group))
     return payload
 
 
@@ -256,17 +228,17 @@ def _certificate_payload(result) -> dict | None:
     return {"multipliers": list(result.certificate), "rows": list(result.certificate_rows)}
 
 
-def build_infer(config: FieldConfig, label: str, observable: str, marginals: bool) -> dict:
+def build_infer(config: FieldConfig, label: str, observable: str | None, marginals: bool) -> dict:
     reps = representative_states(config)
     singles = named_states(config)
     if label in reps:
-        i, j = _parse_axes(config, observable, 2)
+        i, j = _parse_axes(config, observable or "33", 2)
         system = pair_measurement_system(reps[label], i, j, include_marginals=marginals)
         axes = [i, j]
     elif label in singles:
         if marginals:
             raise ValueError("--marginals applies only to two-particle states")
-        (axis,) = _parse_axes(config, observable, 1)
+        (axis,) = _parse_axes(config, observable or "3", 1)
         system = single_measurement_system(config, label, axis)
         axes = [axis]
     else:
@@ -282,10 +254,7 @@ def build_infer(config: FieldConfig, label: str, observable: str, marginals: boo
         "status": result.status,
         "rank": result.rank,
         "outcomes": list(result.outcomes),
-        "identities": [
-            {"text": ident.text, "coeffs": list(ident.coeffs), "rhs": ident.rhs}
-            for ident in result.identities
-        ],
+        "identities": [asdict(ident) for ident in result.identities],
         "forced_zero": list(result.forced_zero),
         "solution": list(result.solution) if result.solution is not None else None,
         "witness": list(result.witness) if result.witness is not None else None,
@@ -361,18 +330,7 @@ def build_correspondence(config: FieldConfig) -> dict:
 
 
 def build_verify_phi(p: int) -> dict:
-    report = verify_phi_uniqueness(p)
-    return {
-        "kind": "verify_phi",
-        "p": report.p,
-        "method": report.method,
-        "candidates_checked": report.candidates_checked,
-        "qualifying_count": report.qualifying_count,
-        "unique": report.unique,
-        "kernel": list(report.kernel),
-        "matches_phi_map": report.matches_phi_map,
-        "generator_independent": report.generator_independent,
-    }
+    return {"kind": "verify_phi", **asdict(verify_phi_uniqueness(p))}
 
 
 # -- layouts: one per report kind, giving its markdown lines and its CSV rows ---------
@@ -424,7 +382,7 @@ def _tables(payload: dict) -> Layout:
 
 
 def _census(payload: dict) -> Layout:
-    return _table(["quantity", "count"], [[k, payload["counts"][k]] for k in CENSUS_ORDER])
+    return _table(["quantity", "count"], list(payload["counts"].items()))
 
 
 def _chsh_value(payload: dict) -> Layout:
@@ -653,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     infer_p = command("infer", "what measured expectations say about outcome probabilities")
     infer_p.add_argument("--state", required=True, help="a..f or S/T/U")
-    infer_p.add_argument("--observable", default="33",
-                         help="axis digits: one for single states, two for pairs (default 33)")
+    infer_p.add_argument("--observable", default=None,
+                         help="axis digits: one for single states (default 3), "
+                              "two for pairs (default 33)")
     infer_p.add_argument("--marginals", action="store_true",
                          help="also constrain by the two single-side expectations")
 

@@ -41,7 +41,7 @@ of all p residues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice, product, repeat
 from operator import add, mul, sub
@@ -159,7 +159,6 @@ def two_particle_states(config: FieldConfig) -> tuple[TwoParticleState, ...]:
 class Census:
     """State counts for one field, split by product/entangled and physicality."""
 
-    config: FieldConfig
     states: int
     product: int
     product_physical: int
@@ -169,22 +168,14 @@ class Census:
     entangled_self_orthogonal: int
 
     def counts(self) -> dict[str, int]:
-        return {
-            "states": self.states,
-            "product": self.product,
-            "product_physical": self.product_physical,
-            "product_self_orthogonal": self.product_self_orthogonal,
-            "entangled": self.entangled,
-            "entangled_physical": self.entangled_physical,
-            "entangled_self_orthogonal": self.entangled_self_orthogonal,
-        }
+        """The counts by field name, in field order (the census report's row order)."""
+        return asdict(self)
 
 
 def census(config: FieldConfig) -> Census:
     kinds = two_particle_codes(config)[2]
     tally = [kinds.count(kind) for kind in range(4)]  # indexed by kind byte
     return Census(
-        config=config,
         states=len(kinds),
         product=tally[PRODUCT | PHYSICAL] + tally[PRODUCT],
         product_physical=tally[PRODUCT | PHYSICAL],
@@ -379,7 +370,6 @@ def chsh_scan(state: TwoParticleState) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class ChshBound:
-    config: FieldConfig
     bound: int
     states_scanned: int
     quadruples_per_state: int
@@ -413,12 +403,7 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
         best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))
         if best == 4:
             break
-    return ChshBound(
-        config=config,
-        bound=best,
-        states_scanned=scanned,
-        quadruples_per_state=len(quadruples),
-    )
+    return ChshBound(bound=best, states_scanned=scanned, quadruples_per_state=len(quadruples))
 
 
 # -- named representatives -----------------------------------------------------

@@ -5,13 +5,11 @@ behaves like the complex numbers over the reals: elements are re + im*i,
 conjugation is re - im*i, and the conjugation is realized by the Frobenius
 power x -> x^p.  GF(p) itself plays the role of the reals.
 
-Two maps convert field values into ordinary real numbers:
-
-* ``phi_map``: the product-preserving sign map GF(p) -> {-1, 0, +1}.  It sends
-  zero to 0, even powers of a multiplicative generator to +1 and odd powers
-  to -1 (equivalently, it is the quadratic-residue character).  Because
-  p = 3 (mod 4), phi_map(-1) = -1.
-* ``abs_map``: 0 for the zero element, 1 for everything else.
+One map converts field values into ordinary real numbers: ``phi_map``, the
+product-preserving sign map GF(p) -> {-1, 0, +1}.  It sends zero to 0, even
+powers of a multiplicative generator to +1 and odd powers to -1
+(equivalently, it is the quadratic-residue character).  Because
+p = 3 (mod 4), phi_map(-1) = -1.
 
 All arithmetic is exact integer arithmetic; floats never appear.  Each
 ``FieldConfig`` interns its elements: ``element(re, im)`` reduces both parts
@@ -329,11 +327,6 @@ def phi_map(x: FieldElement) -> int:
     if not x.is_real:
         raise ValueError(f"phi_map is defined on GF(p) only, got {x}")
     return residue_sign(x.re, x.config.p)
-
-
-def abs_map(x: FieldElement) -> int:
-    """0 for the zero element, 1 for every other element."""
-    return 0 if x.is_zero else 1
 
 
 @dataclass(frozen=True)

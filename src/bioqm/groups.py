@@ -145,7 +145,7 @@ def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
     canonical = residue_canonicalizer(config)
     units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
     codes = []
-    for s in physical_states(config, 2):
+    for s in physical_states(config):
         ar, ai, cr, ci = flat_residues(s.rep.components)
         for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
             codes.append(canonical((ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
@@ -174,7 +174,7 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
     from ``_member_codes``; a member's ``perm`` is its code's product on
     the physical states coded as [[x, 0], [y, 0]]."""
-    states = physical_states(config, 2)
+    states = physical_states(config)
     if len(states) > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]

@@ -145,32 +145,21 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
         Identity(coeffs=row, rhs=value, text=_identity_text(system.outcomes, row, value))
         for row, value in zip(reduced.rows, reduced.rhs)
     )
-    if ranges is None:
-        return InferenceResult(
-            status="infeasible",
-            outcomes=system.outcomes,
-            rank=reduced.rank,
-            solution=None,
-            witness=None,
-            identities=identities,
-            forced_zero=(),
-            ranges=None,
-            certificate=feas.certificate,
-            certificate_rows=tuple(labels),
-        )
-
-    unique = all(lo == hi for lo, hi in ranges)
+    # an infeasible system has no solution or ranges, only its certificate;
+    # a feasible one has its verified point and no certificate
+    infeasible = ranges is None
+    unique = not infeasible and all(lo == hi for lo, hi in ranges)
     return InferenceResult(
-        status="unique" if unique else "indeterminate",
+        status="infeasible" if infeasible else "unique" if unique else "indeterminate",
         outcomes=system.outcomes,
         rank=reduced.rank,
         solution=feas.solution if unique else None,
         witness=feas.solution,
         identities=identities,
-        forced_zero=tuple(name for name, (_, hi) in zip(system.outcomes, ranges) if hi == 0),
+        forced_zero=tuple(name for name, (_, hi) in zip(system.outcomes, ranges or ()) if hi == 0),
         ranges=ranges,
-        certificate=None,
-        certificate_rows=None,
+        certificate=feas.certificate,
+        certificate_rows=tuple(labels) if infeasible else None,
     )
 
 

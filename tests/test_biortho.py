@@ -11,6 +11,7 @@ from bioqm import (
     StateVector,
     bracket,
     build_observable,
+    enumerate_group,
     expectation,
     named_states,
     physical_states,
@@ -75,12 +76,22 @@ def test_state_label_round_trip():
 
 
 def test_physical_states_put_named_first():
-    states = physical_states(GF9, 2)
+    states = physical_states(GF9)
     assert len(states) == 6
     assert [state_label(s) for s in states] == list("abcdef")
     assert all(s.physical for s in states)
-    gf3 = physical_states(GF3, 2)
+    gf3 = physical_states(GF3)
     assert [state_label(s) for s in gf3] == list("abcd")
+
+
+def test_physical_states_cache_one_entry_per_field():
+    # every caller asks for the same tuple, so each field is built once
+    physical_states.cache_clear()
+    for config in (GF3, GF9):
+        table_report(config)
+        enumerate_group.__wrapped__(config)  # past its own cache, to its physical_states call
+        physical_states(config)
+    assert physical_states.cache_info().currsize == 2
 
 
 def test_spin_axes_depend_on_degree():
@@ -148,7 +159,7 @@ def test_system_census(config, count):
     systems = enumerate_biorthogonal_systems(config)
     assert len(systems) == count
     # independent recount: scan unordered pairs of physical rays for orthogonality
-    physical = [s.rep for s in physical_states(config, 2)]
+    physical = [s.rep for s in physical_states(config)]
     pairs = 0
     for i, u in enumerate(physical):
         for v in physical[i + 1 :]:
@@ -186,7 +197,7 @@ def test_bracket_matches_oracle_everywhere():
     for config in (GF3, GF9):
         for axis in spin_axes(config):
             obs = spin_observable(config, axis)
-            for state in physical_states(config, 2):
+            for state in physical_states(config):
                 assert bracket(state, obs) == _oracle_bracket(state, obs.matrix)
 
 
@@ -231,7 +242,7 @@ def test_one_pass_bracket_matches_the_composed_reference(config):
     for axis in axes:
         obs = spin_observable(config, axis)
         for matrix in (obs.matrix, obs.squared().matrix):
-            for state in physical_states(config, 2):
+            for state in physical_states(config):
                 assert bracket(state, matrix) == reference_bracket(state, matrix)
     matrices = [product_spin(config, i, j).matrix for i in axes for j in axes]
     matrices += [one_sided_spin(config, side, axis) for side in (1, 2) for axis in axes]
@@ -310,7 +321,7 @@ def test_negative_variance_shows_up_for_spread_eigenvalues():
     found = False
     for eigs in ((3, 1), (1, 3), (2, 3), (3, 2)):
         obs = build_observable(system, eigs)
-        for state in physical_states(GF7, 2):
+        for state in physical_states(GF7):
             try:
                 m = expectation(state, obs)
             except RuntimeError:

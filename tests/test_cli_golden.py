@@ -46,6 +46,9 @@ FIELD_COMMANDS = (
     ("infer", "--state", "S", "--observable", "11", "--marginals"),
     ("infer", "--state", "a", "--observable", "33"),
     ("infer", "--state", "a", "--observable", "3", "--marginals"),
+    # the default observable: one axis digit for a single state, two for a pair
+    ("infer", "--state", "a"),
+    ("infer", "--state", "T"),
     ("mimic", "--state", "S"),
     ("mimic", "--state", "U"),
     ("mimic", "--state", "T", "--marginals"),
@@ -126,7 +129,7 @@ def _load() -> dict:
 
 def test_golden_file_covers_exactly_the_matrix():
     assert sorted(_load()) == sorted(KEYS)
-    assert len(KEYS) == 255
+    assert len(KEYS) == 267
     # both orbit modes over GF(7), GF(11), GF(19) and GF(23), in every format
     past_gf9 = [k for k in KEYS if k.startswith("orbits --mode ") and " --p 3 " not in k]
     assert sorted({tuple(k.split()[2:7:2]) for k in past_gf9}) == [

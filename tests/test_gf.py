@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map, abs_map
+from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map
 from bioqm.gf import is_prime, verify_phi_uniqueness
 
 
@@ -179,13 +179,6 @@ def test_phi_on_embedded_reals_of_extension_field():
     assert phi_map(config.one()) == 1
     assert phi_map(config.minus_one()) == -1
     assert phi_map(config.zero()) == 0
-
-
-def test_abs_map():
-    config = FieldConfig(7, 1)
-    assert abs_map(config.zero()) == 0
-    for a in range(1, 7):
-        assert abs_map(config.element(a)) == 1
 
 
 @pytest.mark.parametrize("p,kernel", [(7, (1, 2, 4)), (11, (1, 3, 4, 5, 9))])

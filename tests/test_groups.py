@@ -136,7 +136,7 @@ def test_group_matches_brute_force_enumeration(config):
 def _object_group(config):
     """(matrix, label, sign, perm) of every element, filtered on objects: each
     candidate of the object enumeration is a matrix, dagger(M) M its Gram."""
-    states = physical_states(config, 2)
+    states = physical_states(config)
     index_of = {s.rep: k for k, s in enumerate(states)}
     letters = ascii_lowercase[: len(states)]
     found = []
