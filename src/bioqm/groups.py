@@ -2,56 +2,35 @@
 
 A 2x2 matrix M preserves the biorthogonal structure when dagger(M) * M is a
 nonzero base-field multiple of the identity; over p = 3 fields that multiple
-is forced into {+1, -1}, and its sign is stored on each element.  Matrices
-differing by a nonzero scalar act identically on projective states, so each
-element is kept in leading-1 canonical form.  The members are constructed
-from the physical one-particle points, not searched for, and their sorted
-residue codes give both the element objects and the index tables.
+is forced into {+1, -1}, and its sign is stored on each element.  Each
+element is kept in leading-1 canonical form; the members are constructed
+from the physical one-particle points, and their sorted residue codes give
+the element objects and the index tables.  Elements are named by the
+permutation they induce on the named one-particle states (cycle notation,
+identity "e").  Two-particle actions are global (the same matrix on both
+sides) or local (a matrix on each side, the direct product G x G).
 
-Elements are named by the permutation they induce on the named one-particle
-states (cycle notation, identity written "e").  Two-particle actions come in
-four modes: the same matrix on both sides (global), or a matrix on one side
-only (local_1 / local_2); the local group is the direct product acting
-componentwise, with order the square of the one-particle group order.
-
-A member acts on states one way, by ``_residue_permutation``: a state's flat
-(re, im) residue code goes through the member code's 2x2 residue product
-``residue_mul2``, is brought to leading-1 form and is looked up by code, so
-no state object or ``act`` call is made.  A one-particle state (x, y) is
-coded as the table [[x, 0], [y, 0]], which gives each element's permutation
-and the PGL(2, p) check.  The index tables (generating set, Cayley tree, the
-generators' left multiplication of the element indices, the inverse index
-from each member's adjugate code) are built once per field from the
-members' codes alone.  Conjugacy classes are the walk along each generator's
-conjugation of the indices, and an element's order is read once per class.
-
-The two-particle action table is built once per field on one fixed set,
-the entangled physical states, read as flat residue codes from the
-``two_particle_codes`` rows whose kind byte is PHYSICAL alone; it keeps
-only the generators' permutations of those codes.  Side 1, psi -> M psi, is
-the member code's product; side 2, psi -> psi M^T = (M psi^T)^T, is side 1
-conjugated by the transposition psi -> psi^T.  Orbits and local-transform
-words are walked along the generator rows by one breadth-first walk; a word
-is a pair of element indices, inverted by the inverse index.  An orbit's
-members are its codes in table order, which is ``sort_key`` order, and only
-its representative, the least code, becomes a state object.  A stabilizer
-order walks the Cayley tree once from its state and counts the elements
-that fix it.  A Burnside count sums fixed points over class representatives
-weighted by class size (pairs of classes for the local action), each
-representative's permutation composed from the generator rows.  ``act``
-stays the object path, and the tests check every residue row and every
-element's image against it.
+Every action of a member runs one way, on element-index columns
+(``_ColumnEngine``), with no state object, ``act`` call or per-state lookup:
+side 1, psi -> M psi on a 2x2 array, gives the two-particle actions, the
+members' left multiplication (``_GroupIndex``) and the images of the
+one-particle points coded as [[x, 0], [y, 0]].  The two-particle table, on
+the entangled physical states, keeps only the generators' rows; side 2 is
+side 1 conjugated by the transposition psi -> psi^T.  Orbits and words are
+walked along those rows, and only an orbit's least code becomes a state
+object.  ``act`` is the object path the tests check every row against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import compress
-from operator import eq, itemgetter, mul
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, eq, getitem, itemgetter, mul, sub
 from string import ascii_lowercase
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf import FieldConfig, phi_map
 from .linear import (
@@ -66,8 +45,6 @@ from .linear import (
     mat_neg,
     mat_vec,
     matrix_make,
-    residue_canonicalizer,
-    residue_mul2,
     residue_state,
 )
 from .biortho import Observable, physical_states, spin_axes, spin_observable
@@ -87,23 +64,17 @@ def canonicalize_matrix(m: Matrix) -> Matrix:
 
 
 def _cycle_notation(perm: tuple[int, ...], letters: str) -> str:
-    seen = [False] * len(perm)
+    seen: set[int] = set()
     cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append(cycle)
-    if not cycles:
-        return "e"
-    return "".join("(" + "".join(letters[i] for i in c) + ")" for c in cycles)
+    for start, nxt in enumerate(perm):
+        if start not in seen and nxt != start:
+            cycle = [start]
+            while nxt != start:
+                cycle.append(nxt)
+                nxt = perm[nxt]
+            seen.update(cycle)
+            cycles.append("(" + "".join(letters[i] for i in cycle) + ")")
+    return "".join(cycles) or "e"
 
 
 @dataclass(frozen=True)
@@ -131,67 +102,156 @@ class ProjectiveGroup:
         return len(self.elements)
 
 
+class _ColumnEngine:
+    """Actions on columns: ``bytes`` of element indices e = re * w + im, with
+    w = p over GF(p^2) and 1 over GF(p), one column per component.
+
+    ``times[m]`` translates a column to m times it, ``plus[x][y]`` is x + y,
+    ``inverse`` and ``negate`` translate to inverses (0 to 0) and negatives,
+    and ``first[x][y]`` is x if x != 0 else y.  An index is one byte, so a
+    field past 256 elements is refused before any table is built.
+    """
+
+    def __init__(self, config: FieldConfig):
+        p, q = config.p, config.order
+        if q > 256:
+            raise ValueError(f"GF({q}) exceeds the 256 elements of a one-byte element index")
+        self.q, self.width = q, p if config.is_extension else 1
+        w, pad = self.width, bytes(256 - q)
+        pairs = [divmod(e, w) for e in range(q)]
+
+        def column(values) -> bytes:
+            return bytes((x % p) * w + y % p for x, y in values) + pad
+
+        self.times = [column((mr * xr - mi * xi, mr * xi + mi * xr) for xr, xi in pairs)
+                      for mr, mi in pairs]
+        self.plus = [column((xr + yr, xi + yi) for yr, yi in pairs) for xr, xi in pairs]
+        self.inverse = bytes([0, *(row.index(w) for row in self.times[1:])]) + pad
+        self.negate = column((-x, -y) for x, y in pairs)
+        self.first = [bytes(range(256)), *(bytes((x,)) * 256 for x in range(1, q))]
+        self.widen = bytes(x * w for x in range(p)) + bytes(256 - p)
+        self.re, self.im = (bytes(part) + pad for part in zip(*pairs))
+
+    def columns(self, codes: Iterable[Sequence[int]]) -> tuple[bytes, ...]:
+        """The element-index columns of flat (re, im, ...) residue codes."""
+        flat = list(map(bytes, zip(*codes)))
+        return tuple(bytes(map(add, re.translate(self.widen), im))
+                     for re, im in zip(flat[::2], flat[1::2]))
+
+    def codes(self, columns: Sequence[bytes]) -> list[tuple[int, ...]]:
+        """The flat (re, im, ...) residue codes of element-index columns."""
+        return list(zip(*(part for column in columns
+                          for part in (column.translate(self.re), column.translate(self.im)))))
+
+    def lin(self, m0: int, x: bytes, m1: int, y: bytes) -> bytes:
+        """The column m0 x + m1 y, for element indices m0 and m1."""
+        return bytes(map(getitem, map(self.plus.__getitem__, x.translate(self.times[m0])),
+                         y.translate(self.times[m1])))
+
+    def side1(self, m: Sequence[int], psi: Sequence[bytes]) -> tuple[bytes, ...]:
+        """psi -> M psi on 2x2 arrays [[psi0, psi1], [psi2, psi3]], M as element indices."""
+        m0, m1, m2, m3 = m
+        return (self.lin(m0, psi[0], m1, psi[2]), self.lin(m0, psi[1], m1, psi[3]),
+                self.lin(m2, psi[0], m3, psi[2]), self.lin(m2, psi[1], m3, psi[3]))
+
+    def canonical(self, columns: Sequence[bytes]) -> list[bytes]:
+        """Each row scaled by its first nonzero entry's inverse, so that entry is 1."""
+        pivots = columns[-1]
+        for column in columns[-2::-1]:
+            pivots = bytes(map(getitem, map(self.first.__getitem__, column), pivots))
+        scale = pivots.translate(self.inverse)
+        return [bytes(map(getitem, map(self.times.__getitem__, scale), column))
+                for column in columns]
+
+    def rows(self, columns: Sequence[bytes]) -> list[int]:
+        """Each canonical row's index in ``projective_columns(config, d)``.
+
+        Rows run by pivot, then lexicographically, so a leading 1 at
+        component k and tail indices e_j give row (q^m - 1)/(q - 1) + sum over
+        j > k of e_j q^(d-1-j), m = d - 1 - k.  In base q the row reads
+        V = w q^m + that sum, the leading 1 being index w, and V lies in
+        [w q^m, (w + 1) q^m): a bisection finds m.
+        """
+        q, w, d = self.q, self.width, len(columns)
+        values = columns[0]
+        for column in columns[1:]:
+            values = map(add, map(mul, values, repeat(q)), column)
+        values = list(values)
+        bounds = [w * q**m for m in range(d)]
+        shifts = [0, *(w * q**m - (q**m - 1) // (q - 1) for m in range(d))]
+        return list(map(sub, values, map(shifts.__getitem__,
+                                         map(bisect_right, repeat(bounds), values))))
+
+    def positions(self, columns: Sequence[bytes]) -> list[int]:
+        """The row-to-position array of a set of canonical rows, -1 off the set."""
+        out = [-1] * ((self.q ** len(columns) - 1) // (self.q - 1))
+        for k, row in enumerate(self.rows(columns)):
+            out[row] = k
+        return out
+
+    def permutation(self, positions: Sequence[int], columns: Sequence[bytes]) -> tuple[int, ...]:
+        """The set position of each row of columns, brought to canonical form."""
+        perm = tuple(map(positions.__getitem__, self.rows(self.canonical(columns))))
+        if -1 in perm:
+            raise ValueError("the action escapes the given state set")
+        return perm
+
+
 @lru_cache(maxsize=None)
 def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
     """The members' canonical residue codes, in element order.
 
     A member's first column is a physical one-particle point (a, c), and its
-    second is orthogonal to it with the same norm: mu (-conj(c), conj(a))
-    with mu conj(mu) = 1.  Each (point, mu) is one member, so p^2 - p points
-    and p + 1 values of mu make p(p^2 - 1) members over GF(p^2), and p + 1
-    points and mu = +1 or -1 make 2(p + 1) over GF(p).
+    second is mu (-conj(c), conj(a)) with mu conj(mu) = 1, orthogonal with the
+    same norm: p(p^2 - 1) members over GF(p^2) and 2(p + 1) over GF(p).
     """
-    p = config.p
-    canonical = residue_canonicalizer(config)
+    engine, p = _ColumnEngine(config), config.p
     units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
     codes = []
     for s in physical_states(config):
         ar, ai, cr, ci = flat_residues(s.rep.components)
         for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
-            codes.append(canonical((ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
-                                    cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)))
+            codes.append([x % p for x in (ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
+                                          cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)])
+    codes = engine.codes(engine.canonical(engine.columns(codes)))
     expected = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
     if not len(set(codes)) == len(codes) == expected:
         raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
     return tuple(sorted(codes))
 
 
-def _residue_permutation(
-    step: Callable[[tuple[int, ...]], list[int]],
-    codes: Sequence[tuple[int, ...]],
-    index: dict[tuple[int, ...], int],
-    canonical: Callable[[list[int]], tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The index of each code's canonical image under step."""
-    try:
-        return tuple([index[canonical(step(code))] for code in codes])
-    except KeyError:
-        raise ValueError("the action escapes the given state set") from None
+def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
+                  points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each one-particle point's image index under every member at once: side 1
+    of [[a, b], [c, d]] sends [[x, 0], [y, 0]] to [[a x + b y, 0], [c x + d y, 0]],
+    so with the members' a, b, c, d as columns, x and y are the scalars."""
+    a, b, c, d = members
+    columns = engine.columns(points)
+    positions = engine.positions(columns)
+    return [engine.permutation(positions, (engine.lin(x, a, y, b), engine.lin(x, c, y, d)))
+            for x, y in zip(*columns)]
 
 
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
-    from ``_member_codes``; a member's ``perm`` is its code's product on
-    the physical states coded as [[x, 0], [y, 0]]."""
+    from ``_member_codes``; a member's ``perm`` is its action on the
+    physical states, by ``_point_images`` on the index's member columns."""
     states = physical_states(config)
     if len(states) > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
-    canonical = residue_canonicalizer(config)
-    points = [(xr, xi, 0, 0, yr, yi, 0, 0) for xr, xi, yr, yi in
-              (flat_residues(s.rep.components) for s in states)]
-    index = {code: k for k, code in enumerate(points)}
-
+    index = _group_index(config)
+    points = [flat_residues(s.rep.components) for s in states]
+    perms = zip(*_point_images(index.engine, index.members, points))
     zero = config.zero()
     found: list[GroupElement] = []
-    for code in _member_codes(config):
+    for code, perm in zip(_member_codes(config), perms):
         ar, ai, br, bi, cr, ci, dr, di = code
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
         c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
             raise AssertionError("dagger(M) M is not the scalar its first column gives")
-        perm = _residue_permutation(partial(residue_mul2, code), points, index, canonical)
         found.append(GroupElement(matrix=m, label=_cycle_notation(perm, letters),
                                   sign=phi_map(c), perm=perm))
     return ProjectiveGroup(config, tuple(found))
@@ -237,20 +297,17 @@ def _is_dihedral(index: _GroupIndex, n: int) -> bool:
 
 
 def _sharply_3_transitive(config: FieldConfig) -> bool:
-    """Whether the members act regularly on the ordered triples of the
-    self-orthogonal one-particle points (1, c), c conj(c) = -1 (none over GF(p)).
-
-    The points are coded as in ``enumerate_group``.  An invertible member
-    sends the first three points to three distinct ones, so the action is
-    regular when these images are distinct and |G| = n(n - 1)(n - 2).
+    """Whether the members act regularly on the ordered triples of the n
+    self-orthogonal points (1, c), c conj(c) = -1 (none over GF(p)): an
+    invertible member sends the first three to three distinct points, so
+    the action is regular when these images differ and |G| = n(n - 1)(n - 2).
     """
-    p, canonical = config.p, residue_canonicalizer(config)
-    points = [(1, 0, 0, 0, x.re, x.im, 0, 0) for x in config.elements()
-              if (1 + x.re**2 + x.im**2) % p == 0]
-    index = {code: k for k, code in enumerate(points)}
-    n, codes = len(points), _member_codes(config)
-    images = {_residue_permutation(partial(residue_mul2, code), points[:3], index, canonical)
-              for code in codes}
+    p, codes = config.p, _member_codes(config)
+    points = [(1, 0, x.re, x.im) for x in config.elements() if (1 + x.re**2 + x.im**2) % p == 0]
+    n, engine = len(points), _group_index(config).engine
+    if n < 3:
+        return False
+    images = set(zip(*_point_images(engine, engine.columns(codes), points)[:3]))
     return len(codes) == len(images) == n * (n - 1) * (n - 2)
 
 
@@ -275,14 +332,9 @@ def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
         name, verified = "S4" if p == 3 else f"PGL(2,{p})", _sharply_3_transitive(config)
     else:
         name, verified = f"D{p + 1}", _is_dihedral(index, p + 1)
-    return IsomorphismReport(
-        order=group.order,
-        class_sizes=class_sizes,
-        abelian=abelian,
-        element_order_profile=profile,
-        name=name if verified else "unidentified",
-        verified=verified,
-    )
+    return IsomorphismReport(order=group.order, class_sizes=class_sizes, abelian=abelian,
+                             element_order_profile=profile,
+                             name=name if verified else "unidentified", verified=verified)
 
 
 # -- conjugation of observables --------------------------------------------------
@@ -368,46 +420,41 @@ def _walk(start: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int, in
 
 class _GroupIndex:
     """The group on element indices, built once per field from the members'
-    residue codes alone; a product or an inverse is looked up by the code of
-    its canonical matrix.
+    codes alone, as element-index columns ``members`` for the field's ``engine``.
 
-    ``generators`` are the indices of the elements, in order, not yet
-    generated by those before them.  ``tree`` is the Cayley tree from the
-    identity, one (s*h, k, h) per other element with s the k-th generator;
-    ``generator_left[k]`` is the k-th generator's left multiplication of the
-    indices and ``inverse[k]`` the index of element k's inverse, read from
-    the adjugate [[d, -b], [-c, a]].  ``classes`` are the conjugacy classes
-    in the order of ``conjugacy_classes`` (the elements are sorted by
-    matrix): the orbits of x -> s x s^-1 = (s (s x)^-1)^-1 over the
-    generators s.  ``orders[k]``, a class function, is read once per class as
-    the length of the identity's cycle under the representative's left
-    multiplication.
+    ``generators`` are the elements, in order, not generated by those before
+    them; ``tree`` is the Cayley tree from the identity, one (s*h, k, h) per
+    other element with s the k-th generator.  ``generator_left[k]`` is side 1
+    of generator k on the members and ``inverse[k]`` element k's inverse, the
+    adjugate [[d, -b], [-c, a]].  ``classes``, in ``conjugacy_classes``
+    order, are the orbits of x -> s x s^-1 = (s (s x)^-1)^-1; ``orders[k]`` is
+    read once per class, the identity's cycle under left multiplication.
     """
 
     def __init__(self, config: FieldConfig):
-        canonical = residue_canonicalizer(config)
+        self.engine = engine = _ColumnEngine(config)
         codes = _member_codes(config)
         order = len(codes)
-        index = {code: k for k, code in enumerate(codes)}
-        self.identity = start = index[1, 0, 0, 0, 0, 0, 1, 0]
+        self.members = engine.columns(codes)
+        positions = engine.positions(self.members)
+        self.identity = start = codes.index((1, 0, 0, 0, 0, 0, 1, 0))
         gens: list[int] = []
         left: list[tuple[int, ...]] = []
         tree: list[tuple[int, int, int]] = []
         generated = {start}
-        for k, code in enumerate(codes):
+        for k in range(order):
             if k not in generated:
                 gens.append(k)
-                step = partial(residue_mul2, code)
-                left.append(_residue_permutation(step, codes, index, canonical))
+                left.append(engine.permutation(positions,
+                                               engine.side1(self.member(k), self.members)))
                 tree = _walk(start, left)
                 generated = {start, *(j for j, _, _ in tree)}
         if len(generated) != order:
             raise AssertionError("the generators do not reach every group element")
         self.generators, self.tree, self.generator_left = tuple(gens), tree, tuple(left)
-        self.inverse = inv = tuple(
-            index[canonical((dr, di, -br, -bi, -cr, -ci, ar, ai))]
-            for ar, ai, br, bi, cr, ci, dr, di in codes
-        )
+        a, b, c, d = self.members  # the adjugate [[d, -b], [-c, a]]
+        self.inverse = inv = engine.permutation(
+            positions, (d, b.translate(engine.negate), c.translate(engine.negate), a))
         self.parent = {sh: (k, h) for sh, k, h in self.tree}
         conjugations = [[inv[left[inv[left[x]]]] for x in range(order)]
                         for left in self.generator_left]
@@ -428,6 +475,10 @@ class _GroupIndex:
             for k in members:
                 orders[k] = n
         self.orders = tuple(orders)
+
+    def member(self, k: int) -> tuple[int, ...]:
+        """Element k's matrix entries as element indices."""
+        return tuple(column[k] for column in self.members)
 
     def compose(self, x: int, rows: Sequence[Sequence[int]]) -> list[int]:
         """Element x's permutation, composed along its tree path from
@@ -459,24 +510,26 @@ class _ActionTable:
     """The one-sided actions on ascending flat residue codes, kept as generator rows.
 
     ``generator_sides[k]`` is the (side-1, side-2) permutation of the code
-    indices made by the k-th generator: psi -> M psi on the codes, looked up
-    by code in ``index``, and psi -> psi M^T = (M psi^T)^T, read as
-    tau side1 tau with tau the transposition psi -> psi^T.  A code set not
-    closed under the generators raises "escapes".  The generators and the
-    Cayley tree are the field's ``_GroupIndex``.
+    indices made by the k-th generator: psi -> M psi on the code columns,
+    and psi -> psi M^T = (M psi^T)^T, read as tau side1 tau with tau the
+    transposition psi -> psi^T.  ``index`` maps a code to its index.  A code
+    set not closed under the generators raises "escapes".  The generators,
+    the Cayley tree and the engine are the field's ``_GroupIndex``.
     """
 
     def __init__(self, group: ProjectiveGroup, codes: Sequence[tuple[int, ...]]):
         self.group = group
         self.codes = codes
-        self.group_index = _group_index(group.config)
-        canonical, members = residue_canonicalizer(group.config), _member_codes(group.config)
-        self.index = index = {code: k for k, code in enumerate(codes)}
-        tau = _residue_permutation(itemgetter(0, 1, 4, 5, 2, 3, 6, 7), codes, index, canonical)
+        self.group_index = index = _group_index(group.config)
+        self.index = {code: k for k, code in enumerate(codes)}
+        engine = index.engine
+        psi = engine.columns(codes)
+        positions = engine.positions(psi)
+        tau = engine.permutation(positions, itemgetter(0, 2, 1, 3)(psi))
         sides = []  # (side-1, side-2) permutations of each generator
-        for k in self.group_index.generators:
-            side1 = _residue_permutation(partial(residue_mul2, members[k]), codes, index, canonical)
-            sides.append((side1, tuple([tau[side1[j]] for j in tau])))
+        for k in index.generators:
+            side1 = engine.permutation(positions, engine.side1(index.member(k), psi))
+            sides.append((side1, tuple(map(tau.__getitem__, map(side1.__getitem__, tau)))))
         self.generator_sides = tuple(sides)
 
 
@@ -512,17 +565,15 @@ def _generator_permutations(table: _ActionTable, mode: str) -> list[tuple[int, .
     """Permutations generating the action: (s, s) for global, (s, e) and (e, s) for local."""
     sides = table.generator_sides
     if mode == "global":
-        return [tuple(s2[i] for i in s1) for s1, s2 in sides]
+        return [tuple(map(s2.__getitem__, s1)) for s1, s2 in sides]
     return [s1 for s1, _ in sides] + [s2 for _, s2 in sides]
 
 
 def _acting_order(table: _ActionTable, mode: str) -> int:
     """|G| for the global action, |G|^2 for the local one."""
-    if mode == "global":
-        return table.group.order
-    if mode == "local":
-        return table.group.order ** 2
-    raise ValueError("orbit mode must be 'global' or 'local'")
+    if mode not in ("global", "local"):
+        raise ValueError("orbit mode must be 'global' or 'local'")
+    return table.group.order ** (1 if mode == "global" else 2)
 
 
 def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> int:
@@ -536,6 +587,17 @@ def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> in
     return sum(images2[j] for j in index.images(i, perms[:n]))
 
 
+def _orbit_members(count: int, perms: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The orbits of range(count) under perms, each as its ascending indices,
+    in the order of their least members."""
+    assigned: set[int] = set()
+    for start in range(count):
+        if start not in assigned:
+            members = sorted([start, *(j for j, _, _ in _walk(start, perms))])
+            assigned.update(members)
+            yield members
+
+
 def orbits(config: FieldConfig, mode: str) -> list[Orbit]:
     """Orbits of the entangled physical states under the chosen action.
 
@@ -546,35 +608,25 @@ def orbits(config: FieldConfig, mode: str) -> list[Orbit]:
     table = _action_table(config)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
-    assigned: set[int] = set()
     out = []
-    for start, code in enumerate(table.codes):
-        if start in assigned:
-            continue
-        members = sorted([start, *(j for j, _, _ in _walk(start, perms))])
-        assigned.update(members)
-        stabilizer = _stabilizer_order(table, mode, perms, start)
+    for members in _orbit_members(len(table.codes), perms):
+        stabilizer = _stabilizer_order(table, mode, perms, members[0])
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
-        out.append(
-            Orbit(
-                mode=mode,
-                representative=_state(config, code),
-                members=tuple(table.codes[i] for i in members),
-                stabilizer_order=stabilizer,
-                acting_order=acting_order,
-            )
-        )
+        codes = tuple(table.codes[i] for i in members)
+        out.append(Orbit(mode=mode, representative=_state(config, codes[0]), members=codes,
+                         stabilizer_order=stabilizer, acting_order=acting_order))
     return out
 
 
 def burnside_count(config: FieldConfig, mode: str) -> int:
     """Orbit count as the average number of fixed points over the action.
 
-    A fixed-point count is a class function, and the classes of the local
-    group G x G are pairs of classes of G, so the sum over the acting group
-    is a sum over class representatives weighted by class size.  Each
-    representative's permutation is composed from the generator rows.
+    A fixed-point count is a class function, so the sum runs over class
+    representatives weighted by class size, each one's row composed from the
+    generator rows.  Locally, (a, b) fixes i for |G|/|O2(i)| elements b when
+    side1_a(i) lies in i's side-2 orbit O2(i), and for none otherwise: a class
+    function of a, read against the side-2 orbits, not the local ones.
     """
     table = _action_table(config)
     acting_order = _acting_order(table, mode)
@@ -586,14 +638,16 @@ def burnside_count(config: FieldConfig, mode: str) -> int:
             len(c) * sum(map(eq, index.compose(c[0], perms), ids)) for c in index.classes
         )
     else:
-        n = len(index.generators)
-        # (a, b) fixes i exactly when side2_b[side1_a[i]] = i, that is when
-        # side1_a[i] = side2_b^-1[i]
-        back2 = [(len(c), index.compose(index.inverse[c[0]], perms[n:])) for c in index.classes]
-        total = 0
-        for c in index.classes:
-            row1 = index.compose(c[0], perms[:n])
-            total += len(c) * sum(size * sum(map(eq, row1, row2)) for size, row2 in back2)
+        n, order = len(index.generators), len(index.inverse)
+        orbit2, weight = [0] * len(ids), [0] * len(ids)  # O2(i) by its start, |G|/|O2(i)|
+        for members in _orbit_members(len(ids), perms[n:]):
+            for j in members:
+                orbit2[j], weight[j] = members[0], order // len(members)
+        total = sum(
+            len(c) * sum(compress(weight, map(eq, map(orbit2.__getitem__,
+                                                      index.compose(c[0], perms[:n])), orbit2)))
+            for c in index.classes
+        )
     if total % acting_order != 0:
         raise AssertionError("Burnside sum is not divisible by the group order")
     return total // acting_order
@@ -612,12 +666,10 @@ class LocalTransform:
 
 @lru_cache(maxsize=None)
 def _local_reach(config: FieldConfig) -> dict[int, tuple[str, int, int]]:
-    """Walk the local generators from each representative, recording words.
-
-    For every reachable state index this stores (rep_label, a, b) with
-    state = (A tensor B) rep for the elements A, B at indices a, b; each step
-    moves a or b along a generator's left multiplication.  The inverse pair
-    maps the state back.
+    """Walk the local generators from each representative, recording words:
+    for every reachable state, (rep_label, a, b) with state = (A tensor B) rep
+    for the elements at indices a, b, each step moving a or b along a
+    generator's left multiplication.  The inverse pair maps the state back.
     """
     table = _action_table(config)
     left, identity = table.group_index.generator_left, table.group_index.identity
@@ -648,12 +700,8 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
     label, a, b = reach[idx]
     elements, inverse = table.group.elements, table.group_index.inverse
     reps = representative_states(config)
-    return LocalTransform(
-        g1=elements[inverse[a]],
-        g2=elements[inverse[b]],
-        representative_label=label,
-        representative=reps[label],
-    )
+    return LocalTransform(g1=elements[inverse[a]], g2=elements[inverse[b]],
+                          representative_label=label, representative=reps[label])
 
 
 @lru_cache(maxsize=None)

@@ -16,18 +16,16 @@ representative scales the first nonzero component to 1, and enumeration is
 lexicographic over components, each component ordered by (re, im).  It runs
 on integer columns: ``projective_columns`` builds the representatives' re and
 im residues and norms dot(v, v) mod p as ``array`` columns by repetition, and
-``enumerate_projective`` is the object view of its rows, in their order.
-Beside it sit the residue kernels the fast paths share:
-``flat_residues`` and ``matrix_residues`` read a vector's or a matrix's
-code, ``residue_mul2`` multiplies 2x2 codes and ``residue_canonicalizer`` is
-``canonicalize`` on codes.
+``enumerate_projective`` is the object view of its rows, in their order,
+each made by ``residue_state``.  ``flat_residues`` and ``matrix_residues``
+read a vector's or a matrix's code.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .gf import FieldConfig, FieldElement
 
@@ -315,53 +313,6 @@ def flat_residues(entries: Iterable[FieldElement]) -> tuple[int, ...]:
 def matrix_residues(m: Iterable[Iterable[FieldElement]]) -> tuple[int, ...]:
     """The flat (re, im, ...) residues of a matrix's entries, row-major."""
     return flat_residues(x for row in m for x in row)
-
-
-def residue_mul2(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """The product [[a, b], [c, d]] [[e, f], [g, h]] of two flat (re, im)
-    residue tables, unreduced."""
-    ar, ai, br, bi, cr, ci, dr, di = x
-    er, ei, fr, fi, gr, gi, hr, hi = y
-    return [
-        ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
-        ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
-        cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
-        cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr,
-    ]
-
-
-def residue_canonicalizer(config: FieldConfig) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``canonicalize`` on flat (re, im, ...) integers.
-
-    The returned function reduces its input mod p and scales it so the first
-    nonzero component is 1, reading the scale from a table of the field's
-    inverses built once here; its result is the canonical representative's
-    ``flat_residues``.
-    """
-    p = config.p
-    inverses = {
-        (x.re, x.im): (y.re, y.im)
-        for x in config.elements()
-        if not x.is_zero
-        for y in (x.inverse(),)
-    }
-
-    def canonical(v: Sequence[int]) -> tuple[int, ...]:
-        v = [x % p for x in v]
-        for k in range(0, len(v), 2):
-            if v[k] or v[k + 1]:
-                break
-        else:
-            raise ValueError("the zero vector has no projective class")
-        sr, si = inverses[v[k], v[k + 1]]
-        if sr == 1 and not si:
-            return tuple(v)
-        out = []
-        for re, im in zip(v[::2], v[1::2]):
-            out += ((re * sr - im * si) % p, (re * si + im * sr) % p)
-        return tuple(out)
-
-    return canonical
 
 
 # -- small exact matrices ---------------------------------------------------

@@ -3,6 +3,7 @@
 from collections import Counter
 from functools import cache
 from itertools import cycle, islice, product
+from operator import eq, getitem, itemgetter, mul
 from string import ascii_lowercase
 from types import SimpleNamespace
 
@@ -100,6 +101,49 @@ def group_mul(group, g, h):
 
 def group_inv(group, g):
     return group_lookup(group, inverse2(g.matrix))
+
+
+# the per-state path the column operations replaced: a 2x2 product of flat
+# (re, im) residue tables, a leading-1 scaling of a flat code, and the code
+# dict each canonical image is looked up in
+
+
+def reference_mul2(x, y):
+    """The product [[a, b], [c, d]] [[e, f], [g, h]] of two flat (re, im)
+    residue tables, unreduced."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    return [
+        ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+        ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+        cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+        cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr,
+    ]
+
+
+def reference_canonicalizer(config):
+    """``canonicalize`` on flat (re, im, ...) integers, scaled by the field's
+    inverses from the object elements."""
+    p = config.p
+    inverses = {(x.re, x.im): (y.re, y.im)
+                for x in config.elements() if not x.is_zero for y in (x.inverse(),)}
+
+    def canonical(v):
+        v = [x % p for x in v]
+        k = next(k for k in range(0, len(v), 2) if v[k] or v[k + 1])
+        sr, si = inverses[v[k], v[k + 1]]
+        out = []
+        for re, im in zip(v[::2], v[1::2]):
+            out += ((re * sr - im * si) % p, (re * si + im * sr) % p)
+        return tuple(out)
+
+    return canonical
+
+
+def reference_permutation(step, codes, canonical, position=None):
+    """The position of each code's canonical image under step."""
+    position = position or {code: k for k, code in enumerate(codes)}
+    return tuple(position[canonical(step(code))] for code in codes)
 
 
 def test_canonicalize_matrix():
@@ -208,6 +252,45 @@ GF3_MATRICES = {
     "(acbd)": (-1, [[1, -1], [1, 1]]),
     "(adbc)": (-1, [[1, 1], [-1, 1]]),
 }
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
+def test_closed_form_row_index_is_the_table_position(config):
+    engine = groups._ColumnEngine(config)
+    for dim in (2, 4):
+        columns = engine.columns(zip(*projective_columns(config, dim)[0]))
+        assert engine.rows(columns) == list(range((config.order**dim - 1) // (config.order - 1)))
+
+
+@pytest.mark.parametrize("config", [GF7, GF9, GF49], ids=["gf7", "gf9", "gf49"])
+def test_canonical_columns_undo_every_scaling(config):
+    engine = groups._ColumnEngine(config)
+    columns = engine.columns(zip(*projective_columns(config, 4)[0]))
+    canonical = reference_canonicalizer(config)
+    rows = list(zip(*projective_columns(config, 4)[0]))
+    # row r scaled by the (r mod (q - 1)) + 1-th element index, so every
+    # nonzero scalar meets rows of every pivot
+    scalars = list(islice(cycle(range(1, config.order)), len(columns[0])))
+    scaled = [bytes(map(getitem, map(engine.times.__getitem__, scalars), column))
+              for column in columns]
+    assert scaled != list(columns)
+    assert engine.canonical(scaled) == list(columns)
+    # and on raw images: a generator times every 97th row, reduced mod p but
+    # not scaled, against the reference scaling
+    members = _member_codes(config)
+    k = groups._group_index(config).generators[-1]
+    raw = [[x % config.p for x in reference_mul2(members[k], code)] for code in rows[::97]]
+    assert engine.codes(engine.canonical(engine.columns(raw))) == list(map(canonical, raw))
+
+
+def test_fields_past_one_byte_element_indices_are_refused(monkeypatch):
+    # the refusal comes before any table or member is built
+    def unreachable(config):
+        raise AssertionError("the members were built")
+
+    monkeypatch.setattr(groups, "physical_states", unreachable)
+    with pytest.raises(ValueError, match="one-byte element index"):
+        groups._group_index(FieldConfig(263, 1))
 
 
 def test_gf3_elements_frozen():
@@ -432,6 +515,26 @@ def test_three_transitivity_holds_on_the_member_codes_past_the_letters(p):
     assert len(index.classes) == p + 2
     with pytest.raises(ValueError, match="letter-label"):
         enumerate_group(config)
+
+
+@pytest.mark.parametrize("p", [7, 11], ids=["gf49", "gf121"])
+def test_index_tables_match_the_per_member_reference(p):
+    # left multiplication and the adjugate inverse on the column path, against
+    # each member's residue product, canonical form and code lookup
+    config = FieldConfig(p, 2)
+    codes = _member_codes(config)
+    index = groups._group_index(config)
+    canonical = reference_canonicalizer(config)
+    for k, left in zip(index.generators, index.generator_left):
+        assert left == reference_permutation(lambda code: reference_mul2(codes[k], code),
+                                             codes, canonical)
+    adjugate = itemgetter(6, 7, 2, 3, 4, 5, 0, 1)
+    negate = (1, 1, -1, -1, -1, -1, 1, 1)
+    assert index.inverse == reference_permutation(
+        lambda code: list(map(mul, adjugate(code), negate)), codes, canonical)
+    identity = codes[index.identity]
+    for code, k in zip(codes, index.inverse):
+        assert canonical(reference_mul2(code, codes[k])) == identity
 
 
 # -- conjugation of spin observables ---------------------------------------------
@@ -672,6 +775,24 @@ def test_composed_rows_match_group_multiplication_and_act(config):
         assert index.compose(x, side1) == expected
 
 
+def test_column_rows_match_the_per_state_reference_past_the_letters():
+    # GF(49)'s entangled physical states under the generators of its index:
+    # side 1 is M psi and side 2 is psi M^T, each a residue product here
+    config = GF49
+    columns, _, kinds = two_particle_codes(config)
+    codes = [code for code, kind in zip(zip(*columns), kinds) if kind == PHYSICAL]
+    table = groups._ActionTable(SimpleNamespace(config=config), codes)
+    members = _member_codes(config)
+    canonical = reference_canonicalizer(config)
+    transpose = itemgetter(0, 1, 4, 5, 2, 3, 6, 7)
+    assert len(table.generator_sides) == len(table.group_index.generators) > 0
+    for k, (side1, side2) in zip(table.group_index.generators, table.generator_sides):
+        m, mt = members[k], transpose(members[k])
+        for row, step in ((side1, lambda code: reference_mul2(m, code)),
+                          (side2, lambda code: reference_mul2(code, mt))):
+            assert row == reference_permutation(step, codes, canonical, table.index)
+
+
 def test_orbits_on_a_closed_subset(monkeypatch):
     # the 24-state local orbit over GF(9) is closed, so restriction works
     closed = next(o for o in orbits(GF9, "local") if o.size == 24).members
@@ -770,6 +891,30 @@ def test_burnside_class_sum_matches_the_per_state_sum(config, mode, subset, monk
     table = _subset_table(config, subset)
     _use_table(monkeypatch, table)
     assert burnside_count(config, mode) == reference_burnside_count(table, mode)
+
+
+def reference_class_pair_count(table):
+    # the local sum over pairs of classes: (a, b) fixes i exactly when
+    # side1_a[i] = side2_b^-1[i]
+    index = table.group_index
+    perms = _generator_permutations(table, "local")
+    n = len(index.generators)
+    back2 = [(len(c), index.compose(index.inverse[c[0]], perms[n:])) for c in index.classes]
+    total = 0
+    for c in index.classes:
+        row1 = index.compose(c[0], perms[:n])
+        total += len(c) * sum(size * sum(map(eq, row1, row2)) for size, row2 in back2)
+    count, rest = divmod(total, _acting_order(table, "local"))
+    assert rest == 0
+    return count
+
+
+@pytest.mark.parametrize("subset", ["entangled", "products"])
+@pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
+def test_local_burnside_matches_the_class_pair_sum(config, subset, monkeypatch):
+    table = _subset_table(config, subset)
+    _use_table(monkeypatch, table)
+    assert burnside_count(config, "local") == reference_class_pair_count(table)
 
 
 @pytest.mark.parametrize("count", [burnside_count, orbits], ids=["burnside", "orbits"])
