@@ -7,8 +7,8 @@ element is kept in leading-1 canonical form; the members are constructed
 from the physical one-particle points, and their sorted residue codes give
 the element objects and the index tables.  Elements are named by the
 permutation they induce on the named one-particle states (cycle notation,
-identity "e").  Two-particle actions are global (the same matrix on both
-sides) or local (a matrix on each side, the direct product G x G).
+identity "e").  Two-particle actions put one matrix on both sides (global)
+or on one side (local_1, local_2); the local group is G x G.
 
 Every action of a member runs one way, on element-index columns
 (``_ColumnEngine``), with no state object, ``act`` call or per-state lookup:
