@@ -23,9 +23,9 @@ object.  ``act`` is the object path the tests check every row against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, eq, getitem, itemgetter, mul, sub
@@ -197,27 +197,9 @@ class _ColumnEngine:
         return perm
 
 
-@lru_cache(maxsize=None)
 def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
-    """The members' canonical residue codes, in element order.
-
-    A member's first column is a physical one-particle point (a, c), and its
-    second is mu (-conj(c), conj(a)) with mu conj(mu) = 1, orthogonal with the
-    same norm: p(p^2 - 1) members over GF(p^2) and 2(p + 1) over GF(p).
-    """
-    engine, p = _ColumnEngine(config), config.p
-    units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
-    codes = []
-    for s in physical_states(config):
-        ar, ai, cr, ci = flat_residues(s.rep.components)
-        for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
-            codes.append([x % p for x in (ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
-                                          cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)])
-    codes = engine.codes(engine.canonical(engine.columns(codes)))
-    expected = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
-    if not len(set(codes)) == len(codes) == expected:
-        raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
-    return tuple(sorted(codes))
+    """The members' canonical residue codes, in element order."""
+    return _group_index(config).codes
 
 
 def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
@@ -235,7 +217,7 @@ def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
-    from ``_member_codes``; a member's ``perm`` is its action on the
+    from the index's member codes; a member's ``perm`` is its action on the
     physical states, by ``_point_images`` on the index's member columns."""
     states = physical_states(config)
     if len(states) > len(ascii_lowercase):
@@ -246,7 +228,7 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     perms = zip(*_point_images(index.engine, index.members, points))
     zero = config.zero()
     found: list[GroupElement] = []
-    for code, perm in zip(_member_codes(config), perms):
+    for code, perm in zip(index.codes, perms):
         ar, ai, br, bi, cr, ci, dr, di = code
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
         c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
@@ -419,8 +401,12 @@ def _walk(start: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int, in
 
 
 class _GroupIndex:
-    """The group on element indices, built once per field from the members'
-    codes alone, as element-index columns ``members`` for the field's ``engine``.
+    """The group on element indices, built once per field with its ``engine``.
+
+    A member's first column is a physical one-particle point (a, c), and its
+    second is mu (-conj(c), conj(a)) with mu conj(mu) = 1, orthogonal with the
+    same norm: p(p^2 - 1) members over GF(p^2) and 2(p + 1) over GF(p).  Their
+    sorted canonical residue codes are ``codes``, their columns ``members``.
 
     ``generators`` are the elements, in order, not generated by those before
     them; ``tree`` is the Cayley tree from the identity, one (s*h, k, h) per
@@ -433,8 +419,18 @@ class _GroupIndex:
 
     def __init__(self, config: FieldConfig):
         self.engine = engine = _ColumnEngine(config)
-        codes = _member_codes(config)
-        order = len(codes)
+        p = config.p
+        units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
+        raw = []
+        for s in physical_states(config):
+            ar, ai, cr, ci = flat_residues(s.rep.components)
+            for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
+                raw.append([x % p for x in (ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
+                                            cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)])
+        self.codes = codes = tuple(sorted(engine.codes(engine.canonical(engine.columns(raw)))))
+        order = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
+        if not len(set(codes)) == len(codes) == order:
+            raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
         self.members = engine.columns(codes)
         positions = engine.positions(self.members)
         self.identity = start = codes.index((1, 0, 0, 0, 0, 0, 1, 0))

@@ -1158,7 +1158,7 @@ def test_classes_and_burnside_run_without_object_group_products(config, monkeypa
     for module in (groups, entangle):
         monkeypatch.setattr(module, "residue_state",
                             _counting(calls, "residue_state", module.residue_state))
-    for cached in (enumerate_group, groups._member_codes, groups._group_index,
+    for cached in (enumerate_group, groups._group_index,
                    groups._action_table, _local_reach, two_particle_codes,
                    two_particle_states):
         cached.cache_clear()
