@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from . import acceptance
 from .gf import FieldConfig, verify_phi_uniqueness
-from .linear import flat_residues
 from .biortho import named_states, require_axes, spin_axes, spin_observable, table_report
 from .entangle import census, chsh, chsh_bound, chsh_scan, representative_states
 from .groups import (
@@ -32,6 +31,7 @@ from .groups import (
     entangled_labels,
     enumerate_group,
     orbits,
+    state_rows,
     verify_isomorphism,
 )
 from .inference import (
@@ -188,11 +188,11 @@ def build_groups(config: FieldConfig, classes_only: bool, iso_only: bool) -> dic
 
 
 def _named_pair_states(config: FieldConfig) -> dict:
-    """Label by flat residue code, the form of ``Orbit.members``."""
+    """Label by ``two_particle_codes`` row, the form of ``Orbit.members``."""
     named = dict(representative_states(config))
     if config.order == 3:
         named.update(entangled_labels(config))
-    return {flat_residues(state.state.rep.components): label for label, state in named.items()}
+    return dict(zip(state_rows(config, named.values()), named))
 
 
 def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
@@ -200,7 +200,7 @@ def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
     names = _named_pair_states(config)
     rows = []
     for orbit in sorted(found, key=lambda o: (o.size, str(o.representative.state.rep))):
-        named = sorted({names[code] for code in orbit.members if code in names})
+        named = sorted({names[row] for row in orbit.members if row in names})
         rows.append(
             {
                 "representative": str(orbit.representative.state.rep),
@@ -594,10 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     chsh_p = command("chsh", "CHSH correlator combinations")
     chsh_p.add_argument("--state", default=None, help="named two-particle state (S, T or U)")
     chsh_p.add_argument("--axes", default="1331", help="four axis digits A a B b (default 1331)")
-    chsh_p.add_argument("--scan", action="store_true",
-                        help="histogram of |CHSH| over all axis quadruples")
-    chsh_p.add_argument("--bound", action="store_true",
-                        help="maximum |CHSH| over every physical two-particle state")
+    how = chsh_p.add_mutually_exclusive_group()
+    how.add_argument("--scan", action="store_true",
+                     help="histogram of |CHSH| over all axis quadruples")
+    how.add_argument("--bound", action="store_true",
+                     help="maximum |CHSH| over every physical two-particle state")
 
     groups_p = command("groups", "symmetry group elements, classes and identification")
     groups_p.add_argument("--classes", action="store_true", help="only conjugacy classes")

@@ -17,8 +17,8 @@ members' left multiplication (``_GroupIndex``) and the images of the
 one-particle points coded as [[x, 0], [y, 0]].  The two-particle table, on
 the entangled physical states, keeps only the generators' rows; side 2 is
 side 1 conjugated by the transposition psi -> psi^T.  Orbits and words are
-walked along those rows, and only an orbit's least code becomes a state
-object.  ``act`` is the object path the tests check every row against.
+walked along those rows, and only an orbit's least ``two_particle_codes`` row
+becomes a state object; ``act`` is the object path the tests check against.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class _ColumnEngine:
         self.widen = bytes(x * w for x in range(p)) + bytes(256 - p)
         self.re, self.im = (bytes(part) + pad for part in zip(*pairs))
 
-    def columns(self, codes: Iterable[Sequence[int]]) -> tuple[bytes, ...]:
-        """The element-index columns of flat (re, im, ...) residue codes."""
-        flat = list(map(bytes, zip(*codes)))
+    def columns(self, residues: Iterable[Iterable[int]]) -> tuple[bytes, ...]:
+        """The element-index columns of flat (re, im, ...) residue columns."""
+        flat = list(map(bytes, residues))
         return tuple(bytes(map(add, re.translate(self.widen), im))
                      for re, im in zip(flat[::2], flat[1::2]))
 
@@ -182,10 +182,10 @@ class _ColumnEngine:
         return list(map(sub, values, map(shifts.__getitem__,
                                          map(bisect_right, repeat(bounds), values))))
 
-    def positions(self, columns: Sequence[bytes]) -> list[int]:
-        """The row-to-position array of a set of canonical rows, -1 off the set."""
-        out = [-1] * ((self.q ** len(columns) - 1) // (self.q - 1))
-        for k, row in enumerate(self.rows(columns)):
+    def positions(self, rows: Iterable[int], dim: int) -> list[int]:
+        """Each ``projective_columns(config, dim)`` row's position in rows, or -1."""
+        out = [-1] * ((self.q ** dim - 1) // (self.q - 1))
+        for k, row in enumerate(rows):
             out[row] = k
         return out
 
@@ -197,19 +197,14 @@ class _ColumnEngine:
         return perm
 
 
-def _member_codes(config: FieldConfig) -> tuple[tuple[int, ...], ...]:
-    """The members' canonical residue codes, in element order."""
-    return _group_index(config).codes
-
-
 def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
                   points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each one-particle point's image index under every member at once: side 1
     of [[a, b], [c, d]] sends [[x, 0], [y, 0]] to [[a x + b y, 0], [c x + d y, 0]],
     so with the members' a, b, c, d as columns, x and y are the scalars."""
     a, b, c, d = members
-    columns = engine.columns(points)
-    positions = engine.positions(columns)
+    columns = engine.columns(zip(*points))
+    positions = engine.positions(engine.rows(columns), 2)
     return [engine.permutation(positions, (engine.lin(x, a, y, b), engine.lin(x, c, y, d)))
             for x, y in zip(*columns)]
 
@@ -284,13 +279,13 @@ def _sharply_3_transitive(config: FieldConfig) -> bool:
     invertible member sends the first three to three distinct points, so
     the action is regular when these images differ and |G| = n(n - 1)(n - 2).
     """
-    p, codes = config.p, _member_codes(config)
+    p, index = config.p, _group_index(config)
     points = [(1, 0, x.re, x.im) for x in config.elements() if (1 + x.re**2 + x.im**2) % p == 0]
-    n, engine = len(points), _group_index(config).engine
+    n = len(points)
     if n < 3:
         return False
-    images = set(zip(*_point_images(engine, engine.columns(codes), points)[:3]))
-    return len(codes) == len(images) == n * (n - 1) * (n - 2)
+    images = set(zip(*_point_images(index.engine, index.members, points)[:3]))
+    return len(index.members[0]) == len(images) == n * (n - 1) * (n - 2)
 
 
 def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
@@ -427,12 +422,12 @@ class _GroupIndex:
             for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
                 raw.append([x % p for x in (ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
                                             cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)])
-        self.codes = codes = tuple(sorted(engine.codes(engine.canonical(engine.columns(raw)))))
+        self.codes = codes = tuple(sorted(engine.codes(engine.canonical(engine.columns(zip(*raw))))))
         order = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
         if not len(set(codes)) == len(codes) == order:
             raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
-        self.members = engine.columns(codes)
-        positions = engine.positions(self.members)
+        self.members = engine.columns(zip(*codes))
+        positions = engine.positions(engine.rows(self.members), 4)
         self.identity = start = codes.index((1, 0, 0, 0, 0, 0, 1, 0))
         gens: list[int] = []
         left: list[tuple[int, ...]] = []
@@ -503,24 +498,22 @@ def _group_index(config: FieldConfig) -> _GroupIndex:
 
 
 class _ActionTable:
-    """The one-sided actions on ascending flat residue codes, kept as generator rows.
+    """The one-sided actions on ascending ``two_particle_codes`` rows, as generator rows.
 
-    ``generator_sides[k]`` is the (side-1, side-2) permutation of the code
-    indices made by the k-th generator: psi -> M psi on the code columns,
-    and psi -> psi M^T = (M psi^T)^T, read as tau side1 tau with tau the
-    transposition psi -> psi^T.  ``index`` maps a code to its index.  A code
-    set not closed under the generators raises "escapes".  The generators,
-    the Cayley tree and the engine are the field's ``_GroupIndex``.
+    ``generator_sides[k]`` is the (side-1, side-2) permutation of the
+    positions in ``rows`` made by the k-th generator: psi -> M psi on the
+    rows' residue columns, and psi -> psi M^T = (M psi^T)^T, read as
+    tau side1 tau with tau the transposition psi -> psi^T.  A row set not
+    closed under the generators raises "escapes".  The generators, the
+    Cayley tree and the engine are the field's ``_GroupIndex``.
     """
 
-    def __init__(self, group: ProjectiveGroup, codes: Sequence[tuple[int, ...]]):
-        self.group = group
-        self.codes = codes
+    def __init__(self, group: ProjectiveGroup, rows: Sequence[int]):
+        self.group, self.rows = group, rows
         self.group_index = index = _group_index(group.config)
-        self.index = {code: k for k, code in enumerate(codes)}
-        engine = index.engine
-        psi = engine.columns(codes)
-        positions = engine.positions(psi)
+        engine, residues = index.engine, two_particle_codes(group.config)[0]
+        psi = engine.columns(bytes(map(column.__getitem__, rows)) for column in residues)
+        positions = engine.positions(rows, 4)
         tau = engine.permutation(positions, itemgetter(0, 2, 1, 3)(psi))
         sides = []  # (side-1, side-2) permutations of each generator
         for k in index.generators:
@@ -532,8 +525,8 @@ class _ActionTable:
 @dataclass(frozen=True)
 class Orbit:
     mode: str
-    representative: TwoParticleState  # the state of the least member code
-    members: tuple[tuple[int, ...], ...]  # flat residue codes, ascending
+    representative: TwoParticleState  # the state of the least member row
+    members: tuple[int, ...]  # ascending ``two_particle_codes`` rows
     stabilizer_order: int
     acting_order: int
 
@@ -546,15 +539,22 @@ class Orbit:
 def _action_table(config: FieldConfig) -> _ActionTable:
     """The table on the entangled physical states: the ``two_particle_codes``
     rows whose kind byte is PHYSICAL alone, in table order."""
-    columns, _, kinds = two_particle_codes(config)
-    keep = [kind == PHYSICAL for kind in kinds]
-    codes = tuple(zip(*(compress(column, keep) for column in columns)))
-    return _ActionTable(enumerate_group(config), codes)
+    kinds = two_particle_codes(config)[2]
+    rows = tuple(compress(range(len(kinds)), [kind == PHYSICAL for kind in kinds]))
+    return _ActionTable(enumerate_group(config), rows)
 
 
-def _state(config: FieldConfig, code: tuple[int, ...]) -> TwoParticleState:
-    """The two-particle state object of a flat residue code."""
-    return classify(residue_state(config, code, sum(map(mul, code, code)) % config.p))
+def _state(config: FieldConfig, row: int) -> TwoParticleState:
+    """The two-particle state object of a ``two_particle_codes`` row."""
+    columns, norms, _ = two_particle_codes(config)
+    return classify(residue_state(config, [column[row] for column in columns], norms[row]))
+
+
+def state_rows(config: FieldConfig, states: Iterable[TwoParticleState]) -> list[int]:
+    """The ``two_particle_codes`` rows of two-particle states, in closed form."""
+    engine = _group_index(config).engine
+    codes = (flat_residues(s.state.rep.components) for s in states)
+    return engine.rows(engine.columns(zip(*codes)))
 
 
 def _generator_permutations(table: _ActionTable, mode: str) -> list[tuple[int, ...]]:
@@ -597,20 +597,20 @@ def _orbit_members(count: int, perms: Sequence[Sequence[int]]) -> Iterator[list[
 def orbits(config: FieldConfig, mode: str) -> list[Orbit]:
     """Orbits of the entangled physical states under the chosen action.
 
-    Each orbit is found from its least code index, so the orbits come in
-    ascending order of their representatives, and only a representative is
-    built as a state object.
+    Each orbit is found from its least row, so the orbits come in ascending
+    order of their representatives, and only a representative is built as a
+    state object.
     """
     table = _action_table(config)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
     out = []
-    for members in _orbit_members(len(table.codes), perms):
+    for members in _orbit_members(len(table.rows), perms):
         stabilizer = _stabilizer_order(table, mode, perms, members[0])
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
-        codes = tuple(table.codes[i] for i in members)
-        out.append(Orbit(mode=mode, representative=_state(config, codes[0]), members=codes,
+        rows = tuple(map(table.rows.__getitem__, members))
+        out.append(Orbit(mode=mode, representative=_state(config, rows[0]), members=rows,
                          stabilizer_order=stabilizer, acting_order=acting_order))
     return out
 
@@ -628,7 +628,7 @@ def burnside_count(config: FieldConfig, mode: str) -> int:
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
     index = _group_index(config)
-    ids = range(len(table.codes))
+    ids = range(len(table.rows))
     if mode == "global":
         total = sum(
             len(c) * sum(map(eq, index.compose(c[0], perms), ids)) for c in index.classes
@@ -661,43 +661,40 @@ class LocalTransform:
 
 
 @lru_cache(maxsize=None)
-def _local_reach(config: FieldConfig) -> dict[int, tuple[str, int, int]]:
+def _local_reach(config: FieldConfig) -> dict[tuple[int, ...], LocalTransform]:
     """Walk the local generators from each representative, recording words:
-    for every reachable state, (rep_label, a, b) with state = (A tensor B) rep
-    for the elements at indices a, b, each step moving a or b along a
-    generator's left multiplication.  The inverse pair maps the state back.
+    a reached state is (A tensor B) rep for the elements at indices a, b,
+    each step moving a or b along a generator's left multiplication, and the
+    inverse pair, keyed by the state's flat residue code, maps it back.
     """
     table = _action_table(config)
-    left, identity = table.group_index.generator_left, table.group_index.identity
-    n = len(left)
+    index, elements = table.group_index, table.group.elements
+    left, n = index.generator_left, len(index.generator_left)
     perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
+    reps = representative_states(config)
     reach: dict[int, tuple[str, int, int]] = {}
-    for label, rep in representative_states(config).items():
-        start = table.index[flat_residues(rep.state.rep.components)]
+    for label, row in zip(reps, state_rows(config, reps.values())):
+        start = table.rows.index(row)
         if start in reach:
             continue
-        reach[start] = (label, identity, identity)
+        reach[start] = (label, index.identity, index.identity)
         for j, k, i in _walk(start, perms):
             _, a, b = reach[i]
             reach[j] = (label, left[k][a], b) if k < n else (label, a, left[k - n][b])
-    return reach
+    columns, inverse = two_particle_codes(config)[0], index.inverse
+    return {tuple(c[table.rows[i]] for c in columns):
+            LocalTransform(elements[inverse[a]], elements[inverse[b]], label, reps[label])
+            for i, (label, a, b) in reach.items()}
 
 
 def find_local_transform(state: TwoParticleState) -> LocalTransform:
     """A local pair (g1, g2) carrying the state onto its orbit representative."""
-    config = state.config
-    table = _action_table(config)
-    idx = table.index.get(flat_residues(state.state.rep.components))
-    if idx is None:
+    if state.is_product or not state.physical:
         raise ValueError("state is not an entangled physical state")
-    reach = _local_reach(config)
-    if idx not in reach:
+    move = _local_reach(state.config).get(flat_residues(state.state.rep.components))
+    if move is None:
         raise ValueError("state is not locally equivalent to any representative")
-    label, a, b = reach[idx]
-    elements, inverse = table.group.elements, table.group_index.inverse
-    reps = representative_states(config)
-    return LocalTransform(g1=elements[inverse[a]], g2=elements[inverse[b]],
-                          representative_label=label, representative=reps[label])
+    return move
 
 
 @lru_cache(maxsize=None)
@@ -710,10 +707,8 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
     states, which holds over GF(3).
     """
     table = _action_table(config)
-    group = table.group
-    s_state = representative_states(config)["S"]
-    start = table.index[flat_residues(s_state.state.rep.components)]
-    index = table.group_index
+    group, index = table.group, table.group_index
+    start = table.rows.index(*state_rows(config, [representative_states(config)["S"]]))
     images = index.images(start, [s1 for s1, _ in table.generator_sides])
     labels: dict[str, TwoParticleState] = {}
     for k, image in enumerate(images):
@@ -722,7 +717,7 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
         name = "S" if owner is group.identity else owner.label
         if name in labels:
             raise ValueError("side-1 action on S is not free; labels undefined")
-        labels[name] = _state(config, table.codes[image])
-    if len(labels) != len(table.codes):
+        labels[name] = _state(config, table.rows[image])
+    if len(labels) != len(table.rows):
         raise ValueError("side-1 orbit of S does not cover the entangled states")
     return labels

@@ -248,6 +248,14 @@ def test_argparse_errors_keep_their_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_chsh_bound_and_scan_are_mutually_exclusive(capsys):
+    # one report per run: the pair is a usage error, not a silent --bound
+    for argv in (["chsh", "--bound", "--scan"], ["chsh", "--scan", "--state", "S", "--bound"]):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "not allowed with argument" in err, argv
+
+
 def test_run_builds_its_parser_once(capsys):
     cli._parser.cache_clear()
     first = invoke(capsys, ["census", "--p", "3", "--degree", "1"])

@@ -44,7 +44,6 @@ from bioqm.groups import (
     _cycle_notation,
     _generator_permutations,
     _local_reach,
-    _member_codes,
     _stabilizer_order,
     _walk,
 )
@@ -140,9 +139,9 @@ def reference_canonicalizer(config):
     return canonical
 
 
-def reference_permutation(step, codes, canonical, position=None):
+def reference_permutation(step, codes, canonical):
     """The position of each code's canonical image under step."""
-    position = position or {code: k for k, code in enumerate(codes)}
+    position = {code: k for k, code in enumerate(codes)}
     return tuple(position[canonical(step(code))] for code in codes)
 
 
@@ -221,7 +220,7 @@ def reference_member_codes(config):
 def test_constructed_members_match_the_residue_filter(config):
     # GF(49) is checked on the codes alone: enumerate_group refuses it
     # because its 42 physical one-particle states outnumber the letters
-    codes = _member_codes(config)
+    codes = groups._group_index(config).codes
     p = config.p
     assert len(codes) == (p * (p * p - 1) if config.is_extension else 2 * (p + 1))
     assert list(codes) == reference_member_codes(config)
@@ -258,14 +257,14 @@ GF3_MATRICES = {
 def test_closed_form_row_index_is_the_table_position(config):
     engine = groups._ColumnEngine(config)
     for dim in (2, 4):
-        columns = engine.columns(zip(*projective_columns(config, dim)[0]))
+        columns = engine.columns(projective_columns(config, dim)[0])
         assert engine.rows(columns) == list(range((config.order**dim - 1) // (config.order - 1)))
 
 
 @pytest.mark.parametrize("config", [GF7, GF9, GF49], ids=["gf7", "gf9", "gf49"])
 def test_canonical_columns_undo_every_scaling(config):
     engine = groups._ColumnEngine(config)
-    columns = engine.columns(zip(*projective_columns(config, 4)[0]))
+    columns = engine.columns(projective_columns(config, 4)[0])
     canonical = reference_canonicalizer(config)
     rows = list(zip(*projective_columns(config, 4)[0]))
     # row r scaled by the (r mod (q - 1)) + 1-th element index, so every
@@ -277,10 +276,10 @@ def test_canonical_columns_undo_every_scaling(config):
     assert engine.canonical(scaled) == list(columns)
     # and on raw images: a generator times every 97th row, reduced mod p but
     # not scaled, against the reference scaling
-    members = _member_codes(config)
-    k = groups._group_index(config).generators[-1]
-    raw = [[x % config.p for x in reference_mul2(members[k], code)] for code in rows[::97]]
-    assert engine.codes(engine.canonical(engine.columns(raw))) == list(map(canonical, raw))
+    index = groups._group_index(config)
+    k = index.generators[-1]
+    raw = [[x % config.p for x in reference_mul2(index.codes[k], code)] for code in rows[::97]]
+    assert engine.codes(engine.canonical(engine.columns(zip(*raw)))) == list(map(canonical, raw))
 
 
 def test_fields_past_one_byte_element_indices_are_refused(monkeypatch):
@@ -490,12 +489,15 @@ def test_three_transitivity_check_rejects_the_prime_fields(config):
     assert not groups._sharply_3_transitive(config)
 
 
-@pytest.mark.parametrize("change", [lambda codes: codes[:-1] + codes[:1],
-                                    lambda codes: codes + codes[:1]],
+@pytest.mark.parametrize("change", [lambda column: column[:-1] + column[:1],
+                                    lambda column: column + column[:1]],
                          ids=["replaced", "appended"])
 def test_three_transitivity_check_rejects_a_repeated_member(change, monkeypatch):
-    codes = change(groups._member_codes(GF9))
-    monkeypatch.setattr(groups, "_member_codes", lambda config: codes)
+    # the last member replaced by, or followed by, a copy of the first
+    index = groups._group_index(GF9)
+    assert groups._sharply_3_transitive(GF9)
+    changed = SimpleNamespace(engine=index.engine, members=tuple(map(change, index.members)))
+    monkeypatch.setattr(groups, "_group_index", lambda config: changed)
     assert not groups._sharply_3_transitive(GF9)
 
 
@@ -506,7 +508,7 @@ def test_three_transitivity_holds_on_the_member_codes_past_the_letters(p):
     config = FieldConfig(p, 2)
     with pytest.raises(ValueError, match="letter-label"):
         enumerate_group(config)
-    assert len(groups._member_codes(config)) == p * (p * p - 1)
+    assert len(groups._group_index(config).codes) == p * (p * p - 1)
     assert groups._sharply_3_transitive(config)
     # the index reads the member codes alone, so it builds past the letters:
     # PGL(2, q) has q + 2 conjugacy classes
@@ -522,8 +524,8 @@ def test_index_tables_match_the_per_member_reference(p):
     # left multiplication and the adjugate inverse on the column path, against
     # each member's residue product, canonical form and code lookup
     config = FieldConfig(p, 2)
-    codes = _member_codes(config)
     index = groups._group_index(config)
+    codes = index.codes
     canonical = reference_canonicalizer(config)
     for k, left in zip(index.generators, index.generator_left):
         assert left == reference_permutation(lambda code: reference_mul2(codes[k], code),
@@ -652,10 +654,21 @@ def _code(state):
     return flat_residues(state.state.rep.components)
 
 
-def _objects(config, codes):
-    """The ``two_particle_states`` objects of flat residue codes, in order."""
-    by_code = {_code(s): s for s in two_particle_states(config)}
-    return [by_code[code] for code in codes]
+@cache
+def _rows_by_code(config):
+    """Each ``two_particle_codes`` row, by its flat residue code."""
+    return {code: r for r, code in enumerate(zip(*two_particle_codes(config)[0]))}
+
+
+def _row(state):
+    """A two-particle state's row in ``two_particle_codes``, by lookup."""
+    return _rows_by_code(state.config)[_code(state)]
+
+
+def _objects(config, rows):
+    """The ``two_particle_states`` objects of code-table rows, in order."""
+    states = two_particle_states(config)
+    return [states[r] for r in rows]
 
 
 def _subset_table(config, subset):
@@ -663,8 +676,8 @@ def _subset_table(config, subset):
     of the physical product states ("products")."""
     if subset == "entangled":
         return groups._action_table(config)
-    columns, _, kinds = two_particle_codes(config)
-    products = [code for code, kind in zip(zip(*columns), kinds) if kind == PRODUCT | PHYSICAL]
+    kinds = two_particle_codes(config)[2]
+    products = [r for r, kind in enumerate(kinds) if kind == PRODUCT | PHYSICAL]
     return groups._ActionTable(enumerate_group(config), products)
 
 
@@ -674,8 +687,8 @@ def _use_table(monkeypatch, table):
 
 
 def test_action_table_escape_raises():
-    # a restricted code set must be closed under both one-sided actions
-    singlet = _code(representative_states(GF3)["S"])
+    # a restricted row set must be closed under both one-sided actions
+    singlet = _row(representative_states(GF3)["S"])
     with pytest.raises(ValueError, match="escapes"):
         groups._ActionTable(enumerate_group(GF3), (singlet,))
 
@@ -687,7 +700,7 @@ def test_action_table_escape_raises_for_a_global_orbit():
     for orbit in orbits(GF9, "global"):
         members = _objects(GF9, orbit.members)
         for g in group.elements:
-            assert {_code(act(g, m, mode="global")) for m in members} == set(orbit.members)
+            assert {_row(act(g, m, mode="global")) for m in members} == set(orbit.members)
         with pytest.raises(ValueError, match="escapes"):
             groups._ActionTable(group, orbit.members)
 
@@ -700,16 +713,22 @@ def test_orbits_of_the_physical_product_states(config, monkeypatch):
     _use_table(monkeypatch, table)
     order = enumerate_group(config).order
     (orbit,) = orbits(config, "local")
-    assert orbit.size == len(table.codes)
-    assert orbit.stabilizer_order == order * order // len(table.codes)
-    assert orbit.representative == _objects(config, table.codes[:1])[0]
+    assert orbit.size == len(table.rows)
+    assert orbit.stabilizer_order == order * order // len(table.rows)
+    assert orbit.representative == _objects(config, table.rows[:1])[0]
     assert orbit.representative.is_product
     for mode in ("global", "local"):
         assert burnside_count(config, mode) == len(orbits(config, mode))
 
 
+@cache
+def _positions(table):
+    return {row: k for k, row in enumerate(table.rows)}
+
+
 def _index_of(table, state):
-    return table.index[_code(state)]
+    """A state's position in the table, by its row."""
+    return _positions(table)[_row(state)]
 
 
 @pytest.mark.parametrize(
@@ -724,7 +743,7 @@ def test_generator_built_table_matches_per_element_reference(config):
     elements = table.group.elements
     for side, mode in enumerate(("local_1", "local_2")):
         rows = [sides[side] for sides in table.generator_sides]
-        for i, state in enumerate(_objects(config, table.codes)):
+        for i, state in enumerate(_objects(config, table.rows)):
             expected = [_index_of(table, act(g, state, mode)) for g in elements]
             assert index.images(i, rows) == expected
 
@@ -736,7 +755,7 @@ def test_generator_built_table_matches_per_element_reference(config):
 def test_residue_generator_rows_match_object_act(config, subset):
     # the rows applied on residue codes, against act() on the state objects
     table = _subset_table(config, subset)
-    states = _objects(config, table.codes)
+    states = _objects(config, table.rows)
     gens = [table.group.elements[k] for k in table.group_index.generators]
     for g, (side1, side2) in zip(gens, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
@@ -766,7 +785,7 @@ def test_composed_rows_match_group_multiplication_and_act(config):
     table = groups._action_table(config)
     group = table.group
     elements = group.elements
-    states = _objects(config, table.codes)
+    states = _objects(config, table.rows)
     side1 = [s1 for s1, _ in table.generator_sides]
     for x, g in enumerate(elements):
         left = index.compose(x, index.generator_left)
@@ -780,9 +799,10 @@ def test_column_rows_match_the_per_state_reference_past_the_letters():
     # side 1 is M psi and side 2 is psi M^T, each a residue product here
     config = GF49
     columns, _, kinds = two_particle_codes(config)
+    rows = [r for r, kind in enumerate(kinds) if kind == PHYSICAL]
     codes = [code for code, kind in zip(zip(*columns), kinds) if kind == PHYSICAL]
-    table = groups._ActionTable(SimpleNamespace(config=config), codes)
-    members = _member_codes(config)
+    table = groups._ActionTable(SimpleNamespace(config=config), rows)
+    members = groups._group_index(config).codes
     canonical = reference_canonicalizer(config)
     transpose = itemgetter(0, 1, 4, 5, 2, 3, 6, 7)
     assert len(table.generator_sides) == len(table.group_index.generators) > 0
@@ -790,7 +810,7 @@ def test_column_rows_match_the_per_state_reference_past_the_letters():
         m, mt = members[k], transpose(members[k])
         for row, step in ((side1, lambda code: reference_mul2(m, code)),
                           (side2, lambda code: reference_mul2(code, mt))):
-            assert row == reference_permutation(step, codes, canonical, table.index)
+            assert row == reference_permutation(step, codes, canonical)
 
 
 def test_orbits_on_a_closed_subset(monkeypatch):
@@ -802,9 +822,28 @@ def test_orbits_on_a_closed_subset(monkeypatch):
     assert burnside_count(GF9, "global") == len(within)
 
 
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
+def test_orbit_members_are_the_entangled_physical_rows(config, mode):
+    # members are ascending code-table rows whose kind byte is PHYSICAL
+    # alone, the orbits partition those rows, and the representative is the
+    # state object of the least one
+    kinds = two_particle_codes(config)[2]
+    states = two_particle_states(config)
+    found = orbits(config, mode)
+    for orbit in found:
+        assert list(orbit.members) == sorted(orbit.members)
+        assert all(kinds[r] == PHYSICAL for r in orbit.members)
+        assert orbit.representative == states[orbit.members[0]]
+    assert groups.state_rows(config, [o.representative for o in found]) == [
+        o.members[0] for o in found]
+    rows = sorted(r for orbit in found for r in orbit.members)
+    assert rows == [r for r, kind in enumerate(kinds) if kind == PHYSICAL]
+
+
 def test_gf3_global_orbits_frozen():
     labels = entangled_labels(GF3)
-    rep_of = {_code(state): label for label, state in labels.items()}
+    rep_of = {_row(state): label for label, state in labels.items()}
     got = {
         frozenset(rep_of[m] for m in orbit.members): orbit.stabilizer_order
         for orbit in orbits(GF3, "global")
@@ -849,9 +888,9 @@ def test_gf9_local_orbits_frozen():
     assert by_size[288].stabilizer_order == 2
     for orbit in out:
         assert orbit.acting_order == 576
-    assert _code(reps["S"]) in by_size[24].members
-    assert _code(reps["T"]) in by_size[192].members
-    assert _code(reps["U"]) in by_size[288].members
+    assert _row(reps["S"]) in by_size[24].members
+    assert _row(reps["T"]) in by_size[192].members
+    assert _row(reps["U"]) in by_size[288].members
 
 
 @pytest.mark.parametrize(
@@ -878,7 +917,7 @@ def test_burnside_agrees_with_direct_orbit_count(config, mode):
 def reference_burnside_count(table, mode):
     # the per-state sum: every state's stabilizer order, walked along the tree
     perms = _generator_permutations(table, mode)
-    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.codes)))
+    total = sum(_stabilizer_order(table, mode, perms, i) for i in range(len(table.rows)))
     count, rest = divmod(total, _acting_order(table, mode))
     assert rest == 0
     return count
@@ -944,7 +983,7 @@ def test_local_orbit_stabilizers_of_t_and_u_match_the_fixing_pairs():
     for label, count in (("T", 3), ("U", 2)):
         pairs = _local_stabilizer_pairs(label)
         assert len(pairs) == count
-        assert orbit_of[_code(reps[label])].stabilizer_order == len(pairs)
+        assert orbit_of[_row(reps[label])].stabilizer_order == len(pairs)
 
 
 def test_gf3_stabilizer_orders_match_the_fixing_elements():
@@ -954,7 +993,7 @@ def test_gf3_stabilizer_orders_match_the_fixing_elements():
     elements = table.group.elements
     global_perms = _generator_permutations(table, "global")
     local_perms = _generator_permutations(table, "local")
-    for i, state in enumerate(_objects(GF3, table.codes)):
+    for i, state in enumerate(_objects(GF3, table.rows)):
         fixing = [g for g in elements if _index_of(table, act(g, state, "global")) == i]
         assert _stabilizer_order(table, "global", global_perms, i) == len(fixing)
         fixing_pairs = [
@@ -1022,7 +1061,7 @@ def test_entangled_labels_need_a_free_covering_action():
 def test_find_local_transform_round_trip(config):
     # states in a representative's local orbit map back onto it; the other
     # entangled physical states belong to no representative and are refused
-    rep_labels = {_code(rep): label for label, rep in representative_states(config).items()}
+    rep_labels = {_row(rep): label for label, rep in representative_states(config).items()}
     label_of = {}
     covered = 0
     for orbit in orbits(config, "local"):
@@ -1035,12 +1074,12 @@ def test_find_local_transform_round_trip(config):
     for state in two_particle_states(config):
         if not state.physical or state.is_product:
             continue
-        if _code(state) not in label_of:
+        if _row(state) not in label_of:
             with pytest.raises(ValueError):
                 find_local_transform(state)
             continue
         move = find_local_transform(state)
-        assert move.representative_label == label_of[_code(state)]
+        assert move.representative_label == label_of[_row(state)]
         image = act(move.g2, act(move.g1, state, mode="local_1"), mode="local_2")
         assert (
             image.state.rep.components
@@ -1080,8 +1119,9 @@ def test_find_local_transform_matches_the_element_walk(config):
     table = groups._action_table(config)
     group = table.group
     reach = _reference_reach(config)
-    assert sorted(reach) == sorted(_local_reach(config))
-    for i, state in enumerate(_objects(config, table.codes)):
+    states = _objects(config, table.rows)
+    assert sorted(_code(states[i]) for i in reach) == sorted(_local_reach(config))
+    for i, state in enumerate(states):
         if i not in reach:
             with pytest.raises(ValueError, match="not locally equivalent"):
                 find_local_transform(state)
@@ -1120,10 +1160,10 @@ def test_table_and_words_run_without_object_group_calls(config, monkeypatch):
     groups._group_index.cache_clear()
     groups._action_table.cache_clear()
     _local_reach.cache_clear()
-    states = _objects(config, groups._action_table(config).codes)
+    states = {_code(s): s for s in _objects(config, groups._action_table(config).rows)}
     reach = _local_reach(config)
-    for i in islice(cycle(sorted(reach)), 50):
-        find_local_transform(states[i])
+    for code in islice(cycle(sorted(reach)), 50):
+        find_local_transform(states[code])
     assert calls == Counter()
 
 
@@ -1140,11 +1180,15 @@ def test_find_local_transform_frozen_chains():
 
 
 def test_find_local_transform_rejects_product_states():
+    # a product state, and an entangled state of norm zero (kind byte 0)
     pair = from_product(
         StateVector.make(GF3, [1, 0]), StateVector.make(GF3, [0, 1])
     )
-    with pytest.raises(ValueError):
-        find_local_transform(pair)
+    self_orthogonal = two_particle_states(GF3)[two_particle_codes(GF3)[2].index(0)]
+    assert not self_orthogonal.is_product and not self_orthogonal.physical
+    for state in (pair, self_orthogonal):
+        with pytest.raises(ValueError, match="not an entangled physical state"):
+            find_local_transform(state)
 
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])

@@ -74,3 +74,12 @@ def test_every_definition_is_read_in_the_package():
         and reads[node.name] == _reads(node)[node.name]
     ]
     assert unread == []
+
+
+# ROADMAP item 4's line budget for the library, counted over every module
+LINE_BUDGET = 4634
+
+
+def test_the_library_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SOURCES)
+    assert lines <= LINE_BUDGET, f"src/bioqm/*.py has {lines} lines, over {LINE_BUDGET}"
