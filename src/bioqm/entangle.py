@@ -7,9 +7,9 @@ one-particle spin observables, assembled together with their product
 biorthogonal system so the spectral form survives.
 
 ``two_particle_codes`` caches, per field, every canonical two-particle state
-in ``bytes`` columns: 8 of residues, norms, and kind bytes (that
+in ``bytes`` columns: 4 of element indices, norms, and kind bytes (that
 determinant test, read off the row order, and physicality).  ``census``
-counts kind bytes and ``chsh_bound`` scans the residue columns without
+counts kind bytes and ``chsh_bound`` scans the index columns without
 building a state object; ``two_particle_states`` is their object view.
 
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
@@ -32,11 +32,11 @@ by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
 n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
 E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
 without building any field element.  The kernel reads a chunk of states as
-8 residue columns, builds each Gram value and form as a column by ``map``
-chains that run in C, and yields one sign grid per state: ``correlator_grid``
-passes columns of one entry and signs by Euler's criterion, ``chsh_bound``
-streams each column's physical rows in chunks and looks signs up in a table
-of all p residues.
+8 (re, im) residue columns, builds each Gram value and form as a column by
+``map`` chains that run in C, and yields one sign grid per state:
+``correlator_grid`` passes columns of one entry and signs by Euler's
+criterion, ``chsh_bound`` streams the physical rows in chunks, each split
+into re and im by translation, and looks signs up in a table of all p.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ from .linear import (
     det2,
     flat_residues,
     identity_matrix,
+    index_residues,
+    index_width,
     kron,
-    matrix_residues,
     projective_columns,
+    require_byte_indices,
+    require_enumerable,
     residue_state,
 )
 from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
@@ -114,10 +117,10 @@ PHYSICAL, PRODUCT = 1, 2  # the bits of a ``two_particle_codes`` kind byte
 def two_particle_codes(config: FieldConfig) -> tuple[tuple[bytes, ...], bytes, bytes]:
     """Every two-particle state, lexicographically, as columns (psis, norms, kinds).
 
-    psis is the 8 residue columns and norms the norm column of
-    ``linear.projective_columns(config, 4)`` as ``bytes``: the guard allows
-    q <= 100 at four components, so every residue fits in a byte.  A kind
-    byte is PRODUCT when det [[a, b], [c, d]] = ad - bc vanishes, plus
+    psis is the 4 element-index columns and norms the norm column of
+    ``linear.projective_columns(config, 4)`` as ``bytes``, 6 bytes a state
+    with the kinds; a field past the guard or 256 elements is refused first.
+    A kind byte is PRODUCT when det [[a, b], [c, d]] = ad - bc vanishes, plus
     PHYSICAL when the norm is nonzero.
 
     No determinant is taken per state.  A canonical row has a = 0 or 1, and
@@ -128,17 +131,14 @@ def two_particle_codes(config: FieldConfig) -> tuple[tuple[bytes, ...], bytes, b
     a = 1, so exactly its row d = bc is.  That is rows 0 to 2q and one row in
     each of the q^2 runs (1, b, c, d): (q + 1)^2 in all.
     """
+    require_enumerable(config, 4)
+    require_byte_indices(config)
     columns, norms = projective_columns(config, 4)
-    if any(column.itemsize != 1 for column in (*columns, norms)):
-        raise AssertionError("a two-particle residue does not fit in a byte")
-    q, p = config.order, config.p
-    width = p if config.is_extension else 1
+    q, p, w = config.order, config.p, index_width(config)
     kinds = bytearray(norms.tobytes().translate(bytes((0,)) + bytes((PHYSICAL,)) * 255))
-    # the runs (1, b, c, d) follow the 1 + q + q^2 rows with a = 0, and the
-    # component d = (re, im) is at index re * width + im of its run
-    elements = [(re, im) for re in range(p) for im in range(width)]
-    bc = (((br * cr - bi * ci) % p) * width + (br * ci + bi * cr) % p
-          for (br, bi), (cr, ci) in product(elements, repeat=2))
+    # after the 1 + q + q^2 rows with a = 0, one run per (b, c); d's index is its offset
+    bc = (((br * cr - bi * ci) % p) * w + (br * ci + bi * cr) % p
+          for (br, bi), (cr, ci) in product(index_residues(config), repeat=2))
     for row in chain(range(2 * q + 1), map(add, range(1 + q + q * q, len(kinds), q), bc)):
         kinds[row] |= PRODUCT
     return tuple(map(bytes, columns)), bytes(norms), bytes(kinds)
@@ -235,7 +235,7 @@ def _pair_forms(config: FieldConfig) -> dict:
     """Per-field kernel input: (i, j) -> (re, im), the real and imaginary
     parts of <psi, (s_i x s_j) psi> as ``_sparse`` forms over ``_GRAM``."""
     p = config.p
-    tables = {axis: matrix_residues(spin_observable(config, axis).matrix)
+    tables = {axis: flat_residues(chain(*spin_observable(config, axis).matrix))
               for axis in spin_axes(config)}
     forms = {}
     for i, s in tables.items():
@@ -268,8 +268,7 @@ def correlator_grid(
     psi = flat_residues(state.state.rep.components)
     norm = sum(map(mul, psi, psi)) % config.p
     if norm == 0:
-        rep = residue_state(config, psi, norm).rep
-        raise ValueError(f"self-orthogonal vector {rep} has no conjugate dual")
+        raise ValueError(f"self-orthogonal vector {state.state.rep} has no conjugate dual")
     forms = _pair_forms(config)
     pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
     sign = partial(residue_sign, p=config.p)
@@ -301,7 +300,8 @@ def _sign_grids(config: FieldConfig, flat, norms, pairs: list, sign: Callable[[i
     for row, parts in enumerate(zip(*(parts for _, parts in checked))):
         if any(parts):
             i, j = next(pair for (pair, _), part in zip(checked, parts) if part)
-            rep = residue_state(config, [column[row] for column in flat], norms[row]).rep
+            v = [column[row] for column in flat]
+            rep = StateVector.make(config, zip(v[::2], v[1::2]))
             raise RuntimeError(f"bracket of spin {i}x{j} in {rep} has a nonzero "
                                "imaginary part; observable is malformed")
     return zip(*[map(sign, map(p.__rmod__, map(mul, column(re), norms)))
@@ -391,12 +391,13 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
     # here; a single state's grid over a large prime must not build one
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
     columns, norms, _ = two_particle_codes(config)
+    split = [bytes(part) + bytes(256 - config.order) for part in zip(*index_residues(config))]
     rows, physical = [compress(column, norms) for column in columns], filter(None, norms)
-    grids = set()
-    scanned = 0
+    grids, scanned = set(), 0
     while chunk := list(islice(physical, _CHUNK)):
         scanned += len(chunk)
-        flat = [list(islice(column, len(chunk))) for column in rows]
+        indices = [bytes(islice(column, len(chunk))) for column in rows]
+        flat = [column.translate(part) for column in indices for part in split]
         grids.update(_sign_grids(config, flat, chunk, pairs, sign))
     best = 0
     for grid in grids:

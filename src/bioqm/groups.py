@@ -4,17 +4,17 @@ A 2x2 matrix M preserves the biorthogonal structure when dagger(M) * M is a
 nonzero base-field multiple of the identity; over p = 3 fields that multiple
 is forced into {+1, -1}, and its sign is stored on each element.  Each
 element is kept in leading-1 canonical form; the members are constructed
-from the physical one-particle points, and their sorted residue codes give
-the element objects and the index tables.  Elements are named by the
+from the physical one-particle points, and their sorted element-index codes
+give the element objects and the index tables.  Elements are named by the
 permutation they induce on the named one-particle states (cycle notation,
 identity "e").  Two-particle actions put one matrix on both sides (global)
 or on one side (local_1, local_2); the local group is G x G.
 
-Every action of a member runs one way, on element-index columns
-(``_ColumnEngine``), with no state object, ``act`` call or per-state lookup:
-side 1, psi -> M psi on a 2x2 array, gives the two-particle actions, the
-members' left multiplication (``_GroupIndex``) and the images of the
-one-particle points coded as [[x, 0], [y, 0]].  The two-particle table, on
+Every action of a member runs one way, on element-index columns like the
+code table's (``_ColumnEngine``), with no state object, ``act`` call or
+per-state lookup: side 1, psi -> M psi on a 2x2 array, gives the two-particle
+actions, the members' left multiplication (``_GroupIndex``) and the images of
+the one-particle points coded as [[x, 0], [y, 0]].  The two-particle table, on
 the entangled physical states, keeps only the generators' rows; side 2 is
 side 1 conjugated by the transposition psi -> psi^T.  Orbits and words are
 walked along those rows, and only an orbit's least ``two_particle_codes`` row
@@ -39,12 +39,15 @@ from .linear import (
     StateVector,
     canonicalize,
     dagger,
-    flat_residues,
+    element_indices,
+    index_residues,
+    index_width,
     inverse2,
     mat_mul,
     mat_neg,
     mat_vec,
     matrix_make,
+    require_byte_indices,
     residue_state,
 )
 from .biortho import Observable, physical_states, spin_axes, spin_observable
@@ -103,8 +106,8 @@ class ProjectiveGroup:
 
 
 class _ColumnEngine:
-    """Actions on columns: ``bytes`` of element indices e = re * w + im, with
-    w = p over GF(p^2) and 1 over GF(p), one column per component.
+    """Actions on columns: ``bytes`` of ``linear`` element indices, one column
+    per component, as ``two_particle_codes`` stores them.
 
     ``times[m]`` translates a column to m times it, ``plus[x][y]`` is x + y,
     ``inverse`` and ``negate`` translate to inverses (0 to 0) and negatives,
@@ -113,12 +116,9 @@ class _ColumnEngine:
     """
 
     def __init__(self, config: FieldConfig):
-        p, q = config.p, config.order
-        if q > 256:
-            raise ValueError(f"GF({q}) exceeds the 256 elements of a one-byte element index")
-        self.q, self.width = q, p if config.is_extension else 1
-        w, pad = self.width, bytes(256 - q)
-        pairs = [divmod(e, w) for e in range(q)]
+        require_byte_indices(config)
+        self.q, self.width = q, w = config.order, index_width(config)
+        p, pad, pairs = config.p, bytes(256 - q), index_residues(config)
 
         def column(values) -> bytes:
             return bytes((x % p) * w + y % p for x, y in values) + pad
@@ -129,19 +129,6 @@ class _ColumnEngine:
         self.inverse = bytes([0, *(row.index(w) for row in self.times[1:])]) + pad
         self.negate = column((-x, -y) for x, y in pairs)
         self.first = [bytes(range(256)), *(bytes((x,)) * 256 for x in range(1, q))]
-        self.widen = bytes(x * w for x in range(p)) + bytes(256 - p)
-        self.re, self.im = (bytes(part) + pad for part in zip(*pairs))
-
-    def columns(self, residues: Iterable[Iterable[int]]) -> tuple[bytes, ...]:
-        """The element-index columns of flat (re, im, ...) residue columns."""
-        flat = list(map(bytes, residues))
-        return tuple(bytes(map(add, re.translate(self.widen), im))
-                     for re, im in zip(flat[::2], flat[1::2]))
-
-    def codes(self, columns: Sequence[bytes]) -> list[tuple[int, ...]]:
-        """The flat (re, im, ...) residue codes of element-index columns."""
-        return list(zip(*(part for column in columns
-                          for part in (column.translate(self.re), column.translate(self.im)))))
 
     def lin(self, m0: int, x: bytes, m1: int, y: bytes) -> bytes:
         """The column m0 x + m1 y, for element indices m0 and m1."""
@@ -203,10 +190,9 @@ def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
     of [[a, b], [c, d]] sends [[x, 0], [y, 0]] to [[a x + b y, 0], [c x + d y, 0]],
     so with the members' a, b, c, d as columns, x and y are the scalars."""
     a, b, c, d = members
-    columns = engine.columns(zip(*points))
-    positions = engine.positions(engine.rows(columns), 2)
+    positions = engine.positions(engine.rows(list(zip(*points))), 2)
     return [engine.permutation(positions, (engine.lin(x, a, y, b), engine.lin(x, c, y, d)))
-            for x, y in zip(*columns)]
+            for x, y in points]
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +205,12 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
         raise ValueError("too many one-particle states to letter-label")
     letters = ascii_lowercase[: len(states)]
     index = _group_index(config)
-    points = [flat_residues(s.rep.components) for s in states]
+    points = [element_indices(config, s.rep.components) for s in states]
     perms = zip(*_point_images(index.engine, index.members, points))
-    zero = config.zero()
+    zero, w = config.zero(), index.engine.width
     found: list[GroupElement] = []
     for code, perm in zip(index.codes, perms):
-        ar, ai, br, bi, cr, ci, dr, di = code
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = (divmod(e, w) for e in code)
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
         c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
@@ -279,8 +265,9 @@ def _sharply_3_transitive(config: FieldConfig) -> bool:
     invertible member sends the first three to three distinct points, so
     the action is regular when these images differ and |G| = n(n - 1)(n - 2).
     """
-    p, index = config.p, _group_index(config)
-    points = [(1, 0, x.re, x.im) for x in config.elements() if (1 + x.re**2 + x.im**2) % p == 0]
+    p, index, one = config.p, _group_index(config), config.one()
+    points = [element_indices(config, (one, x)) for x in config.elements()
+              if (1 + x.re**2 + x.im**2) % p == 0]
     n = len(points)
     if n < 3:
         return False
@@ -401,7 +388,7 @@ class _GroupIndex:
     A member's first column is a physical one-particle point (a, c), and its
     second is mu (-conj(c), conj(a)) with mu conj(mu) = 1, orthogonal with the
     same norm: p(p^2 - 1) members over GF(p^2) and 2(p + 1) over GF(p).  Their
-    sorted canonical residue codes are ``codes``, their columns ``members``.
+    sorted canonical index codes are ``codes``, their columns ``members``.
 
     ``generators`` are the elements, in order, not generated by those before
     them; ``tree`` is the Cayley tree from the identity, one (s*h, k, h) per
@@ -414,21 +401,18 @@ class _GroupIndex:
 
     def __init__(self, config: FieldConfig):
         self.engine = engine = _ColumnEngine(config)
-        p = config.p
-        units = [(x.re, x.im) for x in config.elements() if (x.re**2 + x.im**2) % p == 1]
-        raw = []
-        for s in physical_states(config):
-            ar, ai, cr, ci = flat_residues(s.rep.components)
-            for mr, mi in units:  # [[a, -mu conj(c)], [c, mu conj(a)]]
-                raw.append([x % p for x in (ar, ai, -mr * cr - mi * ci, mr * ci - mi * cr,
-                                            cr, ci, mr * ar + mi * ai, mi * ar - mr * ai)])
-        self.codes = codes = tuple(sorted(engine.codes(engine.canonical(engine.columns(zip(*raw))))))
+        p, zero, one = config.p, config.zero(), config.one()
+        units = [x for x in config.elements() if x * x.frobenius() == one]
+        raw = [element_indices(config, (a, -mu * c.frobenius(), c, mu * a.frobenius()))
+               for a, c in (s.rep.components for s in physical_states(config))
+               for mu in units]  # [[a, -mu conj(c)], [c, mu conj(a)]]
+        self.codes = codes = tuple(sorted(zip(*engine.canonical(list(map(bytes, zip(*raw)))))))
         order = p * (p * p - 1) if config.is_extension else 2 * (p + 1)
         if not len(set(codes)) == len(codes) == order:
             raise AssertionError("the construction does not give p(p^2 - 1) or 2(p + 1) members")
-        self.members = engine.columns(zip(*codes))
+        self.members = tuple(map(bytes, zip(*codes)))
         positions = engine.positions(engine.rows(self.members), 4)
-        self.identity = start = codes.index((1, 0, 0, 0, 0, 0, 1, 0))
+        self.identity = start = codes.index(element_indices(config, (one, zero, zero, one)))
         gens: list[int] = []
         left: list[tuple[int, ...]] = []
         tree: list[tuple[int, int, int]] = []
@@ -437,7 +421,7 @@ class _GroupIndex:
             if k not in generated:
                 gens.append(k)
                 left.append(engine.permutation(positions,
-                                               engine.side1(self.member(k), self.members)))
+                                               engine.side1(codes[k], self.members)))
                 tree = _walk(start, left)
                 generated = {start, *(j for j, _, _ in tree)}
         if len(generated) != order:
@@ -466,10 +450,6 @@ class _GroupIndex:
             for k in members:
                 orders[k] = n
         self.orders = tuple(orders)
-
-    def member(self, k: int) -> tuple[int, ...]:
-        """Element k's matrix entries as element indices."""
-        return tuple(column[k] for column in self.members)
 
     def compose(self, x: int, rows: Sequence[Sequence[int]]) -> list[int]:
         """Element x's permutation, composed along its tree path from
@@ -502,7 +482,7 @@ class _ActionTable:
 
     ``generator_sides[k]`` is the (side-1, side-2) permutation of the
     positions in ``rows`` made by the k-th generator: psi -> M psi on the
-    rows' residue columns, and psi -> psi M^T = (M psi^T)^T, read as
+    rows' index columns, and psi -> psi M^T = (M psi^T)^T, read as
     tau side1 tau with tau the transposition psi -> psi^T.  A row set not
     closed under the generators raises "escapes".  The generators, the
     Cayley tree and the engine are the field's ``_GroupIndex``.
@@ -511,13 +491,13 @@ class _ActionTable:
     def __init__(self, group: ProjectiveGroup, rows: Sequence[int]):
         self.group, self.rows = group, rows
         self.group_index = index = _group_index(group.config)
-        engine, residues = index.engine, two_particle_codes(group.config)[0]
-        psi = engine.columns(bytes(map(column.__getitem__, rows)) for column in residues)
+        engine, columns = index.engine, two_particle_codes(group.config)[0]
+        psi = [bytes(map(column.__getitem__, rows)) for column in columns]
         positions = engine.positions(rows, 4)
         tau = engine.permutation(positions, itemgetter(0, 2, 1, 3)(psi))
         sides = []  # (side-1, side-2) permutations of each generator
         for k in index.generators:
-            side1 = engine.permutation(positions, engine.side1(index.member(k), psi))
+            side1 = engine.permutation(positions, engine.side1(index.codes[k], psi))
             sides.append((side1, tuple(map(tau.__getitem__, map(side1.__getitem__, tau)))))
         self.generator_sides = tuple(sides)
 
@@ -552,9 +532,8 @@ def _state(config: FieldConfig, row: int) -> TwoParticleState:
 
 def state_rows(config: FieldConfig, states: Iterable[TwoParticleState]) -> list[int]:
     """The ``two_particle_codes`` rows of two-particle states, in closed form."""
-    engine = _group_index(config).engine
-    codes = (flat_residues(s.state.rep.components) for s in states)
-    return engine.rows(engine.columns(zip(*codes)))
+    codes = (element_indices(config, s.state.rep.components) for s in states)
+    return _group_index(config).engine.rows(list(zip(*codes)))
 
 
 def _generator_permutations(table: _ActionTable, mode: str) -> list[tuple[int, ...]]:
@@ -665,7 +644,7 @@ def _local_reach(config: FieldConfig) -> dict[tuple[int, ...], LocalTransform]:
     """Walk the local generators from each representative, recording words:
     a reached state is (A tensor B) rep for the elements at indices a, b,
     each step moving a or b along a generator's left multiplication, and the
-    inverse pair, keyed by the state's flat residue code, maps it back.
+    inverse pair, keyed by the state's element-index code, maps it back.
     """
     table = _action_table(config)
     index, elements = table.group_index, table.group.elements
@@ -691,7 +670,8 @@ def find_local_transform(state: TwoParticleState) -> LocalTransform:
     """A local pair (g1, g2) carrying the state onto its orbit representative."""
     if state.is_product or not state.physical:
         raise ValueError("state is not an entangled physical state")
-    move = _local_reach(state.config).get(flat_residues(state.state.rep.components))
+    config = state.config
+    move = _local_reach(config).get(element_indices(config, state.state.rep.components))
     if move is None:
         raise ValueError("state is not locally equivalent to any representative")
     return move

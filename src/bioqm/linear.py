@@ -12,13 +12,12 @@ one interned ``FieldConfig.element`` lookup rather than one per field
 operation.
 
 Projective states identify vectors up to a nonzero scalar.  The canonical
-representative scales the first nonzero component to 1, and enumeration is
-lexicographic over components, each component ordered by (re, im).  It runs
-on integer columns: ``projective_columns`` builds the representatives' re and
-im residues and norms dot(v, v) mod p as ``array`` columns by repetition, and
-``enumerate_projective`` is the object view of its rows, in their order,
-each made by ``residue_state``.  ``flat_residues`` and ``matrix_residues``
-read a vector's or a matrix's code.
+representative scales the first nonzero component to 1.  State columns hold
+element indices e = re * w + im (w = p over GF(p^2), 1 over GF(p)), encoded
+and decoded only here; enumeration is lexicographic over them and runs on
+``array`` columns: ``projective_columns`` builds index and norm columns by
+repetition, ``enumerate_projective`` is the object view of its rows (each
+by ``residue_state``), and ``flat_residues`` reads a vector's (re, im).
 """
 
 from __future__ import annotations
@@ -233,32 +232,57 @@ def canonicalize(v: StateVector) -> ProjectiveState:
     return ProjectiveState(rep=rep, self_orthogonal=is_self_orthogonal(rep))
 
 
+def index_width(config: FieldConfig) -> int:
+    """w in the element index e = re * w + im: p over GF(p^2), 1 over GF(p)."""
+    return config.p if config.is_extension else 1
+
+
+def index_residues(config: FieldConfig) -> list[tuple[int, int]]:
+    """The (re, im) residues of every element index, in index order."""
+    w = index_width(config)
+    return [divmod(e, w) for e in range(config.order)]
+
+
+def element_indices(config: FieldConfig, entries: Iterable[FieldElement]) -> tuple[int, ...]:
+    """The element indices of a run of field elements."""
+    w = index_width(config)
+    return tuple(x.re * w + x.im for x in entries)
+
+
+def require_enumerable(config: FieldConfig, dim: int) -> None:
+    """Refuse, before anything is built, a dimension below 1 or q^dim past the guard."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    if (q := config.order) ** dim > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration of {q}^{dim} raw vectors exceeds guard {ENUMERATION_GUARD}")
+
+
+def require_byte_indices(config: FieldConfig) -> None:
+    """Refuse, before anything is built, a field whose indices need more than a byte."""
+    if config.order > 256:
+        raise ValueError(f"GF({config.order}) has q > 256 elements, past a one-byte element index")
+
+
 def projective_columns(config: FieldConfig, dim: int) -> tuple[tuple[array, ...], array]:
     """Every projective state of the given dimension as integer columns.
 
-    Returns (columns, norms), one row per state: columns[2k] and
-    columns[2k + 1] are the re and im residues of the canonical
-    representative's component k (im = 0 over GF(p)), and norms is
+    Returns (columns, norms), one row per state: columns[k] is the element
+    index of the canonical representative's component k, and norms is
     dot(v, v) mod p, zero exactly on self-orthogonal states; each is an
-    ``array`` of the narrowest typecode holding p - 1.  Rows run zeros, a
-    leading 1, then a free tail, lexicographically with each component
-    ordered by (re, im); there are (q^dim - 1) / (q - 1) of them.
+    ``array`` of the narrowest typecode holding q - 1.  Rows run zeros, a
+    leading 1 (index w), then a free tail, lexicographically by index; there
+    are (q^dim - 1) / (q - 1) of them.
 
     No row is built on its own.  In a block of tails, each column takes each
-    of its values n times in turn and repeats that, so it is ``array * n``
-    and concatenation.  A tail c + t has norm N(c) + N(t), so the norms of
-    the tails of length L, plus s, are those of length L - 1 plus s + N(c)
-    for each c in turn: one copy per distinct value mod p.
+    index n times in turn and repeats that, so it is ``array * n`` and
+    concatenation.  A tail c + t has norm N(c) + N(t), so the norms of the
+    tails of length L, plus s, are those of length L - 1 plus s + N(c) for
+    each index c in turn: one copy per distinct value mod p.
     """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    q, p = config.order, config.p
-    if q**dim > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration of {q}^{dim} raw vectors exceeds guard {ENUMERATION_GUARD}"
-        )
-    code = next(c for c in "BHIL" if p <= 256 ** array(c).itemsize)
-    elements = [(re, im) for re in range(p) for im in (range(p) if config.is_extension else (0,))]
+    require_enumerable(config, dim)
+    q, p, w = config.order, config.p, index_width(config)
+    code = next(c for c in "BHIL" if q <= 256 ** array(c).itemsize)
+    norm = [(re * re + im * im) % p for re, im in index_residues(config)]
 
     def joined(parts: Iterable[array]) -> array:
         return array(code, b"".join(parts))
@@ -269,20 +293,18 @@ def projective_columns(config: FieldConfig, dim: int) -> tuple[tuple[array, ...]
         """N(t) + shift mod p for every tail t of this many components."""
         if (length, shift) not in copies:
             copies[length, shift] = joined(
-                tail_norms(length - 1, (shift + re * re + im * im) % p) for re, im in elements
+                tail_norms(length - 1, (shift + n) % p) for n in norm
             ) if length else array(code, (shift,))
         return copies[length, shift]
 
     # leading-zero prefixes sort first, so walking the pivot from the last
     # position to the first gives lexicographic order directly
-    blocks: list[list[array]] = [[] for _ in range(2 * dim + 1)]
+    blocks: list[list[array]] = [[] for _ in range(dim + 1)]
     for pivot in range(dim - 1, -1, -1):
-        choices = [[(0, 0)]] * pivot + [[(1, 0)]] + [elements] * (dim - 1 - pivot)
+        choices = [(0,)] * pivot + [(w,)] + [range(q)] * (dim - 1 - pivot)
         for k, values in enumerate(choices):
             n, tile = q ** (dim - 1 - max(k, pivot)), q ** max(0, k - 1 - pivot)
-            for part in (0, 1):
-                blocks[2 * k + part].append(
-                    joined(array(code, (x[part],)) * n for x in values) * tile)
+            blocks[k].append(joined(array(code, (x,)) * n for x in values) * tile)
         blocks[-1].append(tail_norms(dim - 1 - pivot, 1))
     *columns, norms = map(joined, blocks)
     expected = (q**dim - 1) // (q - 1)
@@ -293,8 +315,9 @@ def projective_columns(config: FieldConfig, dim: int) -> tuple[tuple[array, ...]
 
 def residue_state(config: FieldConfig, v: Sequence[int], norm: int) -> ProjectiveState:
     """The projective state of one ``projective_columns`` row (v, norm)."""
-    # the residues are reduced already, so they key the intern store as they are
-    components = tuple(map(config._interned.__getitem__, zip(v[::2], v[1::2])))
+    # an index's residues are reduced already, so they key the intern store as they are
+    w = index_width(config)
+    components = tuple(config._interned[divmod(e, w)] for e in v)
     return ProjectiveState(StateVector(components, config), norm == 0)
 
 
@@ -308,11 +331,6 @@ def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]
 def flat_residues(entries: Iterable[FieldElement]) -> tuple[int, ...]:
     """The flat (re, im, ...) residues of a run of field elements."""
     return tuple(part for x in entries for part in (x.re, x.im))
-
-
-def matrix_residues(m: Iterable[Iterable[FieldElement]]) -> tuple[int, ...]:
-    """The flat (re, im, ...) residues of a matrix's entries, row-major."""
-    return flat_residues(x for row in m for x in row)
 
 
 # -- small exact matrices ---------------------------------------------------

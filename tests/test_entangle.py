@@ -28,7 +28,7 @@ from bioqm import (
     spin_axes,
     two_particle_states,
 )
-from bioqm import entangle
+from bioqm import entangle, linear
 from bioqm.biortho import bracket
 from bioqm.gf import residue_sign
 from bioqm.entangle import correlator_grid, one_sided_spin, product_spin
@@ -41,9 +41,8 @@ from bioqm.linear import (
     kron,
     mat_vec,
     matrix_make,
-    residue_state,
 )
-from test_linear import reference_projective, reference_residues
+from test_linear import index_code, reference_projective, reference_residues, residue_code
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -140,7 +139,7 @@ CODE_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19"]
 
 def reference_codes(config):
     """The per-state reference for ``entangle.two_particle_codes``: every row
-    of ``reference_residues`` with its own determinant test, as (8 residue
+    of ``reference_residues`` with its own determinant test, as (4 element-index
     columns, norms, kinds) in bytes."""
     p = config.p
     psis, norms, kinds = [], [], []
@@ -150,7 +149,7 @@ def reference_codes(config):
             not (ar * dr - ai * di - br * cr + bi * ci) % p
             and not (ar * di + ai * dr - br * ci - bi * cr) % p
         )
-        psis.append(psi)
+        psis.append(index_code(config, psi))
         norms.append(norm)
         kinds.append(entangle.PRODUCT * is_product + (norm != 0) * entangle.PHYSICAL)
     return tuple(map(bytes, zip(*psis))), bytes(norms), bytes(kinds)
@@ -162,13 +161,25 @@ def test_code_table_matches_per_state_reference(config):
 
 
 def test_code_table_is_bytes_columns():
-    # one byte per state in each of 10 columns, not a tuple per state
+    # one byte per state in each of 6 columns (4 element indices, the norm
+    # and the kind), not a tuple per state
     table = entangle.two_particle_codes(GF49)
     columns, norms, kinds = table
     assert all(type(column) is bytes for column in (*columns, norms, kinds))
     size = sys.getsizeof(table) + sys.getsizeof(columns) + sum(
         map(sys.getsizeof, (*columns, norms, kinds)))
-    assert size <= 11 * CENSUS49["states"] + 4096, size
+    assert size <= 7 * CENSUS49["states"] + 4096, size
+
+
+def test_code_table_refuses_two_byte_indices_before_any_build(monkeypatch):
+    # GF(19^2) passes a raised guard, but its 361 indices need two bytes
+    def unreachable(config, dim):
+        raise AssertionError("the columns were built")
+
+    monkeypatch.setattr(entangle, "projective_columns", unreachable)
+    monkeypatch.setattr(linear, "ENUMERATION_GUARD", 10**12)
+    with pytest.raises(ValueError, match="q > 256"):
+        entangle.two_particle_codes(FieldConfig(19, 2))
 
 
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
@@ -178,8 +189,9 @@ def test_code_table_matches_classify_on_every_state(config):
     psis = list(zip(*columns))
     assert len(psis) == len(norms) == len(kinds) == len(reference)
     assert set(kinds) <= {0, 1, 2, 3}
+    w = config.p if config.is_extension else 1
     for psi, norm, kind, state in zip(psis, norms, kinds, reference):
-        assert psi == tuple(part for x in state.rep.components for part in (x.re, x.im))
+        assert psi == tuple(x.re * w + x.im for x in state.rep.components)
         assert norm == dot(state.rep, state.rep).re
         assert bool(kind & entangle.PRODUCT) == classify(state).is_product
         assert bool(kind & entangle.PHYSICAL) == state.physical
@@ -486,7 +498,7 @@ def _residue_grid(config, psi, norm, pairs):
     at = _gram(psi).__getitem__
     for (i, j), _, (indices, coefficients) in pairs:
         if indices and sum(map(mul, coefficients, map(at, indices))) % p:
-            rep = residue_state(config, psi, norm).rep
+            rep = StateVector.make(config, zip(psi[::2], psi[1::2]))
             raise RuntimeError(
                 f"bracket of spin {i}x{j} in {rep} has a nonzero imaginary "
                 "part; observable is malformed"
@@ -502,8 +514,9 @@ def _all_pairs(config):
 
 
 def _physical_codes(config):
+    """The physical rows of the code table as (flat (re, im) residues, norm)."""
     columns, norms, _ = entangle.two_particle_codes(config)
-    return [(psi, norm) for psi, norm in zip(zip(*columns), norms) if norm]
+    return [(residue_code(config, psi), norm) for psi, norm in zip(zip(*columns), norms) if norm]
 
 
 def _table_sign(config):

@@ -3,7 +3,7 @@
 from collections import Counter
 from functools import cache
 from itertools import cycle, islice, product
-from operator import eq, getitem, itemgetter, mul
+from operator import eq, itemgetter, mul
 from string import ascii_lowercase
 from types import SimpleNamespace
 
@@ -59,9 +59,9 @@ from bioqm.linear import (
     mat_mul,
     mat_vec,
     matrix_make,
-    projective_columns,
 )
-from test_linear import reference_projective
+from test_linear import (index_code, reference_indices, reference_projective,
+                         reference_residues, residue_code)
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -200,10 +200,11 @@ def reference_member_codes(config):
     """The members found by search: every canonical 4-vector of the residue
     enumeration, read row-major as M = [[a, b], [c, d]], kept when
     dagger(M) M = [[n, x], [conj(x), n']] has n = n' nonzero and x = 0, with
-    the column norms n, n' and x = conj(a) b + conj(c) d; sorted by code."""
+    the column norms n, n' and x = conj(a) b + conj(c) d; as element-index
+    codes, sorted."""
     p = config.p
     found = []
-    for v in zip(*projective_columns(config, 4)[0]):
+    for v, _ in reference_residues(config, 4):
         ar, ai, br, bi, cr, ci, dr, di = v
         norm = (ar * ar + ai * ai + cr * cr + ci * ci) % p
         if (
@@ -212,7 +213,7 @@ def reference_member_codes(config):
             and not (ar * br + ai * bi + cr * dr + ci * di) % p
             and not (ar * bi - ai * br + cr * di - ci * dr) % p
         ):
-            found.append(v)
+            found.append(index_code(config, v))
     return sorted(found)
 
 
@@ -253,33 +254,42 @@ GF3_MATRICES = {
 }
 
 
+def _index_columns(config, codes):
+    """``bytes`` element-index columns of flat (re, im, ...) residue codes."""
+    return [bytes(column) for column in zip(*(index_code(config, code) for code in codes))]
+
+
 @pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
 def test_closed_form_row_index_is_the_table_position(config):
     engine = groups._ColumnEngine(config)
     for dim in (2, 4):
-        columns = engine.columns(projective_columns(config, dim)[0])
+        columns = list(zip(*(v for v, _ in reference_indices(config, dim))))
         assert engine.rows(columns) == list(range((config.order**dim - 1) // (config.order - 1)))
 
 
 @pytest.mark.parametrize("config", [GF7, GF9, GF49], ids=["gf7", "gf9", "gf49"])
 def test_canonical_columns_undo_every_scaling(config):
     engine = groups._ColumnEngine(config)
-    columns = engine.columns(projective_columns(config, 4)[0])
+    p = config.p
     canonical = reference_canonicalizer(config)
-    rows = list(zip(*projective_columns(config, 4)[0]))
-    # row r scaled by the (r mod (q - 1)) + 1-th element index, so every
-    # nonzero scalar meets rows of every pivot
-    scalars = list(islice(cycle(range(1, config.order)), len(columns[0])))
-    scaled = [bytes(map(getitem, map(engine.times.__getitem__, scalars), column))
-              for column in columns]
-    assert scaled != list(columns)
-    assert engine.canonical(scaled) == list(columns)
+    rows = [v for v, _ in reference_residues(config, 4)]
+    columns = _index_columns(config, rows)
+    # row r scaled by the (r mod (q - 1)) + 1-th element, so every nonzero
+    # scalar meets rows of every pivot
+    scalars = islice(cycle(x for x in config.elements() if not x.is_zero), len(rows))
+    scaled = _index_columns(config, [
+        [part % p for re, im in zip(v[::2], v[1::2]) for part in (re * s.re - im * s.im,
+                                                                  re * s.im + im * s.re)]
+        for v, s in zip(rows, scalars)])
+    assert scaled != columns
+    assert engine.canonical(scaled) == columns
     # and on raw images: a generator times every 97th row, reduced mod p but
     # not scaled, against the reference scaling
     index = groups._group_index(config)
-    k = index.generators[-1]
-    raw = [[x % config.p for x in reference_mul2(index.codes[k], code)] for code in rows[::97]]
-    assert engine.codes(engine.canonical(engine.columns(zip(*raw)))) == list(map(canonical, raw))
+    member = residue_code(config, index.codes[index.generators[-1]])
+    raw = [[x % p for x in reference_mul2(member, code)] for code in rows[::97]]
+    assert engine.canonical(_index_columns(config, raw)) == _index_columns(
+        config, list(map(canonical, raw)))
 
 
 def test_fields_past_one_byte_element_indices_are_refused(monkeypatch):
@@ -525,7 +535,7 @@ def test_index_tables_match_the_per_member_reference(p):
     # each member's residue product, canonical form and code lookup
     config = FieldConfig(p, 2)
     index = groups._group_index(config)
-    codes = index.codes
+    codes = [residue_code(config, code) for code in index.codes]
     canonical = reference_canonicalizer(config)
     for k, left in zip(index.generators, index.generator_left):
         assert left == reference_permutation(lambda code: reference_mul2(codes[k], code),
@@ -651,13 +661,14 @@ def test_global_action_fixes_the_singlet():
 
 
 def _code(state):
-    return flat_residues(state.state.rep.components)
+    """A two-particle state's element-index code."""
+    return index_code(state.config, flat_residues(state.state.rep.components))
 
 
 @cache
 def _rows_by_code(config):
-    """Each ``two_particle_codes`` row, by its flat residue code."""
-    return {code: r for r, code in enumerate(zip(*two_particle_codes(config)[0]))}
+    """Each ``two_particle_codes`` row, by its element-index code."""
+    return {code: r for r, (code, _) in enumerate(reference_indices(config, 4))}
 
 
 def _row(state):
@@ -798,11 +809,12 @@ def test_column_rows_match_the_per_state_reference_past_the_letters():
     # GF(49)'s entangled physical states under the generators of its index:
     # side 1 is M psi and side 2 is psi M^T, each a residue product here
     config = GF49
-    columns, _, kinds = two_particle_codes(config)
+    kinds = two_particle_codes(config)[2]
     rows = [r for r, kind in enumerate(kinds) if kind == PHYSICAL]
-    codes = [code for code, kind in zip(zip(*columns), kinds) if kind == PHYSICAL]
+    codes = [code for (code, _), kind in zip(reference_residues(config, 4), kinds)
+             if kind == PHYSICAL]
     table = groups._ActionTable(SimpleNamespace(config=config), rows)
-    members = groups._group_index(config).codes
+    members = [residue_code(config, code) for code in groups._group_index(config).codes]
     canonical = reference_canonicalizer(config)
     transpose = itemgetter(0, 1, 4, 5, 2, 3, 6, 7)
     assert len(table.generator_sides) == len(table.group_index.generators) > 0

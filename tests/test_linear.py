@@ -206,11 +206,29 @@ def reference_residues(config, dim):
                 yield prefix + c + t, (1 + cn + n) % p
 
 
+def index_code(config, flat):
+    """The element indices re * w + im of flat (re, im, ...) residues, with
+    w = p over GF(p^2) and 1 over GF(p)."""
+    w = config.p if config.is_extension else 1
+    return tuple(re * w + im for re, im in zip(flat[::2], flat[1::2]))
+
+
+def residue_code(config, code):
+    """The flat (re, im, ...) residues of element indices: ``index_code`` undone."""
+    w = config.p if config.is_extension else 1
+    return tuple(part for e in code for part in divmod(e, w))
+
+
+def reference_indices(config, dim):
+    """The rows of ``reference_residues`` with each component as its index."""
+    return [(index_code(config, v), norm) for v, norm in reference_residues(config, dim)]
+
+
 def column_rows(config, dim):
     """The rows (v, norm) of ``projective_columns``, every column checked to
     have one entry per state."""
     columns, norms = projective_columns(config, dim)
-    assert len(columns) == 2 * dim
+    assert len(columns) == dim
     assert {len(column) for column in columns} == {len(norms)}
     return list(zip(zip(*columns), norms))
 
@@ -228,22 +246,24 @@ def test_enumeration_matches_object_reference(config, dim):
         (tuple(part for x in s.rep.components for part in (x.re, x.im)), dot(s.rep, s.rep).re)
         for s in reference
     ]
-    assert column_rows(config, dim) == residues
     assert list(reference_residues(config, dim)) == residues
+    assert column_rows(config, dim) == [(index_code(config, v), norm) for v, norm in residues]
 
 
 def test_wide_residue_columns_match_the_references():
-    # residues past 255 need two bytes per entry
+    # indices past 255 need two bytes per entry, GF(19^2)'s 361 among them
+    # although each of its residues fits in a byte
     reference = reference_projective(GF263, 2)
     assert enumerate_projective(GF263, 2) == reference
     assert column_rows(GF263, 2) == [
-        (tuple(part for x in s.rep.components for part in (x.re, x.im)), dot(s.rep, s.rep).re)
-        for s in reference
+        (tuple(x.re for x in s.rep.components), dot(s.rep, s.rep).re) for s in reference
     ]
-    assert column_rows(GF263, 3) == list(reference_residues(GF263, 3))
-    wide = FieldConfig(9967, 1)
-    assert column_rows(wide, 2) == list(reference_residues(wide, 2))
-    assert {column.itemsize for column in projective_columns(wide, 2)[0]} == {2}
+    assert column_rows(GF263, 3) == reference_indices(GF263, 3)
+    wide, gf361 = FieldConfig(9967, 1), FieldConfig(19, 2)
+    for config in (wide, gf361):
+        assert column_rows(config, 2) == reference_indices(config, 2)
+        assert {column.itemsize for column in projective_columns(config, 2)[0]} == {2}
+    assert enumerate_projective(gf361, 2) == reference_projective(gf361, 2)
 
 
 def test_tensor_is_row_major():
