@@ -28,18 +28,25 @@ vector y with  y.A <= 0 componentwise and y.b > 0, which contradicts any
 nonnegative solution on contraction.
 
 Phase 1 (finding a feasible basis, or the certificate) depends only on the
-system, so ``LPSystem`` runs it once and then answers one objective at a
-time, each phase 2 on its own copy of the tableau; ``solve_lp`` is the
-one-objective case.  The tableau carries the reduced-cost row and updates
-it on every pivot instead of re-summing a column's reduced cost at each
-scan.  Bland's rule decides from exact values, so each objective takes the
-same pivots as a solve of its own would.
+system, so ``LPSystem`` runs it once.  ``LPSystem.solve`` then answers one
+objective at a time, each phase 2 on its own copy of the tableau, so each
+objective takes the same pivots as a solve of its own would; ``solve_lp``
+is the one-objective case.  The tableau carries the reduced-cost row and
+updates it on every pivot instead of re-summing a column's reduced cost at
+each scan.
 
-Every phase 2 checks its solution against the rows and for x >= 0 before
-returning it, so the coordinate ranges in ``inference`` skip LPs exactly: a
-coordinate that is 0 in a returned solution has minimum 0, and twins
-(coordinates with identical columns) trade mass without changing any row,
-so each has minimum 0 and all share the maximum of their total.
+``LPSystem.ranges`` finds every coordinate's exact [min, max] on one
+narrowed tableau.  Twins (coordinates with identical columns) trade mass
+without changing any row, so each has minimum 0 and all share the maximum
+of their total: the tableau keeps one column per class of twins, and no
+artificial column, which cannot enter after phase 1.  Each range LP starts
+from the previous one's optimum, which is still feasible; Bland's rule
+still terminates, and an optimum value does not depend on the start.
+Every phase 2 checks its solution, lifted back to all coordinates, against
+the rows and for x >= 0, so a value a returned solution gives a coordinate
+is attained.  A singleton's min LP is skipped when such a value meets a
+proven lower bound: 0, or, with a normalization row sum x = t,
+t - sum over k != j of max x_k.
 """
 
 from __future__ import annotations
@@ -185,7 +192,8 @@ class _Tableau:
     def __init__(self, rows: list[list[int]], scales: list[int], n_real: int):
         """``rows[i]`` is s_i [a_i | b_i] over int, with ``scales[i]`` = s_i > 0."""
         self.m = len(rows)
-        self.n_real = n_real
+        self.n = self.n_real = n_real
+        self.columns = list(range(n_real))  # the coordinate of each structural column
         # columns: n_real structural + m artificial + 1 rhs; scaling the whole
         # row, identity part included, leaves the exact tableau unchanged
         self.t = [
@@ -201,6 +209,24 @@ class _Tableau:
         twin.t = self.t[:]  # rows are replaced by pivots, never changed in place
         twin.basis = self.basis[:]
         return twin
+
+    def narrowed(self, keep: list[int]) -> _Tableau:
+        """A copy on the structural columns ``keep`` alone, in their order.
+
+        ``keep`` holds every basic structural column.  The artificial columns
+        go, and so do the rows whose basic column is artificial: after the
+        drive-out such a row has no nonzero structural entry and a zero right
+        side, so no pivot reads or changes it.
+        """
+        narrow = copy.copy(self)
+        position = {j: k for k, j in enumerate(keep)}
+        rows = [(row, j) for row, j in zip(self.t, self.basis) if j < self.n_real]
+        narrow.t = [[row[j] for j in keep] + row[-1:] for row, _ in rows]
+        narrow.basis = [position[j] for _, j in rows]
+        narrow.m, narrow.n_real = len(rows), len(keep)
+        narrow.columns = [self.columns[j] for j in keep]
+        narrow.z, narrow.zd = [0] * (len(keep) + 1), 1
+        return narrow
 
     def pivot(self, row: int, col: int) -> None:
         t = self.t
@@ -259,6 +285,7 @@ class LPSystem:
     None otherwise.  ``solve`` minimizes one objective, given as ints or
     rationals over the n unknowns: each call runs its phase 2 on a copy of
     the feasible tableau, and on an infeasible system returns ``infeasible``.
+    ``ranges`` gives a feasible point and every coordinate's exact range.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence, n: int):
@@ -307,14 +334,66 @@ class LPSystem:
             return self.infeasible
         return _phase2(self._tableau.copy(), objective, self._system)
 
+    def ranges(self) -> tuple[LPResult, tuple[tuple[Fraction, Fraction], ...] | None]:
+        """A feasible point and the exact [min, max] of every coordinate.
+
+        The feasible point is phase 1's vertex, found before any range LP.
+        One max LP per class of twins gives the class maximum, and a min LP
+        runs only for a singleton no verified solution has put on a proven
+        lower bound (see the module docstring).  An infeasible system gives
+        its Farkas result and no ranges; an unbounded coordinate raises
+        ``ValueError``.
+        """
+        if self.infeasible is not None:
+            return self.infeasible, None
+        n, system = self.n, self._system
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for j in range(n):
+            classes.setdefault(tuple(row[j] for row, _ in system), []).append(j)
+        # each class stands on its first member, the only one phase 1 and the
+        # drive-out can make basic: both take the lowest of equal columns
+        kept = list(classes.values())
+        tab = self._tableau.narrowed([js[0] for js in kept])
+        feas = _phase2(tab, [0] * len(kept), system)
+        # each singleton's least value in a verified solution
+        least = {k: feas.solution[js[0]] for k, js in enumerate(kept) if len(js) == 1}
+
+        def optimum(k: int, sign: int) -> Fraction:
+            result = _phase2(tab, [sign * (i == k) for i in range(len(kept))], system)
+            if result.status != "optimal":
+                raise ValueError("a coordinate is unbounded")
+            for i, x in least.items():
+                least[i] = min(x, result.solution[kept[i][0]])
+            return result.objective
+
+        low, high = [_ZERO] * n, [_ZERO] * n
+        for k, js in enumerate(kept):
+            top = -optimum(k, -1)
+            for j in js:
+                high[j] = top
+        total = next((Fraction(row[-1], row[0]) for row, _ in system
+                      if len(set(row[:-1])) == 1 and row[0] > 0), None)
+        spare = None if total is None else total - sum(high)
+        for k, x in least.items():
+            j = kept[k][0]
+            floor = _ZERO if spare is None else max(_ZERO, spare + high[j])
+            low[j] = x if x == floor else optimum(k, 1)
+        return feas, tuple(zip(low, high))
+
 
 def _phase2(
     tab: _Tableau, objective: Sequence, system: list[tuple[list[int], int]]
 ) -> LPResult:
+    """Minimize ``objective``, one entry per structural column of ``tab``.
+
+    The tableau moves to the optimum.  The solution is lifted to every
+    coordinate, 0 off the tableau's columns, and checked against the
+    system's rows and for x >= 0.
+    """
     c, c_scale = _integer_row(objective)
     # rows still carrying an artificial basis variable are redundant:
     # freeze them by excluding artificial columns from entering
-    status = tab.run(c + [0] * (tab.m + 1), list(range(tab.n_real)))
+    status = tab.run(c + [0] * (len(tab.z) - len(c)), list(range(tab.n_real)))
     if status == "unbounded":
         return LPResult(
             status="unbounded", objective=None, solution=None, certificate=None
@@ -324,14 +403,15 @@ def _phase2(
     # columns are exactly zero, so only basic ones enter the checks
     d = lcm(*(s for _, _, s in basic))
     scaled = [(j, v * (d // s)) for j, v, s in basic]
+    columns = tab.columns
     for row, _ in system:
-        if sum(row[j] * xj for j, xj in scaled) != row[-1] * d:
+        if sum(row[columns[j]] * xj for j, xj in scaled) != row[-1] * d:
             raise AssertionError("simplex solution fails the constraints")
     if any(xj < 0 for _, xj in scaled):
         raise AssertionError("simplex solution is not nonnegative")
-    x = [_ZERO] * tab.n_real
+    x = [_ZERO] * tab.n
     for j, v, s in basic:
-        x[j] = Fraction(v, s) if v else _ZERO
+        x[columns[j]] = Fraction(v, s) if v else _ZERO
     return LPResult(
         status="optimal",
         objective=Fraction(sum(c[j] * xj for j, xj in scaled), c_scale * d),

@@ -38,7 +38,7 @@ from .entangle import (
     representative_states,
     single_spin,
 )
-from .exactlp import LPResult, LPSystem, rref
+from .exactlp import LPSystem, rref
 
 PAIR_OUTCOMES = ("++", "+-", "-+", "--")
 PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -132,14 +132,16 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
     """Decide what the constraints say about the outcome distribution.
 
     Status is 'unique' exactly when the feasible polytope is a single point
-    (decided by exact coordinatewise min/max), 'infeasible' when it is empty
-    (with a Farkas certificate over the listed rows plus normalization), and
+    (decided by the exact coordinate ranges of ``LPSystem.ranges``, whose
+    feasible point is the witness), 'infeasible' when it is empty (with a
+    Farkas certificate over the listed rows plus normalization), and
     'indeterminate' otherwise.  The reduced equality rows are reported as
     implied identities, and the outcomes whose exact maximum is 0 as forced
-    zeros, whatever combination of rows forces them.
+    zeros, whatever combination of rows forces them.  The LPs finish before
+    the row reduction starts, so the two never hold working rows at once.
     """
     rows, rhs, labels = system.full_rows()
-    feas, ranges = _coordinate_ranges(rows, rhs, len(system.outcomes))
+    feas, ranges = LPSystem(rows, rhs, len(system.outcomes)).ranges()
     reduced = rref(rows, rhs)
     identities = tuple(
         Identity(coeffs=row, rhs=value, text=_identity_text(system.outcomes, row, value))
@@ -161,56 +163,6 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
         certificate=feas.certificate,
         certificate_rows=tuple(labels) if infeasible else None,
     )
-
-
-def _coordinate_ranges(
-    rows: list[list[Fraction]], rhs: list[Fraction], n: int
-) -> tuple[LPResult, tuple[tuple[Fraction, Fraction], ...] | None]:
-    """A feasible point and the exact [min, max] of every coordinate.
-
-    One phase 1 serves every LP, and two exact facts spare most of them.
-    Twin columns: coordinates with the same column in every row,
-    normalization included, trade mass without changing any row, so each of
-    two or more twins has minimum 0 and all share the maximum of their
-    total, which one max LP per class finds.  Verified zeros: every solution
-    the simplex returns is checked against the rows and for x >= 0, so a
-    coordinate that is 0 in one of them has minimum exactly 0.  The max LPs
-    run first, and a min LP runs only for a singleton coordinate positive in
-    every solution seen so far.
-
-    An infeasible system gives its Farkas result, no ranges and no
-    objective.  The LPs are done before the caller row-reduces, so the two
-    never hold their working rows at the same time.
-    """
-    lp = LPSystem(rows, rhs, n)
-    if lp.infeasible is not None:
-        return lp.infeasible, None
-    zeroed: set[int] = set()  # coordinates at 0 in some verified solution
-
-    def vertex(j: int, sign: int) -> LPResult:
-        """The optimum of sign * x_j; sign 0 gives a feasible point."""
-        objective = [0] * n
-        if sign:
-            objective[j] = sign
-        result = lp.solve(objective)
-        if result.status != "optimal":
-            raise AssertionError("bounded polytope reported unbounded")
-        zeroed.update(k for k, x in enumerate(result.solution) if not x)
-        return result
-
-    feas = vertex(0, 0)
-    classes: dict[tuple[Fraction, ...], list[int]] = {}
-    for j, column in enumerate(zip(*rows)):
-        classes.setdefault(column, []).append(j)
-    low, high = [Fraction(0)] * n, [Fraction(0)] * n
-    for members in classes.values():
-        top = -vertex(members[0], -1).objective
-        for j in members:
-            high[j] = top
-    for j, *twins in classes.values():
-        if not twins and j not in zeroed:
-            low[j] = vertex(j, 1).objective
-    return feas, tuple(zip(low, high))
 
 
 # -- moment systems ---------------------------------------------------------------

@@ -216,9 +216,6 @@ class ProjectiveState:
     def dim(self) -> int:
         return self.rep.dim
 
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return self.rep.sort_key()
-
     def __str__(self) -> str:
         return str(self.rep)
 

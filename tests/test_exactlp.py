@@ -1,5 +1,6 @@
 """Exact rational row reduction and the small simplex solver."""
 
+import copy
 from fractions import Fraction
 from math import gcd
 
@@ -182,6 +183,18 @@ def test_lp_system_answers_each_objective_from_one_phase1():
     assert infeasible[0] == infeasible[1]
 
 
+def test_lp_system_ranges_without_a_normalization_row():
+    # x0 and x1 are twins; no row is a multiple of the all-ones row
+    feasible, ranges = LPSystem([[1, 1, 2]], [2], 3).ranges()
+    assert feasible.solution == (F(2), F(0), F(0))
+    assert ranges == ((F(0), F(2)), (F(0), F(2)), (F(0), F(1)))
+    # the total is 1 here, but x2 >= 1 - 1/2 - 1/2 = 0 leaves x2's min LP to run
+    _, ranges = LPSystem([[2, 2, 2], [1, 1, 0]], [2, F(1, 2)], 3).ranges()
+    assert ranges == ((F(0), F(1, 2)), (F(0), F(1, 2)), (F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError, match="unbounded"):
+        LPSystem([[1, -1]], [0], 2).ranges()
+
+
 # -- reference: Gauss-Jordan over Fraction --------------------------------------
 
 
@@ -230,6 +243,12 @@ class _ReferenceTableau:
             for i in range(self.m)
         ]
         self.basis = [n_real + i for i in range(self.m)]
+
+    def copy(self):
+        twin = copy.copy(self)
+        twin.t = self.t[:]  # rows are replaced by pivots, never changed in place
+        twin.basis = self.basis[:]
+        return twin
 
     def pivot(self, row, col):
         inv = 1 / self.t[row][col]
@@ -292,9 +311,8 @@ def reference_phase1(rows, rhs, n):
     return tab, flips, phase1_costs
 
 
-def reference_solve_lp(objective, rows, rhs):
-    c = [F(x) for x in objective]
-    n = len(c)
+def reference_feasible(rows, rhs, n):
+    """The infeasible result, or the reference tableau after phase 1 and the drive-out."""
     m = len(rows)
     tab, flips, phase1_costs = reference_phase1(rows, rhs, n)
     if tab.objective_value(phase1_costs) > 0:
@@ -309,7 +327,18 @@ def reference_solve_lp(objective, rows, rhs):
             col = next((j for j in range(n) if tab.t[i][j] != 0), None)
             if col is not None:
                 tab.pivot(i, col)
-    if tab.run(c + [F(0)] * (m + 1), list(range(n))) == "unbounded":
+    return tab
+
+
+def reference_phase2(feasible, objective):
+    """One objective's phase 2 on a copy of ``reference_feasible``'s tableau.
+
+    An infeasible result is returned before the objective is read.
+    """
+    if isinstance(feasible, LPResult):
+        return feasible
+    tab, c = feasible.copy(), [F(x) for x in objective]
+    if tab.run(c + [F(0)] * (tab.m + 1), list(range(tab.n_real))) == "unbounded":
         return LPResult("unbounded", None, None, None)
     x = tab.solution()
     return LPResult("optimal", sum(ci * xi for ci, xi in zip(c, x)), tuple(x), None)
@@ -329,16 +358,13 @@ def range_objectives(n):
 def assert_matches_reference(objectives, rows, rhs):
     lp = LPSystem(rows, rhs, len(objectives[0]))
     shared = [lp.solve(c) for c in objectives]
-    first = reference_solve_lp(objectives[0], rows, rhs)
-    # the reference returns an infeasible result before it reads the objective
-    reference = [first] + [
-        first if first.status == "infeasible" else reference_solve_lp(c, rows, rhs)
-        for c in objectives[1:]
-    ]
+    # the reference runs its phase 1 once and each phase 2 on a copy
+    feasible = reference_feasible(rows, rhs, len(objectives[0]))
+    reference = [reference_phase2(feasible, c) for c in objectives]
     assert shared == reference
     # an infeasible system gives every objective the same certificate
-    if first.status == "infeasible":
-        assert_replay_matches_reference(rows, rhs, first.certificate)
+    if reference[0].status == "infeasible":
+        assert_replay_matches_reference(rows, rhs, reference[0].certificate)
     return reference
 
 
@@ -565,18 +591,28 @@ def unit(n, j, sign):
 # unique without twins: the min LPs of the singlet's axis-3 pair with marginals
 @example(pair_measurement_system(
     representative_states(FieldConfig(3, 2))["S"], 3, 3, include_marginals=True))
+# phase 1 leaves the twin b basic, so the narrowed tableau must keep b
+@example(ConstraintSystem.make(("a", "b", "b'", "c"), [("A", [0, 1, 1, 0], F(1, 2))]))
+# x2's minimum 3/22 is below its value at every max LP's vertex, so its min LP runs
+@example(ConstraintSystem.make(
+    ("x0", "x1", "x2", "x3", "x4"),
+    [("A", [2, -1, -2, -1, 0], F(-8, 11)), ("B", [-1, 0, -1, 1, -1], F(-6, 11))]))
+# a duplicated row keeps an artificial basic through the drive-out
+@example(ConstraintSystem.make(
+    ("a", "b", "c"), [("A", [1, 0, 0], F(1, 2)), ("A again", [1, 0, 0], F(1, 2))]))
 def test_coordinate_ranges_match_reference_on_twin_systems(system):
     rows, rhs, _ = system.full_rows()
     n = len(system.outcomes)
     result = infer_probabilities(system)
-    first = reference_solve_lp([0] * n, rows, rhs)
+    feasible = reference_feasible(rows, rhs, n)
+    first = reference_phase2(feasible, [0] * n)
     if first.status == "infeasible":
         assert result.status == "infeasible"
         assert result.certificate == first.certificate
         return
     ranges = tuple(
-        (reference_solve_lp(unit(n, j, 1), rows, rhs).objective,
-         -reference_solve_lp(unit(n, j, -1), rows, rhs).objective)
+        (reference_phase2(feasible, unit(n, j, 1)).objective,
+         -reference_phase2(feasible, unit(n, j, -1)).objective)
         for j in range(n)
     )
     assert result.witness == first.solution
@@ -585,22 +621,31 @@ def test_coordinate_ranges_match_reference_on_twin_systems(system):
 
 
 @pytest.mark.parametrize(
-    "label, axes, marginals, most",
-    [("S", (1, 2, 3), False, 33), ("S", (1, 2, 3), True, 65), ("S", (1, 3), False, 9),
-     ("T", (1, 2, 3), False, 0)],
-    ids=["S-axes123", "S-axes123-marg", "S-axes13", "T-axes123"],
+    "label, axes, marginals, most, most_pivots",
+    [("S", (1, 2, 3), False, 33, 53), ("S", (1, 2, 3), True, 65, None),
+     ("S", (1, 3), False, 9, None), ("S", (1, 3), True, 17, None), ("T", (1, 2, 3), False, 0, 0)],
+    ids=["S-axes123", "S-axes123-marg", "S-axes13", "S-axes13-marg", "T-axes123"],
 )
-def test_coordinate_ranges_solve_only_uncertified_lps(monkeypatch, label, axes, marginals, most):
-    # one max LP per twin class after the feasible point, and no min LP where
-    # a verified vertex already reaches 0; an infeasible system builds no
-    # objective at all
-    objectives, runs = [], []
-    solve, phase2 = exactlp.LPSystem.solve, exactlp._phase2
-    monkeypatch.setattr(exactlp.LPSystem, "solve",
-                        lambda self, c: objectives.append(c) or solve(self, c))
-    monkeypatch.setattr(exactlp, "_phase2", lambda *args: runs.append(1) or phase2(*args))
+def test_coordinate_ranges_solve_only_uncertified_lps(
+    monkeypatch, label, axes, marginals, most, most_pivots
+):
+    # the feasible point, one max LP per twin class, and no min LP where a
+    # verified vertex already sits on 0 or on the normalization bound; an
+    # infeasible system runs no phase 2 at all.  Each run counts its pivots.
+    runs, pivots = [], []
+    phase2, pivot = exactlp._phase2, exactlp._Tableau.pivot
+
+    def counting_phase2(*args):
+        before = len(pivots)
+        result = phase2(*args)
+        runs.append(len(pivots) - before)
+        return result
+
+    monkeypatch.setattr(exactlp, "_phase2", counting_phase2)
+    monkeypatch.setattr(exactlp._Tableau, "pivot",
+                        lambda self, *args: pivots.append(1) or pivot(self, *args))
     report = hv_report(label, axes, marginals)
     assert report.feasible == (most > 0)
     assert len(runs) <= most
-    if not most:
-        assert objectives == []
+    if most_pivots is not None:
+        assert sum(runs) <= most_pivots
