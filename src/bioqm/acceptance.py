@@ -17,7 +17,8 @@ from functools import cache, partial
 from fractions import Fraction
 from typing import Callable
 
-from .gf import FieldConfig, find_generator, is_prime, phi_map, verify_phi_uniqueness
+from .gf import (FieldConfig, is_prime, phi_map, preserves_products, residue_sign,
+                 verify_phi_uniqueness)
 from .linear import StateVector, dot, mat_neg, matrix_make
 from .biortho import (
     bracket,
@@ -331,22 +332,12 @@ def _criterion_10() -> str:
 
 def _criterion_11() -> str:
     for row in table4_report():
-        probs, value = TABLE4_EXPECTED[row.label]
+        probs, value = TABLE4_EXPECTED[row.state]
         assert row.probabilities == tuple(Fraction(x) for x in probs), row
         assert row.expectation == value, row
     report = correspondence_check()
     assert report.ok and len(report.entries) == 27
     return "probability table exact; 27 correspondence entries consistent"
-
-
-def _preserves_products(p: int, signs: list[int]) -> bool:
-    """Whether the table signs[x], x in GF(p), has phi(ab) = phi(a) phi(b): with g
-    a generator whose powers sweep every unit, phi(0) = 0, phi(1) = 1 and
-    phi(g x) = phi(g) phi(x) for all x give phi(g^k) = phi(g)^k by induction."""
-    g = find_generator(p)
-    assert sorted(pow(g, k, p) for k in range(p - 1)) == list(range(1, p)), (p, g)
-    return signs[0] == 0 and signs[1] == 1 and all(
-        signs[g * x % p] == signs[g] * signs[x] for x in range(p))
 
 
 def _criterion_12() -> str:
@@ -356,8 +347,7 @@ def _criterion_12() -> str:
         assert report.generator_independent, f"p={p}"
     primes = list(filter(is_prime, range(3, PRODUCT_CHECK_LIMIT + 1, 4)))  # all 3 mod 4
     for p in primes:
-        config = FieldConfig(p, 1)
-        assert _preserves_products(p, [phi_map(config.element(x)) for x in range(p)]), p
+        assert preserves_products(p, [residue_sign(x, p) for x in range(p)]), p
     return f"uniqueness at p in {UNIQUENESS_PRIMES}; products preserved for {len(primes)} primes"
 
 

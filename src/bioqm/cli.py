@@ -122,26 +122,13 @@ def build_chsh_value(config: FieldConfig, label: str, axes_text: str) -> dict:
     state = _pair_state(config, label)
     A, a, B, b = _parse_axes(config, axes_text, 4)
     record = chsh(state, A, a, B, b, label=label)
-    return {
-        "kind": "chsh_value",
-        "field": _field_info(config),
-        "state": label,
-        "axes": list(record.axes),
-        "value": record.value,
-        "correlators": record.correlators,
-    }
+    return {"kind": "chsh_value", "field": _field_info(config), **asdict(record)}
 
 
 def build_chsh_scan(config: FieldConfig, label: str | None) -> dict:
     reps = representative_states(config)
     labels = [label] if label else sorted(reps)
-    rows = []
-    for name in labels:
-        state = _pair_state(config, name)
-        histogram = chsh_scan(state)
-        rows.append(
-            {"state": name, "histogram": {str(k): v for k, v in sorted(histogram.items())}}
-        )
+    rows = [{"state": name, "histogram": chsh_scan(_pair_state(config, name))} for name in labels]
     return {"kind": "chsh_scan", "field": _field_info(config), "rows": rows}
 
 
@@ -222,10 +209,8 @@ def build_orbits(config: FieldConfig, mode: str, min_size: int) -> dict:
     }
 
 
-def _certificate_payload(result) -> dict | None:
-    if result.certificate is None:
-        return None
-    return {"multipliers": list(result.certificate), "rows": list(result.certificate_rows)}
+def _certificate_payload(multipliers, rows) -> dict | None:
+    return None if multipliers is None else {"multipliers": multipliers, "rows": rows}
 
 
 def build_infer(config: FieldConfig, label: str, observable: str | None, marginals: bool) -> dict:
@@ -244,23 +229,10 @@ def build_infer(config: FieldConfig, label: str, observable: str | None, margina
     else:
         options = ", ".join(sorted(reps) + sorted(singles))
         raise ValueError(f"unknown state {label!r}; choose from {options}")
-    result = infer_probabilities(system)
-    return {
-        "kind": "infer",
-        "field": _field_info(config),
-        "state": label,
-        "axes": axes,
-        "marginals": marginals,
-        "status": result.status,
-        "rank": result.rank,
-        "outcomes": list(result.outcomes),
-        "identities": [asdict(ident) for ident in result.identities],
-        "forced_zero": list(result.forced_zero),
-        "solution": list(result.solution) if result.solution is not None else None,
-        "witness": list(result.witness) if result.witness is not None else None,
-        "ranges": [[lo, hi] for lo, hi in result.ranges] if result.ranges is not None else None,
-        "certificate": _certificate_payload(result),
-    }
+    result = asdict(infer_probabilities(system))
+    certificate = _certificate_payload(result.pop("certificate"), result.pop("certificate_rows"))
+    return {"kind": "infer", "field": _field_info(config), "state": label, "axes": axes,
+            "marginals": marginals, **result, "certificate": certificate}
 
 
 def build_mimic(config: FieldConfig, label: str, axes_text: str, marginals: bool) -> dict:
@@ -285,7 +257,7 @@ def build_mimic(config: FieldConfig, label: str, axes_text: str, marginals: bool
             {"label": c.label, "rhs": c.rhs} for c in report.system.constraints
         ],
         "witness": None,
-        "certificate": _certificate_payload(result),
+        "certificate": _certificate_payload(result.certificate, result.certificate_rows),
     }
     if result.witness is not None:
         payload["witness"] = {
@@ -297,36 +269,13 @@ def build_mimic(config: FieldConfig, label: str, axes_text: str, marginals: bool
 
 
 def build_table4() -> dict:
-    rows = [
-        {
-            "state": row.label,
-            "probabilities": list(row.probabilities),
-            "expectation": row.expectation,
-        }
-        for row in table4_report()
-    ]
+    rows = [asdict(row) for row in table4_report()]
     return {"kind": "canonical_table4", "outcomes": ["++", "+-", "-+", "--"], "rows": rows}
 
 
 def build_correspondence(config: FieldConfig) -> dict:
     report = correspondence_check(config)
-    entries = [
-        {
-            "state": e.label,
-            "axes": list(e.axes),
-            "galois": e.galois_bracket,
-            "sign": e.galois_sign,
-            "canonical": e.canonical,
-            "matched": e.matched,
-        }
-        for e in report.entries
-    ]
-    return {
-        "kind": "correspondence",
-        "field": _field_info(config),
-        "ok": report.ok,
-        "entries": entries,
-    }
+    return {"kind": "correspondence", "field": _field_info(config), **asdict(report)}
 
 
 def build_verify_phi(p: int) -> dict:
@@ -395,9 +344,8 @@ def _chsh_value(payload: dict) -> Layout:
 
 
 def _chsh_scan(payload: dict) -> Layout:
-    counts = [str(k) for k in range(5)]
-    rows = [[row["state"]] + [row["histogram"][k] for k in counts] for row in payload["rows"]]
-    return _table(["state", *counts], rows)
+    rows = [[row["state"], *(row["histogram"][k] for k in range(5))] for row in payload["rows"]]
+    return _table(["state", *map(str, range(5))], rows)
 
 
 def _chsh_bound(payload: dict) -> Layout:

@@ -320,7 +320,7 @@ def single_spin(state: TwoParticleState, side: int, axis: int) -> int:
 
 @dataclass(frozen=True)
 class CHSHRecord:
-    state_label: str
+    state: str
     axes: tuple[int, int, int, int]  # (A, a, B, b)
     value: int
     correlators: dict[str, int]
@@ -333,7 +333,7 @@ def chsh(state: TwoParticleState, A: int, a: int, B: int, b: int,
         raise ValueError("CHSH needs two distinct axes on each side")
     e = correlator_grid(state, (A, a), (B, b))
     return CHSHRecord(
-        state_label=label if label is not None else str(state),
+        state=label if label is not None else str(state),
         axes=(A, a, B, b),
         value=next(_chsh_values(e, ((A, a, B, b),))),
         correlators={f"{i}{j}": e[i, j] for (i, j) in sorted(e)},

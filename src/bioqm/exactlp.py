@@ -28,24 +28,25 @@ vector y with  y.A <= 0 componentwise and y.b > 0, which contradicts any
 nonnegative solution on contraction.
 
 Phase 1 (finding a feasible basis, or the certificate) depends only on the
-system, so ``LPSystem`` runs it once.  ``LPSystem.solve`` then answers one
-objective at a time, each phase 2 on its own copy of the tableau, so each
-objective takes the same pivots as a solve of its own would; ``solve_lp``
-is the one-objective case.  The tableau carries the reduced-cost row and
-updates it on every pivot instead of re-summing a column's reduced cost at
-each scan.
+system, so ``LPSystem`` runs it once.  Every phase 2 runs on a narrowed
+copy of the feasible tableau, without the artificial columns, which cannot
+enter after phase 1, or the redundant rows they leave basic.
+``LPSystem.solve`` answers one objective at a time, each on its own copy
+of all n structural columns, so each objective takes the same pivots as a
+solve of its own would; ``solve_lp`` is the one-objective case.  The
+tableau carries the reduced-cost row and updates it on every pivot instead
+of re-summing a column's reduced cost at each scan.
 
 ``LPSystem.ranges`` finds every coordinate's exact [min, max] on one
 narrowed tableau.  Twins (coordinates with identical columns) trade mass
 without changing any row, so each has minimum 0 and all share the maximum
-of their total: the tableau keeps one column per class of twins, and no
-artificial column, which cannot enter after phase 1.  Each range LP starts
-from the previous one's optimum, which is still feasible; Bland's rule
-still terminates, and an optimum value does not depend on the start.
-Every phase 2 checks its solution, lifted back to all coordinates, against
-the rows and for x >= 0, so a value a returned solution gives a coordinate
-is attained.  A singleton's min LP is skipped when such a value meets a
-proven lower bound: 0, or, with a normalization row sum x = t,
+of their total: the tableau keeps one column per class of twins.  Each
+range LP starts from the previous one's optimum, which is still feasible;
+Bland's rule still terminates, and an optimum value does not depend on the
+start.  Every phase 2 checks its solution, lifted back to all coordinates,
+against the rows and for x >= 0, so a value a returned solution gives a
+coordinate is attained.  A singleton's min LP is skipped when such a value
+meets a proven lower bound: 0, or, with a normalization row sum x = t,
 t - sum over k != j of max x_k.
 """
 
@@ -204,13 +205,7 @@ class _Tableau:
         self.z = [0] * (n_real + self.m + 1)
         self.zd = 1
 
-    def copy(self) -> _Tableau:
-        twin = copy.copy(self)
-        twin.t = self.t[:]  # rows are replaced by pivots, never changed in place
-        twin.basis = self.basis[:]
-        return twin
-
-    def narrowed(self, keep: list[int]) -> _Tableau:
+    def narrowed(self, keep: Sequence[int]) -> _Tableau:
         """A copy on the structural columns ``keep`` alone, in their order.
 
         ``keep`` holds every basic structural column.  The artificial columns
@@ -244,15 +239,15 @@ class _Tableau:
             self.z, self.zd = _combine_costs(self.z, self.zd, q, f, pivot_row)
         self.basis[row] = col
 
-    def run(self, costs: list[int], columns: list[int]) -> str:
-        """Minimize over ``columns``; ``costs`` is any positive int multiple of the objective."""
+    def run(self, costs: list[int]) -> str:
+        """Minimize; ``costs`` is any positive int multiple of the objective, one per column."""
         z, zd = list(costs), 1
         for row, j in zip(self.t, self.basis):
             if costs[j]:  # z/zd less costs[j] exact rows, the exact row being row/row[j]
                 z, zd = _combine_costs(z, zd, row[j], costs[j] * zd, row)
         self.z, self.zd = z, zd
         while True:
-            entering = next((j for j in columns if self.z[j] < 0), None)
+            entering = next((j for j, c in enumerate(self.z[:-1]) if c < 0), None)
             if entering is None:
                 return "optimal"
             # least rhs/coeff over positive coeffs, as products: rows' multiples cancel
@@ -283,8 +278,8 @@ class LPSystem:
 
     ``infeasible`` is the replayed Farkas result when no solution exists and
     None otherwise.  ``solve`` minimizes one objective, given as ints or
-    rationals over the n unknowns: each call runs its phase 2 on a copy of
-    the feasible tableau, and on an infeasible system returns ``infeasible``.
+    rationals over the n unknowns: each call runs its phase 2 on a narrowed
+    copy of the feasible tableau, and on an infeasible system returns ``infeasible``.
     ``ranges`` gives a feasible point and every coordinate's exact range.
     """
 
@@ -303,7 +298,7 @@ class LPSystem:
         )
 
         # phase 1: minimize the artificial total
-        status = tab.run([0] * n + [1] * m + [0], list(range(n + m)))
+        status = tab.run([0] * n + [1] * m + [0])
         if status != "optimal":
             raise AssertionError("phase-1 objective is bounded below by zero")
         self.infeasible = None
@@ -332,7 +327,7 @@ class LPSystem:
             raise ValueError("objective/row length mismatch")
         if self.infeasible is not None:
             return self.infeasible
-        return _phase2(self._tableau.copy(), objective, self._system)
+        return _phase2(self._tableau.narrowed(range(self.n)), objective, self._system)
 
     def ranges(self) -> tuple[LPResult, tuple[tuple[Fraction, Fraction], ...] | None]:
         """A feasible point and the exact [min, max] of every coordinate.
@@ -391,9 +386,7 @@ def _phase2(
     system's rows and for x >= 0.
     """
     c, c_scale = _integer_row(objective)
-    # rows still carrying an artificial basis variable are redundant:
-    # freeze them by excluding artificial columns from entering
-    status = tab.run(c + [0] * (len(tab.z) - len(c)), list(range(tab.n_real)))
+    status = tab.run(c + [0])
     if status == "unbounded":
         return LPResult(
             status="unbounded", objective=None, solution=None, certificate=None

@@ -38,33 +38,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def find_generator(p: int) -> int:
-    """Smallest residue generating the multiplicative group of GF(p)."""
+    """Smallest residue generating the multiplicative group of GF(p).
+
+    Each candidate's powers are walked until they return to 1, so the one
+    returned is seen to sweep all p - 1 units: that is what makes the unit
+    group cyclic, which ``preserves_products`` and the uniqueness check rest on.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
     for g in range(2, p):
-        # g generates iff g^((p-1)/q) != 1 for every prime factor q of p-1
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        x, order = g, 1
+        while x != 1:
+            x, order = x * g % p, order + 1
+        if order == p - 1:
             return g
-    raise AssertionError(f"no generator found for GF({p})")  # unreachable
+    return 1  # GF(2), whose one unit is 1
 
 
 def residue_sign(r: int, p: int) -> int:
@@ -347,14 +337,13 @@ _EXHAUSTIVE_LIMIT = 13  # 2^(p-1) assignments stay enumerable up to here
 _UNIQUENESS_GUARD = 1000
 
 
-def _is_sign_homomorphism(p: int, f: dict[int, int]) -> bool:
-    units = range(1, p)
-    for a in units:
-        fa = f[a]
-        for b in units:
-            if f[a * b % p] != fa * f[b]:
-                return False
-    return True
+def preserves_products(p: int, signs) -> bool:
+    """Whether the table signs[x], x in GF(p), has phi(ab) = phi(a) phi(b): with g
+    the generator, whose powers sweep every unit, phi(0) = 0, phi(1) = 1 and
+    phi(g x) = phi(g) phi(x) for all x give phi(g^k) = phi(g)^k by induction."""
+    g = find_generator(p)
+    return signs[0] == 0 and signs[1] == 1 and all(
+        signs[g * x % p] == signs[g] * signs[x] for x in range(p))
 
 
 def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
@@ -366,10 +355,11 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
     even generator powers, independent of which generator is chosen.
 
     For p <= 13 all 2^(p-1) sign assignments are enumerated.  For larger p
-    (guarded at p <= 1000) the routine first verifies that the unit group is
-    cyclic by generating it from the found generator, which forces any
-    homomorphism to be determined by its value there, and then checks the
-    two possible determinations exhaustively.
+    (guarded at p <= 1000) the unit group is cyclic on the generator, whose
+    powers ``find_generator`` has seen sweep every unit; that forces any
+    homomorphism to be determined by its value there, and the two possible
+    determinations are checked.  Each candidate is a table of signs indexed
+    by residue, checked by ``preserves_products``.
     """
     if not is_prime(p) or p % 4 != 3:
         raise ValueError(f"p must be a prime with p = 3 (mod 4), got {p}")
@@ -378,37 +368,26 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
 
     g = find_generator(p)
     units = list(range(1, p))
-    candidates: list[dict[int, int]] = []
-    checked = 0
-
     if p <= _EXHAUSTIVE_LIMIT:
         method = "exhaustive"
-        for signs in iter_product((1, -1), repeat=p - 1):
-            checked += 1
-            f = dict(zip(units, signs))
-            if _is_sign_homomorphism(p, f):
-                candidates.append(f)
+        tables = [(0, *signs) for signs in iter_product((1, -1), repeat=p - 1)]
     else:
         method = "cyclic"
-        # confirm cyclicity concretely: powers of g must sweep every unit
-        powers = [pow(g, k, p) for k in range(p - 1)]
-        if sorted(powers) != units:
-            raise AssertionError(f"{g} does not generate GF({p})^x")
+        tables = []
         for sign_of_g in (1, -1):
-            checked += 1
-            f = {powers[k]: sign_of_g**k for k in range(p - 1)}
-            if _is_sign_homomorphism(p, f):
-                candidates.append(f)
+            table = [0] * p
+            for k in range(p - 1):
+                table[pow(g, k, p)] = sign_of_g**k
+            tables.append(table)
 
-    qualifying = [
-        f for f in candidates if f[1] == 1 and any(v == -1 for v in f.values())
-    ]
+    # the trivial all-ones map preserves products too; the sign map is the other
+    qualifying = [t for t in tables if preserves_products(p, t) and -1 in t]
     unique = len(qualifying) == 1
     kernel: tuple[int, ...] = ()
     matches = False
     if unique:
         the_map = qualifying[0]
-        kernel = tuple(sorted(a for a in units if the_map[a] == 1))
+        kernel = tuple(a for a in units if the_map[a] == 1)
         config = FieldConfig(p, 1)
         matches = all(the_map[a] == phi_map(config.element(a)) for a in units)
 
@@ -426,7 +405,7 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
     return PhiUniquenessReport(
         p=p,
         method=method,
-        candidates_checked=checked,
+        candidates_checked=len(tables),
         qualifying_count=len(qualifying),
         unique=unique,
         kernel=kernel,

@@ -378,7 +378,7 @@ def canonical_pair_probabilities(label: str) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Table4Row:
-    label: str
+    state: str
     probabilities: tuple[Fraction, ...]  # ++, +-, -+, --
     expectation: Fraction
 
@@ -394,7 +394,7 @@ def table4_report() -> tuple[Table4Row, ...]:
         )
         if ev != canonical_correlator(label, 3, 3):
             raise AssertionError("Born-rule expectation disagrees with the bracket")
-        out.append(Table4Row(label=label, probabilities=probs, expectation=ev))
+        out.append(Table4Row(state=label, probabilities=probs, expectation=ev))
     return tuple(out)
 
 
@@ -403,10 +403,10 @@ def table4_report() -> tuple[Table4Row, ...]:
 
 @dataclass(frozen=True)
 class CorrespondenceEntry:
-    label: str
+    state: str
     axes: tuple[int, int]
-    galois_bracket: str  # field value as text
-    galois_sign: int
+    galois: str  # the bracket's field value as text
+    sign: int  # its sign-mapped value
     canonical: Fraction
     matched: bool
 
@@ -441,16 +441,7 @@ def correspondence_check(config: FieldConfig | None = None) -> CorrespondenceRep
                     matched = canonical == Fraction(sign)
                 else:
                     matched = canonical == {1: -half, -1: half, 0: Fraction(0)}[sign]
-                entries.append(
-                    CorrespondenceEntry(
-                        label=label,
-                        axes=(i, j),
-                        galois_bracket=str(value),
-                        galois_sign=sign,
-                        canonical=canonical,
-                        matched=matched,
-                    )
-                )
-    return CorrespondenceReport(
-        entries=tuple(entries), ok=all(e.matched for e in entries)
-    )
+                entries.append(CorrespondenceEntry(
+                    state=label, axes=(i, j), galois=str(value), sign=sign,
+                    canonical=canonical, matched=matched))
+    return CorrespondenceReport(entries=tuple(entries), ok=all(e.matched for e in entries))

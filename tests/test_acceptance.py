@@ -7,7 +7,7 @@ run_criterion folds a blown time budget into the failure itself.
 import pytest
 
 from bioqm import FieldConfig, acceptance, bracket, phi_map
-from bioqm.gf import is_prime
+from bioqm.gf import is_prime, preserves_products, residue_sign
 from bioqm.acceptance import CRITERIA, run_criterion
 
 
@@ -44,14 +44,17 @@ def test_property_suite_computes_each_reference_bracket_once(monkeypatch):
 
 
 def _preserves_products_by_pairs(p, signs):
-    """The reference for ``acceptance._preserves_products``: phi(ab) against
+    """The reference for ``gf.preserves_products``: phi(ab) against
     phi(a) phi(b) for every pair a, b in GF(p)."""
     return all(signs[a * b % p] == signs[a] * signs[b] for a in range(p) for b in range(p))
 
 
 def _phi_table(p):
+    # criterion 12 checks the residue_sign table, so it must be phi_map's
     config = FieldConfig(p, 1)
-    return [phi_map(config.element(x)) for x in range(p)]
+    signs = [phi_map(config.element(x)) for x in range(p)]
+    assert signs == [residue_sign(x, p) for x in range(p)], p
+    return signs
 
 
 PRODUCT_PRIMES = [p for p in range(3, acceptance.PRODUCT_CHECK_LIMIT + 1, 4) if is_prime(p)]
@@ -61,7 +64,7 @@ def test_generator_product_check_agrees_with_every_pair():
     assert len(PRODUCT_PRIMES) == 24
     for p in PRODUCT_PRIMES:
         signs = _phi_table(p)
-        assert acceptance._preserves_products(p, signs), p
+        assert preserves_products(p, signs), p
         assert _preserves_products_by_pairs(p, signs), p
 
 
@@ -70,5 +73,5 @@ def test_one_flipped_unit_fails_both_product_checks(p):
     signs = _phi_table(p)
     for unit in range(1, p):
         flipped = signs[:unit] + [-signs[unit]] + signs[unit + 1:]
-        assert not acceptance._preserves_products(p, flipped), unit
+        assert not preserves_products(p, flipped), unit
         assert not _preserves_products_by_pairs(p, flipped), unit

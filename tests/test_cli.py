@@ -1,6 +1,7 @@
 """The command line front end: formats, determinism, and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,8 @@ import pytest
 import bioqm
 from bioqm import FieldConfig, cli
 from bioqm.cli import run
+from bioqm.entangle import CHSHRecord
+from bioqm.inference import CorrespondenceEntry, CorrespondenceReport, InferenceResult, Table4Row
 
 try:
     import jsonschema
@@ -204,6 +207,30 @@ def test_json_payloads_validate_against_the_shipped_schema(capsys):
         out = capsys.readouterr().out
         assert code == 0, argv
         jsonschema.validate(json.loads(out), schema)
+
+
+@pytest.mark.parametrize(
+    "argv, path, result_type",
+    [
+        (["chsh", "--state", "U"], (), CHSHRecord),
+        (["canonical", "--table4"], ("rows", 0), Table4Row),
+        (["canonical", "--correspondence"], (), CorrespondenceReport),
+        (["canonical", "--correspondence"], ("entries", 0), CorrespondenceEntry),
+        (["infer", "--state", "T"], (), InferenceResult),
+        (["infer", "--state", "T", "--marginals"], (), InferenceResult),
+    ],
+    ids=["chsh", "table4", "correspondence", "correspondence-entry", "infer", "infer-infeasible"],
+)
+def test_every_result_field_is_a_report_key(capsys, argv, path, result_type):
+    # one name per reported quantity: the payload is the result type's asdict,
+    # with infer's certificate rows folded into its certificate
+    code, out, _ = invoke(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    for key in path:
+        payload = payload[key]
+    names = {field.name for field in dataclasses.fields(result_type)} - {"certificate_rows"}
+    assert names <= payload.keys()
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

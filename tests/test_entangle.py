@@ -405,7 +405,7 @@ def test_chsh_named_values():
 
 def test_chsh_record_details():
     record = chsh(representative_states(GF9)["U"], 1, 3, 3, 1, label="U")
-    assert record.state_label == "U"
+    assert record.state == "U"
     assert record.axes == (1, 3, 3, 1)
     assert record.correlators == {"11": -1, "13": -1, "31": 1, "33": -1}
     # value = E(13) + E(11) + E(33) - E(31)

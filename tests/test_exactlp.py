@@ -483,9 +483,9 @@ def test_phase1_tableau_is_integer_and_matches_reference(monkeypatch):
     snapshots = []
     original = exactlp._Tableau.run
 
-    def recording_run(self, costs, columns):
-        status = original(self, costs, columns)
-        if columns[-1] >= self.n_real:
+    def recording_run(self, costs):
+        status = original(self, costs)
+        if len(self.z) > self.n_real + 1:  # the artificial columns are there
             snapshots.append(([row[:] for row in self.t], self.basis[:], self.z[:], self.zd))
         return status
 
@@ -533,10 +533,10 @@ def test_one_phase1_per_inference(monkeypatch):
     phase1_runs = []
     original = exactlp._Tableau.run
 
-    def counting_run(self, costs, columns):
-        if columns[-1] >= self.n_real:  # artificial columns may enter
+    def counting_run(self, costs):
+        if len(self.z) > self.n_real + 1:  # the artificial columns are there
             phase1_runs.append(self.n_real)
-        return original(self, costs, columns)
+        return original(self, costs)
 
     monkeypatch.setattr(exactlp._Tableau, "run", counting_run)
     reps = representative_states(FieldConfig(3, 2))
@@ -597,6 +597,19 @@ def unit(n, j, sign):
 @example(ConstraintSystem.make(
     ("x0", "x1", "x2", "x3", "x4"),
     [("A", [2, -1, -2, -1, 0], F(-8, 11)), ("B", [-1, 0, -1, 1, -1], F(-6, 11))]))
+# beside the twins x4 and x4', x2's minimum 1/6 is below every verified value 1/5
+@example(ConstraintSystem.make(
+    ("x0", "x1", "x2", "x3", "x4", "x4'"),
+    [("A", [3, 1, -2, 1, 2, 2], 1), ("B", [0, 2, -2, 1, 0, 0], 0)]))
+# three rows: x0's minimum 41/352 is below every verified value 51/352
+@example(ConstraintSystem.make(
+    ("x0", "x1", "x2", "x3", "x4", "x5"),
+    [("A", [3, 3, 2, 3, 2, -1], F(24, 11)), ("B", [-3, 0, 3, -1, 1, -3], F(1, 11)),
+     ("C", [-1, 1, -2, 3, -1, -1], F(-6, 11))]))
+# x3's minimum is 0, yet no verified vertex puts it below 1/30
+@example(ConstraintSystem.make(
+    ("x0", "x1", "x2", "x3", "x4", "x0'"),
+    [("A", [2, -1, 0, -2, 0, 2], F(-1, 15)), ("B", [-1, -1, -3, 1, 0, -1], F(-13, 15))]))
 # a duplicated row keeps an artificial basic through the drive-out
 @example(ConstraintSystem.make(
     ("a", "b", "c"), [("A", [1, 0, 0], F(1, 2)), ("A again", [1, 0, 0], F(1, 2))]))

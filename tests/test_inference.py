@@ -438,7 +438,7 @@ def test_canonical_pair_probabilities():
 
 
 def test_table4_frozen():
-    rows = {row.label: row for row in table4_report()}
+    rows = {row.state: row for row in table4_report()}
     assert set(rows) == {"S", "T", "U"}
     assert rows["S"].probabilities == (F(0), F(1, 2), F(1, 2), F(0))
     assert rows["S"].expectation == F(-1)
@@ -455,15 +455,15 @@ def test_correspondence_check():
     assert report.ok
     assert len(report.entries) == 27
     assert all(entry.matched for entry in report.entries)
-    by_key = {(e.label, e.axes): e for e in report.entries}
+    by_key = {(e.state, e.axes): e for e in report.entries}
     t22 = by_key[("T", (2, 2))]
-    assert t22.galois_sign == 1
+    assert t22.sign == 1
     assert t22.canonical == F(-1, 2)
     u12 = by_key[("U", (1, 2))]
-    assert u12.galois_sign == -1
+    assert u12.sign == -1
     assert u12.canonical == F(1, 2)
     s33 = by_key[("S", (3, 3))]
-    assert s33.galois_sign == -1
+    assert s33.sign == -1
     assert s33.canonical == F(-1)
 
 
@@ -472,10 +472,10 @@ def test_correspondence_sign_rule():
     # through -1 <-> +1/2, +1 <-> -1/2, 0 <-> 0
     half = F(1, 2)
     for entry in correspondence_check().entries:
-        if entry.label == "S":
-            assert entry.canonical == F(entry.galois_sign)
+        if entry.state == "S":
+            assert entry.canonical == F(entry.sign)
         else:
-            assert entry.canonical == {1: -half, -1: half, 0: F(0)}[entry.galois_sign]
+            assert entry.canonical == {1: -half, -1: half, 0: F(0)}[entry.sign]
 
 
 def test_correspondence_rejects_other_fields():
