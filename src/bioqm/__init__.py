@@ -5,7 +5,6 @@ from .gf import (
     FieldElement,
     PhiUniquenessReport,
     find_generator,
-    frobenius,
     phi_map,
     verify_phi_uniqueness,
 )

@@ -33,24 +33,21 @@ from .linear import (
     conjugate_dual,
     dot,
     enumerate_projective,
-    field_rank,
     mat_add,
     mat_mul,
-    mat_neg,
-    mat_vec,
 )
 
 
 def is_ortho_nondegenerate(kets: Sequence[StateVector]) -> bool:
     """True when the kets are mutually orthogonal and none is self-orthogonal.
 
-    The kets must span (checked by exact rank); a non-spanning list is a
-    usage error rather than a False.
+    A list of other than dim kets is a usage error, not a False.  True needs
+    no rank check: if sum c_k v_k = 0, then 0 = dot(v_j, sum c_k v_k) =
+    c_j dot(v_j, v_j) with dot(v_j, v_j) != 0, so the dim kets are independent.
     """
     if not kets:
         raise ValueError("empty basis")
-    dim = kets[0].dim
-    if len(kets) != dim or field_rank(kets) != dim:
+    if len(kets) != kets[0].dim:
         raise ValueError("basis does not span the space")
     for r, u in enumerate(kets):
         for s, v in enumerate(kets):
@@ -113,28 +110,12 @@ class Observable:
     def config(self) -> FieldConfig:
         return self.system.config
 
-    def apply(self, v: StateVector) -> StateVector:
-        return mat_vec(self.matrix, v)
-
     def squared(self) -> Observable:
         return Observable(
             matrix=mat_mul(self.matrix, self.matrix),
             eigenvalues=tuple(a * a for a in self.eigenvalues),
             system=self.system,
         )
-
-    def negated(self) -> Observable:
-        return Observable(
-            matrix=mat_neg(self.matrix),
-            eigenvalues=tuple(-a for a in self.eigenvalues),
-            system=self.system,
-        )
-
-    def equals(self, other: Observable, up_to_sign: bool = False) -> bool:
-        """Exact matrix equality; sign identification only when asked for."""
-        if self.matrix == other.matrix:
-            return True
-        return up_to_sign and self.matrix == mat_neg(other.matrix)
 
 
 def build_observable(
@@ -274,15 +255,11 @@ def bracket(state: ProjectiveState | StateVector, obs: Observable | Matrix) -> F
 
 @dataclass(frozen=True)
 class Measurement:
-    """Expectation and variance of an observable in a state, as integers."""
+    """Expectation and variance of an observable in a state, as integers; a
+    negative variance (contrived observables) is reported verbatim, never clamped."""
 
     expectation: int
     variance: int
-
-    @property
-    def variance_negative(self) -> bool:
-        # possible for contrived observables; reported verbatim, never clamped
-        return self.variance < 0
 
 
 def expectation(state: ProjectiveState | StateVector, obs: Observable) -> Measurement:

@@ -38,6 +38,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _powers(h: int, p: int) -> list[int]:
+    """The powers 1, h, h^2, ... of the unit h mod p, until they return to 1."""
+    powers = [1]
+    while (x := powers[-1] * h % p) != 1:
+        powers.append(x)
+    return powers
+
+
 @lru_cache(maxsize=None)
 def find_generator(p: int) -> int:
     """Smallest residue generating the multiplicative group of GF(p).
@@ -48,13 +56,8 @@ def find_generator(p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for g in range(2, p):
-        x, order = g, 1
-        while x != 1:
-            x, order = x * g % p, order + 1
-        if order == p - 1:
-            return g
-    return 1  # GF(2), whose one unit is 1
+    # GF(2) has no candidate; its one unit is 1
+    return next((g for g in range(2, p) if len(_powers(g, p)) == p - 1), 1)
 
 
 def residue_sign(r: int, p: int) -> int:
@@ -96,11 +99,6 @@ class FieldConfig:
     def is_extension(self) -> bool:
         return self.degree == 2
 
-    @property
-    def generator(self) -> int:
-        """Smallest multiplicative generator of the base field GF(p)."""
-        return find_generator(self.p)
-
     def element(self, re: int, im: int = 0) -> FieldElement:
         """The interned element (re mod p) + (im mod p)*i."""
         p = self.p
@@ -111,14 +109,6 @@ class FieldConfig:
 
     def one(self) -> FieldElement:
         return self.element(1)
-
-    def minus_one(self) -> FieldElement:
-        return self.element(-1)
-
-    def i_unit(self) -> FieldElement:
-        if not self.is_extension:
-            raise ValueError("i exists only in the degree-2 extension")
-        return self.element(0, 1)
 
     def elements(self) -> list[FieldElement]:
         """All field elements, ordered by (re, im)."""
@@ -214,9 +204,6 @@ class FieldElement:
             raise ValueError(f"field mismatch: {self.config} vs {other.config}")
         return other
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.re, self.im)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: FieldElement | int) -> FieldElement:
@@ -303,10 +290,6 @@ class FieldElement:
         return f"<{self} in {self.config}>"
 
 
-def frobenius(x: FieldElement) -> FieldElement:
-    return x.frobenius()
-
-
 def phi_map(x: FieldElement) -> int:
     """Product-preserving sign map GF(p) -> {-1, 0, +1}.
 
@@ -359,7 +342,8 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
     powers ``find_generator`` has seen sweep every unit; that forces any
     homomorphism to be determined by its value there, and the two possible
     determinations are checked.  Each candidate is a table of signs indexed
-    by residue, checked by ``preserves_products``.
+    by residue, checked by ``preserves_products``.  Generators are read off
+    the same power walk as in ``find_generator``: walks of length p - 1.
     """
     if not is_prime(p) or p % 4 != 3:
         raise ValueError(f"p must be a prime with p = 3 (mod 4), got {p}")
@@ -367,6 +351,7 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
         raise ValueError(f"p = {p} exceeds the enumeration guard {_UNIQUENESS_GUARD}")
 
     g = find_generator(p)
+    g_powers = _powers(g, p)
     units = list(range(1, p))
     if p <= _EXHAUSTIVE_LIMIT:
         method = "exhaustive"
@@ -376,8 +361,8 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
         tables = []
         for sign_of_g in (1, -1):
             table = [0] * p
-            for k in range(p - 1):
-                table[pow(g, k, p)] = sign_of_g**k
+            for k, x in enumerate(g_powers):
+                table[x] = sign_of_g**k
             tables.append(table)
 
     # the trivial all-ones map preserves products too; the sign map is the other
@@ -392,15 +377,12 @@ def verify_phi_uniqueness(p: int) -> PhiUniquenessReport:
         matches = all(the_map[a] == phi_map(config.element(a)) for a in units)
 
     # the parity-of-exponent definition must not depend on the generator
-    generator_independent = True
-    expected = frozenset(pow(g, 2 * k, p) for k in range((p - 1) // 2))
-    for h in units:
-        h_powers = [pow(h, k, p) for k in range(p - 1)]
-        if sorted(h_powers) != units:
-            continue  # not a generator
-        evens = frozenset(pow(h, 2 * k, p) for k in range((p - 1) // 2))
-        if evens != expected:
-            generator_independent = False
+    expected = frozenset(g_powers[::2])
+    generator_independent = all(
+        frozenset(h_powers[::2]) == expected
+        for h_powers in (_powers(h, p) for h in units)
+        if len(h_powers) == p - 1
+    )
 
     return PhiUniquenessReport(
         p=p,

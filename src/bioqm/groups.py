@@ -433,14 +433,8 @@ class _GroupIndex:
         self.parent = {sh: (k, h) for sh, k, h in self.tree}
         conjugations = [[inv[left[inv[left[x]]]] for x in range(order)]
                         for left in self.generator_left]
-        classes, seen = [], set()
-        for x in range(order):
-            if x not in seen:
-                members = sorted([x, *(j for j, _, _ in _walk(x, conjugations))])
-                seen.update(members)
-                classes.append(tuple(members))
-        classes.sort(key=lambda c: (len(c), c[0]))
-        self.classes = tuple(classes)
+        self.classes = classes = tuple(sorted(
+            map(tuple, _orbit_members(order, conjugations)), key=lambda c: (len(c), c[0])))
         orders = [0] * order
         for members in classes:
             left = self.compose(members[0], self.generator_left)

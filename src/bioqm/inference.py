@@ -176,14 +176,6 @@ class MomentReport:
     rank: int
     indeterminacy: int  # unknowns minus rank
 
-    @property
-    def unknowns(self) -> int:
-        return len(self.outcome_values)
-
-    @property
-    def singular(self) -> bool:
-        return self.indeterminacy > 0
-
 
 def moment_system(values: Sequence, max_power: int) -> MomentReport:
     """The linear system tying outcome probabilities to moments E(A^k).

@@ -93,22 +93,11 @@ class StateVector:
             config,
         )
 
-    def add(self, other: StateVector) -> StateVector:
-        if other.config != self.config or other.dim != self.dim:
-            raise ValueError("can only add vectors of matching shape and field")
-        return StateVector(
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.config,
-        )
-
     def tensor(self, other: StateVector) -> StateVector:
         """Row-major Kronecker product (left index varies slowest)."""
         if not _same_field(other.config, self.config):
             raise ValueError("tensor factors must share a field")
         return StateVector(_outer(self.config, self.components, other.components), self.config)
-
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c.sort_key() for c in self.components)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
@@ -412,27 +401,3 @@ def inverse2(m: Matrix) -> Matrix:
         (m[1][1] * inv, -m[0][1] * inv),
         (-m[1][0] * inv, m[0][0] * inv),
     )
-
-
-def field_rank(rows: Sequence[StateVector]) -> int:
-    """Rank of a matrix whose rows are state vectors, by Gauss elimination."""
-    if not rows:
-        return 0
-    work = [list(r.components) for r in rows]
-    n_cols = len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next(
-            (r for r in range(rank, len(work)) if not work[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map
-from bioqm.gf import is_prime, verify_phi_uniqueness
+from bioqm.gf import _powers, is_prime, verify_phi_uniqueness
 
 
 def test_config_rejects_bad_parameters():
@@ -54,6 +54,22 @@ def test_generator_powers_cover_all_units(p):
     g = find_generator(p)
     powers = {pow(g, k, p) for k in range(p - 1)}
     assert powers == set(range(1, p))
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if p % 4 == 3 and is_prime(p)] + [991])
+def test_power_walk_matches_the_pow_and_sort_rule(p):
+    # the reference rule: h generates when its p - 1 powers by pow, sorted,
+    # are the units, and its even powers are pow(h, 2k, p)
+    units = list(range(1, p))
+    reference = {
+        h: frozenset(pow(h, 2 * k, p) for k in range((p - 1) // 2))
+        for h in units
+        if sorted(pow(h, k, p) for k in range(p - 1)) == units
+    }
+    walked = {h: frozenset(powers[::2]) for h in units if len(powers := _powers(h, p)) == p - 1}
+    assert walked == reference
+    assert find_generator(p) == min(reference)
+    assert verify_phi_uniqueness(p).generator_independent
 
 
 def _poly_mul(a, b, p):
@@ -111,7 +127,7 @@ def test_frozen_frobenius_value_over_gf49():
 
 def test_division_in_gf3_wraps_to_negative():
     config = FieldConfig(3, 1)
-    assert config.element(1) / config.element(2) == config.minus_one()
+    assert config.element(1) / config.element(2) == config.element(-1)
 
 
 def test_balanced_rendering():
@@ -129,8 +145,8 @@ def test_balanced_rendering():
 
 def test_power_and_negation():
     config = FieldConfig(3, 2)
-    i = config.i_unit()
-    assert i * i == config.minus_one()
+    i = config.element(0, 1)
+    assert i * i == config.element(-1)
     assert i ** 4 == config.one()
     assert -i == config.element(0, 2)
 
@@ -139,7 +155,7 @@ def test_elements_enumeration_ordered():
     config = FieldConfig(3, 2)
     elems = list(config.elements())
     assert len(elems) == 9
-    assert elems == sorted(elems, key=lambda x: x.sort_key())
+    assert elems == sorted(elems, key=lambda x: (x.re, x.im))
 
 
 # -- the sign map --------------------------------------------------------------
@@ -171,13 +187,13 @@ def test_phi_preserves_products_exhaustively(p):
 def test_phi_rejects_imaginary_arguments():
     config = FieldConfig(3, 2)
     with pytest.raises(ValueError):
-        phi_map(config.i_unit())
+        phi_map(config.element(0, 1))
 
 
 def test_phi_on_embedded_reals_of_extension_field():
     config = FieldConfig(3, 2)
     assert phi_map(config.one()) == 1
-    assert phi_map(config.minus_one()) == -1
+    assert phi_map(config.element(-1)) == -1
     assert phi_map(config.zero()) == 0
 
 
@@ -251,7 +267,7 @@ def test_elements_are_interned_per_config_and_compare_by_value():
         for y in other.elements():
             a, b = (x.re, x.im), (y.re, y.im)
             assert x + y == gf9.element(a[0] + b[0], a[1] + b[1])
-            assert (x * y).sort_key() == _poly_mul(a, b, 3)
+            assert ((x * y).re, (x * y).im) == _poly_mul(a, b, 3)
             if not y.is_zero:
                 assert (x / y) * y == x
     mixed = StateVector((gf9.element(1), other.element(0, 1)), gf9)

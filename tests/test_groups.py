@@ -75,7 +75,7 @@ FIELD_IDS = ["gf3", "gf7", "gf9", "gf11", "gf19", "gf23"]
 
 
 def _matrix_key(m):
-    return tuple(x.sort_key() for row in m for x in row)
+    return tuple((x.re, x.im) for row in m for x in row)
 
 
 # the object group products: the references the index tables are checked

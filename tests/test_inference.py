@@ -191,16 +191,15 @@ def test_forced_zeros_of_a_unique_system_are_its_zero_outcomes():
 
 def test_moment_system_of_a_spin_pair():
     report = moment_system([1, -1, -1, 1], 4)
-    assert report.unknowns == 4
+    assert len(report.outcome_values) == 4
     assert report.rank == 2
     assert report.indeterminacy == 2
-    assert report.singular
 
 
 def test_moment_system_distinct_values_resolve():
     assert moment_system([1, -1], 2).rank == 2
     assert moment_system([1, 0, -1], 2).rank == 3
-    assert not moment_system([1, 0, -1], 2).singular
+    assert moment_system([1, 0, -1], 2).indeterminacy == 0
 
 
 def test_moment_system_never_beats_distinct_value_count():
