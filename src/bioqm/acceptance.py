@@ -359,7 +359,7 @@ def signed_correlator(state, first, second) -> int:
     integer-residue kernel behind ``correlator`` and ``chsh``.
     """
     (sign1, i), (sign2, j) = first, second
-    matrix = product_spin(state.config, i, j).matrix
+    matrix = product_spin(state.config, i, j)
     if sign1 * sign2 < 0:
         matrix = mat_neg(matrix)
     return phi_map(bracket(state.state, matrix))

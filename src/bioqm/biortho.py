@@ -84,19 +84,6 @@ class BiorthogonalSystem:
     def dim(self) -> int:
         return self.kets[0].dim
 
-    def tensor(self, other: BiorthogonalSystem) -> BiorthogonalSystem:
-        """The product system with kets ket_r tensor ket_s (row-major)."""
-        kets = tuple(u.tensor(v) for u in self.kets for v in other.kets)
-        bras = tuple(
-            DualVector(
-                tuple(x * y for x in bu.components for y in bv.components),
-                self.config,
-            )
-            for bu in self.bras
-            for bv in other.bras
-        )
-        return BiorthogonalSystem(kets=kets, bras=bras)
-
 
 @dataclass(frozen=True)
 class Observable:

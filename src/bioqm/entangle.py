@@ -3,8 +3,7 @@
 A four-component state is a product state exactly when its 2x2 reshape has
 zero determinant (rank one means it is a Kronecker product of two
 one-particle vectors).  Product spin observables are Kronecker products of
-one-particle spin observables, assembled together with their product
-biorthogonal system so the spectral form survives.
+one-particle spin observables, plain 4x4 matrices.
 
 ``two_particle_codes`` caches, per field, every canonical two-particle state
 in ``bytes`` columns: 4 of element indices, norms, and kind bytes (that
@@ -23,11 +22,10 @@ G_rc = x_r x_c + y_r y_c and A_rc = y_r x_c - x_r y_c.  Then conj(psi_r)
 psi_c = G_rc - i A_rc, so a table entry hr + i hi at (r, c) adds
 (hr G_rc + hi A_rc) + i (hi G_rc - hr A_rc) to the bracket.  ``_pair_forms``
 folds each s_i x s_j (row index on side 1) this way, once per field, into a
-real and an imaginary form over the Gram values, keeping the coefficients
-nonzero mod p (2 or 4 of 16 for the spin tables).  No Hermiticity is
-assumed: a nonzero imaginary form is checked on every state and raises as
-``bracket`` does; a Hermitian table folds to imaginary forms with no
-coefficient left, the zero polynomial.  The bracket divides the real part
+real form over the Gram values, keeping the coefficients nonzero mod p (2 or
+4 of 16 for the spin tables).  The tables are Hermitian, so the bracket lies
+in GF(p): the fold checks that once per field, raising RuntimeError on an
+imaginary form with a coefficient left.  The bracket divides the real part
 by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
 n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
 E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
@@ -45,7 +43,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice, product, repeat
 from operator import add, mul, sub
-from typing import Callable
+from typing import Callable, Iterable
 
 from .gf import FieldConfig, phi_map, residue_sign
 from .linear import (
@@ -64,7 +62,7 @@ from .linear import (
     require_enumerable,
     residue_state,
 )
-from .biortho import Observable, bracket, require_axes, spin_axes, spin_observable
+from .biortho import bracket, require_axes, spin_axes, spin_observable
 
 
 @dataclass(frozen=True)
@@ -190,14 +188,9 @@ def census(config: FieldConfig) -> Census:
 
 
 @lru_cache(maxsize=None)
-def product_spin(config: FieldConfig, i: int, j: int) -> Observable:
+def product_spin(config: FieldConfig, i: int, j: int) -> Matrix:
     """The two-particle observable spin(i) tensor spin(j)."""
-    left = spin_observable(config, i)
-    right = spin_observable(config, j)
-    system = left.system.tensor(right.system)
-    eigenvalues = tuple(a * b for a in left.eigenvalues for b in right.eigenvalues)
-    matrix = kron(left.matrix, right.matrix)
-    return Observable(matrix=matrix, eigenvalues=eigenvalues, system=system)
+    return kron(spin_observable(config, i).matrix, spin_observable(config, j).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -232,26 +225,34 @@ def _sparse(coefficients: list[int], p: int) -> tuple[tuple[int, ...], tuple[int
 
 @lru_cache(maxsize=None)
 def _pair_forms(config: FieldConfig) -> dict:
-    """Per-field kernel input: (i, j) -> (re, im), the real and imaginary
-    parts of <psi, (s_i x s_j) psi> as ``_sparse`` forms over ``_GRAM``."""
+    """Per-field kernel input: (i, j) -> the real part of <psi, (s_i x s_j) psi>
+    as a ``_sparse`` form over ``_GRAM``.
+
+    A spin table M = sum lambda_k k k^dagger / n_k has lambda_k, n_k = <k, k>
+    in GF(p), so M^dagger = M and so is s_i x s_j: the imaginary part is 0.
+    The imaginary form is folded only to check that, as the 16 Gram values
+    are linearly independent quadratic forms: with no coefficient left it is
+    0 on every state, and a coefficient left raises RuntimeError.
+    """
     p = config.p
     tables = {axis: flat_residues(chain(*spin_observable(config, axis).matrix))
               for axis in spin_axes(config)}
     forms = {}
-    for i, s in tables.items():
-        for j, t in tables.items():
-            # h_rc = (s x t)[r][c] = s[r//2][c//2] * t[r%2][c%2] as hr + i hi
-            hr, hi = {}, {}
-            for r, c in product(range(4), repeat=2):
-                u, v = 2 * (r // 2 * 2 + c // 2), 2 * (r % 2 * 2 + c % 2)
-                hr[r, c] = s[u] * t[v] - s[u + 1] * t[v + 1]
-                hi[r, c] = s[u] * t[v + 1] + s[u + 1] * t[v]
-            # conj(psi_r) h_rc psi_c = (hr G + hi A) + i (hi G - hr A), A_cr = -A_rc
-            re = ([hr[r, r] for r in range(4)] + [hr[r, c] + hr[c, r] for r, c in _PAIRS]
-                  + [hi[r, c] - hi[c, r] for r, c in _PAIRS])
-            im = ([hi[r, r] for r in range(4)] + [hi[r, c] + hi[c, r] for r, c in _PAIRS]
-                  + [hr[c, r] - hr[r, c] for r, c in _PAIRS])
-            forms[i, j] = (_sparse(re, p), _sparse(im, p))
+    for (i, s), (j, t) in product(tables.items(), repeat=2):
+        # h_rc = (s x t)[r][c] = s[r//2][c//2] * t[r%2][c%2] as hr + i hi
+        hr, hi = {}, {}
+        for r, c in product(range(4), repeat=2):
+            u, v = 2 * (r // 2 * 2 + c // 2), 2 * (r % 2 * 2 + c % 2)
+            hr[r, c] = s[u] * t[v] - s[u + 1] * t[v + 1]
+            hi[r, c] = s[u] * t[v + 1] + s[u + 1] * t[v]
+        # conj(psi_r) h_rc psi_c = (hr G + hi A) + i (hi G - hr A), A_cr = -A_rc
+        re = ([hr[r, r] for r in range(4)] + [hr[r, c] + hr[c, r] for r, c in _PAIRS]
+              + [hi[r, c] - hi[c, r] for r, c in _PAIRS])
+        im = ([hi[r, r] for r in range(4)] + [hi[r, c] + hi[c, r] for r, c in _PAIRS]
+              + [hr[c, r] - hr[r, c] for r, c in _PAIRS])
+        if any(x % p for x in im):
+            raise RuntimeError(f"spin {i}x{j} is not Hermitian; observable is malformed")
+        forms[i, j] = _sparse(re, p)
     return forms
 
 
@@ -260,8 +261,7 @@ def correlator_grid(
 ) -> dict[tuple[int, int], int]:
     """E(i, j) for every axis i in side1 and j in side2, from one kernel pass.
 
-    Raises ValueError on an axis the field lacks or a self-orthogonal state
-    and RuntimeError on a bracket with a nonzero imaginary part, as ``bracket``.
+    Raises ValueError on an axis the field lacks or a self-orthogonal state.
     """
     config = state.config
     require_axes(config, (*side1, *side2))
@@ -269,19 +269,18 @@ def correlator_grid(
     norm = sum(map(mul, psi, psi)) % config.p
     if norm == 0:
         raise ValueError(f"self-orthogonal vector {state.state.rep} has no conjugate dual")
-    forms = _pair_forms(config)
-    pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
+    pairs = [(i, j) for i in side1 for j in side2]
+    forms = map(_pair_forms(config).__getitem__, pairs)
     sign = partial(residue_sign, p=config.p)
-    (signs,) = _sign_grids(config, [(x,) for x in psi], (norm,), pairs, sign)
-    return {pair: e for (pair, _, _), e in zip(pairs, signs)}
+    (signs,) = _sign_grids(config, [(x,) for x in psi], (norm,), forms, sign)
+    return dict(zip(pairs, signs))
 
 
-def _sign_grids(config: FieldConfig, flat, norms, pairs: list, sign: Callable[[int], int]):
-    """The sign E of each ((i, j), re, im) ``_pair_forms`` entry in pairs for
-    each state of a chunk, given as its 8 flat (re, im) residue columns in
-    flat and its norms <psi, psi> mod p != 0 in norms, by ``sign`` on [0, p).
-    On real rows (all y_r = 0) G_rc = x_r x_c and A_rc = 0.  The first state
-    with a nonzero imaginary form raises on its first such pair."""
+def _sign_grids(config: FieldConfig, flat, norms, forms: Iterable, sign: Callable[[int], int]):
+    """The sign E of each ``_pair_forms`` real form in forms for each state of
+    a chunk, given as its 8 flat (re, im) residue columns in flat and its
+    norms <psi, psi> mod p != 0 in norms, by ``sign`` on [0, p).  On real rows
+    (all y_r = 0) G_rc = x_r x_c and A_rc = 0."""
     p = config.p
     real = not any(map(any, flat[1::2]))
     gram = {}
@@ -296,16 +295,7 @@ def _sign_grids(config: FieldConfig, flat, norms, pairs: list, sign: Callable[[i
             terms.append(gram[k] if c == 1 else map(c.__mul__, gram[k]))
         return reduce(partial(map, add), terms) if terms else repeat(0, len(norms))
 
-    checked = [(pair, map(p.__rmod__, column(im))) for pair, _, im in pairs if im[0]]
-    for row, parts in enumerate(zip(*(parts for _, parts in checked))):
-        if any(parts):
-            i, j = next(pair for (pair, _), part in zip(checked, parts) if part)
-            v = [column[row] for column in flat]
-            rep = StateVector.make(config, zip(v[::2], v[1::2]))
-            raise RuntimeError(f"bracket of spin {i}x{j} in {rep} has a nonzero "
-                               "imaginary part; observable is malformed")
-    return zip(*[map(sign, map(p.__rmod__, map(mul, column(re), norms)))
-                 for _, re, _ in pairs])
+    return zip(*[map(sign, map(p.__rmod__, map(mul, column(form), norms))) for form in forms])
 
 
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
@@ -380,13 +370,12 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
 
     The physical rows of the code table go to the kernel ``_CHUNK`` at a
     time, so the working memory is one chunk's columns whatever the field.
-    Every grid is computed and checked (``states_scanned`` is a true count);
+    Every grid is computed (``states_scanned`` is a true count);
     then the CHSH values are read once per distinct grid (at most 3^9) up to
     the first that reaches 4: four signs in {-1, 0, 1} sum to no more.
     """
     quadruples = axis_quadruples(config)
     forms = _pair_forms(config)
-    pairs = [(pair, *form) for pair, form in forms.items()]
     # every state reads many signs, so a table of all p of them pays off
     # here; a single state's grid over a large prime must not build one
     sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
@@ -398,7 +387,7 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
         scanned += len(chunk)
         indices = [bytes(islice(column, len(chunk))) for column in rows]
         flat = [column.translate(part) for column in indices for part in split]
-        grids.update(_sign_grids(config, flat, chunk, pairs, sign))
+        grids.update(_sign_grids(config, flat, chunk, forms.values(), sign))
     best = 0
     for grid in grids:
         best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))

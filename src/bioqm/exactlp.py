@@ -192,17 +192,17 @@ class _Tableau:
 
     def __init__(self, rows: list[list[int]], scales: list[int], n_real: int):
         """``rows[i]`` is s_i [a_i | b_i] over int, with ``scales[i]`` = s_i > 0."""
-        self.m = len(rows)
+        m = len(rows)
         self.n = self.n_real = n_real
         self.columns = list(range(n_real))  # the coordinate of each structural column
         # columns: n_real structural + m artificial + 1 rhs; scaling the whole
         # row, identity part included, leaves the exact tableau unchanged
         self.t = [
-            row[:-1] + [s if i == j else 0 for j in range(self.m)] + row[-1:]
+            row[:-1] + [s if i == j else 0 for j in range(m)] + row[-1:]
             for i, (row, s) in enumerate(zip(rows, scales))
         ]
-        self.basis = [n_real + i for i in range(self.m)]
-        self.z = [0] * (n_real + self.m + 1)
+        self.basis = [n_real + i for i in range(m)]
+        self.z = [0] * (n_real + m + 1)
         self.zd = 1
 
     def narrowed(self, keep: Sequence[int]) -> _Tableau:
@@ -218,7 +218,7 @@ class _Tableau:
         rows = [(row, j) for row, j in zip(self.t, self.basis) if j < self.n_real]
         narrow.t = [[row[j] for j in keep] + row[-1:] for row, _ in rows]
         narrow.basis = [position[j] for _, j in rows]
-        narrow.m, narrow.n_real = len(rows), len(keep)
+        narrow.n_real = len(keep)
         narrow.columns = [self.columns[j] for j in keep]
         narrow.z, narrow.zd = [0] * (len(keep) + 1), 1
         return narrow

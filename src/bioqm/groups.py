@@ -85,7 +85,6 @@ class GroupElement:
     matrix: Matrix  # canonical leading-1 form
     label: str
     sign: int  # phi of the scalar c in dagger(M) M = c * identity
-    perm: tuple[int, ...]  # action on the physical one-particle states
 
     def __str__(self) -> str:
         return self.label
@@ -198,8 +197,8 @@ def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
-    from the index's member codes; a member's ``perm`` is its action on the
-    physical states, by ``_point_images`` on the index's member columns."""
+    from the index's member codes, each labelled by its action on the physical
+    states in cycle notation (``_point_images`` on the member columns)."""
     states = physical_states(config)
     if len(states) > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
@@ -216,7 +215,7 @@ def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
             raise AssertionError("dagger(M) M is not the scalar its first column gives")
         found.append(GroupElement(matrix=m, label=_cycle_notation(perm, letters),
-                                  sign=phi_map(c), perm=perm))
+                                  sign=phi_map(c)))
     return ProjectiveGroup(config, tuple(found))
 
 

@@ -239,7 +239,7 @@ def test_one_pass_bracket_matches_the_composed_reference(config):
         for matrix in (obs.matrix, obs.squared().matrix):
             for state in physical_states(config):
                 assert bracket(state, matrix) == reference_bracket(state, matrix)
-    matrices = [product_spin(config, i, j).matrix for i in axes for j in axes]
+    matrices = [product_spin(config, i, j) for i in axes for j in axes]
     matrices += [one_sided_spin(config, side, axis) for side in (1, 2) for axis in axes]
     for pair in two_particle_states(config):
         if pair.physical:
@@ -331,13 +331,3 @@ def test_build_observable_checks_arity_and_reality():
         build_observable(system, (1,))
     with pytest.raises(ValueError):
         build_observable(system, (GF9.element(0, 1), GF9.one()))
-
-
-def test_tensor_of_systems():
-    base = enumerate_biorthogonal_systems(GF3)
-    combined = base[0].tensor(base[0])
-    assert combined.dim == 4
-    for r, bra in enumerate(combined.bras):
-        for s, ket in enumerate(combined.kets):
-            value = bra.pairing(ket)
-            assert value == (GF3.one() if r == s else GF3.zero())

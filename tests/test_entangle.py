@@ -28,12 +28,13 @@ from bioqm import (
     spin_axes,
     two_particle_states,
 )
-from bioqm import entangle, linear
-from bioqm.biortho import bracket
-from bioqm.gf import residue_sign
+from bioqm import cli, entangle, linear
+from bioqm.biortho import bracket, spin_observable
+from bioqm.gf import is_prime, residue_sign
 from bioqm.entangle import correlator_grid, one_sided_spin, product_spin
 from bioqm.linear import (
     ProjectiveState,
+    dagger,
     det2,
     dot,
     enumerate_projective,
@@ -375,11 +376,10 @@ def test_product_spin_is_kron_of_one_particle_matrices():
 
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            obs = product_spin(GF9, i, j)
             expected = kron(
                 spin_observable(GF9, i).matrix, spin_observable(GF9, j).matrix
             )
-            assert obs.matrix == expected
+            assert product_spin(GF9, i, j) == expected
 
 
 def test_one_sided_spin_embeds_identity_on_the_other_slot():
@@ -489,28 +489,20 @@ def _gram(psi):
     ]
 
 
-def _residue_grid(config, psi, norm, pairs):
+def _residue_grid(config, psi, norm, forms):
     """The per-state reference for ``entangle._sign_grids``: the sign E of each
-    ((i, j), re, im) ``_pair_forms`` entry in pairs on one state with flat
-    (re, im) residues psi and norm <psi, psi> mod p != 0, each sign by Euler's
-    criterion; a nonzero imaginary form raises on the first such pair."""
+    ``_pair_forms`` real form in forms on one state with flat (re, im)
+    residues psi and norm <psi, psi> mod p != 0, each sign by Euler's criterion."""
     p = config.p
     at = _gram(psi).__getitem__
-    for (i, j), _, (indices, coefficients) in pairs:
-        if indices and sum(map(mul, coefficients, map(at, indices))) % p:
-            rep = StateVector.make(config, zip(psi[::2], psi[1::2]))
-            raise RuntimeError(
-                f"bracket of spin {i}x{j} in {rep} has a nonzero imaginary "
-                "part; observable is malformed"
-            )
     return tuple(
         residue_sign(sum(map(mul, coefficients, map(at, indices))) * norm % p, p)
-        for _, (indices, coefficients), _ in pairs
+        for indices, coefficients in forms
     )
 
 
-def _all_pairs(config):
-    return [(pair, *form) for pair, form in entangle._pair_forms(config).items()]
+def _all_forms(config):
+    return list(entangle._pair_forms(config).values())
 
 
 def _physical_codes(config):
@@ -525,26 +517,26 @@ def _table_sign(config):
 
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
 def test_column_kernel_matches_per_state_reference_exhaustively(config):
-    pairs = _all_pairs(config)
+    forms = _all_forms(config)
     rows = _physical_codes(config)
     psis, norms = zip(*rows)
     columns = list(zip(*psis))
-    grids = list(entangle._sign_grids(config, columns, norms, pairs, _table_sign(config)))
-    assert grids == [_residue_grid(config, psi, norm, pairs) for psi, norm in rows]
+    grids = list(entangle._sign_grids(config, columns, norms, forms, _table_sign(config)))
+    assert grids == [_residue_grid(config, psi, norm, forms) for psi, norm in rows]
 
 
 def test_column_kernel_matches_per_state_reference_on_a_sample():
-    pairs = _all_pairs(GF49)
+    forms = _all_forms(GF49)
     rows = random.Random(4902).sample(_physical_codes(GF49), 300)
     psis, norms = zip(*rows)
     sign = partial(residue_sign, p=GF49.p)
-    grids = list(entangle._sign_grids(GF49, list(zip(*psis)), norms, pairs, sign))
-    assert grids == [_residue_grid(GF49, psi, norm, pairs) for psi, norm in rows]
+    grids = list(entangle._sign_grids(GF49, list(zip(*psis)), norms, forms, sign))
+    assert grids == [_residue_grid(GF49, psi, norm, forms) for psi, norm in rows]
     # a chunk of one row is the same kernel call
     for psi, norm in rows[:20]:
         columns = [(x,) for x in psi]
-        assert list(entangle._sign_grids(GF49, columns, (norm,), pairs, sign)) == [
-            _residue_grid(GF49, psi, norm, pairs)]
+        assert list(entangle._sign_grids(GF49, columns, (norm,), forms, sign)) == [
+            _residue_grid(GF49, psi, norm, forms)]
 
 
 @pytest.mark.parametrize("config", [GF3, GF9, GF19], ids=["gf3", "gf9", "gf19"])
@@ -695,7 +687,7 @@ def pair_forms_cleared():
 
 def _substitute_malformed(monkeypatch):
     """Make axis 1's spin table the MALFORMED one, wherever ``entangle``
-    reads it; returns every axis's table as the kernel now sees it."""
+    reads it."""
     original = entangle.spin_observable
 
     def substituted(field, axis):
@@ -705,152 +697,32 @@ def _substitute_malformed(monkeypatch):
         return dataclasses.replace(obs, matrix=matrix_make(field, MALFORMED[field]))
 
     monkeypatch.setattr(entangle, "spin_observable", substituted)
-    return lambda config: {a: substituted(config, a).matrix for a in spin_axes(config)}
 
 
 @pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
-def test_malformed_spin_table_matches_object_path(config, monkeypatch, pair_forms_cleared):
-    tables = _substitute_malformed(monkeypatch)
-    # the kernel must fold the given table, with no Hermiticity assumed, and
-    # refuse complex brackets as ``bracket`` does; the representatives are
-    # rescaled so their leading entries are not real
+def test_malformed_spin_table_is_refused_at_fold_time(config, monkeypatch, pair_forms_cleared,
+                                                      capsys):
+    # a table that is not Hermitian is refused once per field, when its pairs
+    # are folded, so every correlator entry point refuses it on every state;
+    # s_1 x s_1 is the first pair folded
+    _substitute_malformed(monkeypatch)
+    state = representative_states(config)["S"]
     axes = spin_axes(config)
-    matrices = tables(config)
-    factor = config.element(1, 1) if config.is_extension else config.element(-1)
-    outcomes = set()
-    for canonical in _physical(config):
-        rep = canonical.state.rep.scale(factor)
-        state = classify(ProjectiveState(rep=rep, self_orthogonal=False))
-        for i in axes:
-            for j in axes:
-                try:
-                    expected = phi_map(bracket(state.state, kron(matrices[i], matrices[j])))
-                except RuntimeError:
-                    with pytest.raises(RuntimeError):
-                        correlator_grid(state, (i,), (j,))
-                    outcomes.add("raised")
-                    continue
-                assert correlator_grid(state, (i,), (j,)) == {(i, j): expected}
-                outcomes.add(expected)
-    assert outcomes >= {-1, 0, 1}
-    assert ("raised" in outcomes) == config.is_extension
-
-
-def test_malformed_spin_table_reaches_the_scan(monkeypatch, pair_forms_cleared):
-    tables = _substitute_malformed(monkeypatch)
-    # over GF(9) some physical state has a complex bracket, so the scan and
-    # the bound refuse; chsh_scan refuses exactly the states that have one
-    matrices = tables(GF9)
-    axes = spin_axes(GF9)
-    refused = 0
-    for state in _physical(GF9):
-        try:
-            for i in axes:
-                for j in axes:
-                    bracket(state.state, kron(matrices[i], matrices[j]))
-        except RuntimeError:
-            refused += 1
-            with pytest.raises(RuntimeError, match="nonzero imaginary part"):
-                chsh_scan(state)
-        else:
-            assert sum(chsh_scan(state).values()) == 36
-    assert 0 < refused < len(_physical(GF9))
-    with pytest.raises(RuntimeError, match="nonzero imaginary part"):
-        chsh_bound(GF9)
-    # over GF(3) every bracket of the raising operator is real: the bound
-    # is the per-state maximum of the object path's CHSH values
-    matrices = tables(GF3)
-    axes = spin_axes(GF3)
-    best = 0
-    for state in _physical(GF3):
-        e = {
-            (i, j): phi_map(bracket(state.state, kron(matrices[i], matrices[j])))
-            for i in axes
-            for j in axes
-        }
-        best = max(best, *(abs(e[A, B] + e[A, b] + e[a, B] - e[a, b])
-                           for A, a, B, b in axis_quadruples(GF3)))
-    result = chsh_bound(GF3)
-    assert (result.bound, result.states_scanned, result.quadruples_per_state) == (best, 24, 4)
-    assert best == 3  # not the spin tables' 2
-
-
-def _reference_message(config, psi, norm, pairs):
-    try:
-        _residue_grid(config, psi, norm, pairs)
-    except RuntimeError as exc:
-        return str(exc)
-    return None
-
-
-@pytest.mark.parametrize("size", [2048, 7, 1])
-def test_malformed_table_raises_as_the_per_state_reference(size, monkeypatch,
-                                                           pair_forms_cleared):
-    # the same first state in scan order and the same first pair, whatever
-    # the chunk boundaries
-    _substitute_malformed(monkeypatch)
-    monkeypatch.setattr(entangle, "_CHUNK", size)
-    pairs = _all_pairs(GF9)
-    expected = next(filter(None, (_reference_message(GF9, psi, norm, pairs)
-                                  for psi, norm in _physical_codes(GF9))))
-    with pytest.raises(RuntimeError) as raised:
-        chsh_bound(GF9)
-    assert str(raised.value) == expected
-
-
-def test_malformed_table_raises_on_the_first_complex_object_bracket(monkeypatch,
-                                                                  pair_forms_cleared):
-    # the scan rebuilds the failing row from the table's columns: it names the
-    # first physical state in scan order, and that state's first axis pair,
-    # whose bracket the object path refuses.  With the raising operator over
-    # GF(9) the first physical states' brackets are real, so that row is not
-    # the first of its chunk
-    monkeypatch.setitem(MALFORMED, GF9, MALFORMED[GF3])
-    matrices = _substitute_malformed(monkeypatch)(GF9)
-    axes = spin_axes(GF9)
-
-    def first_complex_pair(state):
-        for i in axes:
-            for j in axes:
-                try:
-                    bracket(state.state, kron(matrices[i], matrices[j]))
-                except RuntimeError:
-                    return i, j
-        return None
-
-    row, (i, j), state = next((row, pair, s) for row, s in enumerate(_physical(GF9))
-                              if (pair := first_complex_pair(s)) is not None)
-    assert row > 0
-    with pytest.raises(RuntimeError) as raised:
-        chsh_bound(GF9)
-    assert str(raised.value) == (f"bracket of spin {i}x{j} in {state} has a nonzero "
-                                 "imaginary part; observable is malformed")
-
-
-def test_malformed_table_raises_as_the_reference_on_each_state(monkeypatch,
-                                                               pair_forms_cleared):
-    _substitute_malformed(monkeypatch)
-    forms = entangle._pair_forms(GF9)
-    refused = 0
-    for state in _physical(GF9):
-        psi = tuple(part for x in state.state.rep.components for part in (x.re, x.im))
-        norm = dot(state.state.rep, state.state.rep).re
-        for side1, side2 in (((1, 2, 3), (1, 2, 3)), ((3, 2), (2, 1))):
-            pairs = [((i, j), *forms[i, j]) for i in side1 for j in side2]
-            expected = _reference_message(GF9, psi, norm, pairs)
-            if expected is None:
-                assert correlator_grid(state, side1, side2) == dict(
-                    zip((pair for pair, _, _ in pairs), _residue_grid(GF9, psi, norm, pairs)))
-                continue
-            refused += 1
-            with pytest.raises(RuntimeError) as raised:
-                correlator_grid(state, side1, side2)
-            assert str(raised.value) == expected
-            if len(side1) == 3:
-                with pytest.raises(RuntimeError) as raised:
-                    chsh_scan(state)
-                assert str(raised.value) == expected
-    assert refused
+    entry_points = [
+        partial(entangle._pair_forms, config),
+        partial(correlator_grid, state, axes, axes),
+        partial(chsh, state, 1, 3, 3, 1),
+        partial(chsh_scan, state),
+        partial(chsh_bound, config),
+    ]
+    message = "spin 1x1 is not Hermitian; observable is malformed"
+    for call in entry_points:
+        with pytest.raises(RuntimeError) as raised:
+            call()
+        assert str(raised.value) == message
+    argv = ["chsh", "--p", str(config.p), "--degree", str(config.degree), "--bound"]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def _form_value(form, gram, p):
@@ -858,37 +730,32 @@ def _form_value(form, gram, p):
     return sum(c * gram[k] for k, c in zip(indices, coefficients)) % p
 
 
-@pytest.mark.parametrize(
-    "config,malformed",
-    [(GF3, False), (GF7, False), (GF9, False), (GF3, True), (GF9, True)],
-    ids=["gf3", "gf7", "gf9", "gf3-malformed", "gf9-malformed"],
-)
-def test_pair_forms_fold_the_unnormalized_bracket(config, malformed, monkeypatch,
-                                                   pair_forms_cleared):
-    # on every state, self-orthogonal ones too, the real and imaginary forms
-    # read off the Gram values are <psi, (s_i x s_j) psi> mod p, so a form
-    # left without coefficients is exactly a part that is always 0
-    matrices = (_substitute_malformed(monkeypatch) if malformed else
-                lambda c: {a: entangle.spin_observable(c, a).matrix for a in spin_axes(c)})(config)
+@pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
+def test_pair_forms_fold_the_unnormalized_bracket(config):
+    # on every state, self-orthogonal ones too, the real form read off the
+    # Gram values is <psi, (s_i x s_j) psi> mod p, whose imaginary part is 0
     forms = entangle._pair_forms(config)
-    assert set(forms) == {(i, j) for i in matrices for j in matrices}
+    axes = spin_axes(config)
+    assert set(forms) == {(i, j) for i in axes for j in axes}
     for state in two_particle_states(config):
         v = state.state.rep
         gram = _gram(tuple(part for x in v.components for part in (x.re, x.im)))
-        for (i, j), (re, im) in forms.items():
-            value = dot(v, mat_vec(kron(matrices[i], matrices[j]), v))
-            assert (_form_value(re, gram, config.p), _form_value(im, gram, config.p)) == (
-                value.re, value.im), (str(v), i, j)
+        for (i, j), form in forms.items():
+            value = dot(v, mat_vec(product_spin(config, i, j), v))
+            assert (_form_value(form, gram, config.p), value.im) == (value.re, 0), (str(v), i, j)
 
 
-@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
+# every p = 3 mod 4 below 200 at degree 1, and up to 19 at degree 2
+HERMITIAN_FIELDS = ([FieldConfig(p, 1) for p in range(3, 200, 4) if is_prime(p)]
+                    + [FieldConfig(p, 2) for p in range(3, 20, 4) if is_prime(p)])
+
+
+@pytest.mark.parametrize("config", HERMITIAN_FIELDS,
+                         ids=[f"gf{c.order}" for c in HERMITIAN_FIELDS])
 def test_hermitian_spin_tables_fold_to_zero_imaginary_forms(config):
-    # so the kernel's per-state imaginary check has nothing to evaluate
-    forms = entangle._pair_forms(config)
-    assert len(forms) == len(spin_axes(config)) ** 2
-    assert all(im == ((), ()) for _, im in forms.values())
-
-
-def test_malformed_table_folds_to_a_nonzero_imaginary_form(monkeypatch, pair_forms_cleared):
-    _substitute_malformed(monkeypatch)
-    assert any(indices for _, (indices, _) in entangle._pair_forms(GF9).values())
+    # sum lambda_k k k^dagger / n_k over GF(p) is Hermitian, so ``_pair_forms``
+    # finds no coefficient left in any imaginary form and folds without raising
+    for axis in spin_axes(config):
+        m = spin_observable(config, axis).matrix
+        assert dagger(m) == m, axis
+    assert len(entangle._pair_forms(config)) == len(spin_axes(config)) ** 2

@@ -177,7 +177,7 @@ def test_group_matches_brute_force_enumeration(config):
 
 
 def _object_group(config):
-    """(matrix, label, sign, perm) of every element, filtered on objects: each
+    """(matrix, label, sign) of every element, filtered on objects: each
     candidate of the object enumeration is a matrix, dagger(M) M its Gram."""
     states = physical_states(config)
     index_of = {s.rep: k for k, s in enumerate(states)}
@@ -192,7 +192,7 @@ def _object_group(config):
             continue
         assert c.is_real
         perm = tuple(index_of[canonicalize(mat_vec(m, s.rep)).rep] for s in states)
-        found.append((m, _cycle_notation(perm, letters), phi_map(c), perm))
+        found.append((m, _cycle_notation(perm, letters), phi_map(c)))
     return found
 
 
@@ -229,7 +229,7 @@ def test_constructed_members_match_the_residue_filter(config):
 
 @pytest.mark.parametrize("config", FIELDS, ids=FIELD_IDS)
 def test_group_matches_object_filter(config):
-    elements = [(g.matrix, g.label, g.sign, g.perm) for g in enumerate_group(config).elements]
+    elements = [(g.matrix, g.label, g.sign) for g in enumerate_group(config).elements]
     assert elements == _object_group(config)
 
 

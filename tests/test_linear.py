@@ -434,7 +434,7 @@ def test_fused_kernels_match_references_on_gf49_sample():
         vec(gf49, [rnd.choice(elements) for _ in range(4)]) for _ in range(60)
     ]
     axes = spin_axes(gf49)
-    products = [product_spin(gf49, i, j).matrix for i in axes for j in axes]
+    products = [product_spin(gf49, i, j) for i in axes for j in axes]
     _check_kernels(vectors, products)
 
 

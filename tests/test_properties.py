@@ -192,7 +192,7 @@ def test_chsh_sign_and_swap_identities(state, data):
 def test_one_sided_products_compose(state, i, j):
     # measuring i on side 1 and j on side 2 equals the joint product matrix
     config = state.config
-    joint = product_spin(config, i, j).matrix
+    joint = product_spin(config, i, j)
     v = state.state.rep
     step = mat_vec(one_sided_spin(config, 1, i), mat_vec(one_sided_spin(config, 2, j), v))
     assert step.components == mat_vec(joint, v).components
