@@ -21,7 +21,6 @@ from .linear import (
 from .biortho import (
     BiorthogonalSystem,
     Measurement,
-    Observable,
     bracket,
     build_observable,
     expectation,

@@ -11,6 +11,7 @@ against its stated wall-clock budget.  The command line exposes this as
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import cache, partial
@@ -549,6 +550,9 @@ CRITERIA: tuple[tuple[str, float, Callable[[], str]], ...] = (
 
 def run_criterion(number: int) -> CriterionResult:
     name, limit, func = CRITERIA[number - 1]
+    if sys.flags.optimize:  # -O strips every assert a criterion checks with
+        return CriterionResult(number=number, name=name, passed=False, elapsed=0.0,
+                               limit=limit, detail="not run: python -O strips its assert checks")
     start = time.perf_counter()
     try:
         detail = func()

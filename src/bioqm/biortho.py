@@ -2,10 +2,10 @@
 
 A biorthogonal system pairs a spanning set of kets with the bras obtained by
 conjugate dualization, so that bra_r(ket_s) is the Kronecker delta.  An
-observable is built spectrally, sum of eigenvalue_k |k><k|, with eigenvalues
-drawn from the base field.  Expectation values convert the field-valued
-bracket <psi|A|psi> into a real number through the sign map, and variances
-follow from the bracket of the squared observable.  ``bracket`` computes
+observable is the matrix built spectrally, sum of eigenvalue_k |k><k|, with
+eigenvalues drawn from the base field.  Expectation values convert the
+field-valued bracket <psi|A|psi> into a real number through the sign map, and
+variances follow from the bracket of the squared matrix.  ``bracket`` computes
 <psi|A|psi> in one pass over the integer residues of psi and A, building no
 dual or image vector and looking up one field element for the result.
 
@@ -85,30 +85,10 @@ class BiorthogonalSystem:
         return self.kets[0].dim
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A spectrally built operator: sum of eigenvalue_k |k><k|."""
-
-    matrix: Matrix
-    eigenvalues: tuple[FieldElement, ...]
-    system: BiorthogonalSystem
-
-    @property
-    def config(self) -> FieldConfig:
-        return self.system.config
-
-    def squared(self) -> Observable:
-        return Observable(
-            matrix=mat_mul(self.matrix, self.matrix),
-            eigenvalues=tuple(a * a for a in self.eigenvalues),
-            system=self.system,
-        )
-
-
 def build_observable(
     system: BiorthogonalSystem, eigenvalues: Sequence[FieldElement | int]
-) -> Observable:
-    """Assemble sum of eigenvalue_k |ket_k><bra_k| with base-field eigenvalues."""
+) -> Matrix:
+    """The matrix sum of eigenvalue_k |ket_k><bra_k|, one base-field eigenvalue per ket."""
     config = system.config
     eigs = tuple(
         e if isinstance(e, FieldElement) else config.element(e) for e in eigenvalues
@@ -126,7 +106,7 @@ def build_observable(
             tuple(ket[r] * bra[c] * eig for c in range(n)) for r in range(n)
         )
         matrix = mat_add(matrix, outer)
-    return Observable(matrix=matrix, eigenvalues=eigs, system=system)
+    return matrix
 
 
 # -- named states and spin observables ---------------------------------------
@@ -188,8 +168,8 @@ def require_axes(config: FieldConfig, axes: Iterable[int]) -> None:
 
 
 @lru_cache(maxsize=None)
-def spin_observable(config: FieldConfig, axis: int) -> Observable:
-    """The spin observable for an axis, eigenvalues (+1, -1) on its kets."""
+def spin_observable(config: FieldConfig, axis: int) -> Matrix:
+    """The spin matrix for an axis, eigenvalues (+1, -1) on its kets."""
     require_axes(config, (axis,))
     named = named_states(config)
     kets = tuple(named[n].rep for n in SPIN_AXIS_KETS[axis])
@@ -200,8 +180,9 @@ def spin_observable(config: FieldConfig, axis: int) -> Observable:
 # -- measurements -------------------------------------------------------------
 
 
-def bracket(state: ProjectiveState | StateVector, obs: Observable | Matrix) -> FieldElement:
-    """The field value <psi|A|psi>, independent of the representative scaling.
+def bracket(state: ProjectiveState | StateVector, matrix: Matrix) -> FieldElement:
+    """The field value <psi|A|psi> of a square matrix A over psi's field, the
+    same for every representative of psi.
 
     One pass over the integer residues: the norm n = <psi, psi> and the sum
     conj(psi)^T A psi accumulate as plain integer sums, and the value is
@@ -209,7 +190,6 @@ def bracket(state: ProjectiveState | StateVector, obs: Observable | Matrix) -> F
     ``conjugate_dual(psi).pairing(mat_vec(A, psi))``.
     """
     vec = state.rep if isinstance(state, ProjectiveState) else state
-    matrix = obs.matrix if isinstance(obs, Observable) else obs
     config, comps = vec.config, vec.components
     p = config.p
     res = [c.re for c in comps]
@@ -249,9 +229,9 @@ class Measurement:
     variance: int
 
 
-def expectation(state: ProjectiveState | StateVector, obs: Observable) -> Measurement:
-    e = phi_map(bracket(state, obs))
-    second_moment = phi_map(bracket(state, obs.squared()))
+def expectation(state: ProjectiveState | StateVector, matrix: Matrix) -> Measurement:
+    e = phi_map(bracket(state, matrix))
+    second_moment = phi_map(bracket(state, mat_mul(matrix, matrix)))
     return Measurement(expectation=e, variance=second_moment - e * e)
 
 
@@ -267,7 +247,6 @@ class TableRow:
 
 @dataclass(frozen=True)
 class TableReport:
-    config: FieldConfig
     axes: tuple[int, ...]
     rows: tuple[TableRow, ...]
 
@@ -275,9 +254,9 @@ class TableReport:
 def table_report(config: FieldConfig) -> TableReport:
     """Expectation/variance of every spin observable in every physical state."""
     axes = spin_axes(config)
-    observables = [spin_observable(config, axis) for axis in axes]
+    spins = [spin_observable(config, axis) for axis in axes]
     rows = []
     for state in physical_states(config):
-        cells = tuple(expectation(state, obs) for obs in observables)
+        cells = tuple(expectation(state, sigma) for sigma in spins)
         rows.append(TableRow(label=state_label(state), state=state, cells=cells))
-    return TableReport(config=config, axes=axes, rows=tuple(rows))
+    return TableReport(axes=axes, rows=tuple(rows))

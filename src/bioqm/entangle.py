@@ -190,7 +190,7 @@ def census(config: FieldConfig) -> Census:
 @lru_cache(maxsize=None)
 def product_spin(config: FieldConfig, i: int, j: int) -> Matrix:
     """The two-particle observable spin(i) tensor spin(j)."""
-    return kron(spin_observable(config, i).matrix, spin_observable(config, j).matrix)
+    return kron(spin_observable(config, i), spin_observable(config, j))
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +198,7 @@ def one_sided_spin(config: FieldConfig, side: int, axis: int) -> Matrix:
     """spin(axis) acting on one side, identity on the other."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    sigma = spin_observable(config, axis).matrix
+    sigma = spin_observable(config, axis)
     eye = identity_matrix(config, 2)
     return kron(sigma, eye) if side == 1 else kron(eye, sigma)
 
@@ -235,7 +235,7 @@ def _pair_forms(config: FieldConfig) -> dict:
     0 on every state, and a coefficient left raises RuntimeError.
     """
     p = config.p
-    tables = {axis: flat_residues(chain(*spin_observable(config, axis).matrix))
+    tables = {axis: flat_residues(chain(*spin_observable(config, axis)))
               for axis in spin_axes(config)}
     forms = {}
     for (i, s), (j, t) in product(tables.items(), repeat=2):

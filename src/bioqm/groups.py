@@ -50,7 +50,7 @@ from .linear import (
     require_byte_indices,
     residue_state,
 )
-from .biortho import Observable, physical_states, spin_axes, spin_observable
+from .biortho import physical_states, spin_axes, spin_observable
 from .entangle import (PHYSICAL, TwoParticleState, classify, representative_states,
                        two_particle_codes)
 
@@ -307,23 +307,23 @@ def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
 class SpinConjugation:
     axis: int
     sign: int
-    matrix: Matrix
 
 
-def conjugate_observable(g: GroupElement, obs: Observable) -> SpinConjugation:
-    """Compute g A g^-1 and identify it as (+/-) a spin observable.
+def conjugate_observable(g: GroupElement, sigma: Matrix) -> SpinConjugation:
+    """Compute g sigma g^-1 for a 2x2 matrix sigma and identify it as
+    (+/-) a spin matrix over the field of sigma's entries.
 
     Conjugation is insensitive to the phase representative.  A result outside
     the signed spin set signals a bug and raises.
     """
-    config = obs.config
-    transformed = mat_mul(mat_mul(g.matrix, obs.matrix), inverse2(g.matrix))
+    config = sigma[0][0].config
+    transformed = mat_mul(mat_mul(g.matrix, sigma), inverse2(g.matrix))
     for axis in spin_axes(config):
-        sigma = spin_observable(config, axis).matrix
-        if transformed == sigma:
-            return SpinConjugation(axis=axis, sign=1, matrix=transformed)
-        if transformed == mat_neg(sigma):
-            return SpinConjugation(axis=axis, sign=-1, matrix=transformed)
+        spin = spin_observable(config, axis)
+        if transformed == spin:
+            return SpinConjugation(axis=axis, sign=1)
+        if transformed == mat_neg(spin):
+            return SpinConjugation(axis=axis, sign=-1)
     raise RuntimeError(f"conjugate of {g.label} is not a signed spin observable")
 
 
@@ -497,7 +497,6 @@ class _ActionTable:
 
 @dataclass(frozen=True)
 class Orbit:
-    mode: str
     representative: TwoParticleState  # the state of the least member row
     members: tuple[int, ...]  # ascending ``two_particle_codes`` rows
     stabilizer_order: int
@@ -582,7 +581,7 @@ def orbits(config: FieldConfig, mode: str) -> list[Orbit]:
         if stabilizer * len(members) != acting_order:
             raise AssertionError("orbit-stabilizer identity violated")
         rows = tuple(map(table.rows.__getitem__, members))
-        out.append(Orbit(mode=mode, representative=_state(config, rows[0]), members=rows,
+        out.append(Orbit(representative=_state(config, rows[0]), members=rows,
                          stabilizer_order=stabilizer, acting_order=acting_order))
     return out
 

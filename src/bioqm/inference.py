@@ -171,7 +171,6 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
 @dataclass(frozen=True)
 class MomentReport:
     outcome_values: tuple[Fraction, ...]
-    max_power: int
     rows: tuple[tuple[Fraction, ...], ...]  # moment coefficient matrix, k = 0..N
     rank: int
     indeterminacy: int  # unknowns minus rank
@@ -194,7 +193,6 @@ def moment_system(values: Sequence, max_power: int) -> MomentReport:
     rank = rref(rows, [Fraction(0)] * len(rows)).rank
     return MomentReport(
         outcome_values=vals,
-        max_power=max_power,
         rows=rows,
         rank=rank,
         indeterminacy=len(vals) - rank,

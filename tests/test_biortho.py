@@ -22,7 +22,8 @@ from bioqm import (
 from bioqm.biortho import SPIN_AXIS_KETS, is_ortho_nondegenerate
 from bioqm.entangle import one_sided_spin, product_spin, two_particle_states
 from bioqm.gf import phi_map
-from bioqm.linear import conjugate_dual, dot, enumerate_projective, mat_vec, matrix_make
+from bioqm.linear import (conjugate_dual, dot, enumerate_projective, mat_mul, mat_vec,
+                          matrix_make)
 
 GF3 = FieldConfig(3, 1)
 GF9 = FieldConfig(3, 2)
@@ -50,11 +51,10 @@ def enumerate_biorthogonal_systems(config):
     return systems
 
 
-def verify_spectral(obs):
-    """Each system ket is an eigenvector with the stored eigenvalue."""
+def verify_spectral(matrix, kets, eigenvalues):
+    """Each ket is an eigenvector of the matrix with its eigenvalue."""
     return all(
-        mat_vec(obs.matrix, ket) == ket.scale(eig)
-        for eig, ket in zip(obs.eigenvalues, obs.system.kets)
+        mat_vec(matrix, ket) == ket.scale(eig) for eig, ket in zip(eigenvalues, kets)
     )
 
 
@@ -102,24 +102,30 @@ def test_spin_axes_depend_on_degree():
 
 
 def test_spin_matrices_frozen():
-    assert spin_observable(GF9, 3).matrix == matrix_make(GF9, [[1, 0], [0, -1]])
-    assert spin_observable(GF9, 1).matrix == matrix_make(GF9, [[0, 1], [1, 0]])
-    assert spin_observable(GF9, 2).matrix == matrix_make(
-        GF9, [[0, (0, 2)], [(0, 1), 0]]
-    )
-    assert spin_observable(GF3, 1).matrix == matrix_make(GF3, [[0, 1], [1, 0]])
+    assert spin_observable(GF9, 3) == matrix_make(GF9, [[1, 0], [0, -1]])
+    assert spin_observable(GF9, 1) == matrix_make(GF9, [[0, 1], [1, 0]])
+    assert spin_observable(GF9, 2) == matrix_make(GF9, [[0, (0, 2)], [(0, 1), 0]])
+    assert spin_observable(GF3, 1) == matrix_make(GF3, [[0, 1], [1, 0]])
 
 
 def test_spin_observables_square_to_identity():
     ident = matrix_make(GF9, [[1, 0], [0, 1]])
     for axis in (1, 2, 3):
-        assert spin_observable(GF9, axis).squared().matrix == ident
+        sigma = spin_observable(GF9, axis)
+        assert mat_mul(sigma, sigma) == ident
 
 
 def test_verify_spectral():
     for config in (GF3, GF9):
+        named = named_states(config)
+        eigenvalues = (config.one(), -config.one())
         for axis in spin_axes(config):
-            assert verify_spectral(spin_observable(config, axis))
+            kets = [named[label].rep for label in SPIN_AXIS_KETS[axis]]
+            assert verify_spectral(spin_observable(config, axis), kets, eigenvalues)
+    # any base-field eigenvalues: the built matrix keeps them on the system's kets
+    for system in enumerate_biorthogonal_systems(GF7):
+        eigenvalues = (GF7.element(3), GF7.element(1))
+        assert verify_spectral(build_observable(system, (3, 1)), system.kets, eigenvalues)
 
 
 def test_from_kets_gives_delta_pairing():
@@ -191,9 +197,9 @@ def _oracle_bracket(state, matrix):
 def test_bracket_matches_oracle_everywhere():
     for config in (GF3, GF9):
         for axis in spin_axes(config):
-            obs = spin_observable(config, axis)
+            sigma = spin_observable(config, axis)
             for state in physical_states(config):
-                assert bracket(state, obs) == _oracle_bracket(state, obs.matrix)
+                assert bracket(state, sigma) == _oracle_bracket(state, sigma)
 
 
 def test_bracket_rejects_self_orthogonal_states():
@@ -212,7 +218,7 @@ def test_bracket_errors_pinned():
     state = named_states(GF9)["c"]
     with pytest.raises(ValueError, match="shapes do not match"):
         bracket(state, product_spin(GF9, 1, 1))
-    sigma = spin_observable(GF9, 1).matrix
+    sigma = spin_observable(GF9, 1)
     for malformed in (sigma[:1], (sigma[0], sigma[1][:1])):
         with pytest.raises(ValueError, match="shapes do not match"):
             bracket(state, malformed)
@@ -235,8 +241,8 @@ def reference_bracket(state, matrix):
 def test_one_pass_bracket_matches_the_composed_reference(config):
     axes = spin_axes(config)
     for axis in axes:
-        obs = spin_observable(config, axis)
-        for matrix in (obs.matrix, obs.squared().matrix):
+        sigma = spin_observable(config, axis)
+        for matrix in (sigma, mat_mul(sigma, sigma)):
             for state in physical_states(config):
                 assert bracket(state, matrix) == reference_bracket(state, matrix)
     matrices = [product_spin(config, i, j) for i in axes for j in axes]
@@ -278,13 +284,13 @@ def test_expectation_tables_frozen(config, expected):
 
 
 def test_expectation_table_against_oracle():
-    # recompute every cell from raw brackets, without Observable machinery
+    # recompute every cell from raw brackets, without ``expectation``
     report = table_report(GF9)
     for row in report.rows:
         for axis, cell in zip(report.axes, row.cells):
-            obs = spin_observable(GF9, axis)
-            e = phi_map(_oracle_bracket(row.state, obs.matrix))
-            sq = phi_map(_oracle_bracket(row.state, obs.squared().matrix))
+            sigma = spin_observable(GF9, axis)
+            e = phi_map(_oracle_bracket(row.state, sigma))
+            sq = phi_map(_oracle_bracket(row.state, mat_mul(sigma, sigma)))
             assert cell.expectation == e
             assert cell.variance == sq - e * e
 

@@ -302,21 +302,35 @@ def test_bare_invocation_needs_a_subcommand(capsys):
     assert "error:" in captured.err
 
 
-def test_seed_check_subprocess_passes_everything():
+def _seed_check(*flags):
     # the child imports the same bioqm as this process, whatever the
     # caller's PYTHONPATH
     src = str(Path(bioqm.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bioqm.cli", "--seed-check"],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "bioqm.cli", "--seed-check"],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_seed_check_subprocess_passes_everything():
+    proc = _seed_check()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13/13 criteria passed" in proc.stdout
     assert proc.stdout.count("PASS") == 13
+
+
+def test_seed_check_under_python_o_passes_nothing():
+    # -O strips the assert statements every criterion checks with, so no
+    # criterion may report PASS there
+    proc = _seed_check("-B", "-O")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.startswith("FAIL") and "-O" in line for line in lines[:-1]] == [True] * 13
+    assert lines[-1] == "0/13 criteria passed"
 
 
 def test_chsh_value_over_a_large_prime_builds_no_residue_table(capsys):

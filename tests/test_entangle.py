@@ -1,6 +1,5 @@
 """Two-particle states, censuses, correlators, and the CHSH scan."""
 
-import dataclasses
 import random
 import sys
 import tracemalloc
@@ -376,9 +375,7 @@ def test_product_spin_is_kron_of_one_particle_matrices():
 
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            expected = kron(
-                spin_observable(GF9, i).matrix, spin_observable(GF9, j).matrix
-            )
+            expected = kron(spin_observable(GF9, i), spin_observable(GF9, j))
             assert product_spin(GF9, i, j) == expected
 
 
@@ -386,7 +383,7 @@ def test_one_sided_spin_embeds_identity_on_the_other_slot():
     from bioqm import spin_observable
 
     ident = matrix_make(GF9, [[1, 0], [0, 1]])
-    s3 = spin_observable(GF9, 3).matrix
+    s3 = spin_observable(GF9, 3)
     assert one_sided_spin(GF9, 1, 3) == kron(s3, ident)
     assert one_sided_spin(GF9, 2, 3) == kron(ident, s3)
 
@@ -515,14 +512,28 @@ def _table_sign(config):
     return tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
 
 
+def _times_unit(p, psi):
+    """Flat (re, im) residues psi times the non-real unit u = 1 + i, whose norm
+    N(u) = 2 scales <psi, psi>.  A code-table row has y_0 = 0; its multiple has
+    y_0 = x_0, so the kernel reads both halves of every Gram value on it."""
+    return tuple(part for x, y in zip(psi[::2], psi[1::2]) for part in ((x - y) % p, (x + y) % p))
+
+
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
 def test_column_kernel_matches_per_state_reference_exhaustively(config):
     forms = _all_forms(config)
     rows = _physical_codes(config)
     psis, norms = zip(*rows)
     columns = list(zip(*psis))
-    grids = list(entangle._sign_grids(config, columns, norms, forms, _table_sign(config)))
+    sign = _table_sign(config)
+    grids = list(entangle._sign_grids(config, columns, norms, forms, sign))
     assert grids == [_residue_grid(config, psi, norm, forms) for psi, norm in rows]
+    if config.is_extension:
+        # u psi is the same state as psi, so it has the same grid
+        p = config.p
+        scaled = list(zip(*(_times_unit(p, psi) for psi in psis)))
+        unit_norms = [2 * norm % p for norm in norms]
+        assert list(entangle._sign_grids(config, scaled, unit_norms, forms, sign)) == grids
 
 
 def test_column_kernel_matches_per_state_reference_on_a_sample():
@@ -615,8 +626,15 @@ def _sampled_physical(config, seed, count):
 )
 def test_kernel_matches_object_path_exhaustively(config):
     axes = spin_axes(config)
+    unit = config.element(1, 1) if config.is_extension else None
     for state in _physical(config):
-        assert correlator_grid(state, axes, axes) == _object_grid(state), str(state)
+        grid = _object_grid(state)
+        assert correlator_grid(state, axes, axes) == grid, str(state)
+        if unit is not None:
+            # the same state held by u psi for the non-real unit u = 1 + i
+            rep = state.state.rep.scale(unit)
+            scaled = classify(ProjectiveState(rep=rep, self_orthogonal=False))
+            assert correlator_grid(scaled, axes, axes) == grid, str(scaled)
 
 
 @pytest.mark.parametrize(
@@ -691,10 +709,7 @@ def _substitute_malformed(monkeypatch):
     original = entangle.spin_observable
 
     def substituted(field, axis):
-        obs = original(field, axis)
-        if axis != 1:
-            return obs
-        return dataclasses.replace(obs, matrix=matrix_make(field, MALFORMED[field]))
+        return matrix_make(field, MALFORMED[field]) if axis == 1 else original(field, axis)
 
     monkeypatch.setattr(entangle, "spin_observable", substituted)
 
@@ -756,6 +771,6 @@ def test_hermitian_spin_tables_fold_to_zero_imaginary_forms(config):
     # sum lambda_k k k^dagger / n_k over GF(p) is Hermitian, so ``_pair_forms``
     # finds no coefficient left in any imaginary form and folds without raising
     for axis in spin_axes(config):
-        m = spin_observable(config, axis).matrix
+        m = spin_observable(config, axis)
         assert dagger(m) == m, axis
     assert len(entangle._pair_forms(config)) == len(spin_axes(config)) ** 2

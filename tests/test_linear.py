@@ -414,7 +414,7 @@ def _check_kernels(vectors, matrices):
 @pytest.mark.parametrize("config", [GF3, GF9], ids=str)
 def test_fused_kernels_match_references_exhaustively(config):
     vectors = [vec(config, [x, y]) for x, y in product(config.elements(), repeat=2)]
-    spins = [spin_observable(config, axis).matrix for axis in spin_axes(config)]
+    spins = [spin_observable(config, axis) for axis in spin_axes(config)]
     _check_kernels(vectors, spins)
     for u in vectors:
         for v in vectors:

@@ -230,10 +230,10 @@ def test_rref_rank_is_stable_under_row_doubling(rows):
 
 def test_spin_axis_kets_are_eigenvectors():
     for axis, (up, down) in SPIN_AXIS_KETS.items():
-        obs = spin_observable(GF9, axis)
+        sigma = spin_observable(GF9, axis)
         named = named_states(GF9)
         up_vec = named[up].rep
         down_vec = named[down].rep
-        assert mat_vec(obs.matrix, up_vec).components == up_vec.components
+        assert mat_vec(sigma, up_vec).components == up_vec.components
         minus_down = down_vec.scale(GF9.element(-1))
-        assert mat_vec(obs.matrix, down_vec).components == minus_down.components
+        assert mat_vec(sigma, down_vec).components == minus_down.components
