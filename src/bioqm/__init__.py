@@ -59,7 +59,6 @@ from .groups import (
     ProjectiveGroup,
     act,
     burnside_count,
-    canonicalize_matrix,
     conjugacy_classes,
     conjugate_observable,
     element_orders,

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .gf import (FieldConfig, is_prime, phi_map, preserves_products, residue_sign,
                  verify_phi_uniqueness)
-from .linear import StateVector, dot, mat_neg, matrix_make
+from .linear import StateVector, canonicalize, dot, mat_neg
 from .biortho import (
     bracket,
     expectation,
@@ -43,7 +43,6 @@ from .entangle import (
 from .exactlp import verify_farkas
 from .groups import (
     burnside_count,
-    canonicalize_matrix,
     conjugacy_classes,
     enumerate_group,
     orbits,
@@ -259,8 +258,8 @@ def _criterion_7() -> str:
         assert group.order == len(reference), f"order {group.order}"
         assert set(group.by_label) == set(reference), "label set mismatch"
         for label, rows in reference.items():
-            want = canonicalize_matrix(matrix_make(config, rows))
-            assert group.by_label[label].matrix == want, f"matrix for {label}"
+            want = canonicalize(StateVector.make(config, [*rows[0], *rows[1]])).rep.components
+            assert sum(group.by_label[label].matrix, ()) == want, f"matrix for {label}"
         if signs is None:
             signs = {
                 label: (1 if label in ORDER24_POSITIVE else -1) for label in reference

@@ -399,13 +399,18 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
 # -- named representatives -----------------------------------------------------
 
 
+REPRESENTATIVES: dict[str, tuple[tuple[int, int], ...]] = {
+    "S": ((0, 0), (1, 0), (-1, 0), (0, 0)),
+    "T": ((1, 0), (0, 0), (1, 1), (1, 0)),
+    "U": ((1, 0), (0, 0), (1, 0), (1, 1)),
+}
+
+
 @lru_cache(maxsize=None)
 def representative_states(config: FieldConfig) -> dict[str, TwoParticleState]:
-    """The canonical entangled representatives: S always, T and U on degree 2."""
-    reps = {"S": from_vector(StateVector.make(config, (0, 1, -1, 0)))}
-    if config.is_extension:
-        reps["T"] = from_vector(StateVector.make(config, (1, 0, (1, 1), 1)))
-        reps["U"] = from_vector(StateVector.make(config, (1, 0, 1, (1, 1))))
+    """The entangled ``REPRESENTATIVES``: S always, T and U on degree 2."""
+    reps = {label: from_vector(StateVector.make(config, entries))
+            for label, entries in REPRESENTATIVES.items() if label == "S" or config.is_extension}
     for label, tp in reps.items():
         if tp.is_product or not tp.physical:
             raise AssertionError(f"representative {label} is not entangled physical")

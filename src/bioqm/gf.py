@@ -25,17 +25,21 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 
+# the bound is the least strong pseudoprime to all these bases (Sorenson & Webster 2015)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is not below {PRIME_TEST_BOUND}, the exact primality test's bound")
+    if n < 43 * 43:  # a composite below has a prime factor up to 41
+        return n > 1 and all(n % a or n == a for a in PRIME_BASES)
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s  # n - 1 = d 2^s with d odd
+    # a strong probable prime to base a: a^d = 1, or a^(d 2^k) = -1 for a k < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == n - 1 for k in range(s))
+               for a in PRIME_BASES)
 
 
 def _powers(h: int, p: int) -> list[int]:

@@ -7,33 +7,33 @@ element is kept in leading-1 canonical form; the members are constructed
 from the physical one-particle points, and their sorted element-index codes
 give the element objects and the index tables.  Elements are named by the
 permutation they induce on the named one-particle states (cycle notation,
-identity "e").  Two-particle actions put one matrix on both sides (global)
-or on one side (local_1, local_2); the local group is G x G.
+identity "e"; ``_letters`` refuses past 26).  Two-particle actions put one
+matrix on both sides (global) or one (local_1, local_2); the local group is G x G.
 
 Every action of a member runs one way, on element-index columns like the
-code table's (``_ColumnEngine``), with no state object, ``act`` call or
+code table's (``linear.ColumnEngine``), with no state object, ``act`` call or
 per-state lookup: side 1, psi -> M psi on a 2x2 array, gives the two-particle
 actions, the members' left multiplication (``_GroupIndex``) and the images of
 the one-particle points coded as [[x, 0], [y, 0]].  The two-particle table, on
 the entangled physical states, keeps only the generators' rows; side 2 is
-side 1 conjugated by the transposition psi -> psi^T.  Orbits and words are
-walked along those rows, and only an orbit's least ``two_particle_codes`` row
-becomes a state object; ``act`` is the object path the tests check against.
+side 1 conjugated by the transposition psi -> psi^T.  Orbits and words walk
+those rows on the index alone, and only an orbit's least ``two_particle_codes``
+row becomes a state object; ``act`` is the object path the tests check against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, eq, getitem, itemgetter, mul, sub
+from itertools import compress
+from operator import eq, itemgetter
 from string import ascii_lowercase
 from typing import Iterable, Iterator, Sequence
 
 from .gf import FieldConfig, phi_map
 from .linear import (
+    ColumnEngine,
     Matrix,
     ProjectiveState,
     StateVector,
@@ -41,13 +41,11 @@ from .linear import (
     dagger,
     element_indices,
     index_residues,
-    index_width,
     inverse2,
     mat_mul,
     mat_neg,
     mat_vec,
     matrix_make,
-    require_byte_indices,
     residue_state,
 )
 from .biortho import physical_states, spin_axes, spin_observable
@@ -55,15 +53,6 @@ from .entangle import (PHYSICAL, TwoParticleState, classify, representative_stat
                        two_particle_codes)
 
 ACT_MODES = ("single", "global", "local_1", "local_2")
-
-
-def canonicalize_matrix(m: Matrix) -> Matrix:
-    """Scale so the first nonzero entry (row-major) becomes 1."""
-    leading = next((x for row in m for x in row if not x.is_zero), None)
-    if leading is None:
-        raise ValueError("the zero matrix has no projective class")
-    inv = leading.inverse()
-    return tuple(tuple(x * inv for x in row) for row in m)
 
 
 def _cycle_notation(perm: tuple[int, ...], letters: str) -> str:
@@ -104,86 +93,7 @@ class ProjectiveGroup:
         return len(self.elements)
 
 
-class _ColumnEngine:
-    """Actions on columns: ``bytes`` of ``linear`` element indices, one column
-    per component, as ``two_particle_codes`` stores them.
-
-    ``times[m]`` translates a column to m times it, ``plus[x][y]`` is x + y,
-    ``inverse`` and ``negate`` translate to inverses (0 to 0) and negatives,
-    and ``first[x][y]`` is x if x != 0 else y.  An index is one byte, so a
-    field past 256 elements is refused before any table is built.
-    """
-
-    def __init__(self, config: FieldConfig):
-        require_byte_indices(config)
-        self.q, self.width = q, w = config.order, index_width(config)
-        p, pad, pairs = config.p, bytes(256 - q), index_residues(config)
-
-        def column(values) -> bytes:
-            return bytes((x % p) * w + y % p for x, y in values) + pad
-
-        self.times = [column((mr * xr - mi * xi, mr * xi + mi * xr) for xr, xi in pairs)
-                      for mr, mi in pairs]
-        self.plus = [column((xr + yr, xi + yi) for yr, yi in pairs) for xr, xi in pairs]
-        self.inverse = bytes([0, *(row.index(w) for row in self.times[1:])]) + pad
-        self.negate = column((-x, -y) for x, y in pairs)
-        self.first = [bytes(range(256)), *(bytes((x,)) * 256 for x in range(1, q))]
-
-    def lin(self, m0: int, x: bytes, m1: int, y: bytes) -> bytes:
-        """The column m0 x + m1 y, for element indices m0 and m1."""
-        return bytes(map(getitem, map(self.plus.__getitem__, x.translate(self.times[m0])),
-                         y.translate(self.times[m1])))
-
-    def side1(self, m: Sequence[int], psi: Sequence[bytes]) -> tuple[bytes, ...]:
-        """psi -> M psi on 2x2 arrays [[psi0, psi1], [psi2, psi3]], M as element indices."""
-        m0, m1, m2, m3 = m
-        return (self.lin(m0, psi[0], m1, psi[2]), self.lin(m0, psi[1], m1, psi[3]),
-                self.lin(m2, psi[0], m3, psi[2]), self.lin(m2, psi[1], m3, psi[3]))
-
-    def canonical(self, columns: Sequence[bytes]) -> list[bytes]:
-        """Each row scaled by its first nonzero entry's inverse, so that entry is 1."""
-        pivots = columns[-1]
-        for column in columns[-2::-1]:
-            pivots = bytes(map(getitem, map(self.first.__getitem__, column), pivots))
-        scale = pivots.translate(self.inverse)
-        return [bytes(map(getitem, map(self.times.__getitem__, scale), column))
-                for column in columns]
-
-    def rows(self, columns: Sequence[bytes]) -> list[int]:
-        """Each canonical row's index in ``projective_columns(config, d)``.
-
-        Rows run by pivot, then lexicographically, so a leading 1 at
-        component k and tail indices e_j give row (q^m - 1)/(q - 1) + sum over
-        j > k of e_j q^(d-1-j), m = d - 1 - k.  In base q the row reads
-        V = w q^m + that sum, the leading 1 being index w, and V lies in
-        [w q^m, (w + 1) q^m): a bisection finds m.
-        """
-        q, w, d = self.q, self.width, len(columns)
-        values = columns[0]
-        for column in columns[1:]:
-            values = map(add, map(mul, values, repeat(q)), column)
-        values = list(values)
-        bounds = [w * q**m for m in range(d)]
-        shifts = [0, *(w * q**m - (q**m - 1) // (q - 1) for m in range(d))]
-        return list(map(sub, values, map(shifts.__getitem__,
-                                         map(bisect_right, repeat(bounds), values))))
-
-    def positions(self, rows: Iterable[int], dim: int) -> list[int]:
-        """Each ``projective_columns(config, dim)`` row's position in rows, or -1."""
-        out = [-1] * ((self.q ** dim - 1) // (self.q - 1))
-        for k, row in enumerate(rows):
-            out[row] = k
-        return out
-
-    def permutation(self, positions: Sequence[int], columns: Sequence[bytes]) -> tuple[int, ...]:
-        """The set position of each row of columns, brought to canonical form."""
-        perm = tuple(map(positions.__getitem__, self.rows(self.canonical(columns))))
-        if -1 in perm:
-            raise ValueError("the action escapes the given state set")
-        return perm
-
-
-def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
+def _point_images(engine: ColumnEngine, members: Sequence[bytes],
                   points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each one-particle point's image index under every member at once: side 1
     of [[a, b], [c, d]] sends [[x, 0], [y, 0]] to [[a x + b y, 0], [c x + d y, 0]],
@@ -194,22 +104,26 @@ def _point_images(engine: _ColumnEngine, members: Sequence[bytes],
             for x, y in points]
 
 
+def _letters(config: FieldConfig) -> str:
+    count = len(physical_states(config))
+    if count > len(ascii_lowercase):
+        raise ValueError("too many one-particle states to letter-label")
+    return ascii_lowercase[:count]
+
+
 @lru_cache(maxsize=None)
 def enumerate_group(config: FieldConfig) -> ProjectiveGroup:
     """All canonical 2x2 matrices M with dagger(M) M a nonzero scalar, read
     from the index's member codes, each labelled by its action on the physical
     states in cycle notation (``_point_images`` on the member columns)."""
-    states = physical_states(config)
-    if len(states) > len(ascii_lowercase):
-        raise ValueError("too many one-particle states to letter-label")
-    letters = ascii_lowercase[: len(states)]
+    letters = _letters(config)
     index = _group_index(config)
-    points = [element_indices(config, s.rep.components) for s in states]
+    points = [element_indices(config, s.rep.components) for s in physical_states(config)]
     perms = zip(*_point_images(index.engine, index.members, points))
-    zero, w = config.zero(), index.engine.width
+    zero, residues = config.zero(), index_residues(config)
     found: list[GroupElement] = []
     for code, perm in zip(index.codes, perms):
-        (ar, ai), (br, bi), (cr, ci), (dr, di) = (divmod(e, w) for e in code)
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = map(residues.__getitem__, code)
         m = matrix_make(config, (((ar, ai), (br, bi)), ((cr, ci), (dr, di))))
         c = config.element(ar * ar + ai * ai + cr * cr + ci * ci)
         if mat_mul(dagger(m), m) != ((c, zero), (zero, c)):
@@ -399,7 +313,7 @@ class _GroupIndex:
     """
 
     def __init__(self, config: FieldConfig):
-        self.engine = engine = _ColumnEngine(config)
+        self.engine = engine = ColumnEngine(config)
         p, zero, one = config.p, config.zero(), config.one()
         units = [x for x in config.elements() if x * x.frobenius() == one]
         raw = [element_indices(config, (a, -mu * c.frobenius(), c, mu * a.frobenius()))
@@ -478,13 +392,13 @@ class _ActionTable:
     rows' index columns, and psi -> psi M^T = (M psi^T)^T, read as
     tau side1 tau with tau the transposition psi -> psi^T.  A row set not
     closed under the generators raises "escapes".  The generators, the
-    Cayley tree and the engine are the field's ``_GroupIndex``.
+    Cayley tree and the engine are the field's ``_GroupIndex``, ``index``.
     """
 
-    def __init__(self, group: ProjectiveGroup, rows: Sequence[int]):
-        self.group, self.rows = group, rows
-        self.group_index = index = _group_index(group.config)
-        engine, columns = index.engine, two_particle_codes(group.config)[0]
+    def __init__(self, config: FieldConfig, rows: Sequence[int]):
+        self.rows = rows
+        self.index = index = _group_index(config)
+        engine, columns = index.engine, two_particle_codes(config)[0]
         psi = [bytes(map(column.__getitem__, rows)) for column in columns]
         positions = engine.positions(rows, 4)
         tau = engine.permutation(positions, itemgetter(0, 2, 1, 3)(psi))
@@ -511,9 +425,10 @@ class Orbit:
 def _action_table(config: FieldConfig) -> _ActionTable:
     """The table on the entangled physical states: the ``two_particle_codes``
     rows whose kind byte is PHYSICAL alone, in table order."""
+    _letters(config)  # a refusal before the code table, in place of a cost estimate
     kinds = two_particle_codes(config)[2]
     rows = tuple(compress(range(len(kinds)), [kind == PHYSICAL for kind in kinds]))
-    return _ActionTable(enumerate_group(config), rows)
+    return _ActionTable(config, rows)
 
 
 def _state(config: FieldConfig, row: int) -> TwoParticleState:
@@ -540,12 +455,12 @@ def _acting_order(table: _ActionTable, mode: str) -> int:
     """|G| for the global action, |G|^2 for the local one."""
     if mode not in ("global", "local"):
         raise ValueError("orbit mode must be 'global' or 'local'")
-    return table.group.order ** (1 if mode == "global" else 2)
+    return len(table.index.codes) ** (1 if mode == "global" else 2)
 
 
 def _stabilizer_order(table: _ActionTable, mode: str, perms: list, i: int) -> int:
     """How many elements of the acting group fix state i; perms from _generator_permutations."""
-    index = table.group_index
+    index = table.index
     if mode == "global":
         return index.images(i, perms).count(i)
     n = len(index.generators)
@@ -598,7 +513,7 @@ def burnside_count(config: FieldConfig, mode: str) -> int:
     table = _action_table(config)
     acting_order = _acting_order(table, mode)
     perms = _generator_permutations(table, mode)
-    index = _group_index(config)
+    index = table.index
     ids = range(len(table.rows))
     if mode == "global":
         total = sum(
@@ -639,7 +554,7 @@ def _local_reach(config: FieldConfig) -> dict[tuple[int, ...], LocalTransform]:
     inverse pair, keyed by the state's element-index code, maps it back.
     """
     table = _action_table(config)
-    index, elements = table.group_index, table.group.elements
+    index, elements = table.index, enumerate_group(config).elements
     left, n = index.generator_left, len(index.generator_left)
     perms = _generator_permutations(table, "local")  # side-1 moves, then side-2
     reps = representative_states(config)
@@ -679,14 +594,13 @@ def entangled_labels(config: FieldConfig) -> dict[str, TwoParticleState]:
     states, which holds over GF(3).
     """
     table = _action_table(config)
-    group, index = table.group, table.group_index
+    elements, index = enumerate_group(config).elements, table.index
     start = table.rows.index(*state_rows(config, [representative_states(config)["S"]]))
     images = index.images(start, [s1 for s1, _ in table.generator_sides])
     labels: dict[str, TwoParticleState] = {}
     for k, image in enumerate(images):
-        # (g tensor 1) S = state  <=>  (g^-1 tensor 1) state = S
-        owner = group.elements[index.inverse[k]]
-        name = "S" if owner is group.identity else owner.label
+        # (g tensor 1) S = state  <=>  (g^-1 tensor 1) state = S, g^-1 element k
+        name = "S" if k == index.identity else elements[index.inverse[k]].label
         if name in labels:
             raise ValueError("side-1 action on S is not free; labels undefined")
         labels[name] = _state(config, table.rows[image])

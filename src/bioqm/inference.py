@@ -31,6 +31,7 @@ from typing import Sequence
 from .gf import FieldConfig, phi_map
 from .biortho import bracket, expectation, named_states, spin_axes, spin_observable
 from .entangle import (
+    REPRESENTATIVES,
     TwoParticleState,
     correlator,
     correlator_grid,
@@ -314,19 +315,13 @@ def single_measurement_system(config: FieldConfig, state_label: str, axis: int) 
 
 
 # Gaussian integers are (re, im) int pairs.  The Pauli matrices and the
-# unnormalized representatives have integer entries; every bracket is
+# unnormalized ``REPRESENTATIVES`` have integer entries; every bracket is
 # divided by <psi|psi> once, as the last step, so the 1/sqrt(2) and 1/2
 # prefactors never need to be written down.
 _CANONICAL_PAULI: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {
     1: (((0, 0), (1, 0)), ((1, 0), (0, 0))),
     2: (((0, 0), (0, -1)), ((0, 1), (0, 0))),
     3: (((1, 0), (0, 0)), ((0, 0), (-1, 0))),
-}
-
-_CANONICAL_STATES: dict[str, tuple[tuple[int, int], ...]] = {
-    "S": ((0, 0), (1, 0), (-1, 0), (0, 0)),
-    "T": ((1, 0), (0, 0), (1, 1), (1, 0)),
-    "U": ((1, 0), (0, 0), (1, 0), (1, 1)),
 }
 
 
@@ -341,7 +336,7 @@ def canonical_correlator(label: str, i: int, j: int) -> Fraction:
     w[2ra + rb] = sum of sigma_i[ra][ca] sigma_j[rb][cb] psi[2ca + cb];
     conj(psi) . w and the norm are Gaussian-integer sums, divided once.
     """
-    psi = _CANONICAL_STATES[label]
+    psi = REPRESENTATIVES[label]
     a, b = _CANONICAL_PAULI[i], _CANONICAL_PAULI[j]
     total_re = total_im = 0
     for r, (ur, ui) in enumerate(psi):
@@ -361,7 +356,7 @@ def canonical_correlator(label: str, i: int, j: int) -> Fraction:
 
 def canonical_pair_probabilities(label: str) -> tuple[Fraction, ...]:
     """Outcome probabilities of the axis-3 pair measurement (Born rule)."""
-    psi = _CANONICAL_STATES[label]
+    psi = REPRESENTATIVES[label]
     norm = _canonical_norm(psi)
     return tuple(Fraction(re * re + im * im, norm) for re, im in psi)
 

@@ -14,16 +14,21 @@ operation.
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1.  State columns hold
 element indices e = re * w + im (w = p over GF(p^2), 1 over GF(p)), encoded
-and decoded only here; enumeration is lexicographic over them and runs on
+and decoded here (entangle's product column, cheaper than an engine, is the
+one other encoder); enumeration is lexicographic over them and runs on
 ``array`` columns: ``projective_columns`` builds index and norm columns by
 repetition, ``enumerate_projective`` is the object view of its rows (each
-by ``residue_state``), and ``flat_residues`` reads a vector's (re, im).
+by ``residue_state``), ``flat_residues`` reads a vector's (re, im), and
+``ColumnEngine`` acts on columns, its ``rows`` inverting the row order.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, getitem, mul, sub
 from typing import Iterable, Sequence
 
 from .gf import FieldConfig, FieldElement
@@ -305,6 +310,85 @@ def residue_state(config: FieldConfig, v: Sequence[int], norm: int) -> Projectiv
     w = index_width(config)
     components = tuple(config._interned[divmod(e, w)] for e in v)
     return ProjectiveState(StateVector(components, config), norm == 0)
+
+
+class ColumnEngine:
+    """Actions on columns: ``bytes`` of element indices, one column per
+    component, as ``entangle.two_particle_codes`` stores them.
+
+    ``times[m]`` translates a column to m times it, ``plus[x][y]`` is x + y,
+    ``inverse`` and ``negate`` translate to inverses (0 to 0) and negatives,
+    and ``first[x][y]`` is x if x != 0 else y.  An index is one byte, so a
+    field past 256 elements is refused before any table is built.
+    """
+
+    def __init__(self, config: FieldConfig):
+        require_byte_indices(config)
+        self.q, self.width = q, w = config.order, index_width(config)
+        p, pad, pairs = config.p, bytes(256 - q), index_residues(config)
+
+        def column(values) -> bytes:
+            return bytes((x % p) * w + y % p for x, y in values) + pad
+
+        self.times = [column((mr * xr - mi * xi, mr * xi + mi * xr) for xr, xi in pairs)
+                      for mr, mi in pairs]
+        self.plus = [column((xr + yr, xi + yi) for yr, yi in pairs) for xr, xi in pairs]
+        self.inverse = bytes([0, *(row.index(w) for row in self.times[1:])]) + pad
+        self.negate = column((-x, -y) for x, y in pairs)
+        self.first = [bytes(range(256)), *(bytes((x,)) * 256 for x in range(1, q))]
+
+    def lin(self, m0: int, x: bytes, m1: int, y: bytes) -> bytes:
+        """The column m0 x + m1 y, for element indices m0 and m1."""
+        return bytes(map(getitem, map(self.plus.__getitem__, x.translate(self.times[m0])),
+                         y.translate(self.times[m1])))
+
+    def side1(self, m: Sequence[int], psi: Sequence[bytes]) -> tuple[bytes, ...]:
+        """psi -> M psi on 2x2 arrays [[psi0, psi1], [psi2, psi3]], M as element indices."""
+        m0, m1, m2, m3 = m
+        return (self.lin(m0, psi[0], m1, psi[2]), self.lin(m0, psi[1], m1, psi[3]),
+                self.lin(m2, psi[0], m3, psi[2]), self.lin(m2, psi[1], m3, psi[3]))
+
+    def canonical(self, columns: Sequence[bytes]) -> list[bytes]:
+        """Each row scaled by its first nonzero entry's inverse, so that entry is 1."""
+        pivots = columns[-1]
+        for column in columns[-2::-1]:
+            pivots = bytes(map(getitem, map(self.first.__getitem__, column), pivots))
+        scale = pivots.translate(self.inverse)
+        return [bytes(map(getitem, map(self.times.__getitem__, scale), column))
+                for column in columns]
+
+    def rows(self, columns: Sequence[bytes]) -> list[int]:
+        """Each canonical row's index in ``projective_columns(config, d)``.
+
+        Rows run by pivot, then lexicographically, so a leading 1 at
+        component k and tail indices e_j give row (q^m - 1)/(q - 1) + sum over
+        j > k of e_j q^(d-1-j), m = d - 1 - k.  In base q the row reads
+        V = w q^m + that sum, the leading 1 being index w, and V lies in
+        [w q^m, (w + 1) q^m): a bisection finds m.
+        """
+        q, w, d = self.q, self.width, len(columns)
+        values = columns[0]
+        for column in columns[1:]:
+            values = map(add, map(mul, values, repeat(q)), column)
+        values = list(values)
+        bounds = [w * q**m for m in range(d)]
+        shifts = [0, *(w * q**m - (q**m - 1) // (q - 1) for m in range(d))]
+        return list(map(sub, values, map(shifts.__getitem__,
+                                         map(bisect_right, repeat(bounds), values))))
+
+    def positions(self, rows: Iterable[int], dim: int) -> list[int]:
+        """Each ``projective_columns(config, dim)`` row's position in rows, or -1."""
+        out = [-1] * ((self.q ** dim - 1) // (self.q - 1))
+        for k, row in enumerate(rows):
+            out[row] = k
+        return out
+
+    def permutation(self, positions: Sequence[int], columns: Sequence[bytes]) -> tuple[int, ...]:
+        """The set position of each row of columns, brought to canonical form."""
+        perm = tuple(map(positions.__getitem__, self.rows(self.canonical(columns))))
+        if -1 in perm:
+            raise ValueError("the action escapes the given state set")
+        return perm
 
 
 def enumerate_projective(config: FieldConfig, dim: int) -> list[ProjectiveState]:

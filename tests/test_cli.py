@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import bioqm
 from bioqm import FieldConfig, cli
 from bioqm.cli import run
 from bioqm.entangle import CHSHRecord
+from bioqm.gf import PRIME_TEST_BOUND
 from bioqm.inference import CorrespondenceEntry, CorrespondenceReport, InferenceResult, Table4Row
 
 try:
@@ -346,6 +348,23 @@ def test_chsh_value_over_a_large_prime_builds_no_residue_table(capsys):
     assert code == 0 and err == ""
     assert out.startswith("C_1331(S) = -2\n")
     assert peak < 16 * 2**20
+
+
+def test_chsh_value_over_an_18_digit_prime_is_prompt(capsys):
+    # primality is decided by Miller-Rabin, not trial division up to sqrt(p)
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, ["chsh", "--state", "S", "--p", "1000000000000000003", "--degree", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == "" and out.startswith("C_1331(S) = -2\n")
+
+
+def test_prime_past_the_exact_primality_bound_is_refused(capsys):
+    p = str(PRIME_TEST_BOUND + 2)
+    for argv in (["chsh", "--state", "S", "--p", p], ["verify-phi", "--p", p]):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "exact primality test" in err, argv
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Field arithmetic, Frobenius conjugation, and the sign map."""
 
+import time
 from itertools import product
 
 import pytest
 
 from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map
-from bioqm.gf import _powers, is_prime, verify_phi_uniqueness
+from bioqm.gf import PRIME_TEST_BOUND, _powers, is_prime, verify_phi_uniqueness
 
 
 def test_config_rejects_bad_parameters():
@@ -20,6 +21,37 @@ def test_config_rejects_bad_parameters():
 def test_is_prime_small_values():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    n = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for k in range(2, int(n**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, n, k)))
+    assert [is_prime(k) for k in range(n)] == list(map(bool, sieve))
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051,
+                               318665857834031151167461],
+                         ids=["carmichael", "spsp-2-to-7", "spsp-2-to-23", "spsp-2-to-37"])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each passes Miller-Rabin on every prime base up to the one its id names
+    assert not is_prime(n)
+
+
+def test_large_prime_field_builds_at_once():
+    start = time.perf_counter()
+    config = FieldConfig(10**18 + 3, 1)
+    assert time.perf_counter() - start < 0.05
+    assert config.element(-1).re == 10**18 + 2
+
+
+def test_primality_from_its_exact_bound_is_refused():
+    assert not is_prime(PRIME_TEST_BOUND - 2)  # a multiple of 17, answered
+    for n in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+        with pytest.raises(ValueError, match="exact primality test"):
+            FieldConfig(n, 1)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19])

@@ -13,7 +13,6 @@ from bioqm import (
     FieldConfig,
     act,
     burnside_count,
-    canonicalize_matrix,
     conjugate_observable,
     conjugacy_classes,
     element_orders,
@@ -48,6 +47,7 @@ from bioqm.groups import (
     _walk,
 )
 from bioqm.linear import (
+    ColumnEngine,
     StateVector,
     canonicalize,
     dagger,
@@ -87,8 +87,14 @@ def _by_matrix(group):
     return {g.matrix: g for g in group.elements}
 
 
+def canonical_matrix(m):
+    """The leading-1 form of a 2x2 matrix: ``canonicalize`` on its row-major entries."""
+    v = canonicalize(StateVector(sum(m, ()), m[0][0].config)).rep.components
+    return (v[:2], v[2:])
+
+
 def group_lookup(group, m):
-    g = _by_matrix(group).get(canonicalize_matrix(m))
+    g = _by_matrix(group).get(canonical_matrix(m))
     if g is None:
         raise ValueError("matrix does not belong to the group")
     return g
@@ -145,13 +151,6 @@ def reference_permutation(step, codes, canonical):
     return tuple(position[canonical(step(code))] for code in codes)
 
 
-def test_canonicalize_matrix():
-    m = matrix_make(GF3, [[0, -1], [1, 0]])
-    assert canonicalize_matrix(m) == matrix_make(GF3, [[0, 1], [-1, 0]])
-    with pytest.raises(ValueError):
-        canonicalize_matrix(matrix_make(GF3, [[0, 0], [0, 0]]))
-
-
 def test_group_orders():
     assert enumerate_group(GF3).order == 8
     assert enumerate_group(GF9).order == 24
@@ -172,7 +171,7 @@ def test_group_matches_brute_force_enumeration(config):
         c = gram[0][0]
         if gram[0][1].is_zero and gram[1][0].is_zero and gram[1][1] == c:
             if not c.is_zero and c.is_real:
-                found.add(canonicalize_matrix(m))
+                found.add(canonical_matrix(m))
     assert found == {g.matrix for g in group.elements}
 
 
@@ -261,7 +260,7 @@ def _index_columns(config, codes):
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
 def test_closed_form_row_index_is_the_table_position(config):
-    engine = groups._ColumnEngine(config)
+    engine = ColumnEngine(config)
     for dim in (2, 4):
         columns = list(zip(*(v for v, _ in reference_indices(config, dim))))
         assert engine.rows(columns) == list(range((config.order**dim - 1) // (config.order - 1)))
@@ -269,7 +268,7 @@ def test_closed_form_row_index_is_the_table_position(config):
 
 @pytest.mark.parametrize("config", [GF7, GF9, GF49], ids=["gf7", "gf9", "gf49"])
 def test_canonical_columns_undo_every_scaling(config):
-    engine = groups._ColumnEngine(config)
+    engine = ColumnEngine(config)
     p = config.p
     canonical = reference_canonicalizer(config)
     rows = [v for v, _ in reference_residues(config, 4)]
@@ -689,7 +688,7 @@ def _subset_table(config, subset):
         return groups._action_table(config)
     kinds = two_particle_codes(config)[2]
     products = [r for r, kind in enumerate(kinds) if kind == PRODUCT | PHYSICAL]
-    return groups._ActionTable(enumerate_group(config), products)
+    return groups._ActionTable(config, products)
 
 
 def _use_table(monkeypatch, table):
@@ -701,7 +700,7 @@ def test_action_table_escape_raises():
     # a restricted row set must be closed under both one-sided actions
     singlet = _row(representative_states(GF3)["S"])
     with pytest.raises(ValueError, match="escapes"):
-        groups._ActionTable(enumerate_group(GF3), (singlet,))
+        groups._ActionTable(GF3, (singlet,))
 
 
 def test_action_table_escape_raises_for_a_global_orbit():
@@ -713,7 +712,7 @@ def test_action_table_escape_raises_for_a_global_orbit():
         for g in group.elements:
             assert {_row(act(g, m, mode="global")) for m in members} == set(orbit.members)
         with pytest.raises(ValueError, match="escapes"):
-            groups._ActionTable(group, orbit.members)
+            groups._ActionTable(GF9, orbit.members)
 
 
 @pytest.mark.parametrize("config", [GF3, GF9], ids=["gf3", "gf9"])
@@ -749,9 +748,9 @@ def test_generator_built_table_matches_per_element_reference(config):
     # each state's image under every element, composed from the generator
     # rows along the Cayley tree, against act() for that element and state
     table = groups._action_table(config)
-    index = table.group_index
+    index = table.index
     assert len(index.generators) <= 4
-    elements = table.group.elements
+    elements = enumerate_group(config).elements
     for side, mode in enumerate(("local_1", "local_2")):
         rows = [sides[side] for sides in table.generator_sides]
         for i, state in enumerate(_objects(config, table.rows)):
@@ -767,7 +766,7 @@ def test_residue_generator_rows_match_object_act(config, subset):
     # the rows applied on residue codes, against act() on the state objects
     table = _subset_table(config, subset)
     states = _objects(config, table.rows)
-    gens = [table.group.elements[k] for k in table.group_index.generators]
+    gens = [enumerate_group(config).elements[k] for k in table.index.generators]
     for g, (side1, side2) in zip(gens, table.generator_sides):
         for mode, row in (("local_1", side1), ("local_2", side2)):
             assert row == tuple(_index_of(table, act(g, s, mode)) for s in states)
@@ -778,8 +777,8 @@ def test_residue_generator_rows_match_object_act(config, subset):
 )
 def test_element_index_words_match_group_multiplication(config):
     table = groups._action_table(config)
-    index = table.group_index
-    group = table.group
+    index = table.index
+    group = enumerate_group(config)
     elements = group.elements
     gens = [elements[k] for k in index.generators]
     for g, left in zip(gens, index.generator_left):
@@ -794,7 +793,7 @@ def test_composed_rows_match_group_multiplication_and_act(config):
     # path: on element indices against group_mul, on states against act()
     index = groups._group_index(config)
     table = groups._action_table(config)
-    group = table.group
+    group = enumerate_group(config)
     elements = group.elements
     states = _objects(config, table.rows)
     side1 = [s1 for s1, _ in table.generator_sides]
@@ -813,12 +812,12 @@ def test_column_rows_match_the_per_state_reference_past_the_letters():
     rows = [r for r, kind in enumerate(kinds) if kind == PHYSICAL]
     codes = [code for (code, _), kind in zip(reference_residues(config, 4), kinds)
              if kind == PHYSICAL]
-    table = groups._ActionTable(SimpleNamespace(config=config), rows)
+    table = groups._ActionTable(config, rows)
     members = [residue_code(config, code) for code in groups._group_index(config).codes]
     canonical = reference_canonicalizer(config)
     transpose = itemgetter(0, 1, 4, 5, 2, 3, 6, 7)
-    assert len(table.generator_sides) == len(table.group_index.generators) > 0
-    for k, (side1, side2) in zip(table.group_index.generators, table.generator_sides):
+    assert len(table.generator_sides) == len(table.index.generators) > 0
+    for k, (side1, side2) in zip(table.index.generators, table.generator_sides):
         m, mt = members[k], transpose(members[k])
         for row, step in ((side1, lambda code: reference_mul2(m, code)),
                           (side2, lambda code: reference_mul2(code, mt))):
@@ -828,7 +827,7 @@ def test_column_rows_match_the_per_state_reference_past_the_letters():
 def test_orbits_on_a_closed_subset(monkeypatch):
     # the 24-state local orbit over GF(9) is closed, so restriction works
     closed = next(o for o in orbits(GF9, "local") if o.size == 24).members
-    _use_table(monkeypatch, groups._ActionTable(enumerate_group(GF9), closed))
+    _use_table(monkeypatch, groups._ActionTable(GF9, closed))
     within = orbits(GF9, "global")
     assert sum(o.size for o in within) == 24
     assert burnside_count(GF9, "global") == len(within)
@@ -947,7 +946,7 @@ def test_burnside_class_sum_matches_the_per_state_sum(config, mode, subset, monk
 def reference_class_pair_count(table):
     # the local sum over pairs of classes: (a, b) fixes i exactly when
     # side1_a[i] = side2_b^-1[i]
-    index = table.group_index
+    index = table.index
     perms = _generator_permutations(table, "local")
     n = len(index.generators)
     back2 = [(len(c), index.compose(index.inverse[c[0]], perms[n:])) for c in index.classes]
@@ -1002,7 +1001,7 @@ def test_gf3_stabilizer_orders_match_the_fixing_elements():
     # every entangled state's stabilizer, read from the tree-walked images,
     # against the elements (global) and pairs (local) that act() finds fixing it
     table = groups._action_table(GF3)
-    elements = table.group.elements
+    elements = enumerate_group(GF3).elements
     global_perms = _generator_permutations(table, "global")
     local_perms = _generator_permutations(table, "local")
     for i, state in enumerate(_objects(GF3, table.rows)):
@@ -1106,8 +1105,8 @@ def _reference_reach(config):
     state index reached from a representative, (label, A, B) with state =
     (A tensor B) rep."""
     table = groups._action_table(config)
-    group = table.group
-    gens = [group.elements[k] for k in table.group_index.generators]
+    group = enumerate_group(config)
+    gens = [group.elements[k] for k in table.index.generators]
     perms = _generator_permutations(table, "local")
     reach = {}
     for label, rep in representative_states(config).items():
@@ -1129,7 +1128,7 @@ def _reference_reach(config):
 )
 def test_find_local_transform_matches_the_element_walk(config):
     table = groups._action_table(config)
-    group = table.group
+    group = enumerate_group(config)
     reach = _reference_reach(config)
     states = _objects(config, table.rows)
     assert sorted(_code(states[i]) for i in reach) == sorted(_local_reach(config))
@@ -1231,3 +1230,29 @@ def test_classes_and_burnside_run_without_object_group_products(config, monkeypa
     _local_reach(config)
     assert calls == Counter(residue_state=found)
     assert two_particle_states.cache_info().misses == 0
+
+
+def test_orbits_and_burnside_read_only_the_group_index(monkeypatch):
+    # from fresh caches, the orbit path builds no labelled object group
+    configs = [GF7, GF9, GF23]
+    expected = [(mode, len(orbits(c, mode)), burnside_count(c, mode))
+                for c in configs for mode in ("global", "local")]
+
+    def unreachable(config):
+        raise AssertionError("the object group was built")
+
+    groups._group_index.cache_clear()
+    groups._action_table.cache_clear()
+    monkeypatch.setattr(groups, "enumerate_group", unreachable)
+    assert [(mode, len(orbits(c, mode)), burnside_count(c, mode))
+            for c in configs for mode in ("global", "local")] == expected
+
+
+@pytest.mark.parametrize("config", [GF49, FieldConfig(83, 1)], ids=["gf49", "gf83"])
+def test_orbits_refuse_past_the_letters_before_the_code_table(config, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("the code table was built")
+
+    monkeypatch.setattr(groups, "two_particle_codes", unreachable)
+    with pytest.raises(ValueError, match="too many one-particle states to letter-label"):
+        orbits(config, "local")
