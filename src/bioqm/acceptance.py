@@ -559,6 +559,9 @@ def run_criterion(number: int) -> CriterionResult:
     except AssertionError as exc:
         detail = f"assertion failed: {exc}"
         passed = False
+    except Exception as exc:  # one broken criterion fails alone; the rest still run
+        detail = f"error: {type(exc).__name__}: {exc}"
+        passed = False
     elapsed = time.perf_counter() - start
     if passed and elapsed > limit:
         passed = False

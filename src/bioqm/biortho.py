@@ -204,7 +204,7 @@ def bracket(state: ProjectiveState | StateVector, matrix: Matrix) -> FieldElemen
     for row, vr, vi in zip(matrix, res, ims):
         wr = wi = 0
         for x, cr, ci in zip(row, res, ims):
-            if x.config is not config and x.config != config:
+            if x.config is not config:
                 raise ValueError(f"field mismatch: {x.config} vs {config}")
             xr, xi = x.re, x.im
             wr += xr * cr - xi * ci

@@ -11,18 +11,19 @@ powers of a multiplicative generator to +1 and odd powers to -1
 (equivalently, it is the quadratic-residue character).  Because
 p = 3 (mod 4), phi_map(-1) = -1.
 
-All arithmetic is exact integer arithmetic; floats never appear.  Each
-``FieldConfig`` interns its elements: ``element(re, im)`` reduces both parts
-mod p and returns the one shared ``FieldElement`` for that residue pair, so
-construction and validation run once per element, not once per operation.
+All arithmetic is exact integer arithmetic; floats never appear.  A field is
+one object per (p, degree), and it interns its elements: ``element(re, im)``
+reduces both parts mod p and returns the one shared ``FieldElement`` for that
+residue pair, so elements compare by identity and are validated once.
 Operations compute on the integer residues and look the result up there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import index
 
 
 # the bound is the least strong pseudoprime to all these bases (Sorenson & Webster 2015)
@@ -71,29 +72,47 @@ def residue_sign(r: int, p: int) -> int:
     return -1 if power == p - 1 else power
 
 
-@dataclass(frozen=True)
+def _immutable(self, name: str, *value: object) -> None:
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class FieldConfig:
     """A field GF(p^degree) with p prime, p = 3 (mod 4), degree 1 or 2.
 
-    Each config interns its elements: ``element`` returns one shared instance
-    per residue pair, created on first use, so the store holds only the
-    elements a computation actually produced.
+    One object per field: ``FieldConfig(p, degree)`` validates once and then
+    returns the process's single instance for (p, degree), so "the same
+    field" is ``is``.  Each config interns its elements: ``element`` returns
+    one shared instance per residue pair, created on first use, so the store
+    holds only the elements a computation actually produced.
     """
 
-    p: int
-    degree: int = 1
-    _interned: _InternStore = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "degree", "_interned")
+    _instances: dict[tuple[int, int], FieldConfig] = {}
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.p % 4 != 3:
-            raise ValueError(
-                f"p must be 3 (mod 4) so x^2 + 1 is irreducible, got {self.p}"
-            )
-        if self.degree not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        object.__setattr__(self, "_interned", _InternStore(self))
+    p: int
+    degree: int
+
+    def __new__(cls, p: int, degree: int = 1) -> FieldConfig:
+        # a float would otherwise sit under the key of its integer value
+        p, degree = index(p), index(degree)
+        if (config := cls._instances.get((p, degree))) is not None:
+            return config
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if p % 4 != 3:
+            raise ValueError(f"p must be 3 (mod 4) so x^2 + 1 is irreducible, got {p}")
+        if degree not in (1, 2):
+            raise ValueError(f"degree must be 1 or 2, got {degree}")
+        config = super().__new__(cls)
+        for name, value in zip(cls.__slots__, (p, degree, _InternStore(config))):
+            object.__setattr__(config, name, value)
+        # two threads may both miss; the first to register is the field
+        return cls._instances.setdefault((p, degree), config)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"FieldConfig(p={self.p}, degree={self.degree})"
 
     @property
     def order(self) -> int:
@@ -149,14 +168,12 @@ def _signed(r: int, p: int) -> int:
 class FieldElement:
     """An element re + im*i of GF(p^2), or re in GF(p) when im = 0.
 
-    Immutable.  Equality and hash go by value, so elements of two equal but
-    distinct configs compare equal and combine; the result lives in the left
-    operand's config.  ``FieldConfig.element`` hands out interned instances,
-    which makes identity a fast path for the field checks, never a
-    requirement.
+    Immutable.  Elements come from ``FieldConfig.element``, one instance per
+    value of each field, so equality and hash are identity, and elements of
+    two fields never combine.
     """
 
-    __slots__ = ("re", "im", "config", "is_zero", "is_real", "_hash")
+    __slots__ = ("re", "im", "config", "is_zero", "is_real")
 
     re: int
     im: int
@@ -175,38 +192,19 @@ class FieldElement:
         init(self, "config", config)
         init(self, "is_zero", re == 0 and im == 0)
         init(self, "is_real", im == 0)
-        init(self, "_hash", hash((re, im, config)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: FieldElement is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: FieldElement is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FieldElement:
-            return NotImplemented
-        return (
-            self.re == other.re and self.im == other.im and self.config == other.config
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    __setattr__ = __delattr__ = _immutable
 
     # -- helpers ---------------------------------------------------------
 
     def _coerce(self, other: FieldElement | int) -> FieldElement:
-        if other.__class__ is FieldElement and other.config is self.config:
+        if other.__class__ is FieldElement:
+            if other.config is not self.config:
+                raise ValueError(f"field mismatch: {self.config} vs {other.config}")
             return other
         if isinstance(other, int):
             return self.config.element(other)
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.config != self.config:
-            raise ValueError(f"field mismatch: {self.config} vs {other.config}")
-        return other
+        raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
     # -- arithmetic ------------------------------------------------------
 

@@ -105,7 +105,10 @@ def _point_images(engine: ColumnEngine, members: Sequence[bytes],
 
 
 def _letters(config: FieldConfig) -> str:
-    count = len(physical_states(config))
+    # the physical one-particle states, counted: all p + 1 points over GF(p), as
+    # -1 is no square; over GF(p^2), p^2 + 1 less p + 1 self-orthogonal ones
+    p = config.p
+    count = p * p - p if config.is_extension else p + 1
     if count > len(ascii_lowercase):
         raise ValueError("too many one-particle states to letter-label")
     return ascii_lowercase[:count]

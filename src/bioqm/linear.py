@@ -9,7 +9,7 @@ The kernels below (``dot``, pairings, ``mat_vec``, duals, scaling, tensor
 and Kronecker products, ``det2``) accumulate each output component over the
 integer residues of their inputs and reduce mod p once, so each output costs
 one interned ``FieldConfig.element`` lookup rather than one per field
-operation.
+operation.  A field is one object, so each field check is ``is``.
 
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1.  State columns hold
@@ -39,21 +39,16 @@ ENUMERATION_GUARD = 10**8
 EntryLike = FieldElement | int | tuple[int, int]
 
 
-def _same_field(a: FieldConfig, b: FieldConfig) -> bool:
-    return a is b or a == b
-
-
 def _require_field(config: FieldConfig, entries: Iterable[FieldElement]) -> None:
     """The field check each per-element operation made, done once per entry."""
     for x in entries:
-        if x.config is not config and x.config != config:
+        if x.config is not config:
             raise ValueError(f"field mismatch: {x.config} vs {config}")
 
 
 def _as_element(config: FieldConfig, entry: EntryLike) -> FieldElement:
     if isinstance(entry, FieldElement):
-        if not _same_field(entry.config, config):
-            raise ValueError(f"field mismatch: {entry.config} vs {config}")
+        _require_field(config, (entry,))
         return entry
     if isinstance(entry, tuple):
         return config.element(*entry)
@@ -70,9 +65,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("a state vector needs at least one component")
-        for c in self.components:
-            if c.config is not self.config and c.config != self.config:
-                raise ValueError("all components must live in the same field")
+        _require_field(self.config, self.components)
 
     @staticmethod
     def make(config: FieldConfig, entries: Iterable[EntryLike]) -> StateVector:
@@ -100,7 +93,7 @@ class StateVector:
 
     def tensor(self, other: StateVector) -> StateVector:
         """Row-major Kronecker product (left index varies slowest)."""
-        if not _same_field(other.config, self.config):
+        if other.config is not self.config:
             raise ValueError("tensor factors must share a field")
         return StateVector(_outer(self.config, self.components, other.components), self.config)
 
@@ -130,7 +123,7 @@ def _contract(config: FieldConfig, xs, ys) -> FieldElement:
 
 def dot(a: StateVector, b: StateVector) -> FieldElement:
     """Sesquilinear inner product: sum of frobenius(a_k) * b_k."""
-    if not _same_field(a.config, b.config) or a.dim != b.dim:
+    if a.config is not b.config or a.dim != b.dim:
         raise ValueError("dot requires matching shape and field")
     # frobenius(x) * y = (xr - xi i)(yr + yi i)
     re = im = 0
@@ -166,7 +159,7 @@ class DualVector:
         return self.components[k]
 
     def pairing(self, v: StateVector) -> FieldElement:
-        if not _same_field(v.config, self.config) or v.dim != self.dim:
+        if v.config is not self.config or v.dim != self.dim:
             raise ValueError("pairing requires matching shape and field")
         return _contract(self.config, self.components, v.components)
 

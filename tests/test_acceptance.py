@@ -9,6 +9,7 @@ import pytest
 from bioqm import FieldConfig, acceptance, bracket, phi_map
 from bioqm.gf import is_prime, preserves_products, residue_sign
 from bioqm.acceptance import CRITERIA, run_criterion
+from bioqm.cli import run
 
 
 @pytest.mark.parametrize(
@@ -24,6 +25,20 @@ def test_criterion(number):
 
 def test_criterion_count():
     assert len(CRITERIA) == 13
+
+
+def test_a_criterion_that_raises_fails_alone(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("boom")
+
+    name, limit, _ = CRITERIA[5]
+    monkeypatch.setattr(acceptance, "CRITERIA", (*CRITERIA[:5], (name, limit, broken), *CRITERIA[6:]))
+    assert run(["--seed-check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and lines[-1] == "12/13 criteria passed"
+    failed = [line for line in lines[:13] if not line.startswith("PASS")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  6. {name} (")
+    assert failed[0].endswith("): error: RuntimeError: boom")
 
 
 def test_property_suite_computes_each_reference_bracket_once(monkeypatch):

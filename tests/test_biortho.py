@@ -224,7 +224,7 @@ def test_bracket_errors_pinned():
             bracket(state, malformed)
     with pytest.raises(ValueError, match="field mismatch"):
         bracket(named_states(GF7)["c"], spin_observable(GF3, 1))
-    # an equal config built separately is the same field
+    # FieldConfig(3, 2) is GF9 itself, not a second GF(9)
     assert bracket(vec(FieldConfig(3, 2), [1, 1]), spin_observable(GF9, 1)) == GF9.one()
     message = "self-orthogonal vector [1, 1+i] has no conjugate dual"
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -244,8 +244,9 @@ CENSUS49 = {
 }
 
 
-def test_census_counts_codes_without_building_states():
-    # a fresh config, so any element the census interned would show in it
+def test_census_counts_codes_without_building_states(monkeypatch):
+    # a fresh field object, so any element the census interned would show in it
+    monkeypatch.delitem(FieldConfig._instances, (7, 2), raising=False)
     config = FieldConfig(7, 2)
     two_particle_states.cache_clear()
     entangle.two_particle_codes.cache_clear()
@@ -254,7 +255,8 @@ def test_census_counts_codes_without_building_states():
     assert len(config._interned) == 0
 
 
-def test_chsh_bound_interns_only_kernel_elements():
+def test_chsh_bound_interns_only_kernel_elements(monkeypatch):
+    monkeypatch.delitem(FieldConfig._instances, (19, 1), raising=False)
     config = FieldConfig(19, 1)
     two_particle_states.cache_clear()
     entangle.two_particle_codes.cache_clear()

@@ -5,17 +5,23 @@ from itertools import product
 
 import pytest
 
-from bioqm import FieldConfig, FieldElement, StateVector, find_generator, phi_map
+from bioqm import FieldConfig, FieldElement, find_generator, phi_map
 from bioqm.gf import PRIME_TEST_BOUND, _powers, is_prime, verify_phi_uniqueness
 
 
 def test_config_rejects_bad_parameters():
+    before = dict(FieldConfig._instances)
     with pytest.raises(ValueError):
         FieldConfig(4, 1)
     with pytest.raises(ValueError):
         FieldConfig(5, 1)  # 5 = 1 mod 4
     with pytest.raises(ValueError):
         FieldConfig(3, 3)
+    for args in [(3.0,), (3, 2.0), ("3",)]:
+        with pytest.raises(TypeError):
+            FieldConfig(*args)
+    # a refused field registers nothing
+    assert FieldConfig._instances == before
 
 
 def test_is_prime_small_values():
@@ -283,29 +289,38 @@ def test_field_element_hash_and_equality():
     assert a != config.element(2, 1)
 
 
-def test_elements_are_interned_per_config_and_compare_by_value():
+def test_a_field_is_one_object_and_its_elements_compare_by_identity():
     gf9 = FieldConfig(3, 2)
+    assert FieldConfig(3, 2) is gf9 and FieldConfig(p=3, degree=2) is gf9
+    assert FieldConfig(3, True) is FieldConfig(3) is FieldConfig(3, 1) is not gf9
+    assert repr(gf9) == "FieldConfig(p=3, degree=2)" and str(gf9) == "GF(9)"
     assert gf9.element(4, 5) is gf9.element(1, 2)
     assert gf9.element(1, 2) * gf9.one() is gf9.element(1, 2)
-
-    # a second, separately built GF(9): its elements are other objects that
-    # still compare, hash and combine as the same values
-    other = FieldConfig(3, 2)
-    assert other is not gf9 and other == gf9
     for x in gf9.elements():
-        twin = other.element(x.re, x.im)
-        assert twin is not x
-        assert twin == x and hash(twin) == hash(x)
-        for y in other.elements():
+        for y in gf9.elements():
             a, b = (x.re, x.im), (y.re, y.im)
-            assert x + y == gf9.element(a[0] + b[0], a[1] + b[1])
+            assert x + y is gf9.element(a[0] + b[0], a[1] + b[1])
             assert ((x * y).re, (x * y).im) == _poly_mul(a, b, 3)
             if not y.is_zero:
-                assert (x / y) * y == x
-    mixed = StateVector((gf9.element(1), other.element(0, 1)), gf9)
-    assert str(mixed) == "[1, i]"
+                assert (x / y) * y is x
+    # an element built outside the field's store is another value
+    stray = FieldElement(1, 2, gf9)
+    assert stray != gf9.element(1, 2) and stray in {stray}
 
+    with pytest.raises(ValueError, match="field mismatch"):
+        gf9.one() + FieldConfig(3, 1).one()
     with pytest.raises(ValueError):
         FieldConfig(3, 1).element(1, 1)
     with pytest.raises(ValueError):
         FieldElement(3, 0, gf9)  # not a canonical residue
+
+
+def test_field_config_is_immutable():
+    config = FieldConfig(7, 2)
+    with pytest.raises(AttributeError):
+        config.p = 11
+    with pytest.raises(AttributeError):
+        del config.degree
+    with pytest.raises(AttributeError):
+        config._interned = {}
+    assert (config.p, config.degree, config.order) == (7, 2, 49)

@@ -1248,11 +1248,21 @@ def test_orbits_and_burnside_read_only_the_group_index(monkeypatch):
             for c in configs for mode in ("global", "local")] == expected
 
 
-@pytest.mark.parametrize("config", [GF49, FieldConfig(83, 1)], ids=["gf49", "gf83"])
+@pytest.mark.parametrize("p,degree", [(3, 1), (3, 2), (7, 1), (7, 2), (11, 1), (11, 2), (19, 1),
+                                      (19, 2), (23, 1), (31, 1), (43, 1), (83, 1)])
+def test_letters_count_the_physical_one_particle_states(p, degree, monkeypatch):
+    config = FieldConfig(p, degree)
+    monkeypatch.setattr(groups, "ascii_lowercase", "x" * 400)  # room past the 26 letters
+    assert len(groups._letters(config)) == len(physical_states(config))
+
+
+@pytest.mark.parametrize("config", [GF49, FieldConfig(83, 1), FieldConfig(9967, 1)],
+                         ids=["gf49", "gf83", "gf9967"])
 def test_orbits_refuse_past_the_letters_before_the_code_table(config, monkeypatch):
     def unreachable(config):
-        raise AssertionError("the code table was built")
+        raise AssertionError("the code table or the one-particle states were built")
 
     monkeypatch.setattr(groups, "two_particle_codes", unreachable)
+    monkeypatch.setattr(groups, "physical_states", unreachable)
     with pytest.raises(ValueError, match="too many one-particle states to letter-label"):
         orbits(config, "local")
