@@ -31,6 +31,7 @@ from .biortho import (
     table_report,
 )
 from .entangle import (
+    axis_quadruples,
     census,
     chsh,
     chsh_bound,
@@ -458,53 +459,38 @@ def _criterion_13() -> str:
                     assert meas.variance == 0, (label, axis)
                 checks += 1
 
-    # factorization of product correlators; CHSH sign identities.  Each
-    # object-path reference value (a single-particle sign per state and axis,
-    # a signed correlator per representative and signed axis pair) is
-    # computed once and read by every check that needs it.
-    for p, degree in ((3, 1), (3, 2)):
+    # CHSH sign identities, then factorization of product correlators:
+    # exhaustive over GF(3) and GF(9), on random pairs for larger primes.
+    # Each object-path reference value (a signed correlator per
+    # representative and signed axis pair, a single-particle sign per vector
+    # and axis) is computed once and read by every check that needs it.
+    for config in (FieldConfig(3, 1), FieldConfig(3, 2)):
+        for state in representative_states(config).values():
+            correlate = cache(partial(signed_correlator, state))
+            for A, a, B, b in axis_quadruples(config):
+                base = chsh(state, A, a, B, b).value
+                assert base == signed_chsh(correlate, (1, A), (1, a), (1, B), (1, b))
+                assert base == signed_chsh(correlate, (1, A), (-1, a), (1, b), (1, B))
+                assert base == -signed_chsh(correlate, (-1, A), (1, a), (1, b), (1, B))
+                assert base == signed_chsh(correlate, (1, a), (1, A), (1, B), (-1, b))
+                assert base == -signed_chsh(correlate, (1, a), (1, A), (-1, B), (1, b))
+                checks += 5
+
+    for p, degree in ((3, 1), (3, 2), (7, 1), (11, 1)):
         config = FieldConfig(p, degree)
         axes = spin_axes(config)
-        singles = [s.rep for s in physical_states(config)]
-        signs = _single_signs(config, singles)
-        for x, x_signs in zip(singles, signs):
-            for y, y_signs in zip(singles, signs):
+        if p == 3:
+            lefts = rights = [s.rep for s in physical_states(config)]
+        else:
+            lefts = _physical_pool(config, rng, 10)
+            rights = lefts[:5]
+        signs = _single_signs(config, lefts)
+        for x, x_signs in zip(lefts, signs):
+            for y, y_signs in zip(rights, signs):
                 grid = correlator_grid(from_product(x, y), axes, axes)
                 for i in axes:
                     for j in axes:
                         assert grid[i, j] == x_signs[i] * y_signs[j], (i, j)
-                        checks += 1
-
-        for state in representative_states(config).values():
-            correlate = cache(partial(signed_correlator, state))
-            for A in axes:
-                for a in axes:
-                    if a == A:
-                        continue
-                    for B in axes:
-                        for b in axes:
-                            if b == B:
-                                continue
-                            base = chsh(state, A, a, B, b).value
-                            assert base == signed_chsh(correlate, (1, A), (1, a), (1, B), (1, b))
-                            assert base == signed_chsh(correlate, (1, A), (-1, a), (1, b), (1, B))
-                            assert base == -signed_chsh(correlate, (-1, A), (1, a), (1, b), (1, B))
-                            assert base == signed_chsh(correlate, (1, a), (1, A), (1, B), (-1, b))
-                            assert base == -signed_chsh(correlate, (1, a), (1, A), (-1, B), (1, b))
-                            checks += 5
-
-    # randomized factorization for larger primes
-    for p in (7, 11):
-        config = FieldConfig(p, 1)
-        axes = spin_axes(config)
-        pool = _physical_pool(config, rng, 10)
-        signs = _single_signs(config, pool)
-        for x, x_signs in zip(pool, signs):
-            for y, y_signs in zip(pool[:5], signs):
-                grid = correlator_grid(from_product(x, y), axes, axes)
-                for i in axes:
-                    for j in axes:
-                        assert grid[i, j] == x_signs[i] * y_signs[j]
                         checks += 1
 
     return f"{checks} property checks passed"

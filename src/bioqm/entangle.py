@@ -21,7 +21,7 @@ x_r + i y_r and take the 16 Gram values G_rr = x_r^2 + y_r^2 and, for r < c,
 G_rc = x_r x_c + y_r y_c and A_rc = y_r x_c - x_r y_c.  Then conj(psi_r)
 psi_c = G_rc - i A_rc, so a table entry hr + i hi at (r, c) adds
 (hr G_rc + hi A_rc) + i (hi G_rc - hr A_rc) to the bracket.  ``_pair_forms``
-folds each s_i x s_j (row index on side 1) this way, once per field, into a
+folds each ``product_spin`` s_i x s_j this way, once per field, into a
 real form over the Gram values, keeping the coefficients nonzero mod p (2 or
 4 of 16 for the spin tables).  The tables are Hermitian, so the bracket lies
 in GF(p): the fold checks that once per field, raising RuntimeError on an
@@ -235,16 +235,11 @@ def _pair_forms(config: FieldConfig) -> dict:
     0 on every state, and a coefficient left raises RuntimeError.
     """
     p = config.p
-    tables = {axis: flat_residues(chain(*spin_observable(config, axis)))
-              for axis in spin_axes(config)}
     forms = {}
-    for (i, s), (j, t) in product(tables.items(), repeat=2):
-        # h_rc = (s x t)[r][c] = s[r//2][c//2] * t[r%2][c%2] as hr + i hi
-        hr, hi = {}, {}
-        for r, c in product(range(4), repeat=2):
-            u, v = 2 * (r // 2 * 2 + c // 2), 2 * (r % 2 * 2 + c % 2)
-            hr[r, c] = s[u] * t[v] - s[u + 1] * t[v + 1]
-            hi[r, c] = s[u] * t[v + 1] + s[u + 1] * t[v]
+    for i, j in product(spin_axes(config), repeat=2):
+        h = product_spin(config, i, j)  # h_rc = hr + i hi
+        hr = {(r, c): h[r][c].re for r, c in product(range(4), repeat=2)}
+        hi = {(r, c): h[r][c].im for r, c in product(range(4), repeat=2)}
         # conj(psi_r) h_rc psi_c = (hr G + hi A) + i (hi G - hr A), A_cr = -A_rc
         re = ([hr[r, r] for r in range(4)] + [hr[r, c] + hr[c, r] for r, c in _PAIRS]
               + [hi[r, c] - hi[c, r] for r, c in _PAIRS])

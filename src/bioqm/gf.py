@@ -111,6 +111,10 @@ class FieldConfig:
 
     __setattr__ = __delattr__ = _immutable
 
+    def __reduce__(self):
+        # copies and unpickling go through the constructor, back to the one instance
+        return FieldConfig, (self.p, self.degree)
+
     def __repr__(self) -> str:
         return f"FieldConfig(p={self.p}, degree={self.degree})"
 
@@ -194,6 +198,9 @@ class FieldElement:
         init(self, "is_real", im == 0)
 
     __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return self.config.element, (self.re, self.im)
 
     # -- helpers ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """State vectors, dual vectors and projective states over a Galois field.
 
+Kets and bras are one row type: a nonempty tuple of elements of one field.
+
 The inner product is sesquilinear: dot(a, b) applies the Frobenius
 conjugation to the left argument componentwise.  A vector may be orthogonal
 to itself (dot(v, v) = 0 with v nonzero); such vectors admit no conjugate
@@ -56,20 +58,16 @@ def _as_element(config: FieldConfig, entry: EntryLike) -> FieldElement:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """A ket: a tuple of field elements."""
+class _Row:
+    """A ket or a bra: a nonempty row of elements of one field, never equal across kinds."""
 
     components: tuple[FieldElement, ...]
     config: FieldConfig
 
     def __post_init__(self) -> None:
         if not self.components:
-            raise ValueError("a state vector needs at least one component")
+            raise ValueError("a vector needs at least one component")
         _require_field(self.config, self.components)
-
-    @staticmethod
-    def make(config: FieldConfig, entries: Iterable[EntryLike]) -> StateVector:
-        return StateVector(tuple(_as_element(config, e) for e in entries), config)
 
     @property
     def dim(self) -> int:
@@ -77,6 +75,17 @@ class StateVector:
 
     def __getitem__(self, k: int) -> FieldElement:
         return self.components[k]
+
+    def __str__(self) -> str:
+        return "[" + ", ".join(str(c) for c in self.components) + "]"
+
+
+class StateVector(_Row):
+    """A ket: a tuple of field elements."""
+
+    @staticmethod
+    def make(config: FieldConfig, entries: Iterable[EntryLike]) -> StateVector:
+        return StateVector(tuple(_as_element(config, e) for e in entries), config)
 
     @property
     def is_zero(self) -> bool:
@@ -96,9 +105,6 @@ class StateVector:
         if other.config is not self.config:
             raise ValueError("tensor factors must share a field")
         return StateVector(_outer(self.config, self.components, other.components), self.config)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
 def _outer(config: FieldConfig, xs, ys) -> tuple[FieldElement, ...]:
@@ -141,30 +147,13 @@ def is_self_orthogonal(v: StateVector) -> bool:
     return dot(v, v).is_zero
 
 
-@dataclass(frozen=True)
-class DualVector:
+class DualVector(_Row):
     """A bra: a row of field elements paired with kets by plain contraction."""
-
-    components: tuple[FieldElement, ...]
-    config: FieldConfig
-
-    def __post_init__(self) -> None:
-        _require_field(self.config, self.components)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, k: int) -> FieldElement:
-        return self.components[k]
 
     def pairing(self, v: StateVector) -> FieldElement:
         if v.config is not self.config or v.dim != self.dim:
             raise ValueError("pairing requires matching shape and field")
         return _contract(self.config, self.components, v.components)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
 def conjugate_dual(v: StateVector) -> DualVector:

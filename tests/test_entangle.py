@@ -700,9 +700,12 @@ MALFORMED = {
 
 @pytest.fixture
 def pair_forms_cleared():
-    entangle._pair_forms.cache_clear()
+    # the fold reads spin tables through ``product_spin``, so its cache goes too
+    for cached in (entangle._pair_forms, entangle.product_spin):
+        cached.cache_clear()
     yield
-    entangle._pair_forms.cache_clear()
+    for cached in (entangle._pair_forms, entangle.product_spin):
+        cached.cache_clear()
 
 
 def _substitute_malformed(monkeypatch):

@@ -1,11 +1,15 @@
 """Field arithmetic, Frobenius conjugation, and the sign map."""
 
+import copy
+import pickle
 import time
+from dataclasses import asdict
 from itertools import product
 
 import pytest
 
 from bioqm import FieldConfig, FieldElement, find_generator, phi_map
+from bioqm.biortho import table_report
 from bioqm.gf import PRIME_TEST_BOUND, _powers, is_prime, verify_phi_uniqueness
 
 
@@ -313,6 +317,24 @@ def test_a_field_is_one_object_and_its_elements_compare_by_identity():
         FieldConfig(3, 1).element(1, 1)
     with pytest.raises(ValueError):
         FieldElement(3, 0, gf9)  # not a canonical residue
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_are_the_one_object(clone):
+    gf7, gf9 = FieldConfig(7, 1), FieldConfig(3, 2)
+    for x in (gf9, gf9.element(1, 2), gf7, gf7.element(3)):
+        assert clone(x) is x
+
+
+def test_a_result_holding_elements_converts_with_asdict():
+    gf9 = FieldConfig(3, 2)
+    rows = asdict(table_report(gf9))["rows"]
+    rep = rows[0]["state"]["rep"]
+    assert len(rows) == 6 and rep["config"] is gf9
+    assert rep["components"] == (gf9.one(), gf9.zero())
 
 
 def test_field_config_is_immutable():

@@ -101,6 +101,18 @@ def test_dual_pairing_is_normalized():
         assert conjugate_dual(v).pairing(v) == GF3.one()
 
 
+def test_kets_and_bras_are_rows_of_their_own_kind():
+    ket = vec(GF9, [1, (0, 1)])
+    bra = DualVector(ket.components, GF9)
+    assert (bra.dim, bra[1], str(bra)) == (ket.dim, ket[1], str(ket))
+    assert (ket.dim, ket[1], str(ket)) == (2, GF9.element(0, 1), "[1, i]")
+    assert ket != bra and bra != ket
+    assert repr(ket).startswith("StateVector(") and repr(bra).startswith("DualVector(")
+    for row in (StateVector, DualVector):
+        with pytest.raises(ValueError, match="a vector needs at least one component"):
+            row((), GF9)
+
+
 def test_conjugate_dual_rejects_self_orthogonal():
     with pytest.raises(ValueError):
         conjugate_dual(vec(GF9, [1, 1, 1, 0]))

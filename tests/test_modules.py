@@ -1,6 +1,7 @@
 """Source hygiene of the library modules, the tests and the benchmark."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +121,15 @@ LINE_BUDGET = 4634
 def test_the_library_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in SOURCES)
     assert lines <= LINE_BUDGET, f"src/bioqm/*.py has {lines} lines, over {LINE_BUDGET}"
+
+
+def test_the_library_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependency; relative imports are the package's own
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
