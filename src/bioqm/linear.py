@@ -80,6 +80,7 @@ class _Row:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
+@dataclass(frozen=True)  # frozen against any attribute, not only the fields
 class StateVector(_Row):
     """A ket: a tuple of field elements."""
 
@@ -147,6 +148,7 @@ def is_self_orthogonal(v: StateVector) -> bool:
     return dot(v, v).is_zero
 
 
+@dataclass(frozen=True)
 class DualVector(_Row):
     """A bra: a row of field elements paired with kets by plain contraction."""
 

@@ -1,6 +1,7 @@
 """State vectors, the sesquilinear pairing, duals, and matrix helpers."""
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -108,6 +109,9 @@ def test_kets_and_bras_are_rows_of_their_own_kind():
     assert (ket.dim, ket[1], str(ket)) == (2, GF9.element(0, 1), "[1, i]")
     assert ket != bra and bra != ket
     assert repr(ket).startswith("StateVector(") and repr(bra).startswith("DualVector(")
+    for row in (ket, bra):
+        with pytest.raises(FrozenInstanceError):
+            row.note = "a frozen row takes no new attribute"
     for row in (StateVector, DualVector):
         with pytest.raises(ValueError, match="a vector needs at least one component"):
             row((), GF9)
