@@ -28,21 +28,28 @@ in GF(p): the fold checks that once per field, raising RuntimeError on an
 imaginary form with a coefficient left.  The bracket divides the real part
 by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
 n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
-E(i,j) = phi(bracket_ij * n): one sign per pair, read off integer residues
-without building any field element.  The kernel reads a chunk of states as
-8 (re, im) residue columns, builds each Gram value and form as a column by
-``map`` chains that run in C, and yields one sign grid per state:
-``correlator_grid`` passes columns of one entry and signs by Euler's
-criterion, ``chsh_bound`` streams the physical rows in chunks, each split
-into re and im by translation, and looks signs up in a table of all p.
+E(i,j) = phi(bracket_ij) phi(n).  Each real form is c0 sum t_k G_k with
+t_k = +-1; the fold moves phi(c0) into the t_k, leaving the square
+c0 phi(c0) as a scale whose sign is 1, so E(i,j) = phi(sum t_k G_k) phi(n):
+one sign per pair and one per state, read off integer residues without
+building any field element.  The kernel reads a chunk of states as 8
+(re, im) residue columns, builds each Gram value as a column and each form
+as an add/sub chain of them, by ``map`` chains that run in C, and yields
+each state's form signs with phi(n) beside them.  ``correlator_grid``
+passes columns of one entry, signs by Euler's criterion and applies phi(n);
+``chsh_bound`` streams the physical rows in chunks, each split into re and
+im by translation, looks signs up in a table, keeps the distinct raw tuples
+and applies phi(n) once to each.  The sums are unreduced, negative too, so
+the table repeats the p residue signs past the largest |sum| a form can take
+and reads a negative index as its residue.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import chain, compress, islice, product, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterable
 
 from .gf import FieldConfig, phi_map, residue_sign
@@ -216,23 +223,23 @@ _GRAM = tuple(
 _CHUNK = 2048  # physical code-table rows per ``_sign_grids`` call in ``chsh_bound``
 
 
-def _sparse(coefficients: list[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A form over the ``_GRAM`` values as its (indices, coefficients) nonzero
-    mod p; the zero polynomial has no index."""
-    kept = {k: c % p for k, c in enumerate(coefficients) if c % p}
-    return tuple(kept), tuple(kept.values())
-
-
 @lru_cache(maxsize=None)
 def _pair_forms(config: FieldConfig) -> dict:
     """Per-field kernel input: (i, j) -> the real part of <psi, (s_i x s_j) psi>
-    as a ``_sparse`` form over ``_GRAM``.
+    as (indices, signs, scale), the form scale * sum t_k G_k over the ``_GRAM``
+    values at indices with each sign t_k = +-1.
 
     A spin table M = sum lambda_k k k^dagger / n_k has lambda_k, n_k = <k, k>
     in GF(p), so M^dagger = M and so is s_i x s_j: the imaginary part is 0.
     The imaginary form is folded only to check that, as the 16 Gram values
     are linearly independent quadratic forms: with no coefficient left it is
     0 on every state, and a coefficient left raises RuntimeError.
+
+    Every real form is c0 times a signed sum of Gram values, c0 its first
+    coefficient nonzero mod p; one that is not (or has no coefficient) raises
+    RuntimeError too.  phi(c0) goes into the signs, so scale = c0 phi(c0) is a
+    square (-1 is not one, as p = 3 mod 4) and phi(form) = phi(sum t_k G_k).
+    A positive sign comes first when there is one.
     """
     p = config.p
     forms = {}
@@ -247,8 +254,27 @@ def _pair_forms(config: FieldConfig) -> dict:
               + [hr[c, r] - hr[r, c] for r, c in _PAIRS])
         if any(x % p for x in im):
             raise RuntimeError(f"spin {i}x{j} is not Hermitian; observable is malformed")
-        forms[i, j] = _sparse(re, p)
+        kept = {k: c % p for k, c in enumerate(re) if c % p}
+        c0 = next(iter(kept.values()), 0)
+        if not c0 or not set(kept.values()) <= {c0, p - c0}:
+            raise RuntimeError(f"spin {i}x{j} folds to coefficients other than +-c0; "
+                               "observable is malformed")
+        unit = residue_sign(c0, p)
+        terms = sorted(((k, unit if c == c0 else -unit) for k, c in kept.items()),
+                       key=itemgetter(1), reverse=True)
+        forms[i, j] = (*map(tuple, zip(*terms)), c0 * unit % p)
     return forms
+
+
+def _sign_table(p: int, width: int) -> Callable[[int], int]:
+    """phi on every value sum t_k G_k of a form of width signs t_k = +-1 takes
+    on residues in [0, p): each |G_k| <= 2 (p - 1)^2, so |sum| <= bound =
+    width 2 (p - 1)^2.  The p signs of [0, p) repeat bound // p + 1 times, so
+    the table's length is a multiple of p above the bound: index v reads
+    v mod p, and so does a negative one, at length - |v|.  A table one period
+    shorter raises IndexError on the extremes rather than wrap."""
+    bound = width * 2 * (p - 1) ** 2
+    return (tuple(residue_sign(r, p) for r in range(p)) * (bound // p + 1)).__getitem__
 
 
 def correlator_grid(
@@ -266,31 +292,36 @@ def correlator_grid(
         raise ValueError(f"self-orthogonal vector {state.state.rep} has no conjugate dual")
     pairs = [(i, j) for i in side1 for j in side2]
     forms = map(_pair_forms(config).__getitem__, pairs)
+    # Euler's criterion: a table would need about 8 p^2 entries
     sign = partial(residue_sign, p=config.p)
-    (signs,) = _sign_grids(config, [(x,) for x in psi], (norm,), forms, sign)
-    return dict(zip(pairs, signs))
+    ((*signs, phi_n),) = _sign_grids([(x,) for x in psi], (norm,), forms, sign)
+    return dict(zip(pairs, map(phi_n.__mul__, signs)))
 
 
-def _sign_grids(config: FieldConfig, flat, norms, forms: Iterable, sign: Callable[[int], int]):
-    """The sign E of each ``_pair_forms`` real form in forms for each state of
-    a chunk, given as its 8 flat (re, im) residue columns in flat and its
-    norms <psi, psi> mod p != 0 in norms, by ``sign`` on [0, p).  On real rows
-    (all y_r = 0) G_rc = x_r x_c and A_rc = 0."""
-    p = config.p
+def _sign_grids(flat, norms, forms: Iterable, sign: Callable[[int], int]):
+    """For each state of a chunk, given as its 8 flat (re, im) residue columns
+    in flat and its norms <psi, psi> mod p != 0 in norms, the raw tuple of
+    sign(sum t_k G_k) for each ``_pair_forms`` form in forms, then phi(n) by
+    sign(n): E = phi(n) times the form's sign.  Each sum is an add/sub chain of
+    Gram columns on unreduced integers, so ``sign`` reads negative values too.
+    On real rows (all y_r = 0) G_rc = x_r x_c and A_rc = 0."""
     real = not any(map(any, flat[1::2]))
     gram = {}
 
-    def column(form):
-        terms = []
-        for k, c in zip(*form):
-            if k not in gram:
-                op, a, b, u, v = _GRAM[k]
-                products = map(mul, flat[a], flat[b])
-                gram[k] = list(products if real else map(op, products, map(mul, flat[u], flat[v])))
-            terms.append(gram[k] if c == 1 else map(c.__mul__, gram[k]))
-        return reduce(partial(map, add), terms) if terms else repeat(0, len(norms))
+    def values(k):
+        if k not in gram:
+            op, a, b, u, v = _GRAM[k]
+            products = map(mul, flat[a], flat[b])
+            gram[k] = list(products if real else map(op, products, map(mul, flat[u], flat[v])))
+        return gram[k]
 
-    return zip(*[map(sign, map(p.__rmod__, map(mul, column(form), norms))) for form in forms])
+    def column(indices, signs, _scale):
+        total = values(indices[0]) if signs[0] > 0 else map(neg, values(indices[0]))
+        for k, t in zip(indices[1:], signs[1:]):
+            total = map(add if t > 0 else sub, total, values(k))
+        return total
+
+    return zip(*[map(sign, column(*form)) for form in forms], map(sign, norms))
 
 
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
@@ -365,24 +396,28 @@ def chsh_bound(config: FieldConfig) -> ChshBound:
 
     The physical rows of the code table go to the kernel ``_CHUNK`` at a
     time, so the working memory is one chunk's columns whatever the field.
-    Every grid is computed (``states_scanned`` is a true count);
-    then the CHSH values are read once per distinct grid (at most 3^9) up to
-    the first that reaches 4: four signs in {-1, 0, 1} sum to no more.
+    The kernel signs its unreduced sums through ``_sign_table``, several
+    periods of p long so that no sum needs a ``mod p``.  Every state's raw
+    tuple is computed (``states_scanned`` is a true count) and the distinct
+    ones kept; phi(n) is applied to each of those by ``map``, and the CHSH
+    values are read once per distinct grid (at most 3^9) up to the first that
+    reaches 4: four signs in {-1, 0, 1} sum to no more.
     """
     quadruples = axis_quadruples(config)
     forms = _pair_forms(config)
-    # every state reads many signs, so a table of all p of them pays off
-    # here; a single state's grid over a large prime must not build one
-    sign = tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
-    columns, norms, _ = two_particle_codes(config)
+    columns, norms, _ = two_particle_codes(config)  # refuses a field past the guard first
+    sign = _sign_table(config.p, max(len(signs) for _, signs, _ in forms.values()))
     split = [bytes(part) + bytes(256 - config.order) for part in zip(*index_residues(config))]
     rows, physical = [compress(column, norms) for column in columns], filter(None, norms)
-    grids, scanned = set(), 0
+    raw, scanned = set(), 0
     while chunk := list(islice(physical, _CHUNK)):
         scanned += len(chunk)
         indices = [bytes(islice(column, len(chunk))) for column in rows]
         flat = [column.translate(part) for column in indices for part in split]
-        grids.update(_sign_grids(config, flat, chunk, forms.values(), sign))
+        raw.update(_sign_grids(flat, chunk, forms.values(), sign))
+    # each distinct raw tuple times its last sign phi(n): the true grid, then phi(n)^2 = 1
+    raw = list(raw)
+    grids = set(map(tuple, map(map, repeat(mul), raw, map(repeat, map(itemgetter(-1), raw)))))
     best = 0
     for grid in grids:
         best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))

@@ -2,10 +2,11 @@
 
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from functools import partial
-from operator import mul
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -491,13 +492,16 @@ def _gram(psi):
 def _residue_grid(config, psi, norm, forms):
     """The per-state reference for ``entangle._sign_grids``: the sign E of each
     ``_pair_forms`` real form in forms on one state with flat (re, im)
-    residues psi and norm <psi, psi> mod p != 0, each sign by Euler's criterion."""
+    residues psi and norm <psi, psi> mod p != 0, the form's value times the
+    norm reduced mod p and signed by Euler's criterion."""
     p = config.p
-    at = _gram(psi).__getitem__
-    return tuple(
-        residue_sign(sum(map(mul, coefficients, map(at, indices))) * norm % p, p)
-        for indices, coefficients in forms
-    )
+    return tuple(residue_sign(_form_value(form, _gram(psi), p) * norm % p, p) for form in forms)
+
+
+def _applied(raw):
+    """A raw ``_sign_grids`` tuple with its last entry phi(n) applied: the grid."""
+    *signs, phi_n = raw
+    return tuple(phi_n * sign for sign in signs)
 
 
 def _all_forms(config):
@@ -511,7 +515,9 @@ def _physical_codes(config):
 
 
 def _table_sign(config):
-    return tuple(residue_sign(r, config.p) for r in range(config.p)).__getitem__
+    """The sign table ``chsh_bound`` builds for the field's forms."""
+    width = max(len(signs) for _, signs, _ in _all_forms(config))
+    return entangle._sign_table(config.p, width)
 
 
 def _times_unit(p, psi):
@@ -528,14 +534,14 @@ def test_column_kernel_matches_per_state_reference_exhaustively(config):
     psis, norms = zip(*rows)
     columns = list(zip(*psis))
     sign = _table_sign(config)
-    grids = list(entangle._sign_grids(config, columns, norms, forms, sign))
+    grids = list(map(_applied, entangle._sign_grids(columns, norms, forms, sign)))
     assert grids == [_residue_grid(config, psi, norm, forms) for psi, norm in rows]
     if config.is_extension:
         # u psi is the same state as psi, so it has the same grid
         p = config.p
         scaled = list(zip(*(_times_unit(p, psi) for psi in psis)))
         unit_norms = [2 * norm % p for norm in norms]
-        assert list(entangle._sign_grids(config, scaled, unit_norms, forms, sign)) == grids
+        assert list(map(_applied, entangle._sign_grids(scaled, unit_norms, forms, sign))) == grids
 
 
 def test_column_kernel_matches_per_state_reference_on_a_sample():
@@ -543,12 +549,12 @@ def test_column_kernel_matches_per_state_reference_on_a_sample():
     rows = random.Random(4902).sample(_physical_codes(GF49), 300)
     psis, norms = zip(*rows)
     sign = partial(residue_sign, p=GF49.p)
-    grids = list(entangle._sign_grids(GF49, list(zip(*psis)), norms, forms, sign))
+    grids = list(map(_applied, entangle._sign_grids(list(zip(*psis)), norms, forms, sign)))
     assert grids == [_residue_grid(GF49, psi, norm, forms) for psi, norm in rows]
     # a chunk of one row is the same kernel call
     for psi, norm in rows[:20]:
         columns = [(x,) for x in psi]
-        assert list(entangle._sign_grids(GF49, columns, (norm,), forms, sign)) == [
+        assert list(map(_applied, entangle._sign_grids(columns, (norm,), forms, sign))) == [
             _residue_grid(GF49, psi, norm, forms)]
 
 
@@ -563,10 +569,10 @@ def test_chsh_bound_is_the_same_for_every_chunk_size(config, monkeypatch):
     kernel = entangle._sign_grids
     fed = []
 
-    def feeding(config, columns, *rest):
+    def feeding(columns, *rest):
         assert len(columns) == 8 and len(set(map(len, columns))) == 1
         fed.append(list(zip(*columns)))
-        return kernel(config, columns, *rest)
+        return kernel(columns, *rest)
 
     monkeypatch.setattr(entangle, "_sign_grids", feeding)
     for size in (1, 7, scanned, scanned + 1):
@@ -576,6 +582,49 @@ def test_chsh_bound_is_the_same_for_every_chunk_size(config, monkeypatch):
         # every physical row reaches the kernel once, in scan order
         assert [psi for chunk in fed for psi in chunk] == rows
         assert max(map(len, fed)) == min(size, scanned)
+
+
+@pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
+def test_chsh_bound_reads_the_reference_grid_of_every_physical_row(config, monkeypatch):
+    # the scan keeps each distinct raw tuple and applies its phi(n) after; the
+    # grids it reads are the per-state references' set, each read once.  CHSH
+    # values of 0 keep it from stopping at the first grid that reaches 4
+    forms = entangle._pair_forms(config)
+    read = []
+
+    def recording(e, quadruples):
+        read.append(tuple(e[pair] for pair in forms))
+        return [0]
+
+    monkeypatch.setattr(entangle, "_chsh_values", recording)
+    assert chsh_bound(config).bound == 0
+    rows = _physical_codes(config)
+    assert sorted(read) == sorted(
+        {_residue_grid(config, psi, norm, list(forms.values())) for psi, norm in rows})
+
+
+@pytest.mark.parametrize("config,length", [(GF3, 33), (GF7, 294), (GF9, 33), (GF19, 2603),
+                                           (GF49, 294), (FieldConfig(83, 1), 53867)],
+                         ids=["gf3", "gf7", "gf9", "gf19", "gf49", "gf83"])
+def test_sign_table_reads_every_value_a_form_can_take(config, length):
+    # four equal signs on the diagonal Gram values at every residue p - 1
+    # reach the bound 4 * 2 (p - 1)^2 of a four-term form, either way round;
+    # the table is the least multiple of p above it
+    p = config.p
+    bound = 8 * (p - 1) ** 2
+    sign = entangle._sign_table(p, 4)
+    table = sign.__self__
+    assert len(table) == length and length % p == 0 and bound < length <= bound + p
+    for v in (*range(-bound, 2 * p - bound), *range(bound - 2 * p, bound + 1)):
+        assert sign(v) == residue_sign(v, p), v
+    forms = [((0, 1, 2, 3), (1, 1, 1, 1), 1), ((0, 1, 2, 3), (-1, -1, -1, -1), 1)]
+    raw = list(entangle._sign_grids([(p - 1,)] * 8, (1,), forms, sign))
+    assert raw == [(residue_sign(bound, p), residue_sign(-bound, p), 1)]
+    # one period shorter, the extremes raise rather than wrap
+    short = table[:-p]
+    for v in (bound, -bound):
+        with pytest.raises(IndexError):
+            short[v]
 
 
 def test_chsh_bound_working_memory_is_one_chunk():
@@ -708,24 +757,19 @@ def pair_forms_cleared():
         cached.cache_clear()
 
 
-def _substitute_malformed(monkeypatch):
-    """Make axis 1's spin table the MALFORMED one, wherever ``entangle``
-    reads it."""
+def _substitute_malformed(monkeypatch, tables):
+    """Make axis 1's spin table the one tables holds for the field, wherever
+    ``entangle`` reads it."""
     original = entangle.spin_observable
 
     def substituted(field, axis):
-        return matrix_make(field, MALFORMED[field]) if axis == 1 else original(field, axis)
+        return matrix_make(field, tables[field]) if axis == 1 else original(field, axis)
 
     monkeypatch.setattr(entangle, "spin_observable", substituted)
 
 
-@pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
-def test_malformed_spin_table_is_refused_at_fold_time(config, monkeypatch, pair_forms_cleared,
-                                                      capsys):
-    # a table that is not Hermitian is refused once per field, when its pairs
-    # are folded, so every correlator entry point refuses it on every state;
-    # s_1 x s_1 is the first pair folded
-    _substitute_malformed(monkeypatch)
+def _refused_everywhere(config, message, capsys):
+    """Every correlator entry point, and ``chsh --bound``, raises message."""
     state = representative_states(config)["S"]
     axes = spin_axes(config)
     entry_points = [
@@ -735,7 +779,6 @@ def test_malformed_spin_table_is_refused_at_fold_time(config, monkeypatch, pair_
         partial(chsh_scan, state),
         partial(chsh_bound, config),
     ]
-    message = "spin 1x1 is not Hermitian; observable is malformed"
     for call in entry_points:
         with pytest.raises(RuntimeError) as raised:
             call()
@@ -745,9 +788,38 @@ def test_malformed_spin_table_is_refused_at_fold_time(config, monkeypatch, pair_
     assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
+@pytest.mark.parametrize("config", list(MALFORMED), ids=["gf3", "gf9"])
+def test_malformed_spin_table_is_refused_at_fold_time(config, monkeypatch, pair_forms_cleared,
+                                                      capsys):
+    # a table that is not Hermitian is refused once per field, when its pairs
+    # are folded, so every correlator entry point refuses it on every state;
+    # s_1 x s_1 is the first pair folded
+    _substitute_malformed(monkeypatch, MALFORMED)
+    _refused_everywhere(config, "spin 1x1 is not Hermitian; observable is malformed", capsys)
+
+
+# Hermitian axis-1 tables whose s_1 x s_1 has coefficients 1 and 2 on the
+# Gram values: 2 is not +-1 mod 7, so the form is not c0 times a signed sum
+UNSIGNED = {
+    GF7: [[1, 0], [0, 2]],
+    GF49: [[1, (1, 1)], [(1, 6), 2]],
+}
+
+
+@pytest.mark.parametrize("config", list(UNSIGNED), ids=["gf7", "gf49"])
+def test_unsigned_hermitian_spin_table_is_refused_at_fold_time(config, monkeypatch,
+                                                               pair_forms_cleared, capsys):
+    table = matrix_make(config, UNSIGNED[config])
+    assert dagger(table) == table
+    _substitute_malformed(monkeypatch, UNSIGNED)
+    _refused_everywhere(
+        config, "spin 1x1 folds to coefficients other than +-c0; observable is malformed", capsys)
+
+
 def _form_value(form, gram, p):
-    indices, coefficients = form
-    return sum(c * gram[k] for k, c in zip(indices, coefficients)) % p
+    """scale * sum t_k G_k mod p for a ``_pair_forms`` form."""
+    indices, signs, scale = form
+    return scale * sum(t * gram[k] for k, t in zip(indices, signs)) % p
 
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9], ids=["gf3", "gf7", "gf9"])
@@ -779,3 +851,53 @@ def test_hermitian_spin_tables_fold_to_zero_imaginary_forms(config):
         m = spin_observable(config, axis)
         assert dagger(m) == m, axis
     assert len(entangle._pair_forms(config)) == len(spin_axes(config)) ** 2
+
+
+def _polarization_points(config):
+    """The flat (re, im) residue vectors e_a and e_a + e_b (re parts only over
+    GF(p)).  A quadratic form in the flat residues is fixed by its values on
+    them, so two forms that agree there agree on every state."""
+    for a, b in combinations_with_replacement(range(0, 8, 1 if config.is_extension else 2), 2):
+        flat = [0] * 8
+        flat[a] = flat[b] = 1
+        yield tuple(flat)
+
+
+@pytest.mark.parametrize("config", HERMITIAN_FIELDS,
+                         ids=[f"gf{c.order}" for c in HERMITIAN_FIELDS])
+def test_pair_forms_are_a_square_times_a_signed_gram_sum(config):
+    # each form is scale * sum t_k G_k with t_k = +-1 and phi(scale) = 1, and
+    # it is the unnormalized bracket on every state: it agrees with
+    # <psi, (s_i x s_j) psi> on the polarization points
+    p = config.p
+    for (i, j), form in entangle._pair_forms(config).items():
+        indices, signs, scale = form
+        assert len(indices) == len(signs) <= 4 and set(signs) <= {1, -1}, (i, j)
+        assert residue_sign(scale, p) == 1, (i, j)
+        for flat in _polarization_points(config):
+            v = vec(config, list(zip(flat[::2], flat[1::2])))
+            value = dot(v, mat_vec(product_spin(config, i, j), v))
+            assert (_form_value(form, _gram(flat), p), value.im) == (value.re, 0), (flat, i, j)
+
+
+def test_single_state_over_a_large_prime_builds_no_sign_table(monkeypatch, capsys):
+    # a sign table over GF(1000003) would hold about 8 10^12 entries; one
+    # state's grid is signed by Euler's criterion, in well under a second
+    def unreachable(p, width):
+        raise AssertionError("a sign table was built")
+
+    monkeypatch.setattr(entangle, "_sign_table", unreachable)
+    argv = ["chsh", "--state", "S", "--axes", "1313", "--p", "1000003"]
+    start = time.perf_counter()
+    assert cli.run(argv) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.startswith("C_1313(S) = 0\n")
+    # again with the fold redone, its working memory traced: no wide table
+    entangle._pair_forms.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
