@@ -4,8 +4,11 @@ from .gf import (
     FieldConfig,
     FieldElement,
     PhiUniquenessReport,
+    Record,
+    asdict,
     find_generator,
     phi_map,
+    replace,
     verify_phi_uniqueness,
 )
 from .linear import (

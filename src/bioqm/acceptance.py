@@ -13,12 +13,11 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from typing import Callable
 
-from .gf import (FieldConfig, is_prime, phi_map, preserves_products, residue_sign,
+from .gf import (FieldConfig, Record, is_prime, phi_map, preserves_products, residue_sign,
                  verify_phi_uniqueness)
 from .linear import StateVector, canonicalize, dot, mat_neg
 from .biortho import (
@@ -499,8 +498,7 @@ def _criterion_13() -> str:
 # -- runner -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool

@@ -18,12 +18,11 @@ The three spin observables arise from the named one-particle states:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .gf import FieldConfig, FieldElement, phi_map
+from .gf import FieldConfig, FieldElement, Record, phi_map
 from .linear import (
     DualVector,
     Matrix,
@@ -56,8 +55,7 @@ def is_ortho_nondegenerate(kets: Sequence[StateVector]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BiorthogonalSystem:
+class BiorthogonalSystem(Record):
     """Kets with their conjugate-dual bras, pairing to the identity."""
 
     kets: tuple[StateVector, ...]
@@ -220,8 +218,7 @@ def bracket(state: ProjectiveState | StateVector, matrix: Matrix) -> FieldElemen
     return value
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record):
     """Expectation and variance of an observable in a state, as integers; a
     negative variance (contrived observables) is reported verbatim, never clamped."""
 
@@ -238,15 +235,13 @@ def expectation(state: ProjectiveState | StateVector, matrix: Matrix) -> Measure
 # -- the one-particle table ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     label: str
     state: ProjectiveState
     cells: tuple[Measurement, ...]
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Record):
     axes: tuple[int, ...]
     rows: tuple[TableRow, ...]
 

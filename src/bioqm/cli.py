@@ -15,12 +15,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 
 from . import acceptance
-from .gf import FieldConfig, verify_phi_uniqueness
+from .gf import FieldConfig, asdict, verify_phi_uniqueness
 from .biortho import named_states, require_axes, spin_axes, spin_observable, table_report
 from .entangle import census, chsh, chsh_bound, chsh_scan, representative_states
 from .groups import (

@@ -46,13 +46,12 @@ and reads a negative index as its residue.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import chain, compress, islice, product, repeat
 from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterable
 
-from .gf import FieldConfig, phi_map, residue_sign
+from .gf import FieldConfig, Record, asdict, phi_map, residue_sign
 from .linear import (
     Matrix,
     ProjectiveState,
@@ -72,8 +71,7 @@ from .linear import (
 from .biortho import bracket, require_axes, spin_axes, spin_observable
 
 
-@dataclass(frozen=True)
-class TwoParticleState:
+class TwoParticleState(Record):
     """A projective four-component state tagged product or entangled."""
 
     state: ProjectiveState
@@ -160,8 +158,7 @@ def two_particle_states(config: FieldConfig) -> tuple[TwoParticleState, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """State counts for one field, split by product/entangled and physicality."""
 
     states: int
@@ -334,8 +331,7 @@ def single_spin(state: TwoParticleState, side: int, axis: int) -> int:
     return phi_map(bracket(state.state, one_sided_spin(state.config, side, axis)))
 
 
-@dataclass(frozen=True)
-class CHSHRecord:
+class CHSHRecord(Record):
     state: str
     axes: tuple[int, int, int, int]  # (A, a, B, b)
     value: int
@@ -384,8 +380,7 @@ def chsh_scan(state: TwoParticleState) -> dict[int, int]:
     return tally
 
 
-@dataclass(frozen=True)
-class ChshBound:
+class ChshBound(Record):
     bound: int
     states_scanned: int
     quadruples_per_state: int

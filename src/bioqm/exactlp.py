@@ -53,10 +53,11 @@ t - sum over k != j of max x_k.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from .gf import Record, replace
 
 Row = tuple[Fraction, ...]
 
@@ -94,8 +95,7 @@ def _combine_costs(
     return z, zd
 
 
-@dataclass(frozen=True)
-class RREFResult:
+class RREFResult(Record):
     rows: tuple[Row, ...]  # nonzero reduced rows, pivot coefficient 1
     rhs: tuple[Fraction, ...]
     pivots: tuple[int, ...]
@@ -140,8 +140,7 @@ def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
     )
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     status: str  # 'optimal', 'infeasible' or 'unbounded'
     objective: Fraction | None
     solution: tuple[Fraction, ...] | None

@@ -16,11 +16,15 @@ one object per (p, degree), and it interns its elements: ``element(re, im)``
 reduces both parts mod p and returns the one shared ``FieldElement`` for that
 residue pair, so elements compare by identity and are validated once.
 Operations compute on the integer residues and look the result up there.
+
+Results are ``Record``s: immutable, with fields read off the class
+annotations, compared by class and fields, printed as ``Name(field=value)``
+and turned into plain dicts by ``asdict``.  Configs, elements and records
+all refuse attribute writes through the one ``_immutable``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from operator import index
@@ -74,6 +78,81 @@ def residue_sign(r: int, p: int) -> int:
 
 def _immutable(self, name: str, *value: object) -> None:
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Record:
+    """An immutable record of named fields.
+
+    The fields are a subclass's own annotations, in order, after its bases'
+    fields.  ``__init__`` binds every field by position or keyword, then runs
+    ``__post_init__``, where a subclass checks its fields.  Records are equal
+    when they share a class and equal fields, and hash as their field tuple:
+    the dataclass semantics, with methods compiled once rather than generated.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # from 3.10 a class's __annotations__ are its own, empty when it adds none
+        cls._fields = (*cls._fields, *cls.__annotations__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if kwargs and not args and tuple(kwargs) == names:
+            args = kwargs.values()
+        elif kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # set one by one, as a dataclass does: an instance whose __dict__ is
+        # never touched keeps its values inline, and reads them faster
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in field order, from positions then keywords."""
+        names = self._fields
+        values = dict(zip(names, args)) | kwargs
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, got"
+                            f" {len(args)} by position and {sorted(kwargs)} by keyword")
+        return [values[name] for name in names]
+
+    def __post_init__(self) -> None:
+        pass
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def asdict(value):
+    """Records as dicts of their fields, recursively through lists, tuples and
+    dicts, which keep their types; every other value is returned as it is."""
+    if isinstance(value, Record):
+        return {name: asdict(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(asdict, value))
+    if isinstance(value, dict):
+        return type(value)((asdict(k), asdict(v)) for k, v in value.items())
+    return value
+
+
+def replace(record: Record, **changes: object) -> Record:
+    """A record of the same class with the named fields changed, checked anew."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 class FieldConfig:
@@ -311,8 +390,7 @@ def phi_map(x: FieldElement) -> int:
     return residue_sign(x.re, x.config.p)
 
 
-@dataclass(frozen=True)
-class PhiUniquenessReport:
+class PhiUniquenessReport(Record):
     """Outcome of the exhaustive uniqueness check for the sign map."""
 
     p: int

@@ -24,14 +24,13 @@ row becomes a state object; ``act`` is the object path the tests check against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import eq, itemgetter
 from string import ascii_lowercase
 from typing import Iterable, Iterator, Sequence
 
-from .gf import FieldConfig, phi_map
+from .gf import FieldConfig, Record, phi_map
 from .linear import (
     ColumnEngine,
     Matrix,
@@ -69,8 +68,7 @@ def _cycle_notation(perm: tuple[int, ...], letters: str) -> str:
     return "".join(cycles) or "e"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     matrix: Matrix  # canonical leading-1 form
     label: str
     sign: int  # phi of the scalar c in dagger(M) M = c * identity
@@ -150,8 +148,7 @@ def element_orders(group: ProjectiveGroup) -> tuple[int, ...]:
 # -- abstract-group identification ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
+class IsomorphismReport(Record):
     order: int
     class_sizes: tuple[int, ...]
     abelian: bool
@@ -220,8 +217,7 @@ def verify_isomorphism(group: ProjectiveGroup) -> IsomorphismReport:
 # -- conjugation of observables --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinConjugation:
+class SpinConjugation(Record):
     axis: int
     sign: int
 
@@ -412,8 +408,7 @@ class _ActionTable:
         self.generator_sides = tuple(sides)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     representative: TwoParticleState  # the state of the least member row
     members: tuple[int, ...]  # ascending ``two_particle_codes`` rows
     stabilizer_order: int
@@ -541,8 +536,7 @@ def burnside_count(config: FieldConfig, mode: str) -> int:
 # -- local equivalence and state labels -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalTransform:
+class LocalTransform(Record):
     g1: GroupElement
     g2: GroupElement
     representative_label: str

@@ -23,12 +23,11 @@ integer real and imaginary parts, every bracket is an integer sum, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-from .gf import FieldConfig, phi_map
+from .gf import FieldConfig, Record, phi_map
 from .biortho import bracket, expectation, named_states, spin_axes, spin_observable
 from .entangle import (
     REPRESENTATIVES,
@@ -48,15 +47,13 @@ PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # -- constraint systems ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     label: str
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Record):
     """Equality constraints over outcome probabilities.
 
     Normalization (coefficients all 1, right side 1) and nonnegativity are
@@ -90,8 +87,7 @@ class ConstraintSystem:
         return rows, rhs, labels
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """An implied equality: coeffs . P = rhs."""
 
     coeffs: tuple[Fraction, ...]
@@ -115,8 +111,7 @@ def _identity_text(outcomes: Sequence[str], coeffs: Sequence[Fraction], rhs: Fra
     return f"{left} = {rhs}"
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(Record):
     status: str  # 'unique', 'indeterminate' or 'infeasible'
     outcomes: tuple[str, ...]
     rank: int
@@ -169,8 +164,7 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
 # -- moment systems ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     outcome_values: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]  # moment coefficient matrix, k = 0..N
     rank: int
@@ -203,8 +197,7 @@ def moment_system(values: Sequence, max_power: int) -> MomentReport:
 # -- deterministic hidden-variable feasibility --------------------------------------
 
 
-@dataclass(frozen=True)
-class HVReport:
+class HVReport(Record):
     axes: tuple[int, ...]
     outcomes: tuple[str, ...]  # one label per deterministic assignment
     system: ConstraintSystem
@@ -361,8 +354,7 @@ def canonical_pair_probabilities(label: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(re * re + im * im, norm) for re, im in psi)
 
 
-@dataclass(frozen=True)
-class Table4Row:
+class Table4Row(Record):
     state: str
     probabilities: tuple[Fraction, ...]  # ++, +-, -+, --
     expectation: Fraction
@@ -386,8 +378,7 @@ def table4_report() -> tuple[Table4Row, ...]:
 # -- Galois <-> canonical correspondence ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrespondenceEntry:
+class CorrespondenceEntry(Record):
     state: str
     axes: tuple[int, int]
     galois: str  # the bracket's field value as text
@@ -396,8 +387,7 @@ class CorrespondenceEntry:
     matched: bool
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     entries: tuple[CorrespondenceEntry, ...]
     ok: bool
 

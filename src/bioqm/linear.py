@@ -1,6 +1,8 @@
 """State vectors, dual vectors and projective states over a Galois field.
 
-Kets and bras are one row type: a nonempty tuple of elements of one field.
+Kets and bras are one row type, a ``Record`` (see ``gf``): a nonempty tuple
+of elements of one field, checked in ``__post_init__``, immutable, and never
+equal across kinds since record equality needs the same class.
 
 The inner product is sesquilinear: dot(a, b) applies the Frobenius
 conjugation to the left argument componentwise.  A vector may be orthogonal
@@ -28,12 +30,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, getitem, mul, sub
 from typing import Iterable, Sequence
 
-from .gf import FieldConfig, FieldElement
+from .gf import FieldConfig, FieldElement, Record
 
 # raw-vector count beyond which enumeration refuses to run
 ENUMERATION_GUARD = 10**8
@@ -57,8 +58,7 @@ def _as_element(config: FieldConfig, entry: EntryLike) -> FieldElement:
     return config.element(entry)
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Record):
     """A ket or a bra: a nonempty row of elements of one field, never equal across kinds."""
 
     components: tuple[FieldElement, ...]
@@ -80,7 +80,6 @@ class _Row:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
-@dataclass(frozen=True)  # frozen against any attribute, not only the fields
 class StateVector(_Row):
     """A ket: a tuple of field elements."""
 
@@ -148,7 +147,6 @@ def is_self_orthogonal(v: StateVector) -> bool:
     return dot(v, v).is_zero
 
 
-@dataclass(frozen=True)
 class DualVector(_Row):
     """A bra: a row of field elements paired with kets by plain contraction."""
 
@@ -175,8 +173,7 @@ def conjugate_dual(v: StateVector) -> DualVector:
     )
 
 
-@dataclass(frozen=True)
-class ProjectiveState:
+class ProjectiveState(Record):
     """A ray: the canonical representative has leading component 1."""
 
     rep: StateVector

@@ -3,14 +3,13 @@
 import copy
 import pickle
 import time
-from dataclasses import asdict
 from itertools import product
 
 import pytest
 
 from bioqm import FieldConfig, FieldElement, find_generator, phi_map
 from bioqm.biortho import table_report
-from bioqm.gf import PRIME_TEST_BOUND, _powers, is_prime, verify_phi_uniqueness
+from bioqm.gf import PRIME_TEST_BOUND, _powers, asdict, is_prime, verify_phi_uniqueness
 
 
 def test_config_rejects_bad_parameters():

@@ -1,7 +1,6 @@
 """State vectors, the sesquilinear pairing, duals, and matrix helpers."""
 
 import random
-from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -110,7 +109,7 @@ def test_kets_and_bras_are_rows_of_their_own_kind():
     assert ket != bra and bra != ket
     assert repr(ket).startswith("StateVector(") and repr(bra).startswith("DualVector(")
     for row in (ket, bra):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="is immutable"):
             row.note = "a frozen row takes no new attribute"
     for row in (StateVector, DualVector):
         with pytest.raises(ValueError, match="a vector needs at least one component"):

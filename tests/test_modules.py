@@ -1,6 +1,7 @@
 """Source hygiene of the library modules, the tests and the benchmark."""
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -133,3 +134,21 @@ def test_the_library_imports_only_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def test_importing_the_package_and_cli_loads_no_dataclasses_or_inspect():
+    # both cost every CLI call milliseconds of import; records are ``gf.Record``
+    assert not [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bioqm, bioqm.cli; "
+        "print(bioqm.__file__, *sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [str(ROOT / "src" / "bioqm" / "__init__.py")]
