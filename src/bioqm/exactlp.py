@@ -17,10 +17,11 @@ stored the same way with its positive multiple ``zd`` beside it.  Signs, zero
 tests and the ratio test (by cross-multiplication within each row) read the
 same from the multiples as from the exact values, so Bland's rule takes the
 pivots it would take over exact fractions.  ``Fraction`` appears only at the
-boundary: in reading the input, in the ``RREFResult`` and ``LPResult`` fields
-(reduced rows, solutions, objectives and Farkas multipliers), and in
-``verify_farkas``, which reads a certificate's multipliers and then replays
-it over ints on the caller's own rows.
+boundary: in reading the input entries that are not ints (int entries pass
+through untouched), in the ``RREFResult`` and ``LPResult`` fields (reduced
+rows, solutions, objectives and Farkas multipliers), and in ``verify_farkas``,
+which reads a certificate's multipliers and then replays it over ints on the
+caller's own rows.
 
 Feasibility problems have the standard form  A x = b, x >= 0.  When no
 solution exists the solver produces a Farkas certificate: a row-combination
@@ -65,12 +66,16 @@ _ZERO = Fraction(0)
 
 
 def _integer_row(entries: Sequence) -> tuple[list[int], int]:
-    """(entries times s, s) for s the least common multiple of their denominators."""
-    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries]
-    scale = lcm(*(x.denominator for x in exact))
-    if scale == 1:
-        return [x.numerator for x in exact], 1
-    return [x.numerator * (scale // x.denominator) for x in exact], scale
+    """(entries times s, s) as a new list, for s the least common multiple of
+    their denominators; only the entries that are not ints are read as fractions."""
+    row = list(entries)
+    exact = [(k, Fraction(x)) for k, x in enumerate(row) if not isinstance(x, int)]
+    scale = lcm(*(x.denominator for _, x in exact))
+    if scale > 1:
+        row = [x * scale if isinstance(x, int) else x for x in row]
+    for k, x in exact:
+        row[k] = x.numerator * (scale // x.denominator)
+    return row, scale
 
 
 def _integer_system(rows: Sequence[Sequence], rhs: Sequence) -> list[tuple[list[int], int]]:
@@ -103,18 +108,15 @@ class RREFResult(Record):
     consistent: bool
 
 
-def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
-    """Reduced row echelon form of [rows | rhs].
-
-    Gauss-Jordan elimination on integer multiples of the rows, taking the
-    same pivots as over fractions; each pivot row is divided by its pivot
-    entry once, at the end.
-    """
-    work = [row for row, _ in _integer_system(rows, rhs)]
+def _reduce(system: list[tuple[list[int], int]]) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivots): Gauss-Jordan on an integer system, taking the pivots it
+    would take over fractions.  Row k < rank is the k-th reduced row times its
+    entry in column ``pivots[k]``; the rows past the rank are zero but for the last entry."""
+    work = [row for row, _ in system]
     n_cols = len(work[0]) - 1 if work else 0
     pivots: list[int] = []
-    rank = 0
     for col in range(n_cols):
+        rank = len(pivots)
         pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
             continue
@@ -126,7 +128,14 @@ def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
             if f and r != rank:
                 work[r] = _combine(other, q, f, prow)
         pivots.append(col)
-        rank += 1
+    return work, pivots
+
+
+def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
+    """Reduced row echelon form of [rows | rhs]: ``_reduce`` on integer
+    multiples of the rows, each pivot row divided by its pivot entry at the end."""
+    work, pivots = _reduce(_integer_system(rows, rhs))
+    rank = len(pivots)
     reduced = [
         [Fraction(a, row[col]) if a else _ZERO for a in row]
         for row, col in zip(work, pivots)
@@ -136,7 +145,7 @@ def rref(rows: Sequence[Sequence], rhs: Sequence) -> RREFResult:
         rhs=tuple(row[-1] for row in reduced),
         pivots=tuple(pivots),
         rank=rank,
-        consistent=all(work[r][-1] == 0 for r in range(rank, len(work))),
+        consistent=all(row[-1] == 0 for row in work[rank:]),
     )
 
 
@@ -165,15 +174,10 @@ def verify_farkas(
         raise ValueError("row/rhs length mismatch")
     if len(y) != len(rows):
         return False
-    used = []  # (y_i / s_i, s_i [a_i | b_i]) for each nonzero y_i
-    for c, row, b in zip(y, rows, rhs):
-        if c:
-            ints, s = _integer_row([*row, b])
-            used.append((Fraction(c) / s, ints))
-    scale = lcm(*(w.denominator for w, _ in used))
+    used = [(Fraction(c), *_integer_row([*row, b])) for c, row, b in zip(y, rows, rhs) if c]
+    weights, _ = _integer_row([c / s for c, _, s in used])  # D y_i / s_i over int
     total = [0] * (len(rows[0]) + 1 if rows else 1)
-    for w, ints in used:
-        k = w.numerator * (scale // w.denominator)
+    for k, (_, ints, _) in zip(weights, used):
         total = [t + k * a for t, a in zip(total, ints)]
     *combo, value = total
     return all(c <= 0 for c in combo) and value > 0
@@ -279,7 +283,8 @@ class LPSystem:
     None otherwise.  ``solve`` minimizes one objective, given as ints or
     rationals over the n unknowns: each call runs its phase 2 on a narrowed
     copy of the feasible tableau, and on an infeasible system returns ``infeasible``.
-    ``ranges`` gives a feasible point and every coordinate's exact range.
+    ``ranges`` gives a feasible point and every coordinate's exact range, and
+    ``reduction`` row-reduces the same integer rows.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence, n: int):
@@ -288,10 +293,11 @@ class LPSystem:
             raise ValueError("objective/row length mismatch")
         self.n = n
         self._system = system
+        # phase 1's tableau negates the rows with b_i < 0; the system keeps them as given
         flips = [-1 if row[-1] < 0 else 1 for row, _ in system]
         m = len(system)
         tab = _Tableau(
-            [[x * f for x in row] for (row, _), f in zip(system, flips)],
+            [row if f > 0 else [-x for x in row] for (row, _), f in zip(system, flips)],
             [s for _, s in system],
             n,
         )
@@ -320,6 +326,10 @@ class LPSystem:
                 if col is not None:
                     tab.pivot(i, col)
         self._tableau = tab
+
+    def reduction(self) -> tuple[list[list[int]], list[int]]:
+        """``_reduce`` on the system's integer rows as given, not phase 1's flipped copies."""
+        return _reduce(self._system)
 
     def solve(self, objective: Sequence) -> LPResult:
         if len(objective) != self.n:

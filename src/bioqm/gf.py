@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from operator import index
+from operator import attrgetter, index
 
 
 # the bound is the least strong pseudoprime to all these bases (Sorenson & Webster 2015)
@@ -94,7 +94,11 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         # from 3.10 a class's __annotations__ are its own, empty when it adds none
-        cls._fields = (*cls._fields, *cls.__annotations__)
+        cls._fields = names = (*cls._fields, *cls.__annotations__)
+        # the field tuple of a record, compared and hashed; attrgetter gives
+        # one only for two or more names
+        cls._values = attrgetter(*names) if len(names) > 1 else staticmethod(
+            lambda record: tuple(getattr(record, name) for name in names))
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self._fields
@@ -122,16 +126,13 @@ class Record:
 
     __setattr__ = __delattr__ = _immutable
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

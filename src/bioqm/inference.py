@@ -40,6 +40,8 @@ from .entangle import (
 )
 from .exactlp import LPSystem, rref
 
+_ZERO = Fraction(0)
+
 PAIR_OUTCOMES = ("++", "+-", "-+", "--")
 PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -49,7 +51,7 @@ PAIR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 class Constraint(Record):
     label: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]  # int where given as int
     rhs: Fraction
 
 
@@ -69,22 +71,16 @@ class ConstraintSystem(Record):
     ) -> ConstraintSystem:
         built = []
         for label, coeffs, rhs in rows:
-            coeffs = tuple(Fraction(x) for x in coeffs)
+            coeffs = tuple(x if isinstance(x, int) else Fraction(x) for x in coeffs)
             if len(coeffs) != len(outcomes):
                 raise ValueError("constraint length does not match outcomes")
             built.append(Constraint(label=label, coeffs=coeffs, rhs=Fraction(rhs)))
         return ConstraintSystem(outcomes=tuple(outcomes), constraints=tuple(built))
 
-    def full_rows(self) -> tuple[list[list[Fraction]], list[Fraction], list[str]]:
-        n = len(self.outcomes)
-        rows = [[Fraction(1)] * n]
-        rhs = [Fraction(1)]
-        labels = ["normalization"]
-        for c in self.constraints:
-            rows.append(list(c.coeffs))
-            rhs.append(c.rhs)
-            labels.append(c.label)
-        return rows, rhs, labels
+    def full_rows(self) -> tuple[list[list], list, list[str]]:
+        rows = [[1] * len(self.outcomes), *(list(c.coeffs) for c in self.constraints)]
+        rhs = [1, *(c.rhs for c in self.constraints)]
+        return rows, rhs, ["normalization", *(c.label for c in self.constraints)]
 
 
 class Identity(Record):
@@ -95,20 +91,19 @@ class Identity(Record):
     text: str
 
 
-def _identity_text(outcomes: Sequence[str], coeffs: Sequence[Fraction], rhs: Fraction) -> str:
+def _identity(outcomes: Sequence[str], row: list[int], q: int) -> Identity:
+    """The identity [coeffs | rhs] = row / q, for ``row`` an integer reduced row
+    and q its pivot entry; the text reads the signs and the unit terms off the ints."""
+    exact = [Fraction(a, q) if a else _ZERO for a in row]
     parts = []
-    for name, c in zip(outcomes, coeffs):
-        if c == 0:
+    for name, a, c in zip(outcomes, row, exact):
+        if not a:
             continue
-        if c == 1:
-            term = f"P({name})"
-        elif c == -1:
-            term = f"-P({name})"
-        else:
-            term = f"{c}*P({name})"
-        parts.append(term if not parts else (f"+ {term}" if c > 0 else f"- {term.lstrip('-')}"))
-    left = " ".join(parts) if parts else "0"
-    return f"{left} = {rhs}"
+        term = f"P({name})" if a == q or a == -q else f"{str(c).lstrip('-')}*P({name})"
+        sign = "+" if (a > 0) == (q > 0) else "-"
+        parts.append(f"{sign} {term}" if parts else term if sign == "+" else f"-{term}")
+    text = f"{' '.join(parts) if parts else '0'} = {exact[-1]}"
+    return Identity(coeffs=tuple(exact[:-1]), rhs=exact[-1], text=text)
 
 
 class InferenceResult(Record):
@@ -133,15 +128,15 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
     Farkas certificate over the listed rows plus normalization), and
     'indeterminate' otherwise.  The reduced equality rows are reported as
     implied identities, and the outcomes whose exact maximum is 0 as forced
-    zeros, whatever combination of rows forces them.  The LPs finish before
-    the row reduction starts, so the two never hold working rows at once.
+    zeros, whatever combination of rows forces them.  The rows are read as
+    integers once: the LPs and then the row reduction work on that one copy.
     """
     rows, rhs, labels = system.full_rows()
-    feas, ranges = LPSystem(rows, rhs, len(system.outcomes)).ranges()
-    reduced = rref(rows, rhs)
+    lp = LPSystem(rows, rhs, len(system.outcomes))
+    feas, ranges = lp.ranges()
+    reduced, pivots = lp.reduction()
     identities = tuple(
-        Identity(coeffs=row, rhs=value, text=_identity_text(system.outcomes, row, value))
-        for row, value in zip(reduced.rows, reduced.rhs)
+        _identity(system.outcomes, row, row[col]) for row, col in zip(reduced, pivots)
     )
     # an infeasible system has no solution or ranges, only its certificate;
     # a feasible one has its verified point and no certificate
@@ -150,7 +145,7 @@ def infer_probabilities(system: ConstraintSystem) -> InferenceResult:
     return InferenceResult(
         status="infeasible" if infeasible else "unique" if unique else "indeterminate",
         outcomes=system.outcomes,
-        rank=reduced.rank,
+        rank=len(pivots),
         solution=feas.solution if unique else None,
         witness=feas.solution,
         identities=identities,
@@ -210,16 +205,10 @@ class HVReport(Record):
 
 def hv_outcome_labels(axes: Sequence[int]) -> tuple[tuple[str, ...], tuple[dict, ...]]:
     """Deterministic assignments: one sign per axis per side."""
-    k = len(axes)
-    labels = []
-    assignments = []
-    for signs in iter_product((1, -1), repeat=2 * k):
-        side1 = dict(zip(axes, signs[:k]))
-        side2 = dict(zip(axes, signs[k:]))
-        fmt = lambda side: ",".join("+" if side[a] > 0 else "-" for a in axes)
-        labels.append(f"{fmt(side1)};{fmt(side2)}")
-        assignments.append({1: side1, 2: side2})
-    return tuple(labels), tuple(assignments)
+    sides = [dict(zip(axes, signs)) for signs in iter_product((1, -1), repeat=len(axes))]
+    texts = [",".join("+" if side[a] > 0 else "-" for a in axes) for side in sides]
+    labels = tuple(f"{t1};{t2}" for t1 in texts for t2 in texts)
+    return labels, tuple({1: s1, 2: s2} for s1 in sides for s2 in sides)
 
 
 def hv_feasibility(

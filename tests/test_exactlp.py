@@ -195,6 +195,39 @@ def test_lp_system_ranges_without_a_normalization_row():
         LPSystem([[1, -1]], [0], 2).ranges()
 
 
+def test_integer_row_scales_only_by_the_fraction_denominators():
+    assert exactlp._integer_row([1, F(1, 2), -3, F(2, 3)]) == ([6, 3, -18, 4], 6)
+    assert exactlp._integer_row([2, F(-4, 2), "1/3"]) == ([6, -6, 1], 3)
+    row = [1, -1, 0]
+    ints, scale = exactlp._integer_row(row)
+    assert ints == row and ints is not row and scale == 1
+
+
+def test_a_solve_leaves_the_callers_int_rows_alone():
+    # the second row's right side is negative, so phase 1 negates its copy
+    rows, rhs, objective = [[1, 1, 1], [1, -1, 0]], [1, -1], [1, 0, 2]
+    before = copy.deepcopy((rows, rhs, objective))
+    lp = LPSystem(rows, rhs, 3)
+    lp.ranges()
+    lp.solve(objective)
+    lp.reduction()
+    solve_lp(objective, rows, rhs, maximize=True)
+    rref(rows, rhs)
+    assert (rows, rhs, objective) == before
+
+
+def test_reduction_reads_the_rows_as_given():
+    # phase 1 negates the second row, whose right side is negative; the
+    # reduction eliminates on the rows as given, as rref does
+    lp = LPSystem([[1, 1], [1, -1]], [1, -1], 2)
+    work, pivots = lp.reduction()
+    assert pivots == [0, 1] and work == [[-1, 0, 0], [0, -1, -1]]
+    exact = rref([[1, 1], [1, -1]], [1, -1])
+    assert [[F(a, row[col]) for a in row] for row, col in zip(work, pivots)] == [
+        [*r, b] for r, b in zip(exact.rows, exact.rhs)
+    ]
+
+
 # -- reference: Gauss-Jordan over Fraction --------------------------------------
 
 

@@ -305,6 +305,54 @@ def test_state_constraint_builders():
     assert marg == {(1, 1): -1, (1, 3): 1, (2, 1): -1, (2, 3): 0}
 
 
+# -- int, Fraction and scaled rows give one answer -------------------------------------
+
+
+def _gf9_system(label, axes, marginals):
+    state = representative_states(GF9)[label]
+    if axes == "pair":
+        return pair_measurement_system(state, 3, 3, include_marginals=marginals)
+    extra = state_marginal_constraints(state, axes) if marginals else ()
+    return hv_feasibility(state_correlator_constraints(state, axes), axes, extra).system
+
+
+def _rewritten(system, entry):
+    return ConstraintSystem.make(system.outcomes, [
+        (c.label, [entry(x) for x in c.coeffs], entry(c.rhs)) for c in system.constraints
+    ])
+
+
+def _combination(certificate, scales):
+    """A certificate as a combination of the unscaled rows, up to a positive factor."""
+    if certificate is None:
+        return None
+    combo = [y * s for y, s in zip(certificate, scales)]
+    lead = next(abs(c) for c in combo if c)
+    return tuple(c / lead for c in combo)
+
+
+@pytest.mark.parametrize("marginals", [False, True], ids=["corr", "marg"])
+@pytest.mark.parametrize("axes", [(1, 3), (1, 2, 3), "pair"], ids=["axes13", "axes123", "pair33"])
+@pytest.mark.parametrize("label", ["S", "T", "U"])
+def test_int_fraction_and_halved_rows_infer_alike(label, axes, marginals):
+    system = _gf9_system(label, axes, marginals)
+    assert all(type(x) is int for c in system.constraints for x in c.coeffs)
+    results = [infer_probabilities(s) for s in (
+        system, _rewritten(system, F), _rewritten(system, lambda x: F(x, 2)))]
+    answers = [
+        (r.status, r.rank, r.witness, r.ranges, [i.text for i in r.identities])
+        for r in results
+    ]
+    assert answers[0] == answers[1] == answers[2]
+    assert results[0].certificate == results[1].certificate
+    # the halved system keeps its normalization row whole, so its phase 1
+    # weighs that row's artificial twice as much as the others; the Farkas
+    # combination it finds is the same, its multipliers differ
+    halves = [1] + [F(1, 2)] * len(system.constraints)
+    assert _combination(results[2].certificate, halves) == _combination(
+        results[0].certificate, [1] * len(halves))
+
+
 # -- rational quantum cross-check ------------------------------------------------------
 
 
