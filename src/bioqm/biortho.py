@@ -210,7 +210,7 @@ def bracket(state: ProjectiveState | StateVector, matrix: Matrix) -> FieldElemen
         total_re += vr * wr + vi * wi
         total_im += vr * wi - vi * wr
     inv = pow(norm, -1, p)
-    value = config.element(total_re * inv, total_im * inv)
+    value = config._interned[total_re * inv % p, total_im * inv % p]
     if not value.is_real:
         raise RuntimeError(
             f"bracket {value} has a nonzero imaginary part; observable is malformed"

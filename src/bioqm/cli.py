@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 bad usage or parameters, 1 internal failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -68,6 +66,8 @@ def _md_table(header: list, rows: list[list]) -> str:
 
 
 def _csv_text(rows: list[list]) -> str:
+    import csv  # imported here, so a run in another format never loads it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for row in rows:
@@ -500,6 +500,8 @@ LAYOUTS = {
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        import json  # imported here, so a run in another format never loads it
+
         return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
     markdown, rows = LAYOUTS[payload["kind"]](payload)
     return _csv_text(rows) if fmt == "csv" else "\n".join(markdown) + "\n"

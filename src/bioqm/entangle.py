@@ -15,38 +15,39 @@ The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
 Admissible quadruples require A != a and B != b.
 
-Every sign-mapped correlator E(i,j) = phi_map(<psi|spin_i x spin_j|psi>)
-comes from one integer-residue kernel, ``_sign_grids``.  Write psi_r =
-x_r + i y_r and take the 16 Gram values G_rr = x_r^2 + y_r^2 and, for r < c,
-G_rc = x_r x_c + y_r y_c and A_rc = y_r x_c - x_r y_c.  Then conj(psi_r)
-psi_c = G_rc - i A_rc, so a table entry hr + i hi at (r, c) adds
-(hr G_rc + hi A_rc) + i (hi G_rc - hr A_rc) to the bracket.  ``_pair_forms``
-folds each ``product_spin`` s_i x s_j this way, once per field, into a
-real form over the Gram values, keeping the coefficients nonzero mod p (2 or
-4 of 16 for the spin tables).  The tables are Hermitian, so the bracket lies
-in GF(p): the fold checks that once per field, raising RuntimeError on an
-imaginary form with a coefficient left.  The bracket divides the real part
-by the norm n = <psi, psi> in GF(p)*.  The sign map is multiplicative and
-n^-1 = n * (n^-1)^2 differs from n by a square, so phi(n^-1) = phi(n) and
-E(i,j) = phi(bracket_ij) phi(n).  Each real form is c0 sum t_k G_k with
-t_k = +-1; the fold moves phi(c0) into the t_k, leaving the square
-c0 phi(c0) as a scale whose sign is 1, so E(i,j) = phi(sum t_k G_k) phi(n):
-one sign per pair and one per state, read off integer residues without
-building any field element.  The kernel reads a chunk of states as 8
-(re, im) residue columns, builds each Gram value as a column and each form
-as an add/sub chain of them, by ``map`` chains that run in C, and yields
-each state's form signs with phi(n) beside them.  ``correlator_grid``
-passes columns of one entry, signs by Euler's criterion and applies phi(n);
-``chsh_bound`` streams the physical rows in chunks, each split into re and
-im by translation, looks signs up in a table, keeps the distinct raw tuples
-and applies phi(n) once to each.  The sums are unreduced, negative too, so
-the table repeats the p residue signs past the largest |sum| a form can take
-and reads a negative index as its residue.
+Every sign-mapped correlator E(i,j) = phi_map(<psi|spin_i x spin_j|psi>) is
+read off integer residues.  Write psi_r = x_r + i y_r and take the 16 Gram
+values G_rr = x_r^2 + y_r^2 and, for r < c, G_rc = x_r x_c + y_r y_c and
+A_rc = y_r x_c - x_r y_c.  Then conj(psi_r) psi_c = G_rc - i A_rc, so a table
+entry hr + i hi at (r, c) adds (hr G_rc + hi A_rc) + i (hi G_rc - hr A_rc) to
+the bracket.  ``_pair_forms`` folds each ``product_spin`` s_i x s_j this way,
+once per field, into a real form over the Gram values, keeping the
+coefficients nonzero mod p (2 or 4 of 16 for the spin tables).  The tables
+are Hermitian, so the bracket lies in GF(p): the fold checks that once per
+field, raising RuntimeError on an imaginary form with a coefficient left.
+The bracket divides the real part by the norm n = <psi, psi> in GF(p)*.  The
+sign map is multiplicative and n^-1 = n * (n^-1)^2 differs from n by a
+square, so phi(n^-1) = phi(n) and E(i,j) = phi(bracket_ij) phi(n).  Each real
+form is c0 sum t_k G_k with t_k = +-1; the fold moves phi(c0) into the t_k,
+leaving the square c0 phi(c0) as a scale whose sign is 1, so
+E(i,j) = phi(sum t_k G_k) phi(n): one sign per pair and one per state, read
+off integer residues without building any field element.  ``correlator_grid``
+evaluates a single state on its 16 Gram integers: each form is sum t_k G_k, signed by
+Euler's criterion and multiplied by phi(n).  The column kernel
+``_sign_grids``, behind ``chsh_bound`` alone, reads a chunk of states as 8
+(re, im) residue columns, builds each Gram value as a column and each form as
+an add/sub chain of them, by ``map`` chains that run in C, and yields each
+state's form signs with phi(n) beside them.  ``chsh_bound`` streams the
+physical rows in chunks, each split into re and im by translation, looks
+signs up in a table, keeps the distinct raw tuples and applies phi(n) once to
+each.  The sums are unreduced, negative too, so the table repeats the p
+residue signs past the largest |sum| a form can take and reads a negative
+index as its residue.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, islice, product, repeat
 from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterable
@@ -277,22 +278,25 @@ def _sign_table(p: int, width: int) -> Callable[[int], int]:
 def correlator_grid(
     state: TwoParticleState, side1: tuple[int, ...], side2: tuple[int, ...]
 ) -> dict[tuple[int, int], int]:
-    """E(i, j) for every axis i in side1 and j in side2, from one kernel pass.
+    """E(i, j) for every axis i in side1 and j in side2, from the state's 16
+    Gram integers: each form's sum t_k G_k signed by Euler's criterion (a table
+    would need about 8 p^2 entries), times phi(n).
 
     Raises ValueError on an axis the field lacks or a self-orthogonal state.
     """
     config = state.config
+    p = config.p
     require_axes(config, (*side1, *side2))
-    psi = flat_residues(state.state.rep.components)
-    norm = sum(map(mul, psi, psi)) % config.p
+    w = flat_residues(state.state.rep.components)
+    norm = sum(map(mul, w, w)) % p
     if norm == 0:
         raise ValueError(f"self-orthogonal vector {state.state.rep} has no conjugate dual")
-    pairs = [(i, j) for i in side1 for j in side2]
-    forms = map(_pair_forms(config).__getitem__, pairs)
-    # Euler's criterion: a table would need about 8 p^2 entries
-    sign = partial(residue_sign, p=config.p)
-    ((*signs, phi_n),) = _sign_grids([(x,) for x in psi], (norm,), forms, sign)
-    return dict(zip(pairs, map(phi_n.__mul__, signs)))
+    gram = [op(w[a] * w[b], w[u] * w[v]) for op, a, b, u, v in _GRAM].__getitem__
+    forms, phi_n, grid = _pair_forms(config), residue_sign(norm, p), {}
+    for pair in product(side1, side2):
+        indices, signs, _ = forms[pair]
+        grid[pair] = phi_n * residue_sign(sum(map(mul, signs, map(gram, indices))), p)
+    return grid
 
 
 def _sign_grids(flat, norms, forms: Iterable, sign: Callable[[int], int]):

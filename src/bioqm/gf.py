@@ -294,16 +294,25 @@ class FieldElement:
         raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
     # -- arithmetic ------------------------------------------------------
+    # an element of the same field is tested for inline, and ints and foreign
+    # values go through _coerce; results are reduced here and read from the
+    # intern store
 
     def __add__(self, other: FieldElement | int) -> FieldElement:
-        o = self._coerce(other)
-        return self.config.element(self.re + o.re, self.im + o.im)
+        config = self.config
+        if other.__class__ is not FieldElement or other.config is not config:
+            other = self._coerce(other)
+        p = config.p
+        return config._interned[(self.re + other.re) % p, (self.im + other.im) % p]
 
     __radd__ = __add__
 
     def __sub__(self, other: FieldElement | int) -> FieldElement:
-        o = self._coerce(other)
-        return self.config.element(self.re - o.re, self.im - o.im)
+        config = self.config
+        if other.__class__ is not FieldElement or other.config is not config:
+            other = self._coerce(other)
+        p = config.p
+        return config._interned[(self.re - other.re) % p, (self.im - other.im) % p]
 
     def __rsub__(self, other: FieldElement | int) -> FieldElement:
         return self._coerce(other) - self
@@ -312,12 +321,13 @@ class FieldElement:
         return self.config.element(-self.re, -self.im)
 
     def __mul__(self, other: FieldElement | int) -> FieldElement:
-        o = self._coerce(other)
+        config = self.config
+        if other.__class__ is not FieldElement or other.config is not config:
+            other = self._coerce(other)
+        p = config.p
         # (a + bi)(c + di) = (ac - bd) + (ad + bc)i, using i^2 = -1
-        return self.config.element(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        return config._interned[(self.re * other.re - self.im * other.im) % p,
+                                (self.re * other.im + self.im * other.re) % p]
 
     __rmul__ = __mul__
 
@@ -356,7 +366,8 @@ class FieldElement:
         """The field automorphism x -> x^p; conjugation on the extension."""
         # a^p = a for a in GF(p) and i^p = -i when p = 3 (mod 4), so the
         # power map reduces to negating the imaginary part
-        return self.config.element(self.re, -self.im)
+        config = self.config
+        return config._interned[self.re, -self.im % config.p]
 
     # -- presentation ----------------------------------------------------
 

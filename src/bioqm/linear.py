@@ -11,9 +11,13 @@ dual and are excluded from the physical state space.
 
 The kernels below (``dot``, pairings, ``mat_vec``, duals, scaling, tensor
 and Kronecker products, ``det2``) accumulate each output component over the
-integer residues of their inputs and reduce mod p once, so each output costs
-one interned ``FieldConfig.element`` lookup rather than one per field
-operation.  A field is one object, so each field check is ``is``.
+integer residues of their inputs, reduce mod p once and read the result
+straight from the field's intern store, ``config._interned``: one dict
+lookup per output, with no ``FieldConfig.element`` call and no field
+operation.  ``dot`` reads each row's components once and compares lengths,
+and ``scale`` tests a factor of the same field inline, leaving ints, residue
+pairs and foreign values to ``_as_element``.  A field is one object, so each
+field check is ``is``.
 
 Projective states identify vectors up to a nonzero scalar.  The canonical
 representative scales the first nonzero component to 1.  State columns hold
@@ -93,10 +97,12 @@ class StateVector(_Row):
 
     def scale(self, factor: FieldElement) -> StateVector:
         config = self.config
-        factor = _as_element(config, factor)
-        element, fr, fi = config.element, factor.re, factor.im
+        if factor.__class__ is not FieldElement or factor.config is not config:
+            factor = _as_element(config, factor)
+        store, p, fr, fi = config._interned, config.p, factor.re, factor.im
         return StateVector(
-            tuple(element(c.re * fr - c.im * fi, c.re * fi + c.im * fr) for c in self.components),
+            tuple(store[(c.re * fr - c.im * fi) % p, (c.re * fi + c.im * fr) % p]
+                  for c in self.components),
             config,
         )
 
@@ -109,9 +115,9 @@ class StateVector(_Row):
 
 def _outer(config: FieldConfig, xs, ys) -> tuple[FieldElement, ...]:
     """All products x * y, x slowest: the Kronecker product of two rows."""
-    element = config.element
+    store, p = config._interned, config.p
     return tuple(
-        element(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+        store[(x.re * y.re - x.im * y.im) % p, (x.re * y.im + x.im * y.re) % p]
         for x in xs
         for y in ys
     )
@@ -121,23 +127,24 @@ def _contract(config: FieldConfig, xs, ys) -> FieldElement:
     """sum of x_k * y_k, reduced once."""
     re = im = 0
     for x, y in zip(xs, ys):
-        xr, xi, yr, yi = x.re, x.im, y.re, y.im
-        re += xr * yr - xi * yi
-        im += xr * yi + xi * yr
-    return config.element(re, im)
+        re += x.re * y.re - x.im * y.im
+        im += x.re * y.im + x.im * y.re
+    p = config.p
+    return config._interned[re % p, im % p]
 
 
 def dot(a: StateVector, b: StateVector) -> FieldElement:
     """Sesquilinear inner product: sum of frobenius(a_k) * b_k."""
-    if a.config is not b.config or a.dim != b.dim:
+    config, xs, ys = a.config, a.components, b.components
+    if b.config is not config or len(xs) != len(ys):
         raise ValueError("dot requires matching shape and field")
     # frobenius(x) * y = (xr - xi i)(yr + yi i)
     re = im = 0
-    for x, y in zip(a.components, b.components):
-        xr, xi, yr, yi = x.re, x.im, y.re, y.im
-        re += xr * yr + xi * yi
-        im += xr * yi - xi * yr
-    return a.config.element(re, im)
+    for x, y in zip(xs, ys):
+        re += x.re * y.re + x.im * y.im
+        im += x.re * y.im - x.im * y.re
+    p = config.p
+    return config._interned[re % p, im % p]
 
 
 def is_self_orthogonal(v: StateVector) -> bool:
@@ -166,10 +173,10 @@ def conjugate_dual(v: StateVector) -> DualVector:
     if norm.is_zero:
         raise ValueError(f"self-orthogonal vector {v} has no conjugate dual")
     # the norm lies in GF(p), so frobenius(c) * inv = (cr - ci i) * inv
-    inv = norm.inverse().re
-    element = v.config.element
+    config = v.config
+    store, p, inv = config._interned, config.p, norm.inverse().re
     return DualVector(
-        tuple(element(c.re * inv, -c.im * inv) for c in v.components), v.config
+        tuple(store[c.re * inv % p, -c.im * inv % p] for c in v.components), config
     )
 
 
@@ -451,10 +458,12 @@ def det2(m: Matrix) -> FieldElement:
     (a, b), (c, d) = m
     _require_field(a.config, (b, c, d))
     # ad - bc over the residues
-    return a.config.element(
-        a.re * d.re - a.im * d.im - b.re * c.re + b.im * c.im,
-        a.re * d.im + a.im * d.re - b.re * c.im - b.im * c.re,
-    )
+    config = a.config
+    p = config.p
+    return config._interned[
+        (a.re * d.re - a.im * d.im - b.re * c.re + b.im * c.im) % p,
+        (a.re * d.im + a.im * d.re - b.re * c.im - b.im * c.re) % p,
+    ]
 
 
 def inverse2(m: Matrix) -> Matrix:

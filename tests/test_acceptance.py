@@ -6,7 +6,7 @@ run_criterion folds a blown time budget into the failure itself.
 
 import pytest
 
-from bioqm import FieldConfig, acceptance, bracket, phi_map
+from bioqm import FieldConfig, acceptance, bracket, dot, phi_map
 from bioqm.gf import is_prime, preserves_products, residue_sign
 from bioqm.acceptance import CRITERIA, run_criterion
 from bioqm.cli import run
@@ -44,18 +44,25 @@ def test_a_criterion_that_raises_fails_alone(monkeypatch, capsys):
 def test_property_suite_computes_each_reference_bracket_once(monkeypatch):
     # each object-path reference value is computed once per run and read by
     # every check that needs it (593 bracket calls, against 4,250 when each
-    # check computes its own), and every identity is still asserted
-    calls = []
+    # check computes its own), and every identity is still asserted, from
+    # the same 11,476 dot calls
+    calls, dots = [], []
 
     def counting(*args):
         calls.append(args)
         return bracket(*args)
 
+    def counting_dot(*args):
+        dots.append(args)
+        return dot(*args)
+
     monkeypatch.setattr(acceptance, "bracket", counting)
+    monkeypatch.setattr(acceptance, "dot", counting_dot)
     result = run_criterion(13)
     assert result.passed, result.line()
     assert result.detail == "11806 property checks passed"
     assert len(calls) <= 600
+    assert len(dots) == 11476
 
 
 def _preserves_products_by_pairs(p, signs):

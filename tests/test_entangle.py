@@ -697,6 +697,24 @@ def test_kernel_matches_object_path_on_a_sample(config, seed):
         assert correlator_grid(state, axes, axes) == _object_grid(state), str(state)
 
 
+@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
+def test_one_state_grid_is_the_column_kernel_on_one_row(config):
+    # correlator_grid evaluates one state on its Gram integers; the column
+    # kernel behind chsh_bound, fed the same row as a chunk of one, agrees
+    axes = spin_axes(config)
+    forms = entangle._pair_forms(config)
+    sign = partial(residue_sign, p=config.p)
+    columns, norms, _ = entangle.two_particle_codes(config)
+    rows = [(psi, norm) for psi, norm in zip(zip(*columns), norms) if norm]
+    if config is GF49:  # the rows of the column kernel's GF(49) sample
+        rows = random.Random(4902).sample(rows, 300)
+    for psi, norm in rows:
+        state = entangle.TwoParticleState(linear.residue_state(config, psi, norm), "entangled")
+        chunk = [(x,) for x in residue_code(config, psi)]
+        (raw,) = entangle._sign_grids(chunk, (norm,), forms.values(), sign)
+        assert correlator_grid(state, axes, axes) == dict(zip(forms, _applied(raw))), str(state)
+
+
 def test_kernel_reads_one_pair_or_a_rectangle():
     u = representative_states(GF9)["U"]
     grid = _object_grid(u)

@@ -1,6 +1,7 @@
 """Field arithmetic, Frobenius conjugation, and the sign map."""
 
 import copy
+import operator
 import pickle
 import time
 from itertools import product
@@ -74,6 +75,26 @@ def test_prime_field_matches_integer_arithmetic(p):
             assert (x * y).re == (a * b) % p
             if b:
                 assert ((x / y) * y) == x
+
+
+def _result(op, a, b):
+    try:
+        return op(a, b)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p,degree", [(7, 1), (3, 2)], ids=["gf7", "gf9"])
+def test_int_operands_give_the_element_result(p, degree):
+    # an int operand, on either side and unreduced, goes through _coerce; the
+    # interned element it gives is the one the all-element path gives
+    config = FieldConfig(p, degree)
+    for x in config.elements():
+        for n in range(-p, 2 * p):
+            y = config.element(n)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert _result(op, x, n) is _result(op, x, y), (op, x, n)
+                assert _result(op, n, x) is _result(op, y, x), (op, n, x)
 
 
 def test_inverse_matches_fermat():

@@ -468,13 +468,16 @@ MIXED_FIELD_CALLS = {
     "dual-vector": lambda: DualVector(_MIXED[0], GF9),
     "make": lambda: StateVector.make(GF9, _MIXED[0]),
     "scale": lambda: _V9.scale(GF3.one()),
+    "scale-by-extension": lambda: _V3.scale(GF9.element(0, 1)),
     "mat-vec": lambda: mat_vec(_M3, _V9),
     "mat-mul": lambda: mat_mul(_M9, _M3),
     "kron": lambda: kron(_M9, _M3),
     "det2": lambda: det2(_MIXED),
     "bracket": lambda: bracket(_V9, _M3),
     "add": lambda: GF9.one() + GF3.one(),
+    "sub": lambda: GF9.one() - GF3.one(),
     "mul": lambda: GF9.one() * GF3.one(),
+    "truediv": lambda: GF9.one() / GF3.one(),
     "ref-mat-vec": lambda: _ref_mat_vec(_M3, _V9),
     "ref-mat-mul": lambda: _ref_mat_mul(_M9, _M3),
     "ref-kron": lambda: _ref_kron(_M9, _M3),
