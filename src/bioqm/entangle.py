@@ -8,8 +8,8 @@ one-particle spin observables, plain 4x4 matrices.
 ``two_particle_codes`` caches, per field, every canonical two-particle state
 in ``bytes`` columns: 4 of element indices, norms, and kind bytes (that
 determinant test, read off the row order, and physicality).  ``census``
-counts kind bytes and ``chsh_bound`` scans the index columns without
-building a state object; ``two_particle_states`` is their object view.
+counts kind bytes and ``two_particle_states`` is their object view;
+``chsh_bound`` reads the table's runs without building it.
 
 The CHSH combination for axis choices (A, a) on side 1 and (B, b) on side 2
 is E(A,B) + E(A,b) + E(a,B) - E(a,b) with each E a sign-mapped correlator.
@@ -32,25 +32,20 @@ form is c0 sum t_k G_k with t_k = +-1; the fold moves phi(c0) into the t_k,
 leaving the square c0 phi(c0) as a scale whose sign is 1, so
 E(i,j) = phi(sum t_k G_k) phi(n): one sign per pair and one per state, read
 off integer residues without building any field element.  ``correlator_grid``
-evaluates a single state on its 16 Gram integers: each form is sum t_k G_k, signed by
-Euler's criterion and multiplied by phi(n).  The column kernel
-``_sign_grids``, behind ``chsh_bound`` alone, reads a chunk of states as 8
-(re, im) residue columns, builds each Gram value as a column and each form as
-an add/sub chain of them, by ``map`` chains that run in C, and yields each
-state's form signs with phi(n) beside them.  ``chsh_bound`` streams the
-physical rows in chunks, each split into re and im by translation, looks
-signs up in a table, keeps the distinct raw tuples and applies phi(n) once to
-each.  The sums are unreduced, negative too, so the table repeats the p
-residue signs past the largest |sum| a form can take and reads a negative
-index as its residue.
+evaluates a single state on its 16 Gram integers: each form is sum t_k G_k,
+signed by Euler's criterion and multiplied by phi(n).  The run kernel
+``_run_lines``, behind ``chsh_bound`` alone, signs the code table's runs of
+q rows (a, b, c, d), d over the field, without building the table: on a run
+each form is C + u x_3 + v y_3 + h N(d) with integers C, u and v of the
+prefix, so its signs are one translated line of q bytes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, islice, product, repeat
-from operator import add, itemgetter, mul, neg, sub
-from typing import Callable, Iterable
+from itertools import chain, compress, product, repeat
+from operator import add, itemgetter, methodcaller, mod, mul, sub
+from typing import Iterable, Iterator
 
 from .gf import FieldConfig, Record, asdict, phi_map, residue_sign
 from .linear import (
@@ -218,7 +213,6 @@ _GRAM = tuple(
     [(add, 2 * r, 2 * c, 2 * r + 1, 2 * c + 1) for r, c in (*zip(range(4), range(4)), *_PAIRS)]
     + [(sub, 2 * r + 1, 2 * c, 2 * r, 2 * c + 1) for r, c in _PAIRS]
 )
-_CHUNK = 2048  # physical code-table rows per ``_sign_grids`` call in ``chsh_bound``
 
 
 @lru_cache(maxsize=None)
@@ -264,17 +258,6 @@ def _pair_forms(config: FieldConfig) -> dict:
     return forms
 
 
-def _sign_table(p: int, width: int) -> Callable[[int], int]:
-    """phi on every value sum t_k G_k of a form of width signs t_k = +-1 takes
-    on residues in [0, p): each |G_k| <= 2 (p - 1)^2, so |sum| <= bound =
-    width 2 (p - 1)^2.  The p signs of [0, p) repeat bound // p + 1 times, so
-    the table's length is a multiple of p above the bound: index v reads
-    v mod p, and so does a negative one, at length - |v|.  A table one period
-    shorter raises IndexError on the extremes rather than wrap."""
-    bound = width * 2 * (p - 1) ** 2
-    return (tuple(residue_sign(r, p) for r in range(p)) * (bound // p + 1)).__getitem__
-
-
 def correlator_grid(
     state: TwoParticleState, side1: tuple[int, ...], side2: tuple[int, ...]
 ) -> dict[tuple[int, int], int]:
@@ -299,30 +282,51 @@ def correlator_grid(
     return grid
 
 
-def _sign_grids(flat, norms, forms: Iterable, sign: Callable[[int], int]):
-    """For each state of a chunk, given as its 8 flat (re, im) residue columns
-    in flat and its norms <psi, psi> mod p != 0 in norms, the raw tuple of
-    sign(sum t_k G_k) for each ``_pair_forms`` form in forms, then phi(n) by
-    sign(n): E = phi(n) times the form's sign.  Each sum is an add/sub chain of
-    Gram columns on unreduced integers, so ``sign`` reads negative values too.
-    On real rows (all y_r = 0) G_rc = x_r x_c and A_rc = 0."""
-    real = not any(map(any, flat[1::2]))
-    gram = {}
+def _run_lines(config: FieldConfig, flat, norms, forms: Iterable) -> list[Iterator[bytes]]:
+    """The sign lines of the runs of prefixes (a, b, c), given as 6 flat
+    (re, im) residue columns and their norms mod p: per form in forms, then
+    for phi(n), one line per prefix, the q sign bytes (0, 1 or 255 for -1) of
+    the rows (a, b, c, d), d in index order.
 
-    def values(k):
-        if k not in gram:
-            op, a, b, u, v = _GRAM[k]
-            products = map(mul, flat[a], flat[b])
-            gram[k] = list(products if real else map(op, products, map(mul, flat[u], flat[v])))
-        return gram[k]
+    On a run a form's sum t_k G_k is C + u x_3 + v y_3 + h G_33: by
+    ``_GRAM``, a Gram value of the prefix alone adds t G_k to C, one
+    op(w_a x_3, w_c y_3) adds t w_a to u and op(0, t) w_c to v, and G_33 gives
+    h = t.  C, u and v are integer columns over the prefixes, run by ``map``.
+    A run's line is (u x + v y + h N(x + i y)) mod p over the indices, built
+    once per (u, v, h) and translated by ``shift[C]``, the sign of r + C at r.
+    """
+    p, residues = config.p, index_residues(config)
+    signs = [residue_sign(r, p) % 256 for r in range(p)] * 2
+    shift = [bytes(signs[c:c + p]) + bytes(256 - p) for c in range(p)]
 
-    def column(indices, signs, _scale):
-        total = values(indices[0]) if signs[0] > 0 else map(neg, values(indices[0]))
-        for k, t in zip(indices[1:], signs[1:]):
-            total = map(add if t > 0 else sub, total, values(k))
-        return total
+    def reduced(terms):
+        total = repeat(0, len(norms))
+        for t, column in terms:
+            total = map(add if t > 0 else sub, total, column)
+        return map(mod, total, repeat(p))
 
-    return zip(*[map(sign, column(*form)) for form in forms], map(sign, norms))
+    def line(u, v, h):
+        return bytes((u * x + v * y + h * (x * x + y * y)) % p for x, y in residues)
+
+    lines = []
+    for indices, form_signs, _ in forms:
+        parts, h = ([], [], []), 0  # the terms of C, u and v
+        for k, t in zip(indices, form_signs):
+            op, a, b, c, d = _GRAM[k]
+            if a >= 6:  # G_33
+                h = t
+            elif b < 6:  # the prefix alone
+                gram = map(op, map(mul, flat[a], flat[b]), map(mul, flat[c], flat[d]))
+                parts[0].append((t, gram))
+            else:  # op(w_a x_3, w_c y_3)
+                parts[1].append((t, flat[a]))
+                parts[2].append((op(0, t), flat[c]))
+        C, *uv = map(reduced, parts)
+        uv = list(zip(*uv))
+        base = {key: line(*key, h) for key in set(uv)}
+        lines.append(map(bytes.translate, map(base.__getitem__, uv), map(shift.__getitem__, C)))
+    lines.append(map(bytes.translate, repeat(line(0, 0, 1)), map(shift.__getitem__, norms)))
+    return lines
 
 
 def correlator(state: TwoParticleState, i: int, j: int) -> int:
@@ -393,35 +397,37 @@ class ChshBound(Record):
 def chsh_bound(config: FieldConfig) -> ChshBound:
     """Maximum |CHSH| over every physical two-particle state and quadruple.
 
-    The physical rows of the code table go to the kernel ``_CHUNK`` at a
-    time, so the working memory is one chunk's columns whatever the field.
-    The kernel signs its unreduced sums through ``_sign_table``, several
-    periods of p long so that no sum needs a ``mod p``.  Every state's raw
-    tuple is computed (``states_scanned`` is a true count) and the distinct
-    ones kept; phi(n) is applied to each of those by ``map``, and the CHSH
-    values are read once per distinct grid (at most 3^9) up to the first that
-    reaches 4: four signs in {-1, 0, 1} sum to no more.
+    The code table's rows are (0, 0, 0, 1), then a run of q rows per row
+    (a, b, c) of ``projective_columns(config, 3)``; the table is not built.
+    The first row heads each ``_run_lines`` line: its one Gram value is
+    G_33 = 1, so each form sums to its sign h on G_33, and its norm is 1.
+    Every row is signed, so ``states_scanned`` is a true count, the nonzero
+    bytes of the phi(n) line.  Distinct raw tuples are kept in scan order and
+    those whose phi(n) is -1 flipped by a translation.  CHSH values are read
+    once per distinct grid (at most 3^9), fewest zeros first, as those have
+    the most quadruples that can reach 4, up to the first that does.
     """
     quadruples = axis_quadruples(config)
     forms = _pair_forms(config)
-    columns, norms, _ = two_particle_codes(config)  # refuses a field past the guard first
-    sign = _sign_table(config.p, max(len(signs) for _, signs, _ in forms.values()))
+    require_enumerable(config, 4)
+    require_byte_indices(config)
+    columns, norms = projective_columns(config, 3)
     split = [bytes(part) + bytes(256 - config.order) for part in zip(*index_residues(config))]
-    rows, physical = [compress(column, norms) for column in columns], filter(None, norms)
-    raw, scanned = set(), 0
-    while chunk := list(islice(physical, _CHUNK)):
-        scanned += len(chunk)
-        indices = [bytes(islice(column, len(chunk))) for column in rows]
-        flat = [column.translate(part) for column in indices for part in split]
-        raw.update(_sign_grids(flat, chunk, forms.values(), sign))
-    # each distinct raw tuple times its last sign phi(n): the true grid, then phi(n)^2 = 1
-    raw = list(raw)
-    grids = set(map(tuple, map(map, repeat(mul), raw, map(repeat, map(itemgetter(-1), raw)))))
+    flat = [column.tobytes().translate(part) for column in columns for part in split]
+    heads = [dict(zip(indices, signs)).get(3, 0) for indices, signs, _ in forms.values()]  # G_33
+    lines = [b"".join(chain((bytes((h % 256,)),), runs))
+             for h, runs in zip((*heads, 1), _run_lines(config, flat, norms, forms.values()))]
+    raw = dict.fromkeys(compress(zip(*lines), lines[-1]))
+    flip = {1: None, 255: bytes.maketrans(b"\x01\xff", b"\xff\x01")}
+    grids = dict.fromkeys(map(bytes.translate, map(bytes, raw),
+                              map(flip.__getitem__, map(itemgetter(-1), raw))))
     best = 0
-    for grid in grids:
-        best = max(best, *map(abs, _chsh_values(dict(zip(forms, grid)), quadruples)))
+    for grid in sorted(grids, key=methodcaller("count", 0)):
+        e = dict(zip(forms, memoryview(grid).cast("b")))
+        best = max(best, *map(abs, _chsh_values(e, quadruples)))
         if best == 4:
             break
+    scanned = len(lines[-1]) - lines[-1].count(0)
     return ChshBound(bound=best, states_scanned=scanned, quadruples_per_state=len(quadruples))
 
 

@@ -490,7 +490,7 @@ def _gram(psi):
 
 
 def _residue_grid(config, psi, norm, forms):
-    """The per-state reference for ``entangle._sign_grids``: the sign E of each
+    """The per-state reference for ``entangle._run_lines``: the sign E of each
     ``_pair_forms`` real form in forms on one state with flat (re, im)
     residues psi and norm <psi, psi> mod p != 0, the form's value times the
     norm reduced mod p and signed by Euler's criterion."""
@@ -498,9 +498,14 @@ def _residue_grid(config, psi, norm, forms):
     return tuple(residue_sign(_form_value(form, _gram(psi), p) * norm % p, p) for form in forms)
 
 
+def _signed(raw):
+    """The signs of a raw run-kernel row: its bytes 0, 1, 255 read as 0, 1, -1."""
+    return tuple(s - 256 if s > 127 else s for s in raw)
+
+
 def _applied(raw):
-    """A raw ``_sign_grids`` tuple with its last entry phi(n) applied: the grid."""
-    *signs, phi_n = raw
+    """A raw run-kernel row with its last entry phi(n) applied: the grid."""
+    *signs, phi_n = _signed(raw)
     return tuple(phi_n * sign for sign in signs)
 
 
@@ -514,10 +519,25 @@ def _physical_codes(config):
     return [(residue_code(config, psi), norm) for psi, norm in zip(zip(*columns), norms) if norm]
 
 
-def _table_sign(config):
-    """The sign table ``chsh_bound`` builds for the field's forms."""
-    width = max(len(signs) for _, signs, _ in _all_forms(config))
-    return entangle._sign_table(config.p, width)
+def _runs(config, prefixes, forms):
+    """The raw rows of the run of each flat (re, im) prefix (a, b, c) by
+    ``_run_lines``: per prefix, its q rows (a, b, c, d), d in index order."""
+    norms = [sum(x * x for x in prefix) % config.p for prefix in prefixes]
+    lines = zip(*entangle._run_lines(config, list(zip(*prefixes)), norms, forms))
+    runs = [list(zip(*run)) for run in lines]
+    assert list(map(len, runs)) == [config.order] * len(prefixes)
+    return runs
+
+
+def _ends(config):
+    """The flat (re, im) residues of every last component d, in index order."""
+    return [residue_code(config, (d,)) for d in range(config.order)]
+
+
+def _prefixes(config):
+    """The flat rows of ``projective_columns(config, 3)``: the code table's prefixes."""
+    columns, _ = linear.projective_columns(config, 3)
+    return [residue_code(config, prefix) for prefix in zip(*columns)]
 
 
 def _times_unit(p, psi):
@@ -527,61 +547,94 @@ def _times_unit(p, psi):
     return tuple(part for x, y in zip(psi[::2], psi[1::2]) for part in ((x - y) % p, (x + y) % p))
 
 
+def _physical_grids(run):
+    """The sorted grids of a run's physical rows."""
+    return sorted(_applied(raw) for raw in run if raw[-1])
+
+
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
-def test_column_kernel_matches_per_state_reference_exhaustively(config):
-    forms = _all_forms(config)
-    rows = _physical_codes(config)
-    psis, norms = zip(*rows)
-    columns = list(zip(*psis))
-    sign = _table_sign(config)
-    grids = list(map(_applied, entangle._sign_grids(columns, norms, forms, sign)))
-    assert grids == [_residue_grid(config, psi, norm, forms) for psi, norm in rows]
+def test_run_lines_match_per_state_reference_exhaustively(config):
+    # every row of every prefix's run: phi(n) is the norm's sign, zero exactly
+    # on the self-orthogonal rows, and a physical row's grid is the reference
+    p, forms = config.p, _all_forms(config)
+    prefixes = _prefixes(config)
+    runs = _runs(config, prefixes, forms)
+    for prefix, run in zip(prefixes, runs):
+        for end, raw in zip(_ends(config), run):
+            psi = prefix + end
+            norm = sum(x * x for x in psi) % p
+            assert _signed(raw)[-1] == residue_sign(norm, p), psi
+            if norm:
+                assert _applied(raw) == _residue_grid(config, psi, norm, forms), psi
     if config.is_extension:
-        # u psi is the same state as psi, so it has the same grid
-        p = config.p
-        scaled = list(zip(*(_times_unit(p, psi) for psi in psis)))
-        unit_norms = [2 * norm % p for norm in norms]
-        assert list(map(_applied, entangle._sign_grids(scaled, unit_norms, forms, sign))) == grids
+        # the run of u (a, b, c) is u times the run of (a, b, c): the same
+        # states, so the same sorted grids
+        scaled = _runs(config, [_times_unit(p, prefix) for prefix in prefixes], forms)
+        for prefix, run, unit_run in zip(prefixes, runs, scaled):
+            assert _physical_grids(unit_run) == _physical_grids(run), prefix
 
 
-def test_column_kernel_matches_per_state_reference_on_a_sample():
-    forms = _all_forms(GF49)
+def test_run_lines_match_per_state_reference_on_a_sample():
+    forms, p = _all_forms(GF49), GF49.p
+    w = linear.index_width(GF49)
     rows = random.Random(4902).sample(_physical_codes(GF49), 300)
-    psis, norms = zip(*rows)
-    sign = partial(residue_sign, p=GF49.p)
-    grids = list(map(_applied, entangle._sign_grids(list(zip(*psis)), norms, forms, sign)))
-    assert grids == [_residue_grid(GF49, psi, norm, forms) for psi, norm in rows]
-    # a chunk of one row is the same kernel call
-    for psi, norm in rows[:20]:
-        columns = [(x,) for x in psi]
-        assert list(map(_applied, entangle._sign_grids(columns, (norm,), forms, sign))) == [
-            _residue_grid(GF49, psi, norm, forms)]
+    runs = _runs(GF49, [psi[:6] for psi, _ in rows], forms)
+    scaled = _runs(GF49, [_times_unit(p, psi[:6]) for psi, _ in rows], forms)
+    for (psi, norm), run, unit_run in zip(rows, runs, scaled):
+        grid = _residue_grid(GF49, psi, norm, forms)
+        x, y = psi[6:]
+        assert _applied(run[x * w + y]) == grid, psi
+        # u psi lies at u d in the run of u (a, b, c), its y_0 = x_0 != 0
+        x, y = _times_unit(p, psi[6:])
+        assert _applied(unit_run[x * w + y]) == grid, psi
+        assert _physical_grids(unit_run) == _physical_grids(run), psi
 
 
 @pytest.mark.parametrize("config", [GF3, GF9, GF19], ids=["gf3", "gf9", "gf19"])
-def test_chsh_bound_is_the_same_for_every_chunk_size(config, monkeypatch):
-    # chunks are cut from the physical rows: one row each, 7 with a partial
-    # last chunk, exactly one full chunk, and one chunk short of its size
+def test_chsh_bound_runs_are_the_code_table_rows_in_order(config, monkeypatch):
+    # after its first row (0, 0, 0, 1) the code table is one run of q rows per
+    # prefix (a, b, c), d in index order; ``chsh_bound`` hands ``_run_lines``
+    # those prefixes in table order, once each, with their norms
     expected = chsh_bound(config)
-    scanned = expected.states_scanned
-    assert scanned % 7
-    rows = [psi for psi, _ in _physical_codes(config)]
-    kernel = entangle._sign_grids
+    kernel = entangle._run_lines
     fed = []
 
-    def feeding(columns, *rest):
-        assert len(columns) == 8 and len(set(map(len, columns))) == 1
-        fed.append(list(zip(*columns)))
-        return kernel(columns, *rest)
+    def recording(field, flat, norms, forms):
+        fed.append(([tuple(column) for column in flat], list(norms)))
+        return kernel(field, flat, norms, forms)
 
-    monkeypatch.setattr(entangle, "_sign_grids", feeding)
-    for size in (1, 7, scanned, scanned + 1):
-        fed.clear()
-        monkeypatch.setattr(entangle, "_CHUNK", size)
-        assert chsh_bound(config) == expected, size
-        # every physical row reaches the kernel once, in scan order
-        assert [psi for chunk in fed for psi in chunk] == rows
-        assert max(map(len, fed)) == min(size, scanned)
+    monkeypatch.setattr(entangle, "_run_lines", recording)
+    assert chsh_bound(config) == expected
+    ((flat, norms),) = fed
+    q = config.order
+    columns, table_norms, _ = entangle.two_particle_codes(config)
+    rows = [residue_code(config, psi) for psi in zip(*columns)]
+    assert rows[0] == (0,) * 6 + residue_code(config, (linear.index_width(config),))
+    assert [row[:6] for row in rows[1::q]] == list(zip(*flat))
+    assert [row[6:] for row in rows[1:]] == _ends(config) * len(norms)
+    # d = 0 adds nothing to the norm
+    assert list(table_norms[1::q]) == norms
+
+
+def test_chsh_bound_never_builds_the_code_table(monkeypatch):
+    def unreachable(config):
+        raise AssertionError("the code table was read")
+
+    monkeypatch.setattr(entangle, "two_particle_codes", unreachable)
+    for config, bound, scanned in ((GF3, 2, 24), (GF9, 4, 540), (GF19, 4, 6840)):
+        result = chsh_bound(config)
+        assert (result.bound, result.states_scanned) == (bound, scanned)
+
+
+@pytest.mark.parametrize("config", [FieldConfig(43, 1), GF49, FieldConfig(83, 1)],
+                         ids=["gf43", "gf49", "gf83"])
+def test_chsh_bound_scans_every_physical_state_in_closed_form(config):
+    # (q^4 - 1) / (q - 1) states, less the self-orthogonal ones: (p + 1)^2
+    # over GF(p), (p^3 + 1)(p^2 + 1) over GF(p^2)
+    q, p = config.order, config.p
+    self_orthogonal = (p**3 + 1) * (p**2 + 1) if config.is_extension else (p + 1) ** 2
+    result = chsh_bound(config)
+    assert (result.bound, result.states_scanned) == (4, (q**4 - 1) // (q - 1) - self_orthogonal)
 
 
 @pytest.mark.parametrize("config", CODE_FIELDS, ids=CODE_IDS)
@@ -603,34 +656,32 @@ def test_chsh_bound_reads_the_reference_grid_of_every_physical_row(config, monke
         {_residue_grid(config, psi, norm, list(forms.values())) for psi, norm in rows})
 
 
-@pytest.mark.parametrize("config,length", [(GF3, 33), (GF7, 294), (GF9, 33), (GF19, 2603),
-                                           (GF49, 294), (FieldConfig(83, 1), 53867)],
+# forms over the Gram values that sweep a run's terms: G_01 alone, then with
+# every sign -1 on G_01, G_03 and G_33, then A_03 with G_33, then G_03 - A_03
+SWEEP_FORMS = [((4,), (1,), 1), ((4, 6, 3), (-1, -1, -1), 1), ((12, 3), (1, 1), 1),
+               ((6, 12), (1, -1), 1)]
+
+
+@pytest.mark.parametrize("config", [GF3, GF7, GF9, GF19, GF49, FieldConfig(83, 1)],
                          ids=["gf3", "gf7", "gf9", "gf19", "gf49", "gf83"])
-def test_sign_table_reads_every_value_a_form_can_take(config, length):
-    # four equal signs on the diagonal Gram values at every residue p - 1
-    # reach the bound 4 * 2 (p - 1)^2 of a four-term form, either way round;
-    # the table is the least multiple of p above it
+def test_run_lines_read_every_shift_and_term(config):
+    # on the prefixes (1, c, 0), G_01 = c takes every residue, so each form's
+    # line is read through every shift table; x_0 = 1 puts x_3 in G_03 and
+    # y_3 in A_03 = y_0 x_3 - x_0 y_3, and the sums run negative before their
+    # reduction mod p
     p = config.p
-    bound = 8 * (p - 1) ** 2
-    sign = entangle._sign_table(p, 4)
-    table = sign.__self__
-    assert len(table) == length and length % p == 0 and bound < length <= bound + p
-    for v in (*range(-bound, 2 * p - bound), *range(bound - 2 * p, bound + 1)):
-        assert sign(v) == residue_sign(v, p), v
-    forms = [((0, 1, 2, 3), (1, 1, 1, 1), 1), ((0, 1, 2, 3), (-1, -1, -1, -1), 1)]
-    raw = list(entangle._sign_grids([(p - 1,)] * 8, (1,), forms, sign))
-    assert raw == [(residue_sign(bound, p), residue_sign(-bound, p), 1)]
-    # one period shorter, the extremes raise rather than wrap
-    short = table[:-p]
-    for v in (bound, -bound):
-        with pytest.raises(IndexError):
-            short[v]
+    prefixes = [(1, 0, c, 0, 0, 0) for c in range(p)]
+    for prefix, run in zip(prefixes, _runs(config, prefixes, SWEEP_FORMS)):
+        for end, raw in zip(_ends(config), run):
+            psi = prefix + end
+            expected = [residue_sign(_form_value(form, _gram(psi), p), p) for form in SWEEP_FORMS]
+            norm = sum(x * x for x in psi) % p
+            assert _signed(raw) == (*expected, residue_sign(norm, p)), psi
 
 
-def test_chsh_bound_working_memory_is_one_chunk():
-    # with the code table built, the scan holds one chunk's columns, not
-    # columns over the whole field
-    entangle.two_particle_codes(GF19)
+def test_chsh_bound_working_memory_is_its_run_lines():
+    # the scan reads prefixes, not the code table: its working memory is a
+    # few lines of q bytes per prefix, not columns over the whole field
     entangle._pair_forms(GF19)
     tracemalloc.start()
     try:
@@ -698,21 +749,20 @@ def test_kernel_matches_object_path_on_a_sample(config, seed):
 
 
 @pytest.mark.parametrize("config", [GF3, GF7, GF9, GF49], ids=["gf3", "gf7", "gf9", "gf49"])
-def test_one_state_grid_is_the_column_kernel_on_one_row(config):
-    # correlator_grid evaluates one state on its Gram integers; the column
-    # kernel behind chsh_bound, fed the same row as a chunk of one, agrees
+def test_one_state_grid_is_the_run_kernel_on_its_row(config):
+    # correlator_grid evaluates one state on its Gram integers; the run kernel
+    # behind chsh_bound, fed the state's prefix, agrees on the state's row
     axes = spin_axes(config)
     forms = entangle._pair_forms(config)
-    sign = partial(residue_sign, p=config.p)
     columns, norms, _ = entangle.two_particle_codes(config)
     rows = [(psi, norm) for psi, norm in zip(zip(*columns), norms) if norm]
-    if config is GF49:  # the rows of the column kernel's GF(49) sample
+    if config is GF49:  # the rows of the run kernel's GF(49) sample
         rows = random.Random(4902).sample(rows, 300)
-    for psi, norm in rows:
+    runs = _runs(config, [residue_code(config, psi[:3]) for psi, _ in rows], list(forms.values()))
+    for (psi, norm), run in zip(rows, runs):
         state = entangle.TwoParticleState(linear.residue_state(config, psi, norm), "entangled")
-        chunk = [(x,) for x in residue_code(config, psi)]
-        (raw,) = entangle._sign_grids(chunk, (norm,), forms.values(), sign)
-        assert correlator_grid(state, axes, axes) == dict(zip(forms, _applied(raw))), str(state)
+        grid = dict(zip(forms, _applied(run[psi[3]])))
+        assert correlator_grid(state, axes, axes) == grid, str(state)
 
 
 def test_kernel_reads_one_pair_or_a_rectangle():
@@ -898,13 +948,9 @@ def test_pair_forms_are_a_square_times_a_signed_gram_sum(config):
             assert (_form_value(form, _gram(flat), p), value.im) == (value.re, 0), (flat, i, j)
 
 
-def test_single_state_over_a_large_prime_builds_no_sign_table(monkeypatch, capsys):
-    # a sign table over GF(1000003) would hold about 8 10^12 entries; one
-    # state's grid is signed by Euler's criterion, in well under a second
-    def unreachable(p, width):
-        raise AssertionError("a sign table was built")
-
-    monkeypatch.setattr(entangle, "_sign_table", unreachable)
+def test_single_state_over_a_large_prime_builds_no_sign_table(capsys):
+    # one state's grid is signed by Euler's criterion, with no table over
+    # the field's residues, in well under a second
     argv = ["chsh", "--state", "S", "--axes", "1313", "--p", "1000003"]
     start = time.perf_counter()
     assert cli.run(argv) == 0
